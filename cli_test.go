@@ -168,6 +168,34 @@ func TestWorkbenchCLIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWorkbenchCLIMatchKeepsDecisions: a local match after an accept
+// and a reject pins both decisions instead of republishing the pairs as
+// machine cells.
+func TestWorkbenchCLIMatchKeepsDecisions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := writeSchemas(t)
+	run(t, dir, "workbench", "load", "po.xsd")
+	run(t, dir, "workbench", "load", "si.xsd")
+	run(t, dir, "workbench", "map", "m1", "po", "si")
+	run(t, dir, "workbench", "accept", "m1", "po/shipTo/subtotal", "si/shippingInfo/total")
+	run(t, dir, "workbench", "reject", "m1", "po/shipTo/firstName", "si/shippingInfo/name")
+	run(t, dir, "workbench", "match", "m1", "0.2")
+	out := run(t, dir, "workbench", "cells", "m1")
+	for _, want := range []string{
+		"po/shipTo/subtotal                       ↔ si/shippingInfo/total                    +1.00 (user, by engineer)",
+		"po/shipTo/firstName                      ↔ si/shippingInfo/name                     -1.00 (user, by engineer)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("cells after match lost a decision; want %q in:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, "(machine, by harmony)") {
+		t.Errorf("match published no machine cells:\n%s", out)
+	}
+}
+
 func TestWorkbenchCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -931,11 +931,17 @@ func runLocal(o opts, cmd string, rest []string) error {
 			return err
 		}
 		engine := workbench.NewEngine(src, tgt, workbench.EngineOptions{Flooding: true})
+		// The analyst's decisions become pins, and pinned pairs are not
+		// republished: a machine cell would overwrite the decision.
+		engine.LoadFrom(mp)
 		engine.Run()
 		links := engine.Matrix().Above(threshold)
+		pinned := engine.Decisions()
 		for _, l := range links {
-			if err := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); err != nil {
-				return err
+			if _, ok := pinned[[2]string{l.Source.ID, l.Target.ID}]; !ok {
+				if err := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); err != nil {
+					return err
+				}
 			}
 			fmt.Println(" ", l)
 		}

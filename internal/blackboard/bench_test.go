@@ -1,0 +1,90 @@
+package blackboard
+
+import (
+	"testing"
+
+	"repro/internal/registry"
+)
+
+// reviewCells is the published cell count of the review workload's
+// mapping: a 1000-element registry pair matched at threshold 0.25.
+const reviewCells = 3106
+
+// reviewMapping builds a blackboard at the review workload's size: a
+// 1000-element registry model (100 elements, 900 attributes, 1200 codes)
+// and its perturbation, and one mapping over them holding reviewCells
+// machine cells, about three per source element. It returns the mapping
+// and its cell pairs in write order.
+func reviewMapping(tb testing.TB) (*Mapping, [][2]string) {
+	tb.Helper()
+	cfg := registry.DefaultConfig()
+	cfg.Seed, cfg.Models = 1, 1
+	cfg.ElementsTotal, cfg.AttributesTotal, cfg.DomainValuesTotal = 100, 900, 1200
+	src := registry.Generate(cfg).Models[0]
+	pcfg := registry.DefaultPerturb()
+	pcfg.Seed = 2
+	tgt, _ := registry.Perturb(src, pcfg)
+	b := New()
+	if _, err := b.PutSchema(src); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := b.PutSchema(tgt); err != nil {
+		tb.Fatal(err)
+	}
+	m, err := b.NewMapping("review-0", src.Name, tgt.Name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srcEls, tgtEls := src.Elements(), tgt.Elements()
+	pairs := make([][2]string, 0, reviewCells)
+	for k := 0; len(pairs) < reviewCells; k++ {
+		i := k % len(srcEls)
+		j := (i + k/len(srcEls)) % len(tgtEls)
+		pair := [2]string{srcEls[i].ID, tgtEls[j].ID}
+		if err := m.SetCell(pair[0], pair[1], 0.25+float64(k%70)/100, false, "harmony"); err != nil {
+			tb.Fatal(err)
+		}
+		pairs = append(pairs, pair)
+	}
+	return m, pairs
+}
+
+// BenchmarkMappingCells reads the whole matrix, as a view request does.
+func BenchmarkMappingCells(b *testing.B) {
+	m, _ := reviewMapping(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := len(m.Cells()); got != reviewCells {
+			b.Fatalf("Cells = %d, want %d", got, reviewCells)
+		}
+	}
+}
+
+// BenchmarkMappingGetCell reads one cell, as the publish loop's
+// skip-unchanged test does for every link.
+func BenchmarkMappingGetCell(b *testing.B) {
+	m, pairs := reviewMapping(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if _, ok := m.GetCell(p[0], p[1]); !ok {
+			b.Fatalf("cell %v missing", p)
+		}
+	}
+}
+
+// BenchmarkMappingSetCell overwrites one existing cell with a new score,
+// as a publish or a decide does.
+func BenchmarkMappingSetCell(b *testing.B) {
+	m, pairs := reviewMapping(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		if err := m.SetCell(p[0], p[1], float64(i%200)/200, false, "harmony"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

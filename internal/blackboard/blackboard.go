@@ -14,6 +14,7 @@ package blackboard
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -276,6 +277,22 @@ type Mapping struct {
 	ID string
 	// SourceSchema and TargetSchema name the mapped schemata.
 	SourceSchema, TargetSchema string
+	// cellPrefix, srcPrefix and tgtPrefix are the IRI prefixes of the
+	// mapping's cells and of its source and target elements, built once
+	// per handle rather than once per cell read.
+	cellPrefix, srcPrefix, tgtPrefix string
+}
+
+// newMapping returns the handle on the mapping node for id.
+func (b *Blackboard) newMapping(id, sourceSchema, targetSchema string) *Mapping {
+	node := mappingIRI(id)
+	return &Mapping{
+		b: b, node: node, ID: id,
+		SourceSchema: sourceSchema, TargetSchema: targetSchema,
+		cellPrefix: node.Value() + "/cell/",
+		srcPrefix:  model.SchemaIRI(sourceSchema).Value() + "#",
+		tgtPrefix:  model.SchemaIRI(targetSchema).Value() + "#",
+	}
 }
 
 // NewMapping creates a mapping matrix between two stored schemata. The id
@@ -294,7 +311,7 @@ func (b *Blackboard) NewMapping(id, sourceSchema, targetSchema string) (*Mapping
 	b.g.SetOne(node, predSourceSchema, model.SchemaIRI(sourceSchema))
 	b.g.SetOne(node, predTargetSchema, model.SchemaIRI(targetSchema))
 	b.nextRevision()
-	return &Mapping{b: b, node: node, ID: id, SourceSchema: sourceSchema, TargetSchema: targetSchema}, nil
+	return b.newMapping(id, sourceSchema, targetSchema), nil
 }
 
 // GetMapping opens an existing mapping by id.
@@ -305,11 +322,7 @@ func (b *Blackboard) GetMapping(id string) (*Mapping, error) {
 	}
 	src := b.g.One(node, predSourceSchema).Value()
 	tgt := b.g.One(node, predTargetSchema).Value()
-	return &Mapping{
-		b: b, node: node, ID: id,
-		SourceSchema: strings.TrimPrefix(src, wbNS+"schema/"),
-		TargetSchema: strings.TrimPrefix(tgt, wbNS+"schema/"),
-	}, nil
+	return b.newMapping(id, strings.TrimPrefix(src, wbNS+"schema/"), strings.TrimPrefix(tgt, wbNS+"schema/")), nil
 }
 
 // Mappings lists mapping IDs — the §5.1.3 "library of mappings".
@@ -363,7 +376,7 @@ type Cell struct {
 // indexed membership test on the has-cell edge rather than a scan over
 // the matrix — bulk publishes stay linear in the number of cells.
 func (m *Mapping) cellNode(srcID, tgtID string, create bool) rdf.Term {
-	c := rdf.IRI(m.node.Value() + "/cell/" + srcID + "|" + tgtID)
+	c := rdf.IRI(m.cellPrefix + srcID + "|" + tgtID)
 	if m.b.g.Has(rdf.Triple{S: m.node, P: predHasCell, O: c}) {
 		return c
 	}
@@ -371,8 +384,8 @@ func (m *Mapping) cellNode(srcID, tgtID string, create bool) rdf.Term {
 		return rdf.Term{}
 	}
 	m.b.g.Add(rdf.Triple{S: c, P: rdf.RDFType, O: classCell})
-	m.b.g.SetOne(c, predCellRow, model.ElementIRI(m.SourceSchema, srcID))
-	m.b.g.SetOne(c, predCellCol, model.ElementIRI(m.TargetSchema, tgtID))
+	m.b.g.SetOne(c, predCellRow, rdf.IRI(m.srcPrefix+srcID))
+	m.b.g.SetOne(c, predCellCol, rdf.IRI(m.tgtPrefix+tgtID))
 	m.b.g.Add(rdf.Triple{S: m.node, P: predHasCell, O: c})
 	return c
 }
@@ -405,33 +418,71 @@ func (m *Mapping) GetCell(srcID, tgtID string) (Cell, bool) {
 	return m.readCell(c), true
 }
 
+// cellPreds are the annotations readCell reads, in the order it unpacks
+// them.
+var cellPreds = [...]rdf.Term{predConfidence, predUserDefined, predRevision, predCellRow, predCellCol, predSetBy}
+
+// readCell reads a cell's annotations with one subject lookup under one
+// read lock.
 func (m *Mapping) readCell(c rdf.Term) Cell {
-	conf, _ := m.b.g.One(c, predConfidence).Float()
-	ud, _ := m.b.g.One(c, predUserDefined).Bool()
-	rev, _ := m.b.g.One(c, predRevision).Int()
-	srcElem := m.b.g.One(c, predCellRow).Value()
-	tgtElem := m.b.g.One(c, predCellCol).Value()
+	var v [len(cellPreds)]rdf.Term
+	m.b.g.Ones(c, cellPreds[:], v[:])
+	conf, _ := v[0].Float()
+	ud, _ := v[1].Bool()
+	rev, _ := v[2].Int()
 	return Cell{
-		SourceID:    strings.TrimPrefix(srcElem, model.SchemaIRI(m.SourceSchema).Value()+"#"),
-		TargetID:    strings.TrimPrefix(tgtElem, model.SchemaIRI(m.TargetSchema).Value()+"#"),
+		SourceID:    strings.TrimPrefix(v[3].Value(), m.srcPrefix),
+		TargetID:    strings.TrimPrefix(v[4].Value(), m.tgtPrefix),
 		Confidence:  conf,
 		UserDefined: ud,
-		SetBy:       m.b.g.One(c, predSetBy).Value(),
+		SetBy:       v[5].Value(),
 		Revision:    rev,
 	}
 }
 
 // Cells returns every scored cell, ordered by (SourceID, TargetID).
 func (m *Mapping) Cells() []Cell {
-	var out []Cell
-	for _, c := range m.b.g.Objects(m.node, predHasCell) {
-		out = append(out, m.readCell(c))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SourceID != out[j].SourceID {
-			return out[i].SourceID < out[j].SourceID
+	var nodes []rdf.Term
+	m.b.g.Visit(m.node, predHasCell, rdf.Wild, func(t rdf.Triple) bool {
+		nodes = append(nodes, t.O)
+		return true
+	})
+	return m.readCells(nodes)
+}
+
+// UserCells returns the cells an analyst decided (is-user-defined true),
+// ordered like Cells. It reads through the is-user-defined index, so it
+// costs the decided cells of every mapping, not this mapping's matrix.
+func (m *Mapping) UserCells() []Cell {
+	var nodes []rdf.Term
+	m.b.g.Visit(rdf.Wild, predUserDefined, rdf.BoolLiteral(true), func(t rdf.Triple) bool {
+		if strings.HasPrefix(t.S.Value(), m.cellPrefix) {
+			nodes = append(nodes, t.S)
 		}
-		return out[i].TargetID < out[j].TargetID
+		return true
+	})
+	// The prefix admits the cells of a mapping whose ID extends this
+	// one's with "/cell/"; ownership is the has-cell edge.
+	owned := nodes[:0]
+	for _, c := range nodes {
+		if m.b.g.Has(rdf.Triple{S: m.node, P: predHasCell, O: c}) {
+			owned = append(owned, c)
+		}
+	}
+	return m.readCells(owned)
+}
+
+// readCells reads the given cell nodes, ordered by (SourceID, TargetID).
+func (m *Mapping) readCells(nodes []rdf.Term) []Cell {
+	out := make([]Cell, len(nodes))
+	for i, c := range nodes {
+		out[i] = m.readCell(c)
+	}
+	slices.SortFunc(out, func(a, b Cell) int {
+		if c := strings.Compare(a.SourceID, b.SourceID); c != 0 {
+			return c
+		}
+		return strings.Compare(a.TargetID, b.TargetID)
 	})
 	return out
 }

@@ -1,10 +1,14 @@
 package blackboard
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/rdf"
 )
 
 func poSchema() *model.Schema {
@@ -181,6 +185,110 @@ func TestMappingCellsSortedAndReopened(t *testing.T) {
 	}
 	if _, err := b.GetMapping("ghost"); err == nil {
 		t.Error("missing mapping should error")
+	}
+}
+
+// referenceCells reads a mapping's cells the long way, one Graph.Match
+// per annotation, ordered by (SourceID, TargetID).
+func referenceCells(b *Blackboard, id string) []Cell {
+	g := b.Graph()
+	one := func(s, p rdf.Term) rdf.Term {
+		ts := g.Match(s, p, rdf.Wild)
+		if len(ts) != 1 {
+			return rdf.Term{}
+		}
+		return ts[0].O
+	}
+	m, _ := b.GetMapping(id)
+	var out []Cell
+	for _, edge := range g.Match(mappingIRI(id), predHasCell, rdf.Wild) {
+		c := edge.O
+		conf, _ := one(c, predConfidence).Float()
+		ud, _ := one(c, predUserDefined).Bool()
+		rev, _ := one(c, predRevision).Int()
+		out = append(out, Cell{
+			SourceID:    strings.TrimPrefix(one(c, predCellRow).Value(), model.SchemaIRI(m.SourceSchema).Value()+"#"),
+			TargetID:    strings.TrimPrefix(one(c, predCellCol).Value(), model.SchemaIRI(m.TargetSchema).Value()+"#"),
+			Confidence:  conf,
+			UserDefined: ud,
+			SetBy:       one(c, predSetBy).Value(),
+			Revision:    rev,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].SourceID != out[j].SourceID {
+			return out[i].SourceID < out[j].SourceID
+		}
+		return out[i].TargetID < out[j].TargetID
+	})
+	return out
+}
+
+// TestMappingReadsMatchGraph checks Cells, GetCell and UserCells against
+// referenceCells after random machine and analyst writes to three
+// mappings over the same schemas. Their IDs share prefixes: m1 and m10,
+// and one that extends m1's cell IRI prefix, so each mapping's reads
+// must keep to its own cells.
+func TestMappingReadsMatchGraph(t *testing.T) {
+	b := boardWithSchemata(t)
+	ids := []string{"m1", "m10", "m1/cell/x"}
+	maps := map[string]*Mapping{}
+	for _, id := range ids {
+		m, err := b.NewMapping(id, "purchaseOrder", "shippingInfo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		maps[id] = m
+	}
+	srcs := []string{"purchaseOrder/purchaseOrder", "purchaseOrder/purchaseOrder/shipTo",
+		"purchaseOrder/purchaseOrder/shipTo/firstName", "purchaseOrder/purchaseOrder/shipTo/subtotal", "x|y"}
+	tgts := []string{"shippingInfo/shippingInfo", "shippingInfo/shippingInfo/name", "shippingInfo/shippingInfo/total"}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		m := maps[ids[rng.Intn(len(ids))]]
+		src, tgt := srcs[rng.Intn(len(srcs))], tgts[rng.Intn(len(tgts))]
+		var err error
+		if rng.Intn(3) == 0 {
+			err = m.SetCell(src, tgt, float64(2*rng.Intn(2)-1), true, "engineer")
+		} else {
+			err = m.SetCell(src, tgt, rng.Float64(), false, "harmony")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		m := maps[id]
+		want := referenceCells(b, id)
+		if len(want) == 0 {
+			t.Fatalf("%s: no cells written", id)
+		}
+		if got := m.Cells(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Cells =\n%+v\nwant\n%+v", id, got, want)
+		}
+		var wantUser []Cell
+		for _, c := range want {
+			if c.UserDefined {
+				wantUser = append(wantUser, c)
+			}
+		}
+		if got := m.UserCells(); !reflect.DeepEqual(got, wantUser) {
+			t.Errorf("%s: UserCells =\n%+v\nwant\n%+v", id, got, wantUser)
+		}
+		written := map[[2]string]bool{}
+		for _, c := range want {
+			written[[2]string{c.SourceID, c.TargetID}] = true
+			if got, ok := m.GetCell(c.SourceID, c.TargetID); !ok || got != c {
+				t.Errorf("%s: GetCell(%s, %s) = %+v, %v; want %+v", id, c.SourceID, c.TargetID, got, ok, c)
+			}
+		}
+		for _, src := range srcs {
+			for _, tgt := range tgts {
+				if _, ok := m.GetCell(src, tgt); ok != written[[2]string{src, tgt}] {
+					t.Errorf("%s: GetCell(%s, %s) ok = %v, want %v", id, src, tgt, ok, !ok)
+				}
+			}
+		}
 	}
 }
 

@@ -38,10 +38,7 @@ func (e *Engine) SaveTo(mp *blackboard.Mapping, tool string) error {
 // number of decisions loaded. Call Run afterwards to re-score the rest.
 func (e *Engine) LoadFrom(mp *blackboard.Mapping) int {
 	loaded := 0
-	for _, cell := range mp.Cells() {
-		if !cell.UserDefined {
-			continue
-		}
+	for _, cell := range mp.UserCells() {
 		var err error
 		switch {
 		case cell.Confidence >= 1:

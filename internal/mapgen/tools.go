@@ -249,8 +249,8 @@ func AssembleProgramAll(bb *blackboard.Blackboard, mp *blackboard.Mapping) (*Pro
 	}
 	// Entity pairing from accepted cells.
 	pairedSource := map[string]string{} // target entity ID → source entity ID
-	for _, cell := range mp.Cells() {
-		if !cell.UserDefined || cell.Confidence < 1 {
+	for _, cell := range mp.UserCells() {
+		if cell.Confidence < 1 {
 			continue
 		}
 		se, te := srcSchema.Element(cell.SourceID), tgtSchema.Element(cell.TargetID)

@@ -105,23 +105,28 @@ func (c CupidMatcher) Vote(ctx *Context) *Matrix {
 	if ws == 0 {
 		ws = 0.5
 	}
-	// Linguistic similarity for every pair.
-	lsimCache := map[[2]*model.Element]float64{}
-	lsim := func(s, t *model.Element) float64 {
-		if v, ok := lsimCache[[2]*model.Element{s, t}]; ok {
-			return v
-		}
-		base := lingo.Jaccard(ctx.NameTokens(s), ctx.NameTokens(t))
-		if ctx.Thesaurus != nil {
-			exp := lingo.Jaccard(ctx.ExpandedNameTokens(s), ctx.ExpandedNameTokens(t))
-			if exp > base {
-				base = exp
-			}
-		}
-		lsimCache[[2]*model.Element{s, t}] = base
-		return base
-	}
 	m := MatrixOver(ctx.Source, ctx.Target)
+	// Linguistic similarity for every pair, computed up front (one row
+	// per worker) so the scoring pass below only reads shared state. The
+	// pass asks only for pairs of the matrix's own elements: parents
+	// and children of non-root elements are non-root elements too.
+	srcIdx := make(map[*model.Element]int, len(m.Sources))
+	for i, e := range m.Sources {
+		srcIdx[e] = i
+	}
+	tgtIdx := make(map[*model.Element]int, len(m.Targets))
+	for j, e := range m.Targets {
+		tgtIdx[e] = j
+	}
+	lsims := make([][]float64, len(m.Sources))
+	shardRows(ctx.Workers(), len(m.Sources), func(i int) {
+		row := make([]float64, len(m.Targets))
+		for j, t := range m.Targets {
+			row[j] = cupidLinguistic(ctx, m.Sources[i], t)
+		}
+		lsims[i] = row
+	})
+	lsim := func(s, t *model.Element) float64 { return lsims[srcIdx[s]][tgtIdx[t]] }
 	forEachPair(ctx, m, func(s, t *model.Element) float64 {
 		l := lsim(s, t)
 		var ssim float64
@@ -153,6 +158,18 @@ func (c CupidMatcher) Vote(ctx *Context) *Matrix {
 		return calibrate(wsim, 0.35, 0.9, 0.4)
 	})
 	return m
+}
+
+// cupidLinguistic is Cupid's linguistic similarity of a pair: name-token
+// Jaccard, or the thesaurus-expanded Jaccard when that is higher.
+func cupidLinguistic(ctx *Context, s, t *model.Element) float64 {
+	base := lingo.Jaccard(ctx.NameTokens(s), ctx.NameTokens(t))
+	if ctx.Thesaurus != nil {
+		if exp := lingo.Jaccard(ctx.ExpandedNameTokens(s), ctx.ExpandedNameTokens(t)); exp > base {
+			base = exp
+		}
+	}
+	return base
 }
 
 // MelnikMatcher is pure similarity flooding seeded with trigram name

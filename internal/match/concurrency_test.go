@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -137,5 +138,23 @@ func TestConcurrentHarmonyFloodSharded(t *testing.T) {
 	par := HarmonyFlood(init.Clone(), src, tgt, FloodOptions{Iterations: 3, Parallelism: 4})
 	if !reflect.DeepEqual(seq.Scores, par.Scores) {
 		t.Error("sharded HarmonyFlood differs from sequential")
+	}
+}
+
+// TestConcurrentCupidMatcherWorkers checks that the Cupid baseline scores
+// bit-identically with 1 and 4 workers. Its linguistic similarities are
+// shared by the row-sharded scoring pass, so under -race this also
+// proves that pass only reads them.
+func TestConcurrentCupidMatcherWorkers(t *testing.T) {
+	src, tgt := bigFixture(12)
+	seq := (CupidMatcher{}).Vote(NewContext(src, tgt, WithParallelism(1)))
+	par := (CupidMatcher{}).Vote(NewContext(src, tgt, WithParallelism(4)))
+	for i := range seq.Scores {
+		for j := range seq.Scores[i] {
+			if math.Float64bits(seq.Scores[i][j]) != math.Float64bits(par.Scores[i][j]) {
+				t.Fatalf("cell (%s, %s): 1 worker %v, 4 workers %v",
+					seq.Sources[i].ID, seq.Targets[j].ID, seq.Scores[i][j], par.Scores[i][j])
+			}
+		}
 	}
 }

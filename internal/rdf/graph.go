@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"maps"
 	"sort"
 	"sync"
 )
@@ -14,9 +15,9 @@ import (
 // usable.
 type Graph struct {
 	mu  sync.RWMutex
-	spo map[Term]map[Term]map[Term]struct{}
-	pos map[Term]map[Term]map[Term]struct{}
-	osp map[Term]map[Term]map[Term]struct{}
+	spo index
+	pos index
+	osp index
 	n   int
 	// gen increments on every successful mutation; observers use it to
 	// detect staleness cheaply.
@@ -30,11 +31,115 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		spo: make(map[Term]map[Term]map[Term]struct{}),
-		pos: make(map[Term]map[Term]map[Term]struct{}),
-		osp: make(map[Term]map[Term]map[Term]struct{}),
+	return &Graph{spo: index{}, pos: index{}, osp: index{}}
+}
+
+// index is one of the graph's three-level triple indexes: first term →
+// second term → the set of third terms. SPO keys subject, predicate,
+// object; POS predicate, object, subject; OSP object, subject, predicate.
+type index map[Term]map[Term]termSet
+
+// termSet is an index's innermost level: the non-empty set of terms
+// completing a (first, second) key. Almost every (subject, predicate)
+// pair of a blackboard holds one object — the functional annotations —
+// so a one-member set keeps its member inline in one, with many nil,
+// and costs nothing beyond its slot in the parent map. From the second
+// member on, many holds every member and one is unused. A set shrinking
+// back to one member moves it inline again; an emptied set is deleted
+// from its parent, so a zero termSet only ever means "absent".
+type termSet struct {
+	one  Term
+	many map[Term]struct{}
+}
+
+func (s termSet) has(t Term) bool {
+	if s.many == nil {
+		return s.one == t
 	}
+	_, ok := s.many[t]
+	return ok
+}
+
+// first returns one member: the inline one, or an arbitrary map key.
+func (s termSet) first() Term {
+	if s.many == nil {
+		return s.one
+	}
+	for t := range s.many {
+		return t
+	}
+	return Term{}
+}
+
+// each calls fn on every member until fn returns false, and reports
+// whether it visited them all.
+func (s termSet) each(fn func(Term) bool) bool {
+	if s.many == nil {
+		return fn(s.one)
+	}
+	for t := range s.many {
+		if !fn(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendTo appends every member to dst.
+func (s termSet) appendTo(dst []Term) []Term {
+	if s.many == nil {
+		return append(dst, s.one)
+	}
+	for t := range s.many {
+		dst = append(dst, t)
+	}
+	return dst
+}
+
+// add inserts (a, b, c), reporting whether the entry was new.
+func (idx index) add(a, b, c Term) bool {
+	l2 := idx[a]
+	if l2 == nil {
+		l2 = make(map[Term]termSet)
+		idx[a] = l2
+	}
+	set, ok := l2[b]
+	switch {
+	case !ok:
+		l2[b] = termSet{one: c}
+	case set.many == nil:
+		if set.one == c {
+			return false
+		}
+		l2[b] = termSet{many: map[Term]struct{}{set.one: {}, c: {}}}
+	default:
+		if _, dup := set.many[c]; dup {
+			return false
+		}
+		set.many[c] = struct{}{}
+	}
+	return true
+}
+
+// remove deletes (a, b, c), reporting whether the entry was present.
+func (idx index) remove(a, b, c Term) bool {
+	l2 := idx[a]
+	set, ok := l2[b]
+	if !ok || !set.has(c) {
+		return false
+	}
+	if set.many == nil {
+		delete(l2, b)
+		if len(l2) == 0 {
+			delete(idx, a)
+		}
+		return true
+	}
+	delete(set.many, c)
+	if len(set.many) == 1 {
+		l2[b] = termSet{one: set.first()}
+	}
+	return true
 }
 
 // Len returns the number of triples in the graph.
@@ -96,34 +201,14 @@ func (g *Graph) AddAll(ts []Triple) int {
 }
 
 func (g *Graph) addLocked(t Triple) bool {
-	if !index3(g.spo, t.S, t.P, t.O) {
+	if !g.spo.add(t.S, t.P, t.O) {
 		return false
 	}
-	index3(g.pos, t.P, t.O, t.S)
-	index3(g.osp, t.O, t.S, t.P)
+	g.pos.add(t.P, t.O, t.S)
+	g.osp.add(t.O, t.S, t.P)
 	g.n++
 	g.gen++
 	g.journalLocked(true, t)
-	return true
-}
-
-// index3 inserts (a, b, c) into a three-level index, reporting whether the
-// entry was new.
-func index3(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
-	l2 := idx[a]
-	if l2 == nil {
-		l2 = make(map[Term]map[Term]struct{})
-		idx[a] = l2
-	}
-	l3 := l2[b]
-	if l3 == nil {
-		l3 = make(map[Term]struct{})
-		l2[b] = l3
-	}
-	if _, ok := l3[c]; ok {
-		return false
-	}
-	l3[c] = struct{}{}
 	return true
 }
 
@@ -135,36 +220,14 @@ func (g *Graph) Remove(t Triple) bool {
 }
 
 func (g *Graph) removeLocked(t Triple) bool {
-	if !unindex3(g.spo, t.S, t.P, t.O) {
+	if !g.spo.remove(t.S, t.P, t.O) {
 		return false
 	}
-	unindex3(g.pos, t.P, t.O, t.S)
-	unindex3(g.osp, t.O, t.S, t.P)
+	g.pos.remove(t.P, t.O, t.S)
+	g.osp.remove(t.O, t.S, t.P)
 	g.n--
 	g.gen++
 	g.journalLocked(false, t)
-	return true
-}
-
-func unindex3(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
-	l2 := idx[a]
-	if l2 == nil {
-		return false
-	}
-	l3 := l2[b]
-	if l3 == nil {
-		return false
-	}
-	if _, ok := l3[c]; !ok {
-		return false
-	}
-	delete(l3, c)
-	if len(l3) == 0 {
-		delete(l2, b)
-		if len(l2) == 0 {
-			delete(idx, a)
-		}
-	}
 	return true
 }
 
@@ -172,16 +235,8 @@ func unindex3(idx map[Term]map[Term]map[Term]struct{}, a, b, c Term) bool {
 func (g *Graph) Has(t Triple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l2 := g.spo[t.S]
-	if l2 == nil {
-		return false
-	}
-	l3 := l2[t.P]
-	if l3 == nil {
-		return false
-	}
-	_, ok := l3[t.O]
-	return ok
+	set, ok := g.spo[t.S][t.P]
+	return ok && set.has(t.O)
 }
 
 // Wild is the zero Term; in Match patterns it matches any term.
@@ -220,74 +275,44 @@ func (g *Graph) matchLocked(s, p, o Term, fn func(Triple) bool) {
 	sw, pw, ow := s.IsZero(), p.IsZero(), o.IsZero()
 	switch {
 	case !sw && !pw && !ow:
-		if l2 := g.spo[s]; l2 != nil {
-			if l3 := l2[p]; l3 != nil {
-				if _, ok := l3[o]; ok {
-					fn(Triple{s, p, o})
-				}
-			}
+		if set, ok := g.spo[s][p]; ok && set.has(o) {
+			fn(Triple{s, p, o})
 		}
 	case !sw && !pw: // S P ?
-		if l2 := g.spo[s]; l2 != nil {
-			for obj := range l2[p] {
-				if !fn(Triple{s, p, obj}) {
-					return
-				}
-			}
+		if set, ok := g.spo[s][p]; ok {
+			set.each(func(obj Term) bool { return fn(Triple{s, p, obj}) })
 		}
 	case !sw && !ow: // S ? O
-		if l2 := g.osp[o]; l2 != nil {
-			for pred := range l2[s] {
-				if !fn(Triple{s, pred, o}) {
-					return
-				}
-			}
+		if set, ok := g.osp[o][s]; ok {
+			set.each(func(pred Term) bool { return fn(Triple{s, pred, o}) })
 		}
 	case !pw && !ow: // ? P O
-		if l2 := g.pos[p]; l2 != nil {
-			for sub := range l2[o] {
-				if !fn(Triple{sub, p, o}) {
-					return
-				}
-			}
+		if set, ok := g.pos[p][o]; ok {
+			set.each(func(sub Term) bool { return fn(Triple{sub, p, o}) })
 		}
 	case !sw: // S ? ?
-		if l2 := g.spo[s]; l2 != nil {
-			for pred, l3 := range l2 {
-				for obj := range l3 {
-					if !fn(Triple{s, pred, obj}) {
-						return
-					}
-				}
+		for pred, set := range g.spo[s] {
+			if !set.each(func(obj Term) bool { return fn(Triple{s, pred, obj}) }) {
+				return
 			}
 		}
 	case !pw: // ? P ?
-		if l2 := g.pos[p]; l2 != nil {
-			for obj, l3 := range l2 {
-				for sub := range l3 {
-					if !fn(Triple{sub, p, obj}) {
-						return
-					}
-				}
+		for obj, set := range g.pos[p] {
+			if !set.each(func(sub Term) bool { return fn(Triple{sub, p, obj}) }) {
+				return
 			}
 		}
 	case !ow: // ? ? O
-		if l2 := g.osp[o]; l2 != nil {
-			for sub, l3 := range l2 {
-				for pred := range l3 {
-					if !fn(Triple{sub, pred, o}) {
-						return
-					}
-				}
+		for sub, set := range g.osp[o] {
+			if !set.each(func(pred Term) bool { return fn(Triple{sub, pred, o}) }) {
+				return
 			}
 		}
 	default: // ? ? ?
 		for sub, l2 := range g.spo {
-			for pred, l3 := range l2 {
-				for obj := range l3 {
-					if !fn(Triple{sub, pred, obj}) {
-						return
-					}
+			for pred, set := range l2 {
+				if !set.each(func(obj Term) bool { return fn(Triple{sub, pred, obj}) }) {
+					return
 				}
 			}
 		}
@@ -300,12 +325,19 @@ func (g *Graph) matchLocked(s, p, o Term, fn func(Triple) bool) {
 func (g *Graph) One(s, p Term) Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if l2 := g.spo[s]; l2 != nil {
-		for o := range l2[p] {
-			return o
-		}
+	return g.spo[s][p].first()
+}
+
+// Ones reads several functional annotations of one subject at the cost
+// of one: out[i] becomes One(s, ps[i]), with s looked up once under one
+// read lock. out must be at least as long as ps.
+func (g *Graph) Ones(s Term, ps, out []Term) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	l2 := g.spo[s]
+	for i, p := range ps {
+		out[i] = l2[p].first()
 	}
-	return Term{}
 }
 
 // Objects returns all objects of (s, p, ?) in deterministic order.
@@ -313,10 +345,8 @@ func (g *Graph) Objects(s, p Term) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []Term
-	if l2 := g.spo[s]; l2 != nil {
-		for o := range l2[p] {
-			out = append(out, o)
-		}
+	if set, ok := g.spo[s][p]; ok {
+		out = set.appendTo(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return compareTerm(out[i], out[j]) < 0 })
 	return out
@@ -327,10 +357,8 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []Term
-	if l2 := g.pos[p]; l2 != nil {
-		for s := range l2[o] {
-			out = append(out, s)
-		}
+	if set, ok := g.pos[p][o]; ok {
+		out = set.appendTo(out)
 	}
 	sort.Slice(out, func(i, j int) bool { return compareTerm(out[i], out[j]) < 0 })
 	return out
@@ -342,13 +370,10 @@ func (g *Graph) Subjects(p, o Term) []Term {
 func (g *Graph) SetOne(s, p, o Term) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if l2 := g.spo[s]; l2 != nil {
-		// Copy keys first: removeLocked mutates the map being ranged.
-		var olds []Term
-		for old := range l2[p] {
-			olds = append(olds, old)
-		}
-		for _, old := range olds {
+	if set, ok := g.spo[s][p]; ok {
+		// Copy the members first: removeLocked mutates the set.
+		var buf [1]Term
+		for _, old := range set.appendTo(buf[:0]) {
 			g.removeLocked(Triple{s, p, old})
 		}
 	}
@@ -393,13 +418,10 @@ func (g *Graph) ReplaceWith(other *Graph) {
 		for _, t := range olds {
 			g.removeLocked(t)
 		}
-		for s, l2 := range snap.spo {
-			for p, l3 := range l2 {
-				for o := range l3 {
-					g.addLocked(Triple{s, p, o})
-				}
-			}
-		}
+		snap.matchLocked(Wild, Wild, Wild, func(t Triple) bool {
+			g.addLocked(t)
+			return true
+		})
 		if snap.blankSeq > g.blankSeq {
 			g.blankSeq = snap.blankSeq
 		}
@@ -415,14 +437,25 @@ func (g *Graph) ReplaceWith(other *Graph) {
 func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := NewGraph()
-	for s, l2 := range g.spo {
-		for p, l3 := range l2 {
-			for o := range l3 {
-				out.addLocked(Triple{s, p, o})
-			}
-		}
+	return &Graph{
+		spo: g.spo.clone(), pos: g.pos.clone(), osp: g.osp.clone(),
+		n: g.n, blankSeq: g.blankSeq,
 	}
-	out.blankSeq = g.blankSeq
+}
+
+// clone copies the index level by level, each map allocated at its
+// final size.
+func (idx index) clone() index {
+	out := make(index, len(idx))
+	for a, l2 := range idx {
+		c2 := make(map[Term]termSet, len(l2))
+		for b, set := range l2 {
+			if set.many != nil {
+				set.many = maps.Clone(set.many)
+			}
+			c2[b] = set
+		}
+		out[a] = c2
+	}
 	return out
 }

@@ -3,6 +3,7 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -240,46 +241,256 @@ func TestGraphConcurrency(t *testing.T) {
 	}
 }
 
-// Property: the three indexes stay consistent under arbitrary add/remove
-// sequences — every SPO-visible triple is also POS- and OSP-visible.
+// TestGraphIndexConsistency checks the graph against a reference model —
+// a plain set of triples — under random Add, Remove, SetOne and
+// RemoveMatching inside nested savepoints that are rolled back or
+// released. After every step every read agrees with the model: all eight
+// Match patterns over the whole term universe, One, Objects, Subjects,
+// Len and Clone. The three indexes also hold exactly the model's
+// triples with no empty or misshapen level left behind, so a removed
+// triple is gone from each of them. The universe is small, so the
+// inline innermost sets go through 0→1→2→1→0 members many times.
 func TestGraphIndexConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	g := NewGraph()
-	var live []Triple
-	for step := 0; step < 2000; step++ {
-		x := Triple{
-			IRI(fmt.Sprintf("s%d", rng.Intn(10))),
-			IRI(fmt.Sprintf("p%d", rng.Intn(5))),
-			IRI(fmt.Sprintf("o%d", rng.Intn(10))),
-		}
-		if rng.Intn(3) == 0 && len(live) > 0 {
-			i := rng.Intn(len(live))
-			g.Remove(live[i])
-			live = append(live[:i], live[i+1:]...)
-		} else if g.Add(x) {
-			live = append(live, x)
-		}
+	var subs, preds, objs []Term
+	for i := 0; i < 4; i++ {
+		subs = append(subs, IRI(fmt.Sprintf("s%d", i)))
+		objs = append(objs, IRI(fmt.Sprintf("o%d", i)))
 	}
-	for _, t3 := range live {
-		for _, got := range [][]Triple{
-			g.Match(t3.S, t3.P, t3.O),
-			g.Match(Wild, t3.P, t3.O),
-			g.Match(t3.S, Wild, t3.O),
-			g.Match(t3.S, t3.P, Wild),
-		} {
-			found := false
-			for _, m := range got {
-				if m == t3 {
-					found = true
+	objs = append(objs, Literal("v"), IntLiteral(1), subs[0])
+	for i := 0; i < 3; i++ {
+		preds = append(preds, IRI(fmt.Sprintf("p%d", i)))
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(ts []Term) Term { return ts[rng.Intn(len(ts))] }
+	pickOrWild := func(ts []Term) Term {
+		if rng.Intn(3) == 0 {
+			return Wild
+		}
+		return pick(ts)
+	}
+
+	g := NewGraph()
+	model := map[Triple]bool{}
+	type open struct {
+		sp    Savepoint
+		model map[Triple]bool
+	}
+	var stack []open
+	copyModel := func() map[Triple]bool {
+		c := make(map[Triple]bool, len(model))
+		for k := range model {
+			c[k] = true
+		}
+		return c
+	}
+	// setSizes counts the objects of each (s, p) key, to record which
+	// set transitions the run went through.
+	setSizes := func() map[[2]Term]int {
+		n := map[[2]Term]int{}
+		for x := range model {
+			n[[2]Term{x.S, x.P}]++
+		}
+		return n
+	}
+	seen := map[[2]int]bool{}
+	prev := setSizes()
+
+	for step := 0; step < 1000; step++ {
+		var op string
+		switch r := rng.Intn(20); {
+		case r < 7:
+			op = "add"
+			x := Triple{pick(subs), pick(preds), pick(objs)}
+			if got := g.Add(x); got == model[x] {
+				t.Fatalf("step %d: Add(%v) = %v with the triple present=%v", step, x, got, model[x])
+			}
+			model[x] = true
+		case r < 11:
+			op = "remove"
+			x := Triple{pick(subs), pick(preds), pick(objs)}
+			if got := g.Remove(x); got != model[x] {
+				t.Fatalf("step %d: Remove(%v) = %v, want %v", step, x, got, model[x])
+			}
+			delete(model, x)
+		case r < 14:
+			op = "setone"
+			s, p, o := pick(subs), pick(preds), pick(objs)
+			g.SetOne(s, p, o)
+			for x := range model {
+				if x.S == s && x.P == p {
+					delete(model, x)
 				}
 			}
-			if !found {
-				t.Fatalf("triple %v missing from an index view", t3)
+			model[Triple{s, p, o}] = true
+		case r < 15:
+			op = "removematching"
+			s, p, o := pickOrWild(subs), pickOrWild(preds), pickOrWild(objs)
+			victims := g.RemoveMatching(s, p, o)
+			want := 0
+			for x := range model {
+				if matches(x, s, p, o) {
+					delete(model, x)
+					want++
+				}
+			}
+			if len(victims) != want {
+				t.Fatalf("step %d: RemoveMatching removed %d, want %d", step, len(victims), want)
+			}
+		case r < 17:
+			op = "savepoint"
+			if len(stack) < 3 {
+				stack = append(stack, open{g.Savepoint(), copyModel()})
+			}
+		case r < 19:
+			op = "rollback"
+			if n := len(stack); n > 0 {
+				g.Rollback(stack[n-1].sp)
+				model = stack[n-1].model
+				stack = stack[:n-1]
+			}
+		default:
+			op = "release"
+			if n := len(stack); n > 0 {
+				g.Release(stack[n-1].sp)
+				stack = stack[:n-1]
+			}
+		}
+		checkAgainstModel(t, g, model, subs, preds, objs)
+		if t.Failed() {
+			t.Fatalf("step %d (%s) diverged from the reference model", step, op)
+		}
+		cur := setSizes()
+		for k, n := range cur {
+			if n != prev[k] {
+				seen[[2]int{prev[k], n}] = true
+			}
+		}
+		for k, n := range prev {
+			if _, ok := cur[k]; !ok {
+				seen[[2]int{n, 0}] = true
+			}
+		}
+		prev = cur
+	}
+	for _, tr := range [][2]int{{0, 1}, {1, 2}, {2, 1}, {1, 0}} {
+		if !seen[tr] {
+			t.Errorf("no innermost set went from %d to %d members", tr[0], tr[1])
+		}
+	}
+}
+
+// matches reports whether x matches the pattern (Wild matches anything).
+func matches(x Triple, s, p, o Term) bool {
+	return (s.IsZero() || x.S == s) && (p.IsZero() || x.P == p) && (o.IsZero() || x.O == o)
+}
+
+// sameTriples reports an error when got is not exactly the model's
+// triples matching the pattern, each once.
+func sameTriples(t *testing.T, what string, got []Triple, model map[Triple]bool, s, p, o Term) {
+	t.Helper()
+	set := map[Triple]bool{}
+	for _, x := range got {
+		if set[x] {
+			t.Errorf("%s: %v returned twice", what, x)
+		}
+		if !model[x] || !matches(x, s, p, o) {
+			t.Errorf("%s: returned %v, absent from the model", what, x)
+		}
+		set[x] = true
+	}
+	for x := range model {
+		if matches(x, s, p, o) && !set[x] {
+			t.Errorf("%s: missing %v", what, x)
+		}
+	}
+}
+
+// checkAgainstModel compares every read of g with the reference model.
+func checkAgainstModel(t *testing.T, g *Graph, model map[Triple]bool, subs, preds, objs []Term) {
+	t.Helper()
+	if g.Len() != len(model) {
+		t.Errorf("Len = %d, want %d", g.Len(), len(model))
+	}
+	withWild := func(ts []Term) []Term { return append([]Term{Wild}, ts...) }
+	for _, s := range withWild(subs) {
+		for _, p := range withWild(preds) {
+			for _, o := range withWild(objs) {
+				sameTriples(t, fmt.Sprintf("Match(%v, %v, %v)", s, p, o), g.Match(s, p, o), model, s, p, o)
 			}
 		}
 	}
-	if g.Len() != len(live) {
-		t.Errorf("Len = %d, want %d", g.Len(), len(live))
+	for _, s := range subs {
+		for _, p := range preds {
+			var want []Term
+			for _, o := range objs {
+				if model[Triple{s, p, o}] {
+					want = append(want, o)
+				}
+			}
+			got := g.Objects(s, p)
+			sort.Slice(want, func(i, j int) bool { return compareTerm(want[i], want[j]) < 0 })
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Objects(%v, %v) = %v, want %v", s, p, got, want)
+			}
+			// One and Ones return an object of (s, p), any of several.
+			oneOf := func(x Term) bool {
+				if len(want) == 0 {
+					return x.IsZero()
+				}
+				return model[Triple{s, p, x}]
+			}
+			if one := g.One(s, p); !oneOf(one) {
+				t.Errorf("One(%v, %v) = %v, want one of %v", s, p, one, want)
+			}
+			ones := make([]Term, 2)
+			g.Ones(s, []Term{p, IRI("absent")}, ones)
+			if !oneOf(ones[0]) || !ones[1].IsZero() {
+				t.Errorf("Ones(%v, [%v absent]) = %v, want [one of %v, zero]", s, p, ones, want)
+			}
+		}
+	}
+	for _, p := range preds {
+		for _, o := range objs {
+			var want []Term
+			for _, s := range subs {
+				if model[Triple{s, p, o}] {
+					want = append(want, s)
+				}
+			}
+			if got := g.Subjects(p, o); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Subjects(%v, %v) = %v, want %v", p, o, got, want)
+			}
+		}
+	}
+	c := g.Clone()
+	if c.Len() != len(model) {
+		t.Errorf("Clone Len = %d, want %d", c.Len(), len(model))
+	}
+	sameTriples(t, "Clone", c.Match(Wild, Wild, Wild), model, Wild, Wild, Wild)
+	for name, idx := range map[string]struct {
+		idx  index
+		perm func(a, b, c Term) Triple
+	}{
+		"spo": {g.spo, func(a, b, c Term) Triple { return Triple{a, b, c} }},
+		"pos": {g.pos, func(a, b, c Term) Triple { return Triple{c, a, b} }},
+		"osp": {g.osp, func(a, b, c Term) Triple { return Triple{b, c, a} }},
+	} {
+		var held []Triple
+		for a, l2 := range idx.idx {
+			if len(l2) == 0 {
+				t.Errorf("%s: empty second level under %v", name, a)
+			}
+			for b, set := range l2 {
+				if set.many != nil && len(set.many) < 2 {
+					t.Errorf("%s: set under (%v, %v) has %d members in its map", name, a, b, len(set.many))
+				}
+				set.each(func(c Term) bool {
+					held = append(held, idx.perm(a, b, c))
+					return true
+				})
+			}
+		}
+		sameTriples(t, "index "+name, held, model, Wild, Wild, Wild)
 	}
 }
 

@@ -53,10 +53,7 @@ func (v LibraryVoter) Vote(ctx *match.Context) *match.Matrix {
 		if err != nil {
 			continue
 		}
-		for _, cell := range mp.Cells() {
-			if !cell.UserDefined {
-				continue
-			}
+		for _, cell := range mp.UserCells() {
 			k := [2]string{normalizeKey(tail(cell.SourceID)), normalizeKey(tail(cell.TargetID))}
 			p := precedents[k]
 			if p == nil {

@@ -277,10 +277,8 @@ func (a *Applier) rematch(p *Plan, id string, mp *blackboard.Mapping) (Rematch, 
 // returned for a retry after a rematch swaps the schemas in.
 func syncPins(eng *harmony.Engine, mp *blackboard.Mapping) [][3]string {
 	desired := map[[2]string]bool{}
-	for _, c := range mp.Cells() {
-		if c.UserDefined {
-			desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
-		}
+	for _, c := range mp.UserCells() {
+		desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
 	}
 	for pair := range eng.Decisions() {
 		if _, ok := desired[pair]; !ok {

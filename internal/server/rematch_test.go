@@ -8,10 +8,14 @@ package server_test
 // server suite.
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/harmony"
+	"repro/internal/server"
 )
 
 func TestRematchRoute(t *testing.T) {
@@ -121,5 +125,118 @@ func TestRematchWithoutPriorMatchRunsCold(t *testing.T) {
 	}
 	if re.Published != re2.Published {
 		t.Fatalf("published drifted: %d vs %d", re.Published, re2.Published)
+	}
+}
+
+// TestRematchCellsMatchStoredCells checks that the cells a match or
+// rematch returns are the stored cells, Revision included: publish reads
+// them inside its transaction, for pinned, unchanged and rewritten pairs
+// alike.
+func TestRematchCellsMatchStoredCells(t *testing.T) {
+	c, _ := startServer(t, "", false)
+	id := loadPair(t, c)
+	match, err := c.Match(id, 0.2)
+	if err != nil || len(match.Cells) < 2 {
+		t.Fatalf("Match = %+v, %v", match, err)
+	}
+	sameAsStored := func(what string, got []server.CellInfo) {
+		t.Helper()
+		stored, err := c.Cells(id)
+		if err != nil {
+			t.Fatalf("Cells: %v", err)
+		}
+		byPair := map[[2]string]server.CellInfo{}
+		for _, cell := range stored {
+			byPair[[2]string{cell.Source, cell.Target}] = cell
+		}
+		for _, cell := range got {
+			if want := byPair[[2]string{cell.Source, cell.Target}]; cell != want {
+				t.Errorf("%s returned %+v, stored %+v", what, cell, want)
+			}
+		}
+	}
+	sameAsStored("match", match.Cells)
+
+	if _, err := c.Decide(id, match.Cells[0].Source, match.Cells[0].Target, "accept"); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if _, err := c.Decide(id, match.Cells[1].Source, match.Cells[1].Target, "reject"); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	re, err := c.Rematch(id, 0.2, nil, nil)
+	if err != nil {
+		t.Fatalf("Rematch: %v", err)
+	}
+	sameAsStored("pins rematch", re.Cells)
+
+	text := strings.Replace(schemaText(t, "purchaseOrder.xsd"), `"firstName"`, `"givenName"`, 1)
+	if _, err := c.LoadSchema("po", "xsd", text); err != nil {
+		t.Fatalf("LoadSchema v2: %v", err)
+	}
+	re, err = c.Rematch(id, 0.2, nil, nil)
+	if err != nil {
+		t.Fatalf("Rematch after reload: %v", err)
+	}
+	if re.Mode == harmony.RematchPins {
+		t.Fatalf("post-reload mode = %q; want a re-read", re.Mode)
+	}
+	sameAsStored("rematch after reload", re.Cells)
+}
+
+// TestSchemaLoadDuringMatchKeepsStaleMark loads a new schema version
+// while a match runs — held open by a chaos delay between its schema read
+// and its engine run. The load's stale mark must survive the match, so
+// the next rematch re-reads the schemas and scores bit-identically to a
+// cold match over the new version.
+func TestSchemaLoadDuringMatchKeepsStaleMark(t *testing.T) {
+	c, _ := startServer(t, "", false)
+	id := loadPair(t, c)
+	defer chaos.Reset()
+	chaos.Enable(server.SiteMatchSchemas, chaos.Rule{Kind: chaos.FaultDelay, Every: 1, Limit: 1, Delay: 500 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Match(id, 0.2)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); chaos.Fired(server.SiteMatchSchemas) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("match never reached its schema read")
+		}
+	}
+	text := strings.Replace(schemaText(t, "purchaseOrder.xsd"), `"firstName"`, `"givenName"`, 1)
+	if _, err := c.LoadSchema("po", "xsd", text); err != nil {
+		t.Fatalf("LoadSchema v2: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Match: %v", err)
+	}
+	chaos.Reset()
+
+	re, err := c.Rematch(id, 0.2, nil, nil)
+	if err != nil {
+		t.Fatalf("Rematch: %v", err)
+	}
+	if re.Mode == harmony.RematchPins {
+		t.Fatalf("rematch mode = %q: the stale mark of the load was lost", re.Mode)
+	}
+	if _, err := c.NewMapping("cold", "po", "si"); err != nil {
+		t.Fatalf("NewMapping: %v", err)
+	}
+	cold, err := c.Match("cold", 0.2)
+	if err != nil {
+		t.Fatalf("cold Match: %v", err)
+	}
+	want := map[[2]string]uint64{}
+	for _, cell := range cold.Cells {
+		want[[2]string{cell.Source, cell.Target}] = math.Float64bits(cell.Confidence)
+	}
+	if len(re.Cells) != len(want) {
+		t.Fatalf("rematch returned %d cells, cold match %d", len(re.Cells), len(want))
+	}
+	for _, cell := range re.Cells {
+		if bits, ok := want[[2]string{cell.Source, cell.Target}]; !ok || bits != math.Float64bits(cell.Confidence) {
+			t.Errorf("cell %s → %s = %v; cold run has %v (present=%v)",
+				cell.Source, cell.Target, cell.Confidence, math.Float64frombits(bits), ok)
+		}
 	}
 }

@@ -148,11 +148,20 @@ type session struct {
 // stale when either schema is re-loaded so the next rematch pulls fresh
 // graphs instead of trusting the engine's copies.
 type matchSession struct {
-	mu     sync.Mutex
+	mu     sync.Mutex // guards eng; held across a whole match or rematch
 	eng    *harmony.Engine
 	source string
 	target string
-	stale  bool
+	stale  bool // guarded by tenant.engMu, never by mu
+}
+
+// SiteMatchSchemas is the chaos failpoint between a match session
+// reading its schemas and running its engine — the window in which a
+// concurrent schema load must leave the session marked stale.
+const SiteMatchSchemas chaos.Site = "server.match.schemas"
+
+func init() {
+	chaos.RegisterSite(SiteMatchSchemas, "after a match or rematch reads its schemas, before the engine runs")
 }
 
 // tenant is the server-side request state of one workspace: sessions,
@@ -169,7 +178,7 @@ type tenant struct {
 	sessions map[string]*session
 	sessSeq  uint64
 
-	engMu   sync.Mutex // guards engines
+	engMu   sync.Mutex // guards engines and every matchSession.stale
 	engines map[string]*matchSession
 
 	// applied is the in-memory replication cursor for a storeless
@@ -836,21 +845,40 @@ func (t *tenant) markSchemaStale(name string) {
 	}
 }
 
-// mappingPair loads the mapping and both of its schemas.
-func (t *tenant) mappingPair(id string) (*blackboard.Mapping, *model.Schema, *model.Schema, error) {
-	mp, err := t.bb().GetMapping(id)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// setStale sets or clears a match session's stale mark.
+func (t *tenant) setStale(sess *matchSession, stale bool) {
+	t.engMu.Lock()
+	defer t.engMu.Unlock()
+	sess.stale = stale
+}
+
+// isStale reports a match session's stale mark.
+func (t *tenant) isStale(sess *matchSession) bool {
+	t.engMu.Lock()
+	defer t.engMu.Unlock()
+	return sess.stale
+}
+
+// readSchemas clears a match session's stale mark, then reads the
+// mapping's schemas. The order matters: a schema load committing while
+// the session reads or runs marks it stale again, so the next rematch
+// re-reads instead of trusting an engine built from the old graph. A
+// failed read puts the mark back.
+func (t *tenant) readSchemas(sess *matchSession, mp *blackboard.Mapping) (*model.Schema, *model.Schema, error) {
+	t.setStale(sess, false)
 	src, err := t.bb().GetSchema(mp.SourceSchema)
-	if err != nil {
-		return nil, nil, nil, err
+	var tgt *model.Schema
+	if err == nil {
+		tgt, err = t.bb().GetSchema(mp.TargetSchema)
 	}
-	tgt, err := t.bb().GetSchema(mp.TargetSchema)
-	if err != nil {
-		return nil, nil, nil, err
+	if err == nil {
+		err = chaos.Inject(SiteMatchSchemas)
 	}
-	return mp, src, tgt, nil
+	if err != nil {
+		t.setStale(sess, true)
+		return nil, nil, err
+	}
+	return src, tgt, nil
 }
 
 // newMatchEngine builds a Harmony engine wired to the tenant's labeled
@@ -868,10 +896,8 @@ func (s *Server) newMatchEngine(t *tenant, src, tgt *model.Schema) *harmony.Engi
 // returned for a retry after a rematch swaps the schemas.
 func syncDecisions(eng *harmony.Engine, mp *blackboard.Mapping) [][3]string {
 	desired := map[[2]string]bool{}
-	for _, c := range mp.Cells() {
-		if c.UserDefined {
-			desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
-		}
+	for _, c := range mp.UserCells() {
+		desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
 	}
 	for pair := range eng.Decisions() {
 		if _, ok := desired[pair]; !ok {
@@ -909,39 +935,37 @@ func retryDecisions(eng *harmony.Engine, failed [][3]string) {
 }
 
 // publishMatrix writes every link at or above the threshold into the
-// mapping as one transaction and returns their stored cells. Pairs
-// carrying an engine pin are an analyst's decision already recorded via
-// the decide route; republishing them as machine cells would clobber
-// their user-defined annotation, so they are skipped.
+// mapping as one transaction and returns their stored cells, read inside
+// that transaction. Pairs carrying an engine pin are an analyst's
+// decision already recorded via the decide route; republishing them as
+// machine cells would clobber their user-defined annotation, so they are
+// skipped.
 func (s *Server) publishMatrix(t *tenant, r *http.Request, id string, mp *blackboard.Mapping, links []match.Correspondence, pinned map[[2]string]harmony.Decision) ([]CellInfo, error) {
+	cells := make([]CellInfo, 0, len(links))
 	err := s.inTxn(t, r, func(txn *wbmgr.Txn) error {
 		for _, l := range links {
-			if _, ok := pinned[[2]string{l.Source.ID, l.Target.ID}]; ok {
-				continue
-			}
+			c, ok := mp.GetCell(l.Source.ID, l.Target.ID)
+			_, pin := pinned[[2]string{l.Source.ID, l.Target.ID}]
 			// An incremental rematch leaves most scores untouched; skipping
 			// the bit-identical cells keeps publish (and its WAL record)
 			// proportional to the change, not the matrix.
-			if c, ok := mp.GetCell(l.Source.ID, l.Target.ID); ok &&
-				!c.UserDefined && c.SetBy == "harmony" && c.Confidence == l.Confidence {
-				continue
+			unchanged := ok && !c.UserDefined && c.SetBy == "harmony" && c.Confidence == l.Confidence
+			if !pin && !unchanged {
+				if cerr := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); cerr != nil {
+					return cerr
+				}
+				txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", id, l.Source.ID, l.Target.ID))
+				c, ok = mp.GetCell(l.Source.ID, l.Target.ID)
 			}
-			if cerr := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); cerr != nil {
-				return cerr
+			if ok {
+				cells = append(cells, cellInfo(c))
 			}
-			txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", id, l.Source.ID, l.Target.ID))
 		}
 		txn.Emit(wbmgr.EventMappingMatrix, id)
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	cells := []CellInfo{}
-	for _, l := range links {
-		if c, ok := mp.GetCell(l.Source.ID, l.Target.ID); ok {
-			cells = append(cells, cellInfo(c))
-		}
 	}
 	return cells, nil
 }
@@ -974,7 +998,7 @@ func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) 
 		threshold = *req.Threshold
 	}
 	id := r.PathValue("id")
-	mp, src, tgt, err := t.mappingPair(id)
+	mp, err := t.bb().GetMapping(id)
 	if err != nil {
 		fail(w, http.StatusNotFound, "%v", err)
 		return
@@ -986,11 +1010,20 @@ func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) 
 	// transaction so concurrent mutators aren't blocked by matching.
 	sess := t.matchSessionFor(id, mp)
 	sess.mu.Lock()
+	src, tgt, err := t.readSchemas(sess, mp)
+	if err != nil {
+		sess.mu.Unlock()
+		status := http.StatusNotFound
+		if errors.Is(err, chaos.ErrInjected) {
+			status = http.StatusInternalServerError
+		}
+		fail(w, status, "%v", err)
+		return
+	}
 	engine := s.newMatchEngine(t, src, tgt)
 	syncDecisions(engine, mp)
 	engine.RunContext(r.Context())
 	sess.eng = engine
-	sess.stale = false
 	links := engine.Matrix().Above(threshold)
 	pinned := engine.Decisions()
 	sess.mu.Unlock()
@@ -1053,35 +1086,28 @@ func (s *Server) rematchMapping(t *tenant, r *http.Request, id string, mp *black
 	sess := t.matchSessionFor(id, mp)
 	sess.mu.Lock()
 	var mode string
-	if sess.eng != nil && !sess.stale {
+	if sess.eng != nil && !t.isStale(sess) {
 		failed := syncDecisions(sess.eng, mp)
 		sess.eng.RematchContext(r.Context(), dirty)
 		retryDecisions(sess.eng, failed)
 		mode = sess.eng.LastRematchMode()
 	} else {
-		src, serr := t.bb().GetSchema(mp.SourceSchema)
-		if serr == nil {
-			var tgt *model.Schema
-			tgt, serr = t.bb().GetSchema(mp.TargetSchema)
-			if serr == nil {
-				if sess.eng == nil {
-					sess.eng = s.newMatchEngine(t, src, tgt)
-					syncDecisions(sess.eng, mp)
-					sess.eng.RunContext(r.Context())
-					mode = harmony.RematchCold
-				} else {
-					failed := syncDecisions(sess.eng, mp)
-					sess.eng.RematchWithContext(r.Context(), src, tgt, dirty)
-					retryDecisions(sess.eng, failed)
-					mode = sess.eng.LastRematchMode()
-				}
-			}
-		}
+		src, tgt, serr := t.readSchemas(sess, mp)
 		if serr != nil {
 			sess.mu.Unlock()
 			return "", nil, serr
 		}
-		sess.stale = false
+		if sess.eng == nil {
+			sess.eng = s.newMatchEngine(t, src, tgt)
+			syncDecisions(sess.eng, mp)
+			sess.eng.RunContext(r.Context())
+			mode = harmony.RematchCold
+		} else {
+			failed := syncDecisions(sess.eng, mp)
+			sess.eng.RematchWithContext(r.Context(), src, tgt, dirty)
+			retryDecisions(sess.eng, failed)
+			mode = sess.eng.LastRematchMode()
+		}
 	}
 	links := sess.eng.Matrix().Above(threshold)
 	pinned := sess.eng.Decisions()
@@ -1262,18 +1288,22 @@ func (s *Server) handleDecide(t *tenant, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	tool := t.toolFor(r)
+	// The response is read inside the transaction: after it, a
+	// concurrent decide on the same cell could already have overwritten
+	// this one.
+	var c blackboard.Cell
 	err = s.inTxnAs(r.Context(), t, tool, func(txn *wbmgr.Txn) error {
 		if cerr := mp.SetCell(req.Source, req.Target, conf, true, tool); cerr != nil {
 			return cerr
 		}
 		txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", id, req.Source, req.Target))
+		c, _ = mp.GetCell(req.Source, req.Target)
 		return nil
 	})
 	if err != nil {
 		failTxn(w, err, http.StatusInternalServerError)
 		return
 	}
-	c, _ := mp.GetCell(req.Source, req.Target)
 	writeJSON(w, http.StatusOK, cellInfo(c))
 }
 
