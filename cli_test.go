@@ -6,12 +6,15 @@ package workbench
 // persistence across invocations.
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/blackboard"
 )
 
 var (
@@ -193,6 +196,45 @@ func TestWorkbenchCLIMatchKeepsDecisions(t *testing.T) {
 	}
 	if !strings.Contains(out, "(machine, by harmony)") {
 		t.Errorf("match published no machine cells:\n%s", out)
+	}
+}
+
+// TestWorkbenchCLITornSaveKeepsState: a fault in the middle of a local
+// state save (the workbench.state.save failpoint, hit after the new
+// snapshot is written) fails the command and leaves the previous state
+// file byte-identical and loadable.
+func TestWorkbenchCLITornSaveKeepsState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := writeSchemas(t)
+	run(t, dir, "workbench", "load", "po.xsd")
+	run(t, dir, "workbench", "load", "si.xsd")
+	run(t, dir, "workbench", "map", "m1", "po", "si")
+	state := filepath.Join(dir, "workbench.nt")
+	before, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := runExpectError(t, dir, "workbench", "-chaos-sites", "workbench.state.save=error:n1", "match", "m1", "0.2")
+	if !strings.Contains(out, "injected") {
+		t.Fatalf("torn save: %s", out)
+	}
+	after, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a failed save changed the state file")
+	}
+	if err := blackboard.New().Restore(bytes.NewReader(after)); err != nil {
+		t.Fatalf("state after a failed save does not load: %v", err)
+	}
+	if _, err := os.Stat(state + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("failed save left its temporary file: %v", err)
+	}
+	if out := run(t, dir, "workbench", "cells", "m1"); strings.Contains(out, "harmony") {
+		t.Fatalf("the failed match's cells were saved:\n%s", out)
 	}
 }
 

@@ -86,8 +86,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -97,10 +99,12 @@ import (
 	"time"
 
 	workbench "repro"
+	"repro/internal/atomicfile"
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
 	"repro/internal/chaos/sim"
 	"repro/internal/client"
+	"repro/internal/harmony"
 	"repro/internal/loadgen"
 	"repro/internal/mapgen"
 	"repro/internal/model"
@@ -369,14 +373,8 @@ func runFsck(o opts, rest []string) error {
 		}
 		return firstErr
 	default:
-		bb := blackboard.New()
-		if f, err := os.Open(o.state); err == nil {
-			rerr := bb.Restore(f)
-			f.Close()
-			if rerr != nil {
-				return fmt.Errorf("fsck: %w", rerr)
-			}
-		} else if !os.IsNotExist(err) {
+		bb, err := loadState(o.state)
+		if err != nil {
 			return fmt.Errorf("fsck: %w", err)
 		}
 		return fsckGraph(bb)
@@ -690,14 +688,8 @@ func runMetrics(o opts, rest []string) error {
 	if o.remote != "" {
 		return usageError{fmt.Sprintf("metrics is not available in -remote mode; scrape http://%s/metrics instead", o.remote)}
 	}
-	bb := blackboard.New()
-	if f, err := os.Open(o.state); err == nil {
-		rerr := bb.Restore(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-	} else if !os.IsNotExist(err) {
+	bb, err := loadState(o.state)
+	if err != nil {
 		return err
 	}
 	// Snapshot-derived gauges complement the mutation-path metrics,
@@ -868,14 +860,8 @@ func runLocal(o opts, cmd string, rest []string) error {
 	if err := rejectFlags(cmd, rest); err != nil {
 		return err
 	}
-	bb := blackboard.New()
-	if f, err := os.Open(o.state); err == nil {
-		rerr := bb.Restore(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-	} else if !os.IsNotExist(err) {
+	bb, err := loadState(o.state)
+	if err != nil {
 		return err
 	}
 	m := wbmgr.NewWith(bb)
@@ -922,30 +908,26 @@ func runLocal(o opts, cmd string, rest []string) error {
 		if err != nil {
 			return err
 		}
-		src, err := bb.GetSchema(mp.SourceSchema)
+		// A cold run through a match session, published like the
+		// server's match route: decisions pin and are never overwritten,
+		// bit-identical machine cells are not rewritten.
+		res, err := harmony.NewSession(harmony.Options{Flooding: true}).Run(context.Background(), bb, mp, threshold)
 		if err != nil {
 			return err
 		}
-		tgt, err := bb.GetSchema(mp.TargetSchema)
+		var cells []blackboard.Cell
+		err = m.Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
+			var perr error
+			cells, perr = res.Publish(txn, mp)
+			return perr
+		})
 		if err != nil {
 			return err
 		}
-		engine := workbench.NewEngine(src, tgt, workbench.EngineOptions{Flooding: true})
-		// The analyst's decisions become pins, and pinned pairs are not
-		// republished: a machine cell would overwrite the decision.
-		engine.LoadFrom(mp)
-		engine.Run()
-		links := engine.Matrix().Above(threshold)
-		pinned := engine.Decisions()
-		for _, l := range links {
-			if _, ok := pinned[[2]string{l.Source.ID, l.Target.ID}]; !ok {
-				if err := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); err != nil {
-					return err
-				}
-			}
+		for _, l := range res.Links {
 			fmt.Println(" ", l)
 		}
-		fmt.Printf("published %d cells at threshold %.2f\n", len(links), threshold)
+		fmt.Printf("published %d cells at threshold %.2f\n", len(cells), threshold)
 	case "accept", "reject":
 		if err := need(rest, 3, cmd+" <id> <srcElem> <tgtElem>"); err != nil {
 			return err
@@ -1051,16 +1033,44 @@ func runLocal(o opts, cmd string, rest []string) error {
 
 	// Persist the blackboard — only reached when the subcommand
 	// succeeded, so a failed run never clobbers the previous state.
-	f, err := os.Create(o.state)
-	if err != nil {
-		return err
+	return saveState(o.state, bb)
+}
+
+// siteStateSave is the chaos failpoint inside a local state save, after
+// the new snapshot is written and before it replaces the state file.
+const siteStateSave chaos.Site = "workbench.state.save"
+
+func init() {
+	chaos.RegisterSite(siteStateSave, "local state save: snapshot written, not yet renamed over the state file")
+}
+
+// loadState reads the local blackboard from the state file; a missing
+// file is an empty blackboard.
+func loadState(path string) (*blackboard.Blackboard, error) {
+	bb := blackboard.New()
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return bb, nil
 	}
-	err = bb.Snapshot(f)
-	cerr := f.Close()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return cerr
+	defer f.Close()
+	if err := bb.Restore(f); err != nil {
+		return nil, err
+	}
+	return bb, nil
+}
+
+// saveState replaces the state file with bb's snapshot crash-safely: a
+// crash or fault mid-save leaves the previous state intact.
+func saveState(path string, bb *blackboard.Blackboard) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		if err := bb.Snapshot(w); err != nil {
+			return err
+		}
+		return chaos.Inject(siteStateSave)
+	})
 }
 
 func loadSchema(path string) (*model.Schema, error) {

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/blackboard"
 	"repro/internal/client"
 	"repro/internal/schemaset"
 	"repro/internal/server"
@@ -82,14 +81,8 @@ func confirmApply() bool {
 // snapshot is only rewritten after every selected set applied cleanly,
 // so a failed apply never clobbers the previous state.
 func schemaSetLocal(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock *schemaset.Lockfile, lockPath string, planOnly, yes bool, threshold float64) error {
-	bb := blackboard.New()
-	if f, err := os.Open(o.state); err == nil {
-		rerr := bb.Restore(f)
-		f.Close()
-		if rerr != nil {
-			return rerr
-		}
-	} else if !os.IsNotExist(err) {
+	bb, err := loadState(o.state)
+	if err != nil {
 		return err
 	}
 	ap := &schemaset.Applier{BB: bb, Mgr: wbmgr.NewWith(bb), Threshold: threshold}
@@ -138,16 +131,7 @@ func schemaSetLocal(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock *
 	if !applied {
 		return nil
 	}
-	f, err := os.Create(o.state)
-	if err != nil {
-		return err
-	}
-	err = bb.Snapshot(f)
-	cerr := f.Close()
-	if err != nil {
-		return err
-	}
-	return cerr
+	return saveState(o.state, bb)
 }
 
 // schemaSetRemote plans/applies against a workbench service: a dry-run

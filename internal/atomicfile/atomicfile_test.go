@@ -1,0 +1,38 @@
+package atomicfile
+
+import (
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+func TestWriteReplacesOrKeeps(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.nt")
+	write := func(content string, fail error) error {
+		return Write(path, func(w io.Writer) error {
+			if _, err := io.WriteString(w, content); err != nil {
+				return err
+			}
+			return fail
+		})
+	}
+	if err := write("v1\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := write("v2\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	if err := write("torn", boom); !errors.Is(err, boom) {
+		t.Fatalf("Write = %v; want the write's error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil || string(got) != "v2\n" {
+		t.Fatalf("after a failed write the file holds %q (%v); want the previous content", got, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("failed write left its temporary file: %v", err)
+	}
+}

@@ -105,13 +105,15 @@ func New() *Blackboard {
 
 // NewFromGraph wraps an existing RDF graph — typically one recovered by
 // the write-ahead log store — as a blackboard. A nil graph yields an
-// empty blackboard.
+// empty blackboard. The revision counter resumes past every revision
+// the graph stores.
 func NewFromGraph(g *rdf.Graph) *Blackboard {
 	if g == nil {
 		g = rdf.NewGraph()
 	}
 	b := &Blackboard{g: g}
 	b.SetMetrics(obs.Default())
+	b.ResumeRevision()
 	return b
 }
 
@@ -143,6 +145,26 @@ func (b *Blackboard) nextRevision() int {
 // Revision returns the current mutation counter. Safe for concurrent
 // readers; it never decreases, even across rollbacks.
 func (b *Blackboard) Revision() int { return int(b.revision.Load()) }
+
+// ResumeRevision moves the revision counter up to the highest revision
+// stored in the graph, so the next write's revision exceeds every stored
+// one. Call it whenever triples arrive around the mutation paths — a
+// restore, WAL recovery, or replication before a promote.
+func (b *Blackboard) ResumeRevision() {
+	var top int64
+	b.g.Visit(rdf.Wild, predRevision, rdf.Wild, func(t rdf.Triple) bool {
+		if v, err := t.O.Int(); err == nil && int64(v) > top {
+			top = int64(v)
+		}
+		return true
+	})
+	for {
+		cur := b.revision.Load()
+		if cur >= top || b.revision.CompareAndSwap(cur, top) {
+			return
+		}
+	}
+}
 
 // SyncMetrics re-derives snapshot gauges (the triple count) from the
 // graph. The workbench manager calls it after rolling a transaction
@@ -696,13 +718,15 @@ func (b *Blackboard) Snapshot(w io.Writer) error { return rdf.WriteNTriples(w, b
 
 // Restore replaces the blackboard contents from an N-Triples stream —
 // together with Snapshot, the stand-in for sharing one IB across multiple
-// workbench instances.
+// workbench instances. The revision counter resumes past every revision
+// the stream stores.
 func (b *Blackboard) Restore(r io.Reader) error {
 	g, err := rdf.ReadNTriples(r)
 	if err != nil {
 		return err
 	}
 	b.g.ReplaceWith(g)
+	b.ResumeRevision()
 	b.nextRevision()
 	return nil
 }

@@ -420,3 +420,51 @@ func TestRevisionAdvances(t *testing.T) {
 		t.Error("revision should advance on mutation")
 	}
 }
+
+// TestRevisionsResumePastStoredOnes: a blackboard restored from a
+// snapshot or wrapped around a recovered graph continues its revision
+// counter past every revision the graph stores, so the next write never
+// reuses or rewinds one.
+func TestRevisionsResumePastStoredOnes(t *testing.T) {
+	src := boardWithSchemata(t)
+	mp, err := src.NewMapping("m", "purchaseOrder", "shippingInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = "purchaseOrder/shipTo/firstName", "shippingInfo/name"
+	for i := 0; i < 5; i++ {
+		if err := mp.SetCell(a, b, float64(i)/10, false, "harmony"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap strings.Builder
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	top := 0
+	for _, c := range mp.Cells() {
+		top = max(top, c.Revision)
+	}
+	for name, open := range map[string]func() *Blackboard{
+		"Restore": func() *Blackboard {
+			r := New()
+			if err := r.Restore(strings.NewReader(snap.String())); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		},
+		"NewFromGraph": func() *Blackboard { return NewFromGraph(src.Graph().Clone()) },
+	} {
+		r := open()
+		rmp, err := r.GetMapping("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rmp.SetCell(a, "shippingInfo/total", 1, true, "engineer"); err != nil {
+			t.Fatal(err)
+		}
+		if c, _ := rmp.GetCell(a, "shippingInfo/total"); c.Revision <= top {
+			t.Errorf("%s: next write got revision %d; stored revisions reach %d", name, c.Revision, top)
+		}
+	}
+}

@@ -341,3 +341,34 @@ func TestSameDomainVariants(t *testing.T) {
 		t.Error("different lengths should differ")
 	}
 }
+
+// TestSessionMatchKeepsDecisions: a Match after Accept and Reject pins
+// both decisions instead of rewriting them as machine cells.
+func TestSessionMatchKeepsDecisions(t *testing.T) {
+	s := newSession(t)
+	if _, err := s.Match(0.2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Accept("po/shipTo/subtotal", "si/shippingInfo/total"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reject("po/shipTo/firstName", "si/shippingInfo/name"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Match(0.2); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := s.Mapping()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pair, conf := range map[[2]string]float64{
+		{"po/shipTo/subtotal", "si/shippingInfo/total"}: 1,
+		{"po/shipTo/firstName", "si/shippingInfo/name"}: -1,
+	} {
+		c, ok := mp.GetCell(pair[0], pair[1])
+		if !ok || c.Confidence != conf || !c.UserDefined || c.SetBy != "engineer" {
+			t.Errorf("decision %v after Match = %+v (present=%v)", pair, c, ok)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/blackboard"
@@ -21,7 +22,7 @@ type IntegrationSession struct {
 	// MappingID names the session's mapping in the IB library.
 	MappingID string
 
-	engine  *harmony.Engine
+	matcher *harmony.Session
 	mapper  *mapgen.MapperTool
 	codegen *mapgen.CodeGenTool
 
@@ -38,21 +39,16 @@ func NewIntegrationSession(mappingID string, source, target *model.Schema, sourc
 	m.EnableEventLog = true
 
 	// Loaders run inside a transaction and announce the schema graphs.
-	txn, err := m.Begin("loader")
+	err := m.Do(context.Background(), "loader", func(txn *wbmgr.Txn) error {
+		for _, sc := range []*model.Schema{source, target} {
+			if _, err := txn.Blackboard().PutSchema(sc); err != nil {
+				return err
+			}
+			txn.Emit(wbmgr.EventSchemaGraph, sc.Name)
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, err
-	}
-	if _, err := txn.Blackboard().PutSchema(source); err != nil {
-		_ = txn.Abort()
-		return nil, err
-	}
-	txn.Emit(wbmgr.EventSchemaGraph, source.Name)
-	if _, err := txn.Blackboard().PutSchema(target); err != nil {
-		_ = txn.Abort()
-		return nil, err
-	}
-	txn.Emit(wbmgr.EventSchemaGraph, target.Name)
-	if err := txn.Commit(); err != nil {
 		return nil, err
 	}
 
@@ -63,6 +59,7 @@ func NewIntegrationSession(mappingID string, source, target *model.Schema, sourc
 	s := &IntegrationSession{
 		Manager:      m,
 		MappingID:    mappingID,
+		matcher:      harmony.NewSession(harmony.Options{Flooding: true}),
 		sourceName:   source.Name,
 		targetName:   target.Name,
 		sourceEntity: sourceEntityID,
@@ -79,98 +76,71 @@ func NewIntegrationSession(mappingID string, source, target *model.Schema, sourc
 	return s, nil
 }
 
-// Engine returns (building on first use) the Harmony engine over the
-// stored schemata.
+// Engine returns the Harmony engine of the session's last Match; it
+// carries the decisions as of that Match.
 func (s *IntegrationSession) Engine() (*harmony.Engine, error) {
-	if s.engine != nil {
-		return s.engine, nil
+	if e := s.matcher.Engine(); e != nil {
+		return e, nil
 	}
-	src, err := s.Manager.Blackboard().GetSchema(s.sourceName)
-	if err != nil {
-		return nil, err
-	}
-	tgt, err := s.Manager.Blackboard().GetSchema(s.targetName)
-	if err != nil {
-		return nil, err
-	}
-	s.engine = harmony.NewEngine(src, tgt, harmony.Options{Flooding: true})
-	return s.engine, nil
+	return nil, fmt.Errorf("core: no match has run in session %q", s.MappingID)
 }
 
-// Match runs the Harmony engine and publishes machine-suggested cells to
-// the blackboard in one transaction (task 3). Links below the threshold
-// are not published.
+// Match runs the session's Harmony engine — cold the first time, then an
+// incremental rematch that pins the engineer's decisions — and publishes
+// its links at or above the threshold in one transaction (task 3). It
+// returns the number of stored cells at or above the threshold;
+// decisions are never overwritten.
 func (s *IntegrationSession) Match(threshold float64) (int, error) {
-	e, err := s.Engine()
+	mp, err := s.Mapping()
 	if err != nil {
 		return 0, err
 	}
-	e.Run()
-	links := e.Matrix().Above(threshold)
-
-	txn, err := s.Manager.Begin("harmony")
+	res, err := s.matcher.Rematch(context.Background(), s.Manager.Blackboard(), mp, harmony.Dirty{}, threshold)
 	if err != nil {
 		return 0, err
 	}
-	mp, err := txn.Blackboard().GetMapping(s.MappingID)
-	if err != nil {
-		_ = txn.Abort()
-		return 0, err
-	}
-	for _, l := range links {
-		if err := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); err != nil {
-			_ = txn.Abort()
-			return 0, err
-		}
-		txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", s.MappingID, l.Source.ID, l.Target.ID))
-	}
-	return len(links), txn.Commit()
+	var cells []blackboard.Cell
+	err = s.Manager.Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
+		var perr error
+		cells, perr = res.Publish(txn, mp)
+		return perr
+	})
+	return len(cells), err
 }
 
-// Accept records an engineer decision, pinning the engine and publishing
-// the user-defined cell (confidence exactly +1, per §5.1.2).
+// Accept records an engineer decision as a user-defined cell
+// (confidence exactly +1, per §5.1.2); the next Match pins it.
 func (s *IntegrationSession) Accept(srcID, tgtID string) error {
-	return s.decide(srcID, tgtID, true)
+	return s.decide(srcID, tgtID, 1)
 }
 
 // Reject records a rejection (confidence exactly -1).
 func (s *IntegrationSession) Reject(srcID, tgtID string) error {
-	return s.decide(srcID, tgtID, false)
+	return s.decide(srcID, tgtID, -1)
 }
 
-func (s *IntegrationSession) decide(srcID, tgtID string, accepted bool) error {
-	e, err := s.Engine()
-	if err != nil {
-		return err
-	}
-	if accepted {
-		if err := e.Accept(srcID, tgtID); err != nil {
+func (s *IntegrationSession) decide(srcID, tgtID string, conf float64) error {
+	bb := s.Manager.Blackboard()
+	for _, side := range [][2]string{{s.sourceName, srcID}, {s.targetName, tgtID}} {
+		sc, err := bb.GetSchema(side[0])
+		if err != nil {
 			return err
 		}
-	} else {
-		if err := e.Reject(srcID, tgtID); err != nil {
-			return err
+		if el := sc.Element(side[1]); el == nil || el == sc.Root() {
+			return fmt.Errorf("core: unknown element %q in schema %q", side[1], side[0])
 		}
 	}
-	conf := -1.0
-	if accepted {
-		conf = 1.0
-	}
-	txn, err := s.Manager.Begin("engineer")
-	if err != nil {
-		return err
-	}
-	mp, err := txn.Blackboard().GetMapping(s.MappingID)
-	if err != nil {
-		_ = txn.Abort()
-		return err
-	}
-	if err := mp.SetCell(srcID, tgtID, conf, true, "engineer"); err != nil {
-		_ = txn.Abort()
-		return err
-	}
-	txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", s.MappingID, srcID, tgtID))
-	return txn.Commit()
+	return s.Manager.Do(context.Background(), "engineer", func(txn *wbmgr.Txn) error {
+		mp, err := txn.Blackboard().GetMapping(s.MappingID)
+		if err != nil {
+			return err
+		}
+		if err := mp.SetCell(srcID, tgtID, conf, true, "engineer"); err != nil {
+			return err
+		}
+		txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", s.MappingID, srcID, tgtID))
+		return nil
+	})
 }
 
 // WriteCode records a column transformation via the mapper tool (tasks

@@ -14,8 +14,8 @@ import (
 // SaveTo writes the engine's user decisions and completion flags into a
 // blackboard mapping: decisions as user-defined ±1 cells, completion as
 // row is-complete annotations. Machine scores are not written here — the
-// publishing of machine cells is the matcher tool's transactional job
-// (see core.IntegrationSession.Match).
+// publishing of machine cells is the match session's transactional job
+// (see Result.Publish).
 func (e *Engine) SaveTo(mp *blackboard.Mapping, tool string) error {
 	for pair, d := range e.Decisions() {
 		conf := -1.0
@@ -33,29 +33,17 @@ func (e *Engine) SaveTo(mp *blackboard.Mapping, tool string) error {
 }
 
 // LoadFrom restores user decisions and completion flags from a mapping
-// into the engine: user-defined cells at ±1 become pinned decisions, and
-// row is-complete annotations restore the progress state. It returns the
-// number of decisions loaded. Call Run afterwards to re-score the rest.
+// into the engine: the mapping's decisions replace the engine's pins
+// under the match sessions' one rule (every user-defined cell pins, its
+// sign deciding accept or reject), and row is-complete annotations
+// restore the progress state. It returns the number of decisions
+// loaded. Call Run afterwards to re-score the rest.
 func (e *Engine) LoadFrom(mp *blackboard.Mapping) int {
-	loaded := 0
-	for _, cell := range mp.UserCells() {
-		var err error
-		switch {
-		case cell.Confidence >= 1:
-			err = e.Accept(cell.SourceID, cell.TargetID)
-		case cell.Confidence <= -1:
-			err = e.Reject(cell.SourceID, cell.TargetID)
-		default:
-			continue
-		}
-		if err == nil {
-			loaded++
-		}
-	}
+	syncPins(e, mp)
 	for _, s := range e.ctx.Source.Elements() {
 		if mp.RowComplete(s.ID) {
 			e.complete[s.ID] = true
 		}
 	}
-	return loaded
+	return len(e.decisions)
 }

@@ -62,17 +62,28 @@ func TestSessionSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadFromSkipsMachineAndMidRangeCells(t *testing.T) {
+// TestLoadFromPinsEveryUserCell: LoadFrom follows the match sessions'
+// one pin rule — every user-defined cell pins, its sign deciding accept
+// or reject — and never pins a machine cell.
+func TestLoadFromPinsEveryUserCell(t *testing.T) {
 	mp := persistMapping(t)
 	mp.SetCell(firstID, nameID, 0.7, false, "harmony")   // machine
-	mp.SetCell(lastID, nameID, 0.5, true, "odd")         // user but not pinned ±1
-	mp.SetCell(subtotalID, totalID, 1, true, "engineer") // real decision
+	mp.SetCell(lastID, nameID, 0.5, true, "odd")         // user, mid-range
+	mp.SetCell(firstID, totalID, -0.2, true, "odd")      // user, negative
+	mp.SetCell(subtotalID, totalID, 1, true, "engineer") // decision
 	e := newEngine(t)
-	if got := e.LoadFrom(mp); got != 1 {
-		t.Errorf("loaded = %d, want 1", got)
+	if got := e.LoadFrom(mp); got != 3 {
+		t.Errorf("loaded = %d, want 3", got)
 	}
-	if e.IsUserDefined(firstID, nameID) || e.IsUserDefined(lastID, nameID) {
-		t.Error("non-decisions loaded as decisions")
+	if e.IsUserDefined(firstID, nameID) {
+		t.Error("machine cell loaded as a decision")
+	}
+	d := e.Decisions()
+	if !d[[2]string{lastID, nameID}].Accepted || !d[[2]string{subtotalID, totalID}].Accepted {
+		t.Errorf("positive user cells not accepted: %v", d)
+	}
+	if got, ok := d[[2]string{firstID, totalID}]; !ok || got.Accepted {
+		t.Errorf("negative user cell not rejected: %v", d)
 	}
 }
 

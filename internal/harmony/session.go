@@ -1,0 +1,227 @@
+package harmony
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"repro/internal/blackboard"
+	"repro/internal/chaos"
+	"repro/internal/match"
+	"repro/internal/obs"
+	"repro/internal/wbmgr"
+)
+
+// Match sessions (DESIGN.md §12). A Session owns the engine behind one
+// blackboard mapping and is the only path from an engine to the
+// blackboard: the server's match, rematch and apply routes, the schema
+// set Applier, core.IntegrationSession and local `workbench match` all
+// run and publish through it. The analyst's decisions live on the
+// blackboard; the session mirrors them onto the engine as pins before
+// every run and never writes over them when it publishes.
+
+// SiteSessionSchemas is the chaos failpoint between a session reading
+// its mapping's schemas and running its engine — the window in which a
+// concurrent schema load must still leave the next rematch re-reading.
+const SiteSessionSchemas chaos.Site = "server.match.schemas"
+
+func init() {
+	chaos.RegisterSite(SiteSessionSchemas, "after a match session reads its schemas, before the engine runs")
+}
+
+// Session is the long-lived match engine of one mapping. Its methods
+// are safe for concurrent use; runs are serialized.
+type Session struct {
+	opts Options
+
+	mu  sync.Mutex // held across a whole run
+	eng *Engine
+	// read names the schemas the engine holds and the blackboard
+	// versions they were read at.
+	read schemaVersions
+}
+
+// schemaVersions names a mapping's two schemas at their blackboard
+// versions.
+type schemaVersions struct {
+	src, tgt       string
+	srcVer, tgtVer int
+}
+
+func versionsOf(bb *blackboard.Blackboard, mp *blackboard.Mapping) schemaVersions {
+	return schemaVersions{
+		src: mp.SourceSchema, tgt: mp.TargetSchema,
+		srcVer: bb.SchemaVersion(mp.SourceSchema), tgtVer: bb.SchemaVersion(mp.TargetSchema),
+	}
+}
+
+// NewSession returns a session whose engines are built with opts.
+func NewSession(opts Options) *Session { return &Session{opts: opts} }
+
+// Result is one session run's outcome, detached from the engine so the
+// caller can publish it after the session moves on.
+type Result struct {
+	// Mode is RematchCold for a cold run, else the engine's self-chosen
+	// rematch mode.
+	Mode string
+	// Links are the correspondences at or above the run's threshold, in
+	// matrix order.
+	Links []match.Correspondence
+}
+
+// Run builds a fresh engine over the mapping's current schemas, pins the
+// mapping's decisions and runs the full pipeline.
+func (s *Session) Run(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, threshold float64) (*Result, error) {
+	return s.run(ctx, bb, mp, true, Dirty{}, threshold)
+}
+
+// Rematch re-runs the live engine on its cheapest valid path: it
+// re-reads the schemas only when either side's blackboard version moved
+// since they were read, and otherwise lets the engine patch in place
+// (the decision-only "pins" path when nothing else changed). dirty is
+// an advisory hint (see Engine.Rematch). Without a live engine it runs
+// cold. The mode is also recorded as the rematch_mode attribute of the
+// span in ctx.
+func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, dirty Dirty, threshold float64) (*Result, error) {
+	res, err := s.run(ctx, bb, mp, false, dirty, threshold)
+	if err == nil {
+		if sp := obs.SpanFromContext(ctx); sp != nil {
+			sp.SetAttr("rematch_mode", res.Mode)
+		}
+	}
+	return res, err
+}
+
+func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, cold bool, dirty Dirty, threshold float64) (*Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var mode string
+	if now := versionsOf(bb, mp); cold || s.eng == nil || now != s.read {
+		// The versions are taken before the schemas are read: a load
+		// committing in between leaves them behind the engine's graphs,
+		// so the next rematch reads again rather than trusting them.
+		src, err := bb.GetSchema(mp.SourceSchema)
+		if err != nil {
+			return nil, err
+		}
+		tgt, err := bb.GetSchema(mp.TargetSchema)
+		if err != nil {
+			return nil, err
+		}
+		if err := chaos.Inject(SiteSessionSchemas); err != nil {
+			return nil, err
+		}
+		if cold || s.eng == nil {
+			s.eng = NewEngine(src, tgt, s.opts)
+			syncPins(s.eng, mp)
+			s.eng.RunContext(ctx)
+			mode = RematchCold
+		} else {
+			// Pins on elements only the new schemas carry fail against
+			// the engine's old ones; they are placed after the swap.
+			failed := syncPins(s.eng, mp)
+			s.eng.RematchWithContext(ctx, src, tgt, dirty)
+			for _, c := range failed {
+				_ = pin(s.eng, c) // absent from both versions: dropped
+			}
+			mode = s.eng.LastRematchMode()
+		}
+		s.read = now
+	} else {
+		syncPins(s.eng, mp)
+		s.eng.RematchContext(ctx, dirty)
+		mode = s.eng.LastRematchMode()
+	}
+	return &Result{Mode: mode, Links: s.eng.Matrix().Above(threshold)}, nil
+}
+
+// Engine returns the session's live engine (nil before its first run).
+// The engine keeps changing with later runs; callers that read it
+// concurrently with them must synchronize themselves.
+func (s *Session) Engine() *Engine {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eng
+}
+
+// syncPins mirrors the mapping's decisions onto the engine — the one pin
+// rule: every user-defined cell pins, accepted when its confidence is
+// positive and rejected otherwise — and unpins decisions the mapping no
+// longer carries. It returns the decisions the engine's schemas could
+// not place.
+func syncPins(e *Engine, mp *blackboard.Mapping) []blackboard.Cell {
+	decided := mp.UserCells()
+	keep := make(map[pairKey]bool, len(decided))
+	for _, c := range decided {
+		keep[pairKey{c.SourceID, c.TargetID}] = true
+	}
+	for k := range e.decisions {
+		if !keep[k] {
+			e.Unpin(k.src, k.tgt)
+		}
+	}
+	var failed []blackboard.Cell
+	for _, c := range decided {
+		if pin(e, c) != nil {
+			failed = append(failed, c)
+		}
+	}
+	return failed
+}
+
+// pin places one decision on the engine.
+func pin(e *Engine, c blackboard.Cell) error {
+	return e.decide(c.SourceID, c.TargetID, c.Confidence > 0)
+}
+
+// Publish writes r's links into the mapping inside txn, as machine
+// cells set by "harmony", and returns the stored cell of every link,
+// read inside txn. It never writes over a decision (a user-defined
+// cell, pinned at run time or decided since), and it skips machine
+// cells whose confidence is bit-identical, so an incremental rematch
+// writes — and logs — only what changed. Each written cell emits a
+// mapping-cell event.
+func (r *Result) Publish(txn *wbmgr.Txn, mp *blackboard.Mapping) ([]blackboard.Cell, error) {
+	cells := make([]blackboard.Cell, 0, len(r.Links))
+	for _, l := range r.Links {
+		c, ok := mp.GetCell(l.Source.ID, l.Target.ID)
+		unchanged := ok && (c.UserDefined || c.SetBy == "harmony" && c.Confidence == l.Confidence)
+		if !unchanged {
+			if err := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); err != nil {
+				return nil, err
+			}
+			txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", mp.ID, l.Source.ID, l.Target.ID))
+			c, ok = mp.GetCell(l.Source.ID, l.Target.ID)
+		}
+		if ok {
+			cells = append(cells, c)
+		}
+	}
+	return cells, nil
+}
+
+// Sessions is a table of match sessions keyed by mapping ID, all
+// building engines with the same options.
+type Sessions struct {
+	opts Options
+	mu   sync.Mutex
+	m    map[string]*Session
+}
+
+// NewSessions returns an empty table whose sessions use opts.
+func NewSessions(opts Options) *Sessions {
+	return &Sessions{opts: opts, m: map[string]*Session{}}
+}
+
+// For returns the mapping's session, creating it (not its engine) on
+// first use.
+func (t *Sessions) For(mappingID string) *Session {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, ok := t.m[mappingID]
+	if !ok {
+		s = NewSession(t.opts)
+		t.m[mappingID] = s
+	}
+	return s
+}

@@ -1,6 +1,7 @@
 package schemaset
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -38,37 +39,40 @@ const (
 
 // Applier executes change plans against one blackboard: schema puts as
 // a single wbmgr transaction, then an incremental re-match of every
-// affected mapping using the plan's diff as the dirty-set hint. The
-// Applier keeps each mapping's match engine alive between applies (a
-// match session, like the server's), so the second and later applies
-// re-match incrementally instead of running cold.
+// affected mapping using the plan's diff as the dirty-set hint. Each
+// mapping re-matches through its harmony match session, which stays
+// alive between applies, so the second and later applies re-match
+// incrementally instead of running cold.
 type Applier struct {
-	BB  *blackboard.Blackboard
+	BB *blackboard.Blackboard
+	// Mgr runs Apply's transactions; ApplyWith's caller brings its own.
 	Mgr *wbmgr.Manager
-	// Tool is the provenance name transactions carry (default
+	// Tool is the provenance name Apply's transactions carry (default
 	// "schemaset").
 	Tool string
-	// Threshold gates which correspondences publish as cells (default
-	// 0.25, the server's).
+	// Threshold gates which correspondences Apply publishes as cells
+	// (default 0.25, the server's).
 	Threshold float64
 	// Engine configures new match engines. Zero value: flooding on,
 	// default voters, process-default metrics.
 	Engine harmony.Options
 	// Metrics receives the apply counters; nil means obs.Default().
 	Metrics *obs.Registry
-
-	engines map[string]*harmony.Engine
+	// Sessions holds the mappings' match sessions; nil means a private
+	// table, built from Engine on first use. The server passes the
+	// workspace's table, so apply and the rematch route share engines.
+	Sessions *harmony.Sessions
 }
 
 // Rematch records one mapping's re-match during an apply.
 type Rematch struct {
 	Mapping string
-	// Mode is how the engine resolved: "cold" on a mapping's first
-	// match in this Applier, else the engine's self-classified rematch
-	// mode ("pins"/"incremental"/"corpus"/"full").
+	// Mode is how the session resolved: "cold" on the mapping's first
+	// match, else the engine's self-classified rematch mode
+	// ("pins"/"incremental"/"corpus"/"full").
 	Mode string
-	// Published counts cells actually written: links at or above the
-	// threshold that are new or whose confidence changed.
+	// Published counts the mapping's stored cells at or above the
+	// threshold after the publish.
 	Published int
 	// Duration is the wall-clock cost of this re-match: pin sync, the
 	// engine run, and the publish transaction — everything the version
@@ -95,18 +99,15 @@ func (a *Applier) reg() *obs.Registry {
 	return obs.Default()
 }
 
-func (a *Applier) tool() string {
-	if a.Tool != "" {
-		return a.Tool
+func (a *Applier) sessions() *harmony.Sessions {
+	if a.Sessions == nil {
+		opts := a.Engine
+		if opts.Voters == nil && !opts.Flooding {
+			opts.Flooding = true
+		}
+		a.Sessions = harmony.NewSessions(opts)
 	}
-	return "schemaset"
-}
-
-func (a *Applier) threshold() float64 {
-	if a.Threshold != 0 {
-		return a.Threshold
-	}
-	return 0.25
+	return a.Sessions
 }
 
 // Plan computes a set's change plan (and counts it). See NewPlan.
@@ -117,21 +118,40 @@ func (a *Applier) Plan(set *Set, schemas []*model.Schema, lock *Lockfile) (*Plan
 	return NewPlan(a.BB, set, schemas, lock)
 }
 
-// EngineFor returns the mapping's live match session, or nil. Exposed so
+// EngineFor returns the mapping's live match engine, or nil. Exposed so
 // tests and benchmarks can compare apply's matrix against a cold run.
 func (a *Applier) EngineFor(mappingID string) *harmony.Engine {
-	return a.engines[mappingID]
+	return a.sessions().For(mappingID).Engine()
 }
 
-// Apply executes a plan: every create/update is one PutSchema inside a
-// single wbmgr transaction (all-or-nothing — a fault at the
-// apply.commit chaos site rolls every put back), then each mapping
-// touching an applied schema is re-matched with the plan's diff as the
-// dirty hint and its links re-published. A no-op plan runs zero
-// transactions. On error the blackboard is exactly as it was, except
-// that publishes already committed before a later mapping's failure
-// stay (each publish is its own transaction, like the server's).
+// Apply executes a plan in the Applier's own Mgr transactions, at its
+// Threshold. See ApplyWith.
 func (a *Applier) Apply(p *Plan) (*Result, error) {
+	threshold := a.Threshold
+	if threshold == 0 {
+		threshold = 0.25
+	}
+	return a.ApplyWith(context.Background(), p, threshold, func(fn func(*wbmgr.Txn) error) error {
+		tool := a.Tool
+		if tool == "" {
+			tool = "schemaset"
+		}
+		return a.Mgr.Do(context.Background(), tool, fn)
+	})
+}
+
+// ApplyWith executes a plan: every create/update is one PutSchema inside
+// a single transaction (all-or-nothing — a fault at the apply.commit
+// chaos site rolls every put back), then each mapping touching an
+// applied schema is re-matched with the plan's diff as the dirty hint
+// and its links at or above threshold re-published, one transaction per
+// mapping. inTxn runs each transaction: it begins one, runs fn in it,
+// and commits, or aborts on fn's error — the server's takes the
+// workspace lock and checks quotas. ctx carries the caller's trace into
+// the engine runs. A no-op plan runs zero transactions. On error the
+// blackboard is exactly as it was, except that publishes committed
+// before a later mapping's failure stay.
+func (a *Applier) ApplyWith(ctx context.Context, p *Plan, threshold float64, inTxn func(fn func(*wbmgr.Txn) error) error) (*Result, error) {
 	reg := a.reg()
 	reg.Describe(MetricTxns, "Schema-set apply transactions, labeled by outcome.")
 	res := &Result{}
@@ -141,12 +161,7 @@ func (a *Applier) Apply(p *Plan) (*Result, error) {
 	}
 
 	changed := map[string]bool{}
-	txn, err := a.Mgr.Begin(a.tool())
-	if err != nil {
-		reg.Counter(MetricTxns, "outcome", "rolled-back").Inc()
-		return nil, err
-	}
-	err = func() error {
+	err := inTxn(func(txn *wbmgr.Txn) error {
 		for i := range p.Schemas {
 			sp := &p.Schemas[i]
 			if sp.Action == ActionNoop {
@@ -159,13 +174,8 @@ func (a *Applier) Apply(p *Plan) (*Result, error) {
 			changed[sp.Name] = true
 		}
 		return chaos.Inject(SiteApplyCommit)
-	}()
+	})
 	if err != nil {
-		txn.Abort()
-		reg.Counter(MetricTxns, "outcome", "rolled-back").Inc()
-		return nil, fmt.Errorf("schemaset: apply %s %s: %w", p.Set, p.Version, err)
-	}
-	if err := txn.Commit(); err != nil {
 		reg.Counter(MetricTxns, "outcome", "rolled-back").Inc()
 		return nil, fmt.Errorf("schemaset: apply %s %s: %w", p.Set, p.Version, err)
 	}
@@ -176,141 +186,36 @@ func (a *Applier) Apply(p *Plan) (*Result, error) {
 	}
 	sort.Strings(res.Applied)
 
-	// Re-match affected mappings. The engine runs are read-only and can
-	// be slow, so they happen outside any transaction; each publish is
-	// its own short transaction, mirroring the server.
-	ids := a.BB.Mappings()
-	sort.Strings(ids)
-	for _, id := range ids {
-		mp, merr := a.BB.GetMapping(id)
-		if merr != nil {
-			return res, merr
+	// The engine runs are read-only and can be slow, so they happen
+	// outside any transaction; each publish is its own short one.
+	for _, id := range a.BB.Mappings() {
+		mp, err := a.BB.GetMapping(id)
+		if err != nil {
+			return res, err
 		}
 		if !changed[mp.SourceSchema] && !changed[mp.TargetSchema] {
 			continue
 		}
-		rm, rerr := a.rematch(p, id, mp)
-		if rerr != nil {
-			return res, rerr
+		start := time.Now()
+		dirty := harmony.Dirty{Source: p.DirtyFor(mp.SourceSchema), Target: p.DirtyFor(mp.TargetSchema)}
+		run, err := a.sessions().For(id).Rematch(ctx, a.BB, mp, dirty, threshold)
+		if err != nil {
+			return res, err
+		}
+		var cells []blackboard.Cell
+		err = inTxn(func(txn *wbmgr.Txn) error {
+			var perr error
+			cells, perr = run.Publish(txn, mp)
+			txn.Emit(wbmgr.EventMappingMatrix, id)
+			return perr
+		})
+		if err != nil {
+			return res, err
 		}
 		res.Txns++
-		res.Rematches = append(res.Rematches, rm)
+		res.Rematches = append(res.Rematches, Rematch{
+			Mapping: id, Mode: run.Mode, Published: len(cells), Duration: time.Since(start),
+		})
 	}
 	return res, nil
-}
-
-func (a *Applier) rematch(p *Plan, id string, mp *blackboard.Mapping) (Rematch, error) {
-	start := time.Now()
-	src, err := a.BB.GetSchema(mp.SourceSchema)
-	if err != nil {
-		return Rematch{}, err
-	}
-	tgt, err := a.BB.GetSchema(mp.TargetSchema)
-	if err != nil {
-		return Rematch{}, err
-	}
-	dirty := harmony.Dirty{Source: p.DirtyFor(mp.SourceSchema), Target: p.DirtyFor(mp.TargetSchema)}
-	eng := a.engines[id]
-	var mode string
-	if eng == nil {
-		opts := a.Engine
-		if opts.Voters == nil && !opts.Flooding {
-			opts.Flooding = true
-		}
-		eng = harmony.NewEngine(src, tgt, opts)
-		syncPins(eng, mp)
-		eng.Run()
-		mode = harmony.RematchCold
-		if a.engines == nil {
-			a.engines = map[string]*harmony.Engine{}
-		}
-		a.engines[id] = eng
-	} else {
-		failed := syncPins(eng, mp)
-		eng.RematchWith(src, tgt, dirty)
-		retryPins(eng, failed)
-		mode = eng.LastRematchMode()
-	}
-
-	links := eng.Matrix().Above(a.threshold())
-	pinned := eng.Decisions()
-	txn, err := a.Mgr.Begin(a.tool())
-	if err != nil {
-		return Rematch{}, err
-	}
-	published := 0
-	err = func() error {
-		for _, l := range links {
-			if _, ok := pinned[[2]string{l.Source.ID, l.Target.ID}]; ok {
-				continue
-			}
-			// An incremental rematch leaves most scores untouched; skipping
-			// the bit-identical cells keeps publish proportional to the
-			// change, not the matrix.
-			if c, ok := mp.GetCell(l.Source.ID, l.Target.ID); ok &&
-				!c.UserDefined && c.SetBy == "harmony" && c.Confidence == l.Confidence {
-				continue
-			}
-			if cerr := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); cerr != nil {
-				return cerr
-			}
-			txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", id, l.Source.ID, l.Target.ID))
-			published++
-		}
-		txn.Emit(wbmgr.EventMappingMatrix, id)
-		return nil
-	}()
-	if err != nil {
-		txn.Abort()
-		return Rematch{}, err
-	}
-	if err := txn.Commit(); err != nil {
-		return Rematch{}, err
-	}
-	return Rematch{Mapping: id, Mode: mode, Published: published, Duration: time.Since(start)}, nil
-}
-
-// syncPins replays the mapping's user-defined cells onto the engine as
-// pins and removes engine pins the mapping no longer carries — the
-// analyst's decisions live on the blackboard, the engine only mirrors
-// them. Pins whose elements the engine's current schemas don't know are
-// returned for a retry after a rematch swaps the schemas in.
-func syncPins(eng *harmony.Engine, mp *blackboard.Mapping) [][3]string {
-	desired := map[[2]string]bool{}
-	for _, c := range mp.UserCells() {
-		desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
-	}
-	for pair := range eng.Decisions() {
-		if _, ok := desired[pair]; !ok {
-			eng.Unpin(pair[0], pair[1])
-		}
-	}
-	var failed [][3]string
-	for pair, accepted := range desired {
-		verdict := "reject"
-		var err error
-		if accepted {
-			verdict = "accept"
-			err = eng.Accept(pair[0], pair[1])
-		} else {
-			err = eng.Reject(pair[0], pair[1])
-		}
-		if err != nil {
-			failed = append(failed, [3]string{pair[0], pair[1], verdict})
-		}
-	}
-	return failed
-}
-
-// retryPins re-applies pins that failed before a rematch replaced the
-// engine's schemas; ones that still fail reference elements absent from
-// both versions and are dropped.
-func retryPins(eng *harmony.Engine, failed [][3]string) {
-	for _, f := range failed {
-		if f[2] == "accept" {
-			_ = eng.Accept(f[0], f[1])
-		} else {
-			_ = eng.Reject(f[0], f[1])
-		}
-	}
 }

@@ -3,9 +3,12 @@ package schemaset
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // Lockfile records what a prior apply put on the blackboard: for every
@@ -181,26 +184,12 @@ func (l *Lockfile) Marshal() []byte {
 	return append(data, '\n')
 }
 
-// WriteLockfile atomically replaces the lockfile on disk (write to a
-// temp file in the same directory, then rename), so a crash mid-write
-// never leaves a half-written lock.
+// WriteLockfile replaces the lockfile on disk crash-safely
+// (atomicfile.Write), so a crash mid-write never leaves a half-written
+// lock.
 func WriteLockfile(path string, l *Lockfile) error {
-	dir := "."
-	if d := strings.LastIndexAny(path, `/\`); d >= 0 {
-		dir = path[:d+1]
-	}
-	tmp, err := os.CreateTemp(dir, ".lock-*")
-	if err != nil {
+	return atomicfile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(l.Marshal())
 		return err
-	}
-	_, werr := tmp.Write(l.Marshal())
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }

@@ -1,11 +1,11 @@
 package server_test
 
 // End-to-end tests of the incremental rematch route: match → decide →
-// rematch must take the pins fast path; a schema re-load must mark the
-// session stale (via the _match EventSchemaGraph subscription) and take
-// an incremental path; and a rematch without a prior match degrades to
-// a cold run. All through the thin Go client, like the rest of the
-// server suite.
+// rematch must take the pins fast path; a schema re-load must move the
+// schema version the match session compares, so the next rematch
+// re-reads and takes an incremental path; and a rematch without a prior
+// match degrades to a cold run. All through the thin Go client, like
+// the rest of the server suite.
 
 import (
 	"math"

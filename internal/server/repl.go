@@ -681,6 +681,11 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, "persisting promotion epoch: %v", err)
 		return
 	}
+	// Replication wrote cells around the blackboards' mutation paths:
+	// resume each revision counter past them before writes open.
+	for _, t := range s.tenants() {
+		t.bb().ResumeRevision()
+	}
 	s.role.Store(int32(rolePrimary))
 	oldPrimary := s.primaryURL
 	s.primaryURL = ""

@@ -34,7 +34,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/erwin"
 	"repro/internal/harmony"
-	"repro/internal/match"
 	"repro/internal/matchcache"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -67,11 +66,6 @@ const (
 // It never originates transactions, so the manager's "don't echo events
 // to their originator" rule can never hide an event from the feed.
 const feedTool = "_feed"
-
-// matchTool is the tool name the server's schema-graph subscription for
-// match-session invalidation runs under. Like the feed, it never
-// originates transactions, so schema loads are never hidden from it.
-const matchTool = "_match"
 
 // DefaultThreshold filters match-run correspondences when the request
 // doesn't specify one (the CLI default).
@@ -142,30 +136,12 @@ type session struct {
 	info SessionInfo
 }
 
-// matchSession is the long-lived Harmony engine behind one mapping: the
-// match route creates it, the rematch route reuses its run snapshot for
-// incremental recomputation, and the _match event subscription marks it
-// stale when either schema is re-loaded so the next rematch pulls fresh
-// graphs instead of trusting the engine's copies.
-type matchSession struct {
-	mu     sync.Mutex // guards eng; held across a whole match or rematch
-	eng    *harmony.Engine
-	source string
-	target string
-	stale  bool // guarded by tenant.engMu, never by mu
-}
-
 // SiteMatchSchemas is the chaos failpoint between a match session
-// reading its schemas and running its engine — the window in which a
-// concurrent schema load must leave the session marked stale.
-const SiteMatchSchemas chaos.Site = "server.match.schemas"
-
-func init() {
-	chaos.RegisterSite(SiteMatchSchemas, "after a match or rematch reads its schemas, before the engine runs")
-}
+// reading its schemas and running its engine.
+const SiteMatchSchemas = harmony.SiteSessionSchemas
 
 // tenant is the server-side request state of one workspace: sessions,
-// match engines, the event feed, and (on a replica) the partition's
+// match sessions, the event feed, and (on a replica) the partition's
 // tail loop. It hangs off workspace.Workspace.Ext.
 type tenant struct {
 	srv *Server
@@ -178,8 +154,9 @@ type tenant struct {
 	sessions map[string]*session
 	sessSeq  uint64
 
-	engMu   sync.Mutex // guards engines and every matchSession.stale
-	engines map[string]*matchSession
+	// matches holds each mapping's match session (its live engine),
+	// shared by the match, rematch and apply routes.
+	matches *harmony.Sessions
 
 	// applied is the in-memory replication cursor for a storeless
 	// replica tenant.
@@ -286,7 +263,10 @@ func (s *Server) attachTenant(ws *workspace.Workspace) error {
 		ws:       ws,
 		reg:      ws.Metrics(),
 		sessions: map[string]*session{},
-		engines:  map[string]*matchSession{},
+		matches: harmony.NewSessions(harmony.Options{
+			Flooding: true, Metrics: ws.Metrics(), Parallelism: s.cfg.Parallelism,
+			Cache: s.matchCache,
+		}),
 		// Session IDs restart from the recovered txn high-water mark, so
 		// a stale pre-restart session ID can never collide with one
 		// minted after the restart.
@@ -300,11 +280,6 @@ func (s *Server) attachTenant(ws *workspace.Workspace) error {
 	} {
 		mgr.Subscribe(kind, feedTool, t.feed.append)
 	}
-	// Event-driven invalidation: a re-loaded schema marks every match
-	// session over it stale, so the next rematch re-reads the blackboard.
-	mgr.Subscribe(wbmgr.EventSchemaGraph, matchTool, func(ev wbmgr.Event) {
-		t.markSchemaStale(ev.Subject)
-	})
 	ws.Ext = t
 	return nil
 }
@@ -606,19 +581,12 @@ func (s *Server) inTxnAs(ctx context.Context, t *tenant, tool string, fn func(tx
 	}
 	t.ws.TxnMu.Lock()
 	defer t.ws.TxnMu.Unlock()
-	txn, err := t.mgr().BeginContext(ctx, tool)
-	if err != nil {
-		return err
-	}
-	if err := fn(txn); err != nil {
-		txn.Abort()
-		return err
-	}
-	if err := t.ws.PostTxnQuota(); err != nil {
-		txn.Abort()
-		return err
-	}
-	return txn.Commit()
+	return t.mgr().Do(ctx, tool, func(txn *wbmgr.Txn) error {
+		if err := fn(txn); err != nil {
+			return err
+		}
+		return t.ws.PostTxnQuota()
+	})
 }
 
 // ---- sessions ----
@@ -820,152 +788,23 @@ func (s *Server) handleCells(t *tenant, w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, http.StatusOK, out)
 }
 
-// matchSessionFor returns the long-lived engine session for a mapping,
-// creating the record (not the engine) on first use.
-func (t *tenant) matchSessionFor(id string, mp *blackboard.Mapping) *matchSession {
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	sess, ok := t.engines[id]
-	if !ok {
-		sess = &matchSession{source: mp.SourceSchema, target: mp.TargetSchema}
-		t.engines[id] = sess
-	}
-	return sess
-}
-
-// markSchemaStale flags every match session over the named schema; the
-// next rematch re-reads both schemas from the blackboard.
-func (t *tenant) markSchemaStale(name string) {
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	for _, sess := range t.engines {
-		if sess.source == name || sess.target == name {
-			sess.stale = true
-		}
-	}
-}
-
-// setStale sets or clears a match session's stale mark.
-func (t *tenant) setStale(sess *matchSession, stale bool) {
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	sess.stale = stale
-}
-
-// isStale reports a match session's stale mark.
-func (t *tenant) isStale(sess *matchSession) bool {
-	t.engMu.Lock()
-	defer t.engMu.Unlock()
-	return sess.stale
-}
-
-// readSchemas clears a match session's stale mark, then reads the
-// mapping's schemas. The order matters: a schema load committing while
-// the session reads or runs marks it stale again, so the next rematch
-// re-reads instead of trusting an engine built from the old graph. A
-// failed read puts the mark back.
-func (t *tenant) readSchemas(sess *matchSession, mp *blackboard.Mapping) (*model.Schema, *model.Schema, error) {
-	t.setStale(sess, false)
-	src, err := t.bb().GetSchema(mp.SourceSchema)
-	var tgt *model.Schema
-	if err == nil {
-		tgt, err = t.bb().GetSchema(mp.TargetSchema)
-	}
-	if err == nil {
-		err = chaos.Inject(SiteMatchSchemas)
-	}
-	if err != nil {
-		t.setStale(sess, true)
-		return nil, nil, err
-	}
-	return src, tgt, nil
-}
-
-// newMatchEngine builds a Harmony engine wired to the tenant's labeled
-// metrics view and the process-shared matrix cache.
-func (s *Server) newMatchEngine(t *tenant, src, tgt *model.Schema) *harmony.Engine {
-	return harmony.NewEngine(src, tgt, harmony.Options{
-		Flooding: true, Metrics: t.reg, Parallelism: s.cfg.Parallelism,
-		Cache: s.matchCache,
-	})
-}
-
-// syncDecisions replays the mapping's user-defined cells onto the
-// engine as pins and removes engine pins the mapping no longer carries.
-// Pins whose elements the engine's current schemas don't know are
-// returned for a retry after a rematch swaps the schemas.
-func syncDecisions(eng *harmony.Engine, mp *blackboard.Mapping) [][3]string {
-	desired := map[[2]string]bool{}
-	for _, c := range mp.UserCells() {
-		desired[[2]string{c.SourceID, c.TargetID}] = c.Confidence > 0
-	}
-	for pair := range eng.Decisions() {
-		if _, ok := desired[pair]; !ok {
-			eng.Unpin(pair[0], pair[1])
-		}
-	}
-	var failed [][3]string
-	for pair, accepted := range desired {
-		verdict := "reject"
-		var err error
-		if accepted {
-			verdict = "accept"
-			err = eng.Accept(pair[0], pair[1])
-		} else {
-			err = eng.Reject(pair[0], pair[1])
-		}
-		if err != nil {
-			failed = append(failed, [3]string{pair[0], pair[1], verdict})
-		}
-	}
-	return failed
-}
-
-// retryDecisions re-applies pins that failed validation before a
-// rematch replaced the engine's schemas. Pins that still fail reference
-// elements absent from both the old and new graphs and are dropped.
-func retryDecisions(eng *harmony.Engine, failed [][3]string) {
-	for _, f := range failed {
-		if f[2] == "accept" {
-			_ = eng.Accept(f[0], f[1])
-		} else {
-			_ = eng.Reject(f[0], f[1])
-		}
-	}
-}
-
-// publishMatrix writes every link at or above the threshold into the
-// mapping as one transaction and returns their stored cells, read inside
-// that transaction. Pairs carrying an engine pin are an analyst's
-// decision already recorded via the decide route; republishing them as
-// machine cells would clobber their user-defined annotation, so they are
-// skipped.
-func (s *Server) publishMatrix(t *tenant, r *http.Request, id string, mp *blackboard.Mapping, links []match.Correspondence, pinned map[[2]string]harmony.Decision) ([]CellInfo, error) {
-	cells := make([]CellInfo, 0, len(links))
+// publish writes a match session's links into the mapping as one
+// transaction (Result.Publish) announced by a mapping-matrix event, and
+// returns the stored cells.
+func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res *harmony.Result) ([]CellInfo, error) {
+	var stored []blackboard.Cell
 	err := s.inTxn(t, r, func(txn *wbmgr.Txn) error {
-		for _, l := range links {
-			c, ok := mp.GetCell(l.Source.ID, l.Target.ID)
-			_, pin := pinned[[2]string{l.Source.ID, l.Target.ID}]
-			// An incremental rematch leaves most scores untouched; skipping
-			// the bit-identical cells keeps publish (and its WAL record)
-			// proportional to the change, not the matrix.
-			unchanged := ok && !c.UserDefined && c.SetBy == "harmony" && c.Confidence == l.Confidence
-			if !pin && !unchanged {
-				if cerr := mp.SetCell(l.Source.ID, l.Target.ID, l.Confidence, false, "harmony"); cerr != nil {
-					return cerr
-				}
-				txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", id, l.Source.ID, l.Target.ID))
-				c, ok = mp.GetCell(l.Source.ID, l.Target.ID)
-			}
-			if ok {
-				cells = append(cells, cellInfo(c))
-			}
-		}
-		txn.Emit(wbmgr.EventMappingMatrix, id)
-		return nil
+		var perr error
+		stored, perr = res.Publish(txn, mp)
+		txn.Emit(wbmgr.EventMappingMatrix, mp.ID)
+		return perr
 	})
 	if err != nil {
 		return nil, err
+	}
+	cells := make([]CellInfo, len(stored))
+	for i, c := range stored {
+		cells[i] = cellInfo(c)
 	}
 	return cells, nil
 }
@@ -1008,11 +847,8 @@ func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	// The engine run is read-only and can be slow; keep it outside the
 	// transaction so concurrent mutators aren't blocked by matching.
-	sess := t.matchSessionFor(id, mp)
-	sess.mu.Lock()
-	src, tgt, err := t.readSchemas(sess, mp)
+	res, err := t.matches.For(id).Run(r.Context(), t.bb(), mp, threshold)
 	if err != nil {
-		sess.mu.Unlock()
 		status := http.StatusNotFound
 		if errors.Is(err, chaos.ErrInjected) {
 			status = http.StatusInternalServerError
@@ -1020,14 +856,7 @@ func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) 
 		fail(w, status, "%v", err)
 		return
 	}
-	engine := s.newMatchEngine(t, src, tgt)
-	syncDecisions(engine, mp)
-	engine.RunContext(r.Context())
-	sess.eng = engine
-	links := engine.Matrix().Above(threshold)
-	pinned := engine.Decisions()
-	sess.mu.Unlock()
-	cells, err := s.publishMatrix(t, r, id, mp, links, pinned)
+	cells, err := s.publish(t, r, mp, res)
 	if err != nil {
 		failTxn(w, err, http.StatusInternalServerError)
 		return
@@ -1037,10 +866,10 @@ func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) 
 	})
 }
 
-// handleRematch recomputes a mapping's matrix incrementally: the match
-// session's engine re-reads the schemas from the blackboard, recomputes
-// only what its change signatures (plus the request's optional dirty
-// hints) require, and republishes. Without a prior match it degrades to
+// handleRematch recomputes a mapping's matrix incrementally through its
+// match session: the engine re-reads the schemas when either one's
+// blackboard version moved, recomputes only what its change signatures
+// (plus the request's optional dirty hints) require, and republishes. Without a prior match it degrades to
 // a cold full run — the response's mode says which path ran.
 func (s *Server) handleRematch(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
@@ -1065,70 +894,30 @@ func (s *Server) handleRematch(t *tenant, w http.ResponseWriter, r *http.Request
 	if reqSpan := obs.SpanFromContext(r.Context()); reqSpan != nil {
 		reqSpan.SetAttr("mapping", id)
 	}
-	mode, cells, err := s.rematchMapping(t, r, id, mp, dirty, threshold)
+	res, err := t.matches.For(id).Rematch(r.Context(), t.bb(), mp, dirty, threshold)
+	if err != nil {
+		failTxn(w, err, http.StatusInternalServerError)
+		return
+	}
+	cells, err := s.publish(t, r, mp, res)
 	if err != nil {
 		failTxn(w, err, http.StatusInternalServerError)
 		return
 	}
 	writeJSON(w, http.StatusOK, RematchResponse{
-		Mode: mode, Threshold: threshold, Published: len(cells),
+		Mode: res.Mode, Threshold: threshold, Published: len(cells),
 		Cells: cells, Cache: s.cacheStats(),
 	})
-}
-
-// rematchMapping re-runs a mapping's match session on its cheapest
-// applicable path and republishes the matrix — the shared core of the
-// rematch and apply routes. When the session's engine is live and not
-// stale (no schema-graph event since its last run) the blackboard
-// re-read is skipped; otherwise the schemas are re-read and the engine
-// rematches against them (or runs cold on a mapping's first match).
-func (s *Server) rematchMapping(t *tenant, r *http.Request, id string, mp *blackboard.Mapping, dirty harmony.Dirty, threshold float64) (string, []CellInfo, error) {
-	sess := t.matchSessionFor(id, mp)
-	sess.mu.Lock()
-	var mode string
-	if sess.eng != nil && !t.isStale(sess) {
-		failed := syncDecisions(sess.eng, mp)
-		sess.eng.RematchContext(r.Context(), dirty)
-		retryDecisions(sess.eng, failed)
-		mode = sess.eng.LastRematchMode()
-	} else {
-		src, tgt, serr := t.readSchemas(sess, mp)
-		if serr != nil {
-			sess.mu.Unlock()
-			return "", nil, serr
-		}
-		if sess.eng == nil {
-			sess.eng = s.newMatchEngine(t, src, tgt)
-			syncDecisions(sess.eng, mp)
-			sess.eng.RunContext(r.Context())
-			mode = harmony.RematchCold
-		} else {
-			failed := syncDecisions(sess.eng, mp)
-			sess.eng.RematchWithContext(r.Context(), src, tgt, dirty)
-			retryDecisions(sess.eng, failed)
-			mode = sess.eng.LastRematchMode()
-		}
-	}
-	links := sess.eng.Matrix().Above(threshold)
-	pinned := sess.eng.Decisions()
-	sess.mu.Unlock()
-	if reqSpan := obs.SpanFromContext(r.Context()); reqSpan != nil {
-		reqSpan.SetAttr("rematch_mode", mode)
-	}
-	cells, err := s.publishMatrix(t, r, id, mp, links, pinned)
-	if err != nil {
-		return mode, nil, err
-	}
-	return mode, cells, nil
 }
 
 // handleApply plans or applies one versioned schema set (DESIGN.md
 // §17): parse every declared schema, diff against the blackboard and
 // the client's lockfile entry, and — unless the request is a dry run or
-// the plan a no-op — put every changed schema in a single transaction
-// (all-or-nothing through the apply.commit failpoint) and re-match each
-// affected mapping incrementally with the plan's diff as the dirty
-// hint.
+// the plan a no-op — apply it through schemaset.Applier, the one apply
+// path, in this workspace's transactions: every changed schema in one
+// (all-or-nothing through the apply.commit failpoint), then each
+// affected mapping's match session re-matched with the plan's diff as
+// the dirty hint and published in its own.
 func (s *Server) handleApply(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
@@ -1168,9 +957,8 @@ func (s *Server) handleApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 		}
 		lock.Upsert(ls)
 	}
-	t.reg.Describe(schemaset.MetricPlans, "Schema-set change plans computed.")
-	t.reg.Counter(schemaset.MetricPlans).Inc()
-	plan, err := schemaset.NewPlan(t.bb(), &set, schemas, lock)
+	ap := &schemaset.Applier{BB: t.bb(), Metrics: t.reg, Sessions: t.matches}
+	plan, err := ap.Plan(&set, schemas, lock)
 	if err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1198,61 +986,16 @@ func (s *Server) handleApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	t.reg.Describe(schemaset.MetricTxns, "Schema-set apply transactions, labeled by outcome.")
-	if resp.NoOp {
-		t.reg.Counter(schemaset.MetricTxns, "outcome", "no-op").Inc()
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	changed := map[string]bool{}
-	err = s.inTxn(t, r, func(txn *wbmgr.Txn) error {
-		for i := range plan.Schemas {
-			sp := &plan.Schemas[i]
-			if sp.Action == schemaset.ActionNoop {
-				continue
-			}
-			if _, perr := t.bb().PutSchema(sp.Schema); perr != nil {
-				return perr
-			}
-			txn.Emit(wbmgr.EventSchemaGraph, sp.Name)
-			changed[sp.Name] = true
-		}
-		return chaos.Inject(schemaset.SiteApplyCommit)
+	res, err := ap.ApplyWith(r.Context(), plan, threshold, func(fn func(*wbmgr.Txn) error) error {
+		return s.inTxn(t, r, fn)
 	})
 	if err != nil {
-		t.reg.Counter(schemaset.MetricTxns, "outcome", "rolled-back").Inc()
 		failTxn(w, err, http.StatusInternalServerError)
 		return
 	}
-	t.reg.Counter(schemaset.MetricTxns, "outcome", "committed").Inc()
-	resp.Txns++
-	for name := range changed {
-		resp.Applied = append(resp.Applied, name)
-	}
-	sort.Strings(resp.Applied)
-
-	ids := t.bb().Mappings()
-	sort.Strings(ids)
-	for _, id := range ids {
-		mp, merr := t.bb().GetMapping(id)
-		if merr != nil {
-			continue
-		}
-		if !changed[mp.SourceSchema] && !changed[mp.TargetSchema] {
-			continue
-		}
-		dirty := harmony.Dirty{
-			Source: plan.DirtyFor(mp.SourceSchema),
-			Target: plan.DirtyFor(mp.TargetSchema),
-		}
-		mode, cells, rerr := s.rematchMapping(t, r, id, mp, dirty, threshold)
-		if rerr != nil {
-			failTxn(w, rerr, http.StatusInternalServerError)
-			return
-		}
-		resp.Txns++
-		resp.Rematches = append(resp.Rematches, ApplyRematch{Mapping: id, Mode: mode, Published: len(cells)})
+	resp.Txns, resp.Applied = res.Txns, res.Applied
+	for _, rm := range res.Rematches {
+		resp.Rematches = append(resp.Rematches, ApplyRematch{Mapping: rm.Mapping, Mode: rm.Mode, Published: rm.Published})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -26,16 +26,17 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // HeaderFile is the header's file name inside a store directory.
 const HeaderFile = "wal.header"
-
-const headerTmp = "wal.header.tmp"
 
 // Header is the durable replication metadata of one store.
 type Header struct {
@@ -98,30 +99,13 @@ func writeHeader(dir string, h Header) error {
 		sealed = "1"
 	}
 	line := fmt.Sprintf("ibwal v1 epoch %d sealed %s txn %d\n", h.Epoch, sealed, h.LastTxn)
-	tmp := filepath.Join(dir, headerTmp)
-	f, err := os.Create(tmp)
+	err := atomicfile.Write(filepath.Join(dir, HeaderFile), func(w io.Writer) error {
+		_, err := io.WriteString(w, line)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("wal: header: %w", err)
 	}
-	if _, err := f.WriteString(line); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: header: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: header: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, HeaderFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: header: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/obs/logx"
@@ -29,7 +31,9 @@ var (
 const (
 	SnapshotFile = "snapshot.nt"
 	LogFile      = "wal.log"
-	snapshotTmp  = "snapshot.nt.tmp"
+	// snapshotTmp is the temporary file atomicfile.Write renames over
+	// the snapshot; one left by a crash is swept on recovery.
+	snapshotTmp = SnapshotFile + ".tmp"
 )
 
 // DefaultSnapshotEvery is the auto-snapshot cadence: after this many
@@ -440,40 +444,22 @@ func (s *Store) SnapshotNow() error {
 	return s.snapshotLocked()
 }
 
-// snapshotLocked writes the snapshot crash-safely: temp file + fsync,
-// failpoint, atomic rename, directory fsync, then log truncation. A
+// snapshotLocked writes the snapshot crash-safely with atomicfile.Write
+// (temp file, failpoint, fsync, atomic rename, directory fsync), then
+// truncates the log. A
 // crash at any point leaves a recoverable directory — before the rename
 // the old snapshot + full log win; between rename and truncation the new
 // snapshot plus an idempotent replay win.
 func (s *Store) snapshotLocked() error {
-	tmp := filepath.Join(s.dir, snapshotTmp)
-	f, err := os.Create(tmp)
+	err := atomicfile.Write(filepath.Join(s.dir, SnapshotFile), func(w io.Writer) error {
+		if err := rdf.WriteNTriples(w, s.g); err != nil {
+			return err
+		}
+		return chaos.Inject(SiteSnapshot)
+	})
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if err := rdf.WriteNTriples(f, s.g); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := chaos.Inject(SiteSnapshot); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, SnapshotFile)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: snapshot: %w", err)
-	}
-	syncDir(s.dir)
 	// Persist the txn high-water mark before the log (its only other
 	// home) is truncated. Ordered this way a crash in between is safe:
 	// snapshot + intact log still recover, and Open takes the max of the
@@ -493,15 +479,6 @@ func (s *Store) snapshotLocked() error {
 	s.reg.Counter(MetricSnapshots).Inc()
 	s.reg.Gauge(MetricSizeBytes).Set(0)
 	return nil
-}
-
-// syncDir fsyncs a directory so a rename is durable (best-effort; some
-// platforms refuse directory fsync).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // LogSize returns the current clean log length in bytes.

@@ -533,6 +533,21 @@ func (m *Manager) BeginContext(ctx context.Context, tool string) (*Txn, error) {
 	return &Txn{m: m, tool: tool, began: time.Now(), ctx: sctx, span: span}, nil
 }
 
+// Do runs fn inside one transaction begun with BeginContext: an fn
+// error aborts the transaction and is returned, otherwise Do returns
+// Commit's error.
+func (m *Manager) Do(ctx context.Context, tool string, fn func(*Txn) error) error {
+	txn, err := m.BeginContext(ctx, tool)
+	if err != nil {
+		return err
+	}
+	if err := fn(txn); err != nil {
+		_ = txn.Abort() // fn's error is the one to report
+		return err
+	}
+	return txn.Commit()
+}
+
 // Blackboard gives the transaction's view of the IB (the live one; the
 // snapshot exists for rollback).
 func (t *Txn) Blackboard() *blackboard.Blackboard { return t.m.bb }
