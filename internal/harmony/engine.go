@@ -49,8 +49,8 @@ type Options struct {
 	// Blocking configures candidate generation (DESIGN.md §14). When
 	// enabled, a blocking index prunes the source×target cross product to
 	// a per-source top-K candidate pattern before any voter runs, and
-	// every pipeline matrix is stored sparsely over that pattern. Off (the
-	// zero value), the pipeline is bit-identical to the dense engine.
+	// every pipeline matrix stores only that pattern's cells. Off (the
+	// zero value), every matrix stores every pair.
 	Blocking match.BlockingOptions
 	// Parallelism bounds the worker pool the pipeline fans out to: the
 	// voter panel runs one goroutine per voter, each voter's pair sweep
@@ -220,9 +220,10 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 	}
 
 	// Blocking: build (or cache-fetch) the candidate pattern before any
-	// voter runs; every matrix the pipeline allocates from here on is
-	// sparse over it. A disabled blocking stage emits no span, keeping
-	// dense -timings output identical to the pre-blocking engine.
+	// voter runs; every matrix the pipeline allocates from here on
+	// stores only its cells. A disabled blocking stage emits no span,
+	// keeping unblocked -timings output identical to the pre-blocking
+	// engine.
 	e.installCandidates(ctx, tr, snap.srcHash, snap.tgtHash, fp, useCache)
 
 	// Voter panel: one goroutine per voter, bounded by the worker pool,
@@ -319,7 +320,7 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 
 // installCandidates builds (or cache-fetches) the blocking pattern over
 // the engine's current context and installs it, so ctx.NewMatrix()
-// allocates sparsely. No-op when blocking is off. The pattern is a
+// allocates over it. No-op when blocking is off. The pattern is a
 // deterministic function of the schema pair and the options fingerprint,
 // so it shares the content-addressed cache discipline of the matrices
 // computed over it.

@@ -68,46 +68,42 @@ type View struct {
 }
 
 // Links returns the links the view displays, in matrix row-major order.
+// Only stored cells are candidates: a pair a blocking pattern pruned is
+// "no evidence", never a link.
 func (e *Engine) Links(v View) []Link {
 	m := e.Matrix()
-	enabledSrc := make([]bool, len(m.Sources))
-	for i, s := range m.Sources {
-		enabledSrc[i] = nodeEnabled(s, v.SourceNodeFilters)
-	}
 	enabledTgt := make([]bool, len(m.Targets))
 	for j, t := range m.Targets {
 		enabledTgt[j] = nodeEnabled(t, v.TargetNodeFilters)
 	}
 
 	var out []Link
+	w := m.Walker()
 	for i, s := range m.Sources {
-		if !enabledSrc[i] {
+		if !nodeEnabled(s, v.SourceNodeFilters) {
 			continue
 		}
 		rowBest := -2.0
 		if v.MaxConfidence {
-			for j := range m.Targets {
-				if enabledTgt[j] && m.At(i, j) > rowBest {
-					rowBest = m.At(i, j)
+			w.Row(i, func(_, j int, c float64) {
+				if enabledTgt[j] && c > rowBest {
+					rowBest = c
 				}
-			}
+			})
 		}
-		for j, t := range m.Targets {
-			if !enabledTgt[j] {
-				continue
+		w.Row(i, func(_, j int, c float64) {
+			if !enabledTgt[j] || (v.MaxConfidence && c < rowBest) {
+				return
 			}
-			if v.MaxConfidence && m.At(i, j) < rowBest {
-				continue
-			}
+			t := m.Targets[j]
 			l := Link{
-				Correspondence: match.Correspondence{Source: s, Target: t, Confidence: m.At(i, j)},
+				Correspondence: match.Correspondence{Source: s, Target: t, Confidence: c},
 				UserDefined:    e.IsUserDefined(s.ID, t.ID),
 			}
-			if !linkPasses(l, v.LinkFilters) {
-				continue
+			if linkPasses(l, v.LinkFilters) {
+				out = append(out, l)
 			}
-			out = append(out, l)
-		}
+		})
 	}
 	return out
 }

@@ -3,7 +3,9 @@ package harmony
 import (
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 func TestConfidenceFilter(t *testing.T) {
@@ -116,5 +118,75 @@ func TestFilterClutterReduction(t *testing.T) {
 	}
 	if focused >= all/2 {
 		t.Errorf("filters reduced %d only to %d", all, focused)
+	}
+}
+
+// TestBlockedLinksAndCompletionSkipPrunedPairs: with blocking on, a
+// pair the pattern pruned carries no evidence, so it is never a link.
+// Links shows only stored cells, the max-confidence view agrees with
+// MaxPerSource (a pruned pair's implicit 0 must not beat a row's
+// negative stored cells), and MarkSubtreeComplete decides only stored
+// cells instead of pinning every pruned pair as a reject.
+func TestBlockedLinksAndCompletionSkipPrunedPairs(t *testing.T) {
+	src, tgt := diffPair(5, 10, 90, 120)
+	e := NewEngine(src, tgt, Options{
+		Flooding: true,
+		Metrics:  obs.NewRegistry(),
+		Blocking: match.BlockingOptions{Enabled: true, PerSourceK: 4},
+	})
+	m := e.Matrix()
+	stored := map[[2]string]bool{}
+	m.Each(func(i, j int, _ float64) { stored[[2]string{m.Sources[i].ID, m.Targets[j].ID}] = true })
+	if len(stored) == len(m.Sources)*len(m.Targets) {
+		t.Fatal("blocking stored every pair; the fixture needs pruned pairs")
+	}
+
+	all := e.Links(View{})
+	if len(all) != len(stored) {
+		t.Fatalf("Links(View{}) = %d links; want the %d stored cells", len(all), len(stored))
+	}
+	for _, l := range all {
+		if !stored[[2]string{l.Source.ID, l.Target.ID}] {
+			t.Fatalf("pruned pair %s / %s shown as a link", l.Source.ID, l.Target.ID)
+		}
+	}
+
+	best := e.Links(View{MaxConfidence: true})
+	want := m.MaxPerSource(-1)
+	if len(best) != len(want) {
+		t.Fatalf("max-confidence view = %d links; MaxPerSource(-1) = %d", len(best), len(want))
+	}
+	for k, l := range best {
+		if l.Correspondence != want[k] {
+			t.Fatalf("max-confidence link %d = %v; MaxPerSource has %v", k, l.Correspondence, want[k])
+		}
+	}
+
+	var root *model.Element
+	for _, el := range src.Elements() {
+		if len(el.Children()) > 0 {
+			root = el
+			break
+		}
+	}
+	subtree := map[string]bool{}
+	for _, el := range model.Subtree(root) {
+		subtree[el.ID] = true
+	}
+	wantDecided := 0
+	for pair := range stored {
+		if subtree[pair[0]] {
+			wantDecided++
+		}
+	}
+	e.MarkSubtreeComplete(root, 0.3)
+	decisions := e.Decisions()
+	for pair := range decisions {
+		if !stored[pair] {
+			t.Fatalf("MarkSubtreeComplete decided pruned pair %s / %s", pair[0], pair[1])
+		}
+	}
+	if len(decisions) != wantDecided {
+		t.Fatalf("MarkSubtreeComplete wrote %d decisions; want the subtree's %d stored cells", len(decisions), wantDecided)
 	}
 }

@@ -91,13 +91,13 @@ func FuzzRematchEquivalence(f *testing.F) {
 				t.Fatalf("step %d: dimensions %dx%d vs %dx%d", step,
 					len(want.Sources), len(want.Targets), len(got.Sources), len(got.Targets))
 			}
-			for i := range want.Scores {
-				for j := range want.Scores[i] {
-					if math.Float64bits(want.Scores[i][j]) != math.Float64bits(got.Scores[i][j]) {
+			for i := range want.Sources {
+				for j := range want.Targets {
+					if math.Float64bits(want.At(i, j)) != math.Float64bits(got.At(i, j)) {
 						t.Fatalf("step %d (op %#x, mode %s): cell (%s, %s): cold %v vs rematch %v",
 							step, b, live.LastRematchMode(),
 							want.Sources[i].ID, want.Targets[j].ID,
-							want.Scores[i][j], got.Scores[i][j])
+							want.At(i, j), got.At(i, j))
 					}
 				}
 			}

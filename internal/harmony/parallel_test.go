@@ -1,10 +1,13 @@
 package harmony
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -50,14 +53,23 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(sm.Sources, pm.Sources) || !reflect.DeepEqual(sm.Targets, pm.Targets) {
 		t.Fatal("matrix element orders differ")
 	}
-	for i := range sm.Scores {
-		for j := range sm.Scores[i] {
-			if sm.Scores[i][j] != pm.Scores[i][j] {
-				t.Fatalf("cell (%d,%d): %v (seq) != %v (par)",
-					i, j, sm.Scores[i][j], pm.Scores[i][j])
+	assertBitIdentical(t, "seq vs par", sm, pm)
+}
+
+// cellBitsEqual reports whether two matrices have the same dimensions
+// and bit-identical values in every cell.
+func cellBitsEqual(a, b *match.Matrix) bool {
+	if len(a.Sources) != len(b.Sources) || len(a.Targets) != len(b.Targets) {
+		return false
+	}
+	for i := range a.Sources {
+		for j := range a.Targets {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				return false
 			}
 		}
 	}
+	return true
 }
 
 // TestParallelRunRepeatable re-runs the parallel pipeline on one engine
@@ -70,9 +82,7 @@ func TestParallelRunRepeatable(t *testing.T) {
 	want := e.Matrix().Clone()
 	for round := 0; round < 5; round++ {
 		e.Run()
-		if !reflect.DeepEqual(want.Scores, e.Matrix().Scores) {
-			t.Fatalf("round %d: matrix changed across identical runs", round)
-		}
+		assertBitIdentical(t, fmt.Sprintf("round %d", round), want, e.Matrix())
 	}
 }
 
@@ -100,7 +110,7 @@ func TestConcurrentEngineRuns(t *testing.T) {
 			}
 			e := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
 			e.Run()
-			if !reflect.DeepEqual(e.Matrix().Scores, ref.Matrix().Scores) {
+			if !cellBitsEqual(e.Matrix(), ref.Matrix()) {
 				t.Errorf("engine %d diverged from its sequential reference", g)
 			}
 		}(g)

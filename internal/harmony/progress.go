@@ -15,24 +15,29 @@ import (
 // advances. visibleThreshold plays the confidence slider's role — links
 // at or above it count as "currently visible" (§4.3: "it accepts every
 // link pertaining to that sub-tree as accepted (if currently visible), or
-// rejected (otherwise)").
+// rejected (otherwise)"). A pair a blocking pattern pruned is no link,
+// so it stays undecided.
 func (e *Engine) MarkSubtreeComplete(root *model.Element, visibleThreshold float64) {
 	m := e.Matrix()
+	w := m.Walker()
 	for _, s := range model.Subtree(root) {
 		i := m.SourceIndex(s.ID)
 		if i < 0 {
 			continue // the schema root itself has no row
 		}
-		for j, t := range m.Targets {
+		// Accept and Reject write only the visited cell, which the
+		// walker allows.
+		w.Row(i, func(_, j int, v float64) {
+			t := m.Targets[j]
 			if e.IsUserDefined(s.ID, t.ID) {
-				continue // existing decisions stand
+				return // existing decisions stand
 			}
-			if m.At(i, j) >= visibleThreshold {
+			if v >= visibleThreshold {
 				_ = e.Accept(s.ID, t.ID)
 			} else {
 				_ = e.Reject(s.ID, t.ID)
 			}
-		}
+		})
 		e.complete[s.ID] = true
 	}
 }

@@ -24,7 +24,7 @@ func (NameEqualityMatcher) Vote(ctx *Context) *Matrix {
 	for i, s := range m.Sources {
 		for j, t := range m.Targets {
 			if strings.EqualFold(s.Name, t.Name) {
-				m.Scores[i][j] = 0.95
+				m.SetAt(i, j, 0.95)
 			}
 		}
 	}
@@ -44,7 +44,7 @@ func (EditDistanceMatcher) Vote(ctx *Context) *Matrix {
 	for i, s := range m.Sources {
 		for j, t := range m.Targets {
 			sim := lingo.EditSimilarity(lower(s.Name), lower(t.Name))
-			m.Scores[i][j] = calibrate(sim, 0.5, 0.9, 0.5)
+			m.SetAt(i, j, calibrate(sim, 0.5, 0.9, 0.5))
 		}
 	}
 	return m
@@ -184,17 +184,12 @@ func (MelnikMatcher) Vote(ctx *Context) *Matrix {
 	init := MatrixOver(ctx.Source, ctx.Target)
 	for i, s := range init.Sources {
 		for j, t := range init.Targets {
-			init.Scores[i][j] = lingo.TrigramSimilarity(lower(s.Name), lower(t.Name))
+			init.SetAt(i, j, lingo.TrigramSimilarity(lower(s.Name), lower(t.Name)))
 		}
 	}
-	flooded := MelnikFlood(init, ctx.Source, ctx.Target, 50, 1e-3)
+	out := MelnikFlood(init, ctx.Source, ctx.Target, 50, 1e-3)
 	// Rescale [0,1] → (-1,+1) confidence convention.
-	out := NewMatrix(flooded.Sources, flooded.Targets)
-	for i := range flooded.Scores {
-		for j := range flooded.Scores[i] {
-			out.Scores[i][j] = flooded.Scores[i][j]*2 - 1
-		}
-	}
+	out.Each(func(i, j int, v float64) { out.SetAt(i, j, v*2-1) })
 	out.Clamp(-0.99, 0.99)
 	return out
 }

@@ -82,9 +82,9 @@ func TestBaselineScoresInRange(t *testing.T) {
 	ctx := ctxFixture()
 	for _, v := range []Voter{NameEqualityMatcher{}, EditDistanceMatcher{}, COMAMatcher{}, MelnikMatcher{}} {
 		m := v.Vote(ctx)
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				if c := m.Scores[i][j]; c < -0.99 || c > 0.99 {
+		for i := range m.Sources {
+			for j := range m.Targets {
+				if c := m.At(i, j); c < -0.99 || c > 0.99 {
 					t.Errorf("%s: score %g out of range", v.Name(), c)
 				}
 			}
@@ -143,9 +143,9 @@ func TestCupidMatcherCustomWeight(t *testing.T) {
 	pureStruct := (CupidMatcher{WStruct: 0.9999}).Vote(ctx)
 	// The two extremes must differ somewhere.
 	differ := false
-	for i := range pureLing.Scores {
-		for j := range pureLing.Scores[i] {
-			if pureLing.Scores[i][j] != pureStruct.Scores[i][j] {
+	for i := range pureLing.Sources {
+		for j := range pureLing.Targets {
+			if pureLing.At(i, j) != pureStruct.At(i, j) {
 				differ = true
 			}
 		}

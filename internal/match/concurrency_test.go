@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -96,9 +95,7 @@ func TestConcurrentVotersShareContext(t *testing.T) {
 	wg.Wait()
 
 	for i, v := range voters {
-		if !reflect.DeepEqual(want[i].Scores, got[i].Scores) {
-			t.Errorf("voter %s: concurrent matrix differs from sequential", v.Name())
-		}
+		matricesBitIdentical(t, "voter "+v.Name()+" concurrent vs sequential", want[i], got[i])
 	}
 }
 
@@ -118,9 +115,7 @@ func TestConcurrentForEachPairSharded(t *testing.T) {
 	parCtx := NewContext(src, tgt, WithParallelism(4))
 	forEachPair(parCtx, par, score)
 
-	if !reflect.DeepEqual(seq.Scores, par.Scores) {
-		t.Error("sharded forEachPair differs from sequential")
-	}
+	matricesBitIdentical(t, "sharded forEachPair vs sequential", seq, par)
 }
 
 // TestConcurrentHarmonyFloodSharded checks row-sharded flooding against
@@ -129,16 +124,14 @@ func TestConcurrentHarmonyFloodSharded(t *testing.T) {
 	src, tgt := bigFixture(8)
 	init := MatrixOver(src, tgt)
 	// Seed a mix of positive and negative evidence so both sweeps fire.
-	for i := range init.Scores {
-		for j := range init.Scores[i] {
-			init.Scores[i][j] = float64((i*31+j*17)%19-9) / 12
+	for i := range init.Sources {
+		for j := range init.Targets {
+			init.SetAt(i, j, float64((i*31+j*17)%19-9)/12)
 		}
 	}
 	seq := HarmonyFlood(init.Clone(), src, tgt, FloodOptions{Iterations: 3, Parallelism: 1})
 	par := HarmonyFlood(init.Clone(), src, tgt, FloodOptions{Iterations: 3, Parallelism: 4})
-	if !reflect.DeepEqual(seq.Scores, par.Scores) {
-		t.Error("sharded HarmonyFlood differs from sequential")
-	}
+	matricesBitIdentical(t, "sharded HarmonyFlood vs sequential", seq, par)
 }
 
 // TestConcurrentCupidMatcherWorkers checks that the Cupid baseline scores
@@ -149,11 +142,11 @@ func TestConcurrentCupidMatcherWorkers(t *testing.T) {
 	src, tgt := bigFixture(12)
 	seq := (CupidMatcher{}).Vote(NewContext(src, tgt, WithParallelism(1)))
 	par := (CupidMatcher{}).Vote(NewContext(src, tgt, WithParallelism(4)))
-	for i := range seq.Scores {
-		for j := range seq.Scores[i] {
-			if math.Float64bits(seq.Scores[i][j]) != math.Float64bits(par.Scores[i][j]) {
+	for i := range seq.Sources {
+		for j := range seq.Targets {
+			if math.Float64bits(seq.At(i, j)) != math.Float64bits(par.At(i, j)) {
 				t.Fatalf("cell (%s, %s): 1 worker %v, 4 workers %v",
-					seq.Sources[i].ID, seq.Targets[j].ID, seq.Scores[i][j], par.Scores[i][j])
+					seq.Sources[i].ID, seq.Targets[j].ID, seq.At(i, j), par.At(i, j))
 			}
 		}
 	}

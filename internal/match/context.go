@@ -35,7 +35,7 @@ type Context struct {
 	// Results are bit-identical at any setting.
 	Parallelism int
 	// candidates is the blocking pattern the voter sweeps restrict
-	// themselves to; nil means dense (score every pair). Set via
+	// themselves to; nil means unblocked (score every pair). Set via
 	// SetCandidates after running BuildCandidates. The pattern indexes
 	// the schemata's current Elements() order, so the owner must rebuild
 	// it (or clear it) after any structural edit.
@@ -250,12 +250,11 @@ func tokensEqual(a, b []string) bool {
 // with a running voter panel.
 func (c *Context) SetCandidates(p *Pattern) { c.candidates = p }
 
-// Candidates returns the installed blocking pattern (nil = dense).
+// Candidates returns the installed blocking pattern (nil = unblocked).
 func (c *Context) Candidates() *Pattern { return c.candidates }
 
-// NewMatrix allocates the zero matrix a voter should fill: sparse over
-// the blocking pattern when one is installed, the full dense cross
-// product otherwise.
+// NewMatrix allocates the zero matrix a voter should fill: over the
+// blocking pattern when one is installed, over every pair otherwise.
 func (c *Context) NewMatrix() *Matrix {
 	if c.candidates != nil {
 		return NewSparseMatrix(c.Source.Elements(), c.Target.Elements(), c.candidates)

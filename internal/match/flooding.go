@@ -116,33 +116,20 @@ func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, re
 		}
 	}
 	for it := 0; it < opts.Iterations; it++ {
-		next := NewMatrixLike(m)
-		// floodCell reads only the frozen round-start matrix m and each
-		// goroutine owns disjoint rows of next, so sharding is race-free.
-		if m.Sparse() {
-			// Sparse sweep: only the pattern's cells propagate. The
-			// structural reads inside floodCell (children pairs, parent
-			// pair) go through Get/At, which treats pruned pairs as 0 —
-			// the parent closure in BuildCandidates keeps the cells
-			// flooding actually needs inside the pattern.
-			cur := m
-			shardRows(workers, len(m.Sources), func(i int) {
-				s := cur.Sources[i]
-				for k, j := range cur.pat.Rows[i] {
-					t := cur.Targets[j]
-					next.vals[i][k] = floodCell(cur, s, t, i, int(j), cur.vals[i][k], opts)
-				}
-			})
-		} else {
-			cur := m
-			shardRows(workers, len(m.Sources), func(i int) {
-				s := cur.Sources[i]
-				row := cur.Scores[i]
-				for j, t := range cur.Targets {
-					next.Scores[i][j] = floodCell(cur, s, t, i, j, row[j], opts)
-				}
-			})
-		}
+		// Only stored cells propagate. floodCell reads only the frozen
+		// round-start matrix cur and each goroutine owns disjoint rows of
+		// next, so sharding is race-free. The structural reads inside
+		// floodCell (children pairs, parent pair) go through Get, which
+		// reads a blocking-pruned pair as 0 — the parent closure in
+		// BuildCandidates keeps the cells flooding actually needs inside
+		// a blocking pattern.
+		cur, next := m, NewMatrixLike(m)
+		shardRows(workers, len(cur.Sources), func(i int) {
+			s := cur.Sources[i]
+			for k, j := range cur.pat.Rows[i] {
+				next.vals[i][k] = floodCell(cur, s, cur.Targets[j], cur.vals[i][k], opts)
+			}
+		})
 		m = next
 		if record {
 			st.Rounds = append(st.Rounds, next.Clone())
@@ -153,7 +140,7 @@ func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, re
 
 // floodCell computes one cell of the next flooding round from the frozen
 // round-start matrix m; v0 is that cell's round-start value (passed in so
-// sparse sweeps avoid a per-cell pattern lookup). This single kernel
+// sweeps avoid a per-cell pattern lookup). This single kernel
 // serves both the full sweep and the incremental patch, which is what
 // makes warm-started results bit-identical to cold runs: both paths run
 // the exact same float64 operations in the exact same order for every
@@ -162,7 +149,7 @@ func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, re
 // The overwrite order mirrors the original two-sweep formulation: the
 // up-propagation result is discarded when down-propagation also fires
 // (both blend from the round-start value), and the clamp applies last.
-func floodCell(m *Matrix, s, t *model.Element, i, j int, v0 float64, opts FloodOptions) float64 {
+func floodCell(m *Matrix, s, t *model.Element, v0 float64, opts FloodOptions) float64 {
 	v := v0
 	if opts.UpWeight > 0 && !s.IsLeaf() && !t.IsLeaf() && kindCompatible(s, t) {
 		// Up: children lift parents.
@@ -223,9 +210,6 @@ func blend(cur, val, w float64) float64 {
 // Scores here live in [0,1]; the caller rescales to (-1,+1) when mixing
 // with Harmony confidences. The initial matrix should also be in [0,1].
 func MelnikFlood(init *Matrix, source, target *model.Schema, maxIter int, epsilon float64) *Matrix {
-	// The fixpoint iteration normalises over every cell, so it is
-	// inherently dense; a sparse input is materialised first.
-	init = init.ToDense()
 	if maxIter <= 0 {
 		maxIter = 50
 	}
@@ -259,39 +243,34 @@ func MelnikFlood(init *Matrix, source, target *model.Schema, maxIter int, epsilo
 		}
 	}
 
+	// The fixpoint iteration normalises over every pair, so each round
+	// is an unblocked matrix; a blocked init reads as 0 outside its
+	// pattern.
 	cur := init.Clone()
 	for it := 0; it < maxIter; it++ {
 		next := NewMatrix(init.Sources, init.Targets)
 		maxVal := 0.0
-		for i := range cur.Scores {
-			for j := range cur.Scores[i] {
-				v := init.Scores[i][j] + cur.Scores[i][j]
+		for i := range init.Sources {
+			for j := range init.Targets {
+				v := init.At(i, j) + cur.At(i, j)
 				for _, nb := range neighbors[pairKey{i, j}] {
 					deg := float64(len(neighbors[nb]))
 					if deg > 0 {
-						v += cur.Scores[nb.i][nb.j] / deg
+						v += cur.At(nb.i, nb.j) / deg
 					}
 				}
-				next.Scores[i][j] = v
+				next.SetAt(i, j, v)
 				if v > maxVal {
 					maxVal = v
 				}
 			}
 		}
 		if maxVal > 0 {
-			for i := range next.Scores {
-				for j := range next.Scores[i] {
-					next.Scores[i][j] /= maxVal
-				}
-			}
+			next.Each(func(i, j int, v float64) { next.SetAt(i, j, v/maxVal) })
 		}
 		// Residual.
 		res := 0.0
-		for i := range next.Scores {
-			for j := range next.Scores[i] {
-				res += math.Abs(next.Scores[i][j] - cur.Scores[i][j])
-			}
-		}
+		next.Each(func(i, j int, v float64) { res += math.Abs(v - cur.At(i, j)) })
 		cur = next
 		if res < epsilon {
 			break

@@ -71,15 +71,15 @@ func TestHarmonyFloodPositiveParentsDoNotDrag(t *testing.T) {
 func TestHarmonyFloodBounded(t *testing.T) {
 	src, tgt := floodFixture()
 	m := MatrixOver(src, tgt)
-	for i := range m.Scores {
-		for j := range m.Scores[i] {
-			m.Scores[i][j] = 0.95
+	for i := range m.Sources {
+		for j := range m.Targets {
+			m.SetAt(i, j, 0.95)
 		}
 	}
 	out := HarmonyFlood(m, src, tgt, FloodOptions{Iterations: 5})
-	for i := range out.Scores {
-		for j := range out.Scores[i] {
-			if v := out.Scores[i][j]; v < -0.99 || v > 0.99 {
+	for i := range out.Sources {
+		for j := range out.Targets {
+			if v := out.At(i, j); v < -0.99 || v > 0.99 {
 				t.Fatalf("score escaped bounds: %g", v)
 			}
 		}
@@ -112,21 +112,21 @@ func TestMelnikFloodDisambiguatesByStructure(t *testing.T) {
 func TestMelnikFloodConverges(t *testing.T) {
 	src, tgt := floodFixture()
 	init := MatrixOver(src, tgt)
-	for i := range init.Scores {
-		for j := range init.Scores[i] {
-			init.Scores[i][j] = 0.5
+	for i := range init.Sources {
+		for j := range init.Targets {
+			init.SetAt(i, j, 0.5)
 		}
 	}
 	out := MelnikFlood(init, src, tgt, 200, 1e-6)
 	// Normalized: max value should be 1 (or close), none negative.
 	maxV := 0.0
-	for i := range out.Scores {
-		for j := range out.Scores[i] {
-			if out.Scores[i][j] < 0 {
-				t.Fatalf("negative score in [0,1] flooding: %g", out.Scores[i][j])
+	for i := range out.Sources {
+		for j := range out.Targets {
+			if out.At(i, j) < 0 {
+				t.Fatalf("negative score in [0,1] flooding: %g", out.At(i, j))
 			}
-			if out.Scores[i][j] > maxV {
-				maxV = out.Scores[i][j]
+			if out.At(i, j) > maxV {
+				maxV = out.At(i, j)
 			}
 		}
 	}

@@ -9,8 +9,8 @@ import "repro/internal/model"
 // follows from two rules enforced here and in the engine:
 //
 //  1. Every recomputed cell goes through the exact same per-cell kernel
-//     as the full path (scoreFunc via forEachPair's pair logic,
-//     Merger.mergeCell, floodCell) — same float64 ops, same order.
+//     as the full path (votePair, Merger.mergeCell, floodCell) — same
+//     float64 ops, same order.
 //  2. A cell is only ever copied when none of its inputs changed; the
 //     caller's dirty sets must be closed under each stage's
 //     dependencies (parents for StructureVoter, per-round
@@ -48,73 +48,36 @@ func voteAll(ctx *Context, score scoreFunc) *Matrix {
 
 // votePatch recomputes rows in dirtySrc and columns in dirtyTgt (plus
 // any row/column with no counterpart in prev) and copies the rest from
-// prev. The recompute branch duplicates forEachPair's pair logic —
-// including the firm -0.75 for kind-incompatible pairs — so a patched
-// cell is bit-identical to its full-sweep value.
+// prev. A recomputed cell goes through votePair, as in the full sweep,
+// so it is bit-identical to its full-sweep value.
 //
-// In sparse mode the copy branch additionally requires the cell to be
-// present in prev's pattern: a cell new to the current pattern has no
-// previous value and is recomputed, which is exactly what a cold sparse
-// run would compute for it (both sides are clean, so the scorer reads
-// identical context state). A storage-mode flip between runs (blocking
-// toggled) degrades to a full sweep.
+// The copy additionally requires the cell to be stored in prev: a cell
+// new to the current pattern (blocking drifted or was toggled) has no
+// previous value and is recomputed, which is exactly what a cold run
+// computes for it — both sides are clean, so the scorer reads identical
+// context state. A vote is per-cell, so prev's pattern never affects a
+// copied value.
 func votePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[string]bool, score scoreFunc) *Matrix {
 	if prev == nil {
 		return voteAll(ctx, score)
 	}
 	m := ctx.NewMatrix()
-	if m.Sparse() != prev.Sparse() {
-		forEachPair(ctx, m, score)
-		return m
-	}
 	oldCol := alignIndices(m.Targets, prev.TargetIndex)
-	if m.Sparse() {
-		pat := m.pat
-		shardRows(ctx.Workers(), len(m.Sources), func(i int) {
-			s := m.Sources[i]
-			vals := m.vals[i]
-			oi := prev.SourceIndex(s.ID)
-			rowClean := oi >= 0 && !dirtySrc[s.ID]
-			for k, j := range pat.Rows[i] {
-				t := m.Targets[j]
-				if rowClean {
-					if oj := oldCol[j]; oj >= 0 && !dirtyTgt[t.ID] {
-						if op := prev.pat.pos(oi, int32(oj)); op >= 0 {
-							vals[k] = prev.vals[oi][op]
-							continue
-						}
-					}
-				}
-				if !kindCompatible(s, t) {
-					vals[k] = -0.75
-					continue
-				}
-				vals[k] = score(s, t)
-			}
-		})
-		return m
-	}
 	shardRows(ctx.Workers(), len(m.Sources), func(i int) {
-		s := m.Sources[i]
-		row := m.Scores[i]
+		s, vals := m.Sources[i], m.vals[i]
 		oi := prev.SourceIndex(s.ID)
 		rowClean := oi >= 0 && !dirtySrc[s.ID]
-		var prevRow []float64
-		if rowClean {
-			prevRow = prev.Scores[oi]
-		}
-		for j, t := range m.Targets {
+		for k, j := range m.pat.Rows[i] {
+			t := m.Targets[j]
 			if rowClean {
 				if oj := oldCol[j]; oj >= 0 && !dirtyTgt[t.ID] {
-					row[j] = prevRow[oj]
-					continue
+					if op := prev.pat.pos(oi, int32(oj)); op >= 0 {
+						vals[k] = prev.vals[oi][op]
+						continue
+					}
 				}
 			}
-			if !kindCompatible(s, t) {
-				row[j] = -0.75
-				continue
-			}
-			row[j] = score(s, t)
+			vals[k] = votePair(s, t, score)
 		}
 	})
 	return m
@@ -152,18 +115,16 @@ func ExpandDirty(sch *model.Schema, dirty map[string]bool) map[string]bool {
 }
 
 // MatrixBytes estimates a matrix's resident size for cache accounting:
-// the score payload plus per-row slice headers and the two index maps.
-// Sparse matrices charge their stored cells and their share of the
-// (immutable, run-shared) pattern instead of the cross product.
+// the stored cells plus per-row slice headers and the two index maps,
+// plus the blocking pattern's share and the overflow cells. For an
+// unblocked matrix that is exactly r·c·8 + (r+c)·64 + 256, the charge of
+// the full cross product.
 func MatrixBytes(m *Matrix) int64 {
 	if m == nil {
 		return 0
 	}
 	r, c := int64(len(m.Sources)), int64(len(m.Targets))
-	if m.Sparse() {
-		return int64(m.NNZ())*8 + m.pat.Bytes() + int64(len(m.extra))*24 + (r+c)*64 + 256
-	}
-	return r*c*8 + (r+c)*64 + 256
+	return int64(m.NNZ())*8 + m.pat.Bytes() + int64(len(m.extra))*24 + (r+c)*64 + 256
 }
 
 // HarmonyFloodPatch warm-starts flooding from a previous run's recorded
@@ -179,8 +140,8 @@ func MatrixBytes(m *Matrix) int64 {
 // makes the recomputation itself bit-identical.
 //
 // ok is false when prev cannot warm-start this schedule (nil, different
-// resolved options, or wrong round count); callers then fall back to
-// HarmonyFloodState.
+// resolved options, wrong round count, or different blocking); callers
+// then fall back to HarmonyFloodState.
 func HarmonyFloodPatch(prev *FloodState, merged *Matrix, source, target *model.Schema, dirtySrc, dirtyTgt map[string]bool, opts FloodOptions) (*Matrix, *FloodState, bool) {
 	opts.defaults()
 	if prev == nil || len(prev.Rounds) != opts.Iterations+1 ||
@@ -188,16 +149,16 @@ func HarmonyFloodPatch(prev *FloodState, merged *Matrix, source, target *model.S
 		prev.UpWeight != opts.UpWeight || prev.DownWeight != opts.DownWeight {
 		return nil, nil, false
 	}
-	if len(prev.Rounds) > 0 && prev.Rounds[0].Sparse() != merged.Sparse() {
-		return nil, nil, false // blocking toggled between runs
-	}
-	if merged.Sparse() && !prev.Rounds[0].CandidatePattern().Equal(merged.CandidatePattern()) {
+	if !prev.Rounds[0].pat.sameBlocking(merged.pat) {
 		// Flooding is the one stage with cross-cell reads: a cell's value
 		// depends on which of its structural neighbors exist in the
 		// pattern. An edit that reshuffles any row's top-K therefore moves
 		// flood values in rows the dirty-set closure cannot see, so a
-		// drifted pattern forfeits the warm start entirely. (Voter and
-		// merge patches stay safe — they are strictly per-cell.)
+		// drifted blocking pattern, or blocking toggled either way,
+		// forfeits the warm start entirely. Two full patterns never
+		// drift: grown or shrunk element lists are dirty by definition
+		// below. (Voter and merge patches stay safe under any pattern
+		// change — they are strictly per-cell.)
 		return nil, nil, false
 	}
 	workers := ResolveWorkers(opts.Parallelism)
@@ -229,46 +190,24 @@ func HarmonyFloodPatch(prev *FloodState, merged *Matrix, source, target *model.S
 		R = expandFloodSet(R, source)
 		C = expandFloodSet(C, target)
 		prevRound := prev.Rounds[it+1]
-		next := NewMatrixLike(m)
-		if m.Sparse() {
-			// Sparse cross-shaped patch. The copy branch additionally
-			// needs the cell to exist in the recorded round's pattern; a
-			// cell new to the current pattern is recomputed, which is
-			// sound for *any* clean cell: the round-start matrix equals
-			// the cold run's by induction, so floodCell reproduces the
-			// cold value exactly.
-			cur := m
-			shardRows(workers, len(m.Sources), func(i int) {
-				s := cur.Sources[i]
-				rowDirty := R[s.ID]
-				oi := oldRow[i]
-				for k, j := range cur.pat.Rows[i] {
-					t := cur.Targets[j]
-					if !rowDirty && !C[t.ID] {
-						if op := prevRound.pat.pos(oi, int32(oldCol[j])); op >= 0 {
-							next.vals[i][k] = prevRound.vals[oi][op]
-							continue
-						}
-					}
-					next.vals[i][k] = floodCell(cur, s, t, i, int(j), cur.vals[i][k], opts)
-				}
-			})
-		} else {
-			cur := m
-			shardRows(workers, len(m.Sources), func(i int) {
-				s := cur.Sources[i]
-				rowDirty := R[s.ID]
-				oi := oldRow[i]
-				row := cur.Scores[i]
-				for j, t := range cur.Targets {
-					if !rowDirty && !C[t.ID] {
-						next.Scores[i][j] = prevRound.Scores[oi][oldCol[j]]
+		// Cross-shaped patch: a clean cell is copied from its position in
+		// the recorded round, every other cell recomputed.
+		cur, next := m, NewMatrixLike(m)
+		shardRows(workers, len(cur.Sources), func(i int) {
+			s := cur.Sources[i]
+			rowDirty := R[s.ID]
+			oi := oldRow[i]
+			for k, j := range cur.pat.Rows[i] {
+				t := cur.Targets[j]
+				if !rowDirty && !C[t.ID] {
+					if op := prevRound.pat.pos(oi, int32(oldCol[j])); op >= 0 {
+						next.vals[i][k] = prevRound.vals[oi][op]
 						continue
 					}
-					next.Scores[i][j] = floodCell(cur, s, t, i, j, row[j], opts)
 				}
-			})
-		}
+				next.vals[i][k] = floodCell(cur, s, t, cur.vals[i][k], opts)
+			}
+		})
 		m = next
 		st.Rounds = append(st.Rounds, next.Clone())
 	}

@@ -66,9 +66,9 @@ func matricesBitIdentical(t *testing.T, label string, want, got *Matrix) {
 			t.Fatalf("%s: target order differs at %d", label, j)
 		}
 	}
-	for i := range want.Scores {
-		for j := range want.Scores[i] {
-			w, g := want.Scores[i][j], got.Scores[i][j]
+	for i := range want.Sources {
+		for j := range want.Targets {
+			w, g := want.At(i, j), got.At(i, j)
 			if math.Float64bits(w) != math.Float64bits(g) {
 				t.Fatalf("%s: cell (%s, %s) differs: %v vs %v (bits %x vs %x)", label,
 					want.Sources[i].ID, want.Targets[j].ID, w, g,
@@ -254,5 +254,101 @@ func TestFloodSingleSweepUnchanged(t *testing.T) {
 	// blend(0.6, -0.4, 0.3) = 0.3.
 	if got, want := out.Get("s/e/a", "t/f/b"), blend(0.6, -0.4, 0.3); got != want {
 		t.Fatalf("child pair = %v; want %v", got, want)
+	}
+}
+
+// TestHarmonyFloodPatchWarmStartRule guards when flooding may warm-start.
+// Unblocked matrices never drift, whatever their sizes: an add or a drop
+// still warm-starts and matches the cold flood. A blocking pattern that
+// drifted, or blocking toggled either way, forfeits the warm start,
+// because a flood cell reads its structural neighbours through the
+// pattern.
+func TestHarmonyFloodPatchWarmStartRule(t *testing.T) {
+	src, tgt := incrTestPair()
+	g := NewMerger()
+	merge := func() *Matrix {
+		ctx := NewContext(src, tgt)
+		var votes []Vote
+		for _, v := range DefaultVoters() {
+			votes = append(votes, Vote{Voter: v.Name(), Matrix: v.Vote(ctx)})
+		}
+		return g.Merge(votes)
+	}
+	opts := FloodOptions{Iterations: 2}
+	none := map[string]bool{}
+	_, state := HarmonyFloodState(merge(), src, tgt, opts)
+
+	added := src.AddElement(src.MustElement("src/purchaseOrder/shipTo"), "city", model.KindAttribute, model.ContainsAttribute)
+	added.DataType = "string"
+	grown := merge()
+	want, _ := HarmonyFloodState(grown, src, tgt, opts)
+	got, grownState, ok := HarmonyFloodPatch(state, grown, src, tgt, ExpandDirty(src, map[string]bool{added.ID: true}), none, opts)
+	if !ok {
+		t.Fatal("unblocked matrix with a grown source list: warm start refused")
+	}
+	matricesBitIdentical(t, "grown", want, got)
+
+	// The added attribute has no documentation, so dropping it again
+	// leaves every TF-IDF weight, and so every clean merged cell, alone.
+	parent := added.Parent()
+	src.RemoveElement(added.ID)
+	shrunk := merge()
+	want, unblockedState := HarmonyFloodState(shrunk, src, tgt, opts)
+	got, _, ok = HarmonyFloodPatch(grownState, shrunk, src, tgt, map[string]bool{added.ID: true, parent.ID: true}, none, opts)
+	if !ok {
+		t.Fatal("unblocked matrix with a shrunk source list: warm start refused")
+	}
+	matricesBitIdentical(t, "shrunk", want, got)
+
+	// Two patterns over the current lists: every column but the last,
+	// and every column but the first.
+	blocked := func(skip int) *Matrix {
+		rows := make([][]int32, len(shrunk.Sources))
+		for i := range rows {
+			for j := range shrunk.Targets {
+				if j != skip {
+					rows[i] = append(rows[i], int32(j))
+				}
+			}
+		}
+		m := NewSparseMatrix(shrunk.Sources, shrunk.Targets, NewPattern(rows))
+		m.Each(func(i, j int, _ float64) { m.SetAt(i, j, shrunk.At(i, j)) })
+		return m
+	}
+	last := len(shrunk.Targets) - 1
+	_, blockedState := HarmonyFloodState(blocked(last), src, tgt, opts)
+	if _, _, ok := HarmonyFloodPatch(blockedState, blocked(last), src, tgt, none, none, opts); !ok {
+		t.Fatal("equal blocking patterns: warm start refused")
+	}
+	if _, _, ok := HarmonyFloodPatch(blockedState, blocked(0), src, tgt, none, none, opts); ok {
+		t.Fatal("drifted blocking pattern: warm start accepted")
+	}
+	if _, _, ok := HarmonyFloodPatch(blockedState, shrunk, src, tgt, none, none, opts); ok {
+		t.Fatal("blocked to unblocked toggle: warm start accepted")
+	}
+	if _, _, ok := HarmonyFloodPatch(unblockedState, blocked(last), src, tgt, none, none, opts); ok {
+		t.Fatal("unblocked to blocked toggle: warm start accepted")
+	}
+}
+
+// TestMatrixBytesUnblockedCharge pins the cache charge of an unblocked
+// matrix to the dense layout's r·c·8 + (r+c)·64 + 256, so matchcache
+// admission and eviction do not depend on how cells are stored.
+func TestMatrixBytesUnblockedCharge(t *testing.T) {
+	src, tgt := incrTestPair()
+	ctx := NewContext(src, tgt)
+	votes := []Vote{{Voter: "name", Matrix: NameVoter{}.Vote(ctx)}}
+	merged := NewMerger().Merge(votes)
+	_, st := HarmonyFloodState(merged, src, tgt, FloodOptions{})
+	for name, m := range map[string]*Matrix{
+		"MatrixOver": MatrixOver(src, tgt),
+		"vote":       votes[0].Matrix,
+		"merged":     merged,
+		"flooded":    st.Rounds[len(st.Rounds)-1],
+	} {
+		r, c := int64(len(m.Sources)), int64(len(m.Targets))
+		if got, want := MatrixBytes(m), r*c*8+(r+c)*64+256; got != want {
+			t.Errorf("%s: MatrixBytes = %d; want %d", name, got, want)
+		}
 	}
 }

@@ -22,25 +22,19 @@ import (
 // Matrix holds a confidence score for (source, target) element pairs.
 // Element order is the schemata's deterministic pre-order.
 //
-// A matrix is either dense — Scores[i][j] materialises the full cross
-// product, today's default — or sparse: only the cells of a blocking
-// Pattern are stored (CSR-style: one backing value array carved into
-// per-row slices aligned with Pattern.Rows), and every other pair reads
-// as 0 ("no evidence"). Dense callers may keep indexing Scores directly;
-// mode-agnostic callers use At/SetAt/Each, which are exact on both
-// representations. Out-of-pattern writes to a sparse matrix (user
-// decision pins) land in an overflow map so a Set never silently drops.
+// A matrix stores the cells of a Pattern, CSR-style: one backing value
+// array carved into per-row slices aligned with Pattern.Rows. An
+// unblocked matrix stores the full pattern, every pair; a blocked one
+// stores only the cells of its blocking pattern, and every other pair
+// reads as 0 ("no evidence"). Out-of-pattern writes (user decision
+// pins) land in an overflow map so a Set never silently drops.
 type Matrix struct {
 	Sources []*model.Element
 	Targets []*model.Element
-	// Scores[i][j] is the confidence for (Sources[i], Targets[j]).
-	// nil in sparse mode.
-	Scores [][]float64
 
-	// Sparse storage: pat is the shared immutable cell pattern,
-	// vals[i][k] the value of cell (i, pat.Rows[i][k]) carved out of the
-	// single backing slice, and extra holds out-of-pattern writes keyed
-	// by i<<32|j.
+	// pat is the shared immutable cell pattern, vals[i][k] the value of
+	// cell (i, pat.Rows[i][k]), and extra holds out-of-pattern writes
+	// keyed by i<<32|j.
 	pat   *Pattern
 	vals  [][]float64
 	extra map[int64]float64
@@ -49,25 +43,10 @@ type Matrix struct {
 	tgtIdx map[string]int
 }
 
-// NewMatrix allocates a zero matrix over the given element lists.
+// NewMatrix allocates a zero matrix storing every pair of the given
+// element lists.
 func NewMatrix(sources, targets []*model.Element) *Matrix {
-	m := &Matrix{
-		Sources: sources,
-		Targets: targets,
-		Scores:  make([][]float64, len(sources)),
-		srcIdx:  make(map[string]int, len(sources)),
-		tgtIdx:  make(map[string]int, len(targets)),
-	}
-	for i := range m.Scores {
-		m.Scores[i] = make([]float64, len(targets))
-	}
-	for i, e := range sources {
-		m.srcIdx[e.ID] = i
-	}
-	for j, e := range targets {
-		m.tgtIdx[e.ID] = j
-	}
-	return m
+	return NewSparseMatrix(sources, targets, fullPattern(len(sources), len(targets)))
 }
 
 // MatrixOver builds a matrix over all non-root elements of two schemata.
@@ -75,8 +54,8 @@ func MatrixOver(source, target *model.Schema) *Matrix {
 	return NewMatrix(source.Elements(), target.Elements())
 }
 
-// NewSparseMatrix allocates a zero sparse matrix storing only the cells
-// of pat. pat.Rows must have exactly len(sources) rows with columns
+// NewSparseMatrix allocates a zero matrix storing only the cells of pat.
+// pat.Rows must have exactly len(sources) rows with columns
 // < len(targets); the pattern is shared, not copied.
 func NewSparseMatrix(sources, targets []*model.Element, pat *Pattern) *Matrix {
 	m := &Matrix{
@@ -102,37 +81,31 @@ func NewSparseMatrix(sources, targets []*model.Element, pat *Pattern) *Matrix {
 	return m
 }
 
-// NewMatrixLike allocates a zero matrix with proto's shape and storage
-// mode (sharing proto's element lists and, in sparse mode, its pattern).
+// NewMatrixLike allocates a zero matrix over proto's element lists and
+// pattern.
 func NewMatrixLike(proto *Matrix) *Matrix {
-	if proto.Sparse() {
-		return NewSparseMatrix(proto.Sources, proto.Targets, proto.pat)
-	}
-	return NewMatrix(proto.Sources, proto.Targets)
+	return NewSparseMatrix(proto.Sources, proto.Targets, proto.pat)
 }
 
-// Sparse reports whether the matrix stores only a blocking pattern's
-// cells.
-func (m *Matrix) Sparse() bool { return m.pat != nil }
+// Sparse reports whether the matrix holds a blocking pattern, that is,
+// stores only some pairs.
+func (m *Matrix) Sparse() bool { return !m.pat.full }
 
-// CandidatePattern returns the sparsity pattern (nil for dense).
-func (m *Matrix) CandidatePattern() *Pattern { return m.pat }
-
-// NNZ returns the number of stored cells: the full cross product for a
-// dense matrix, pattern cells plus overflow cells for a sparse one.
-func (m *Matrix) NNZ() int {
-	if !m.Sparse() {
-		return len(m.Sources) * len(m.Targets)
+// CandidatePattern returns the blocking pattern (nil when unblocked).
+func (m *Matrix) CandidatePattern() *Pattern {
+	if m.pat.full {
+		return nil
 	}
-	return m.pat.NNZ() + len(m.extra)
+	return m.pat
 }
 
-// At returns the confidence at (row i, column j). Sparse matrices read 0
-// for any pair outside the pattern and overflow storage.
+// NNZ returns the number of stored cells: pattern cells plus overflow
+// cells (the full cross product for an unblocked matrix).
+func (m *Matrix) NNZ() int { return m.pat.NNZ() + len(m.extra) }
+
+// At returns the confidence at (row i, column j): 0 for any pair outside
+// the pattern and overflow storage.
 func (m *Matrix) At(i, j int) float64 {
-	if !m.Sparse() {
-		return m.Scores[i][j]
-	}
 	if k := m.pat.pos(i, int32(j)); k >= 0 {
 		return m.vals[i][k]
 	}
@@ -142,15 +115,11 @@ func (m *Matrix) At(i, j int) float64 {
 	return 0
 }
 
-// SetAt assigns the confidence at (row i, column j). On a sparse matrix
-// an out-of-pattern write lands in overflow storage (setting such a cell
-// back to exactly 0 removes it again), so user decision pins always
-// stick regardless of the blocking pattern.
+// SetAt assigns the confidence at (row i, column j). An out-of-pattern
+// write lands in overflow storage (setting such a cell back to exactly 0
+// removes it again), so user decision pins always stick regardless of
+// the blocking pattern.
 func (m *Matrix) SetAt(i, j int, v float64) {
-	if !m.Sparse() {
-		m.Scores[i][j] = v
-		return
-	}
 	if k := m.pat.pos(i, int32(j)); k >= 0 {
 		m.vals[i][k] = v
 		return
@@ -167,64 +136,59 @@ func (m *Matrix) SetAt(i, j int, v float64) {
 
 func cellKey(i, j int) int64 { return int64(i)<<32 | int64(uint32(j)) }
 
-// Each calls fn for every stored cell in row-major (i asc, then j asc)
-// order: all pairs for a dense matrix, pattern plus overflow cells for a
-// sparse one. fn may write the visited cell via SetAt but must not touch
-// other out-of-pattern cells.
+// Each calls fn for every stored cell — pattern plus overflow cells — in
+// row-major (i asc, then j asc) order. fn may write the visited cell via
+// SetAt but must not touch other out-of-pattern cells.
 func (m *Matrix) Each(fn func(i, j int, v float64)) {
-	if !m.Sparse() {
-		for i := range m.Scores {
-			row := m.Scores[i]
-			for j, v := range row {
-				fn(i, j, v)
-			}
-		}
-		return
-	}
-	ex := m.sortedExtraKeys()
-	x := 0
+	w := m.Walker()
 	for i := range m.vals {
-		cols := m.pat.Rows[i]
-		k := 0
-		for x < len(ex) && int(ex[x]>>32) == i {
+		w.Row(i, fn)
+	}
+}
+
+// RowWalker visits a matrix's stored cells one row at a time, in any row
+// order. It sorts the overflow cells once, when it is made, so walking
+// many rows never rescans them.
+type RowWalker struct {
+	m     *Matrix
+	extra []int64 // overflow cell keys in row-major order
+}
+
+// Walker returns a RowWalker over m's stored cells. Overflow cells
+// written after the call are not visited.
+func (m *Matrix) Walker() RowWalker {
+	w := RowWalker{m: m}
+	if len(m.extra) > 0 {
+		w.extra = make([]int64, 0, len(m.extra))
+		for k := range m.extra {
+			w.extra = append(w.extra, k)
+		}
+		// The i<<32|j packing makes row-major order a plain integer sort.
+		sort.Slice(w.extra, func(a, b int) bool { return w.extra[a] < w.extra[b] })
+	}
+	return w
+}
+
+// Row calls fn(i, j, v) for every stored cell of row i, pattern and
+// overflow cells merged in ascending column order. fn may write the
+// visited cell via SetAt but must not touch other out-of-pattern cells.
+func (w RowWalker) Row(i int, fn func(i, j int, v float64)) {
+	cols, vals := w.m.pat.Rows[i], w.m.vals[i]
+	vals = vals[:len(cols)]
+	k := 0
+	if ex := w.extra; len(ex) > 0 {
+		x := sort.Search(len(ex), func(x int) bool { return ex[x]>>32 >= int64(i) })
+		for ; x < len(ex) && ex[x]>>32 == int64(i); x++ {
 			j := int(uint32(ex[x]))
-			for k < len(cols) && int(cols[k]) < j {
-				fn(i, int(cols[k]), m.vals[i][k])
-				k++
+			for ; k < len(cols) && int(cols[k]) < j; k++ {
+				fn(i, int(cols[k]), vals[k])
 			}
-			fn(i, j, m.extra[ex[x]])
-			x++
-		}
-		for ; k < len(cols); k++ {
-			fn(i, int(cols[k]), m.vals[i][k])
+			fn(i, j, w.m.extra[ex[x]])
 		}
 	}
-}
-
-// sortedExtraKeys returns the overflow cell keys in row-major order
-// (the i<<32|j packing makes that a plain integer sort).
-func (m *Matrix) sortedExtraKeys() []int64 {
-	if len(m.extra) == 0 {
-		return nil
+	for ; k < len(cols); k++ {
+		fn(i, int(cols[k]), vals[k])
 	}
-	keys := make([]int64, 0, len(m.extra))
-	for k := range m.extra {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	return keys
-}
-
-// ToDense returns a dense matrix with the same values (the receiver
-// itself when already dense). Baselines that index Scores directly
-// densify first.
-func (m *Matrix) ToDense() *Matrix {
-	if !m.Sparse() {
-		return m
-	}
-	out := NewMatrix(m.Sources, m.Targets)
-	m.Each(func(i, j int, v float64) { out.Scores[i][j] = v })
-	return out
 }
 
 // SourceIndex returns the row of a source element ID, or -1.
@@ -261,16 +225,10 @@ func (m *Matrix) Set(srcID, tgtID string, v float64) {
 	m.SetAt(i, j, v)
 }
 
-// Clone deep-copies the matrix (sharing the element slices and, in
-// sparse mode, the immutable pattern).
+// Clone deep-copies the matrix (sharing the element slices and the
+// immutable pattern).
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrixLike(m)
-	if !m.Sparse() {
-		for i := range m.Scores {
-			copy(out.Scores[i], m.Scores[i])
-		}
-		return out
-	}
 	for i := range m.vals {
 		copy(out.vals[i], m.vals[i])
 	}
@@ -285,30 +243,16 @@ func (m *Matrix) Clone() *Matrix {
 
 // Clamp bounds every stored score to [lo, hi]; the engine uses (-1, +1)
 // open bounds for machine scores, reserving exactly ±1 for user
-// decisions. Sparse matrices clamp stored cells only — implicit zeros
-// stay zero.
+// decisions. Pairs a blocking pattern pruned stay at their implicit 0.
 func (m *Matrix) Clamp(lo, hi float64) {
-	if m.Sparse() {
-		m.Each(func(i, j int, v float64) {
-			if v < lo {
-				m.SetAt(i, j, lo)
-			}
-			if v > hi {
-				m.SetAt(i, j, hi)
-			}
-		})
-		return
-	}
-	for i := range m.Scores {
-		for j := range m.Scores[i] {
-			if m.Scores[i][j] < lo {
-				m.Scores[i][j] = lo
-			}
-			if m.Scores[i][j] > hi {
-				m.Scores[i][j] = hi
-			}
+	m.Each(func(i, j int, v float64) {
+		if v < lo {
+			m.SetAt(i, j, lo)
 		}
-	}
+		if v > hi {
+			m.SetAt(i, j, hi)
+		}
+	})
 }
 
 // Correspondence is one scored pair, the unit the GUI displays as a line.
@@ -324,8 +268,8 @@ func (c Correspondence) String() string {
 }
 
 // Above returns all pairs with confidence >= threshold, row-major order.
-// On a sparse matrix only stored cells participate: a pair that blocking
-// pruned is "no evidence", never a link (even when threshold <= 0).
+// Only stored cells participate: a pair that blocking pruned is "no
+// evidence", never a link (even when threshold <= 0).
 func (m *Matrix) Above(threshold float64) []Correspondence {
 	var out []Correspondence
 	m.Each(func(i, j int, v float64) {
@@ -337,15 +281,16 @@ func (m *Matrix) Above(threshold float64) []Correspondence {
 }
 
 // MaxPerSource returns, for each source element, its highest-confidence
-// target pair(s) — ties included — provided the score is at least
+// stored target pair(s) — ties included — provided the score is at least
 // threshold. This is the paper's third link filter ("displays, for each
 // schema element, those links with maximal confidence (usually a single
 // link, but ties are possible)").
 func (m *Matrix) MaxPerSource(threshold float64) []Correspondence {
 	var out []Correspondence
+	w := m.Walker()
 	for i, s := range m.Sources {
 		best := math.Inf(-1)
-		m.eachInRow(i, func(j int, v float64) {
+		w.Row(i, func(_, _ int, v float64) {
 			if v > best {
 				best = v
 			}
@@ -353,47 +298,13 @@ func (m *Matrix) MaxPerSource(threshold float64) []Correspondence {
 		if best < threshold {
 			continue
 		}
-		m.eachInRow(i, func(j int, v float64) {
+		w.Row(i, func(_, j int, v float64) {
 			if v == best {
 				out = append(out, Correspondence{s, m.Targets[j], best})
 			}
 		})
 	}
 	return out
-}
-
-// eachInRow calls fn for every stored cell of row i in ascending column
-// order (all columns for a dense matrix).
-func (m *Matrix) eachInRow(i int, fn func(j int, v float64)) {
-	if !m.Sparse() {
-		for j, v := range m.Scores[i] {
-			fn(j, v)
-		}
-		return
-	}
-	var ex []int64
-	if len(m.extra) > 0 {
-		for k := range m.extra {
-			if int(k>>32) == i {
-				ex = append(ex, k)
-			}
-		}
-		sort.Slice(ex, func(a, b int) bool { return ex[a] < ex[b] })
-	}
-	cols := m.pat.Rows[i]
-	k, x := 0, 0
-	for x < len(ex) {
-		j := int(uint32(ex[x]))
-		for k < len(cols) && int(cols[k]) < j {
-			fn(int(cols[k]), m.vals[i][k])
-			k++
-		}
-		fn(j, m.extra[ex[x]])
-		x++
-	}
-	for ; k < len(cols); k++ {
-		fn(int(cols[k]), m.vals[i][k])
-	}
 }
 
 // StableMatching selects a one-to-one correspondence set by greedy

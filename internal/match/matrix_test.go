@@ -62,29 +62,29 @@ func TestMatrixBasics(t *testing.T) {
 
 func TestMatrixCloneIndependent(t *testing.T) {
 	m := MatrixOver(sourceSchema(), targetSchema())
-	m.Scores[0][0] = 0.5
+	m.SetAt(0, 0, 0.5)
 	c := m.Clone()
-	c.Scores[0][0] = -0.5
-	if m.Scores[0][0] != 0.5 {
+	c.SetAt(0, 0, -0.5)
+	if m.At(0, 0) != 0.5 {
 		t.Error("clone aliases original")
 	}
 }
 
 func TestMatrixClamp(t *testing.T) {
 	m := MatrixOver(sourceSchema(), targetSchema())
-	m.Scores[0][0] = 3
-	m.Scores[1][1] = -3
+	m.SetAt(0, 0, 3)
+	m.SetAt(1, 1, -3)
 	m.Clamp(-0.99, 0.99)
-	if m.Scores[0][0] != 0.99 || m.Scores[1][1] != -0.99 {
-		t.Errorf("clamp: %g, %g", m.Scores[0][0], m.Scores[1][1])
+	if m.At(0, 0) != 0.99 || m.At(1, 1) != -0.99 {
+		t.Errorf("clamp: %g, %g", m.At(0, 0), m.At(1, 1))
 	}
 }
 
 func TestAbove(t *testing.T) {
 	m := MatrixOver(sourceSchema(), targetSchema())
-	m.Scores[0][0] = 0.9
-	m.Scores[1][1] = 0.5
-	m.Scores[2][2] = 0.3
+	m.SetAt(0, 0, 0.9)
+	m.SetAt(1, 1, 0.5)
+	m.SetAt(2, 2, 0.3)
 	got := m.Above(0.5)
 	if len(got) != 2 {
 		t.Fatalf("Above = %v", got)
@@ -97,11 +97,11 @@ func TestAbove(t *testing.T) {
 func TestMaxPerSourceWithTies(t *testing.T) {
 	m := MatrixOver(sourceSchema(), targetSchema())
 	// Row 0: tie between cols 0 and 2.
-	m.Scores[0][0] = 0.7
-	m.Scores[0][2] = 0.7
-	m.Scores[0][1] = 0.2
+	m.SetAt(0, 0, 0.7)
+	m.SetAt(0, 2, 0.7)
+	m.SetAt(0, 1, 0.2)
 	// Row 1: below threshold.
-	m.Scores[1][0] = 0.1
+	m.SetAt(1, 0, 0.1)
 	got := m.MaxPerSource(0.5)
 	if len(got) != 2 {
 		t.Fatalf("MaxPerSource = %v", got)
@@ -117,9 +117,9 @@ func TestStableMatchingOneToOne(t *testing.T) {
 	m := MatrixOver(sourceSchema(), targetSchema())
 	// Two sources both prefer target 0; higher score wins, other takes
 	// second best.
-	m.Scores[3][1] = 0.9 // lastName → name
-	m.Scores[2][1] = 0.8 // firstName → name
-	m.Scores[2][2] = 0.6 // firstName → total (wrong but available)
+	m.SetAt(3, 1, 0.9) // lastName → name
+	m.SetAt(2, 1, 0.8) // firstName → name
+	m.SetAt(2, 2, 0.6) // firstName → total (wrong but available)
 	got := m.StableMatching(0.5)
 	if len(got) != 2 {
 		t.Fatalf("StableMatching = %v", got)
@@ -159,9 +159,9 @@ func TestStableMatchingDeterministicOnTies(t *testing.T) {
 	// pick the diagonal, identically on every run.
 	src, tgt := sourceSchema(), targetSchema()
 	m := MatrixOver(src, tgt)
-	for i := range m.Scores {
-		for j := range m.Scores[i] {
-			m.Scores[i][j] = 0.5
+	for i := range m.Sources {
+		for j := range m.Targets {
+			m.SetAt(i, j, 0.5)
 		}
 	}
 	want := m.StableMatching(0.25)

@@ -58,89 +58,43 @@ func (g *Merger) Merge(votes []Vote) *Matrix {
 		return nil
 	}
 	out := NewMatrixLike(votes[0].Matrix)
-	if out.Sparse() {
-		if votesAligned(votes, out.pat) {
-			for i := range out.vals {
-				for k := range out.vals[i] {
-					out.vals[i][k] = g.mergeStored(votes, i, k)
-				}
-			}
-			return out
-		}
-		// A vote with a foreign pattern (defensive — the engine hands
-		// every voter the same context) falls back to At-based reads.
-		for i, cols := range out.pat.Rows {
-			for k, j := range cols {
-				out.vals[i][k] = g.mergeCellAt(votes, i, int(j))
-			}
-		}
-		return out
-	}
-	for i := range out.Scores {
-		for j := range out.Scores[i] {
-			out.Scores[i][j] = g.mergeCell(votes, i, j)
+	aligned := votesAligned(votes, out.pat)
+	for i, cols := range out.pat.Rows {
+		for k, j := range cols {
+			out.vals[i][k] = g.mergeCell(votes, aligned, i, k, int(j))
 		}
 	}
 	return out
 }
 
-// votesAligned reports whether every vote matrix is sparse over a
-// pattern equal to pat (with no overflow cells), which licenses the
-// positional merge kernel.
+// votesAligned reports whether every vote matrix stores exactly pat's
+// cells (with no overflow cells), which licenses positional reads.
 func votesAligned(votes []Vote, pat *Pattern) bool {
 	for _, v := range votes {
-		m := v.Matrix
-		if !m.Sparse() || len(m.extra) > 0 || !m.pat.Equal(pat) {
+		if len(v.Matrix.extra) > 0 || !v.Matrix.pat.Equal(pat) {
 			return false
 		}
 	}
 	return true
 }
 
-// mergeCell merges one cell across the panel, clamped to (-1, +1) open
-// bounds (exactly ±1 is reserved for user decisions). The single kernel
-// serves Merge and MergePatch so incremental re-merges are bit-identical
-// — the votes slice must present the panel in the same order.
-func (g *Merger) mergeCell(votes []Vote, i, j int) float64 {
+// mergeCell merges cell (i, j), stored at offset k of row i, across the
+// panel, clamped to (-1, +1) open bounds (exactly ±1 is reserved for
+// user decisions). Aligned votes are read at offset k; otherwise — a
+// vote over a foreign pattern, such as a baseline's unblocked matrix
+// under blocking — every vote is read exactly through At. The single
+// kernel serves Merge and MergePatch so incremental re-merges are
+// bit-identical — the votes slice must present the panel in the same
+// order.
+func (g *Merger) mergeCell(votes []Vote, aligned bool, i, k, j int) float64 {
 	var num, den float64
 	for _, v := range votes {
-		c := v.Matrix.Scores[i][j]
-		w := g.Weight(v.Voter)
-		mag := 1.0
-		if g.MagnitudeWeighting {
-			mag = math.Abs(c)
+		var c float64
+		if aligned {
+			c = v.Matrix.vals[i][k]
+		} else {
+			c = v.Matrix.At(i, j)
 		}
-		num += w * mag * c
-		den += w * mag
-	}
-	return clampMerged(num, den)
-}
-
-// mergeStored is mergeCell's positional twin for aligned sparse votes:
-// storage offset k addresses the same (row, column) cell in every vote,
-// so the arithmetic — and therefore the result bits — match mergeCell's
-// for that cell.
-func (g *Merger) mergeStored(votes []Vote, i, k int) float64 {
-	var num, den float64
-	for _, v := range votes {
-		c := v.Matrix.vals[i][k]
-		w := g.Weight(v.Voter)
-		mag := 1.0
-		if g.MagnitudeWeighting {
-			mag = math.Abs(c)
-		}
-		num += w * mag * c
-		den += w * mag
-	}
-	return clampMerged(num, den)
-}
-
-// mergeCellAt is the representation-agnostic kernel (At instead of
-// direct indexing) for mixed-pattern vote sets.
-func (g *Merger) mergeCellAt(votes []Vote, i, j int) float64 {
-	var num, den float64
-	for _, v := range votes {
-		c := v.Matrix.At(i, j)
 		w := g.Weight(v.Voter)
 		mag := 1.0
 		if g.MagnitudeWeighting {
@@ -176,56 +130,31 @@ func (g *Merger) MergePatch(votes []Vote, prev *Matrix, dirtySrc, dirtyTgt map[s
 	if len(votes) == 0 {
 		return nil
 	}
-	if prev == nil {
+	if prev == nil || len(prev.extra) > 0 {
+		// No previous matrix, or one carrying out-of-pattern cells
+		// (shouldn't happen for a pre-pin merge): recompute everything.
 		return g.Merge(votes)
 	}
-	proto := votes[0].Matrix
-	if proto.Sparse() != prev.Sparse() || len(prev.extra) > 0 {
-		// Blocking toggled between runs, or a previous matrix carrying
-		// out-of-pattern cells (shouldn't happen for a pre-pin merge):
-		// patching is unsound, recompute everything.
-		return g.Merge(votes)
-	}
-	if proto.Sparse() {
-		if !votesAligned(votes, proto.pat) {
-			return g.Merge(votes)
-		}
-		out := NewMatrixLike(proto)
-		oldCol := alignIndices(out.Targets, prev.TargetIndex)
-		for i, s := range out.Sources {
-			oi := prev.SourceIndex(s.ID)
-			rowClean := oi >= 0 && !dirtySrc[s.ID]
-			for k, j := range out.pat.Rows[i] {
-				t := out.Targets[j]
-				if rowClean {
-					if oj := oldCol[j]; oj >= 0 && !dirtyTgt[t.ID] {
-						if op := prev.pat.pos(oi, int32(oj)); op >= 0 {
-							out.vals[i][k] = prev.vals[oi][op]
-							continue
-						}
-						// Cell joined the pattern since prev: recompute.
-						// Both sides are clean, so the merge reads votes
-						// identical to a cold run's.
-					}
-				}
-				out.vals[i][k] = g.mergeStored(votes, i, k)
-			}
-		}
-		return out
-	}
-	out := NewMatrix(proto.Sources, proto.Targets)
+	out := NewMatrixLike(votes[0].Matrix)
+	aligned := votesAligned(votes, out.pat)
 	oldCol := alignIndices(out.Targets, prev.TargetIndex)
 	for i, s := range out.Sources {
 		oi := prev.SourceIndex(s.ID)
 		rowClean := oi >= 0 && !dirtySrc[s.ID]
-		for j, t := range out.Targets {
+		for k, j := range out.pat.Rows[i] {
+			t := out.Targets[j]
 			if rowClean {
 				if oj := oldCol[j]; oj >= 0 && !dirtyTgt[t.ID] {
-					out.Scores[i][j] = prev.Scores[oi][oj]
-					continue
+					if op := prev.pat.pos(oi, int32(oj)); op >= 0 {
+						out.vals[i][k] = prev.vals[oi][op]
+						continue
+					}
+					// Cell not stored in prev (blocking drifted or was
+					// toggled): recompute. Both sides are clean, so the
+					// merge reads votes identical to a cold run's.
 				}
 			}
-			out.Scores[i][j] = g.mergeCell(votes, i, j)
+			out.vals[i][k] = g.mergeCell(votes, aligned, i, k, int(j))
 		}
 	}
 	return out

@@ -9,8 +9,8 @@ func twoVoterVotes(cA, cB float64) []Vote {
 	src, tgt := sourceSchema(), targetSchema()
 	ma := MatrixOver(src, tgt)
 	mb := MatrixOver(src, tgt)
-	ma.Scores[0][0] = cA
-	mb.Scores[0][0] = cB
+	ma.SetAt(0, 0, cA)
+	mb.SetAt(0, 0, cB)
 	return []Vote{{"A", ma}, {"B", mb}}
 }
 
@@ -20,7 +20,7 @@ func TestMergeMagnitudeWeighting(t *testing.T) {
 	// should land clearly positive, much closer to 0.9 than the plain
 	// mean (0.4).
 	merged := g.Merge(twoVoterVotes(0.9, -0.1))
-	got := merged.Scores[0][0]
+	got := merged.At(0, 0)
 	want := (0.9*0.9 - 0.1*0.1) / (0.9 + 0.1)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("merged = %g, want %g", got, want)
@@ -34,7 +34,7 @@ func TestMergeWithoutMagnitudeWeighting(t *testing.T) {
 	g := NewMerger()
 	g.MagnitudeWeighting = false
 	merged := g.Merge(twoVoterVotes(0.9, -0.1))
-	if got := merged.Scores[0][0]; math.Abs(got-0.4) > 1e-12 {
+	if got := merged.At(0, 0); math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("plain mean = %g, want 0.4", got)
 	}
 }
@@ -43,12 +43,12 @@ func TestMergeAbstainersIgnored(t *testing.T) {
 	g := NewMerger()
 	// One voter abstains (0): result is the other voter's score.
 	merged := g.Merge(twoVoterVotes(0.6, 0))
-	if got := merged.Scores[0][0]; math.Abs(got-0.6) > 1e-12 {
+	if got := merged.At(0, 0); math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("merged = %g, want 0.6", got)
 	}
 	// All abstain → 0.
 	merged = g.Merge(twoVoterVotes(0, 0))
-	if got := merged.Scores[0][0]; got != 0 {
+	if got := merged.At(0, 0); got != 0 {
 		t.Errorf("all-abstain merged = %g", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestMergePerformanceWeights(t *testing.T) {
 	// Equal magnitudes; weights 4:1 → (4*0.5 - 1*0.5)/(4+1) * ... =
 	// (2 - 0.5)/(2.5) ... compute: num = 4*0.5*0.5 + 1*0.5*(-0.5) = 1 - 0.25
 	// = 0.75; den = 4*0.5 + 1*0.5 = 2.5 → 0.3.
-	if got := merged.Scores[0][0]; math.Abs(got-0.3) > 1e-12 {
+	if got := merged.At(0, 0); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("weighted merge = %g, want 0.3", got)
 	}
 }
@@ -69,7 +69,7 @@ func TestMergePerformanceWeights(t *testing.T) {
 func TestMergeClampsToOpenInterval(t *testing.T) {
 	g := NewMerger()
 	merged := g.Merge(twoVoterVotes(0.999, 0.999))
-	if got := merged.Scores[0][0]; got > 0.99 {
+	if got := merged.At(0, 0); got > 0.99 {
 		t.Errorf("machine scores must stay below +1: %g", got)
 	}
 }

@@ -6,10 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Row-sharded parallelism for the dense O(|S|·|T|) sweeps (forEachPair,
-// the flooding propagation loops). Work is split by matrix row: every
-// goroutine owns disjoint Scores[i] rows, so the sweeps need no locking
-// and produce bit-identical results at any worker count — each cell is
+// Row-sharded parallelism for the pair sweeps over every stored cell
+// (forEachPair, the flooding rounds, the incremental patches). Work is
+// split by matrix row: every goroutine writes only its own rows of the
+// matrix's backing value array, so the sweeps need no locking and
+// produce bit-identical results at any worker count — each cell is
 // still computed by exactly one goroutine running the same code path.
 
 // ResolveWorkers maps the package-wide parallelism convention to a

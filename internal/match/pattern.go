@@ -2,12 +2,14 @@ package match
 
 import "sort"
 
-// Pattern is the sparsity pattern of a candidate pair set: for every
-// source row, the sorted list of target columns that survived blocking.
-// A Pattern is immutable once built and is shared by every matrix of one
-// engine run (the voter panel, the merged matrix, each flooding round),
-// so positional kernels can copy and merge values without per-cell
-// index lookups.
+// Pattern is the cell pattern of a matrix: for every source row, the
+// sorted list of target columns the matrix stores. An unblocked matrix
+// stores the full pattern (every column of every row); a blocked one
+// stores only the candidate pairs that survived blocking. A Pattern is
+// immutable once built and is shared by every matrix of one engine run
+// (the voter panel, the merged matrix, each flooding round), so
+// positional kernels can copy and merge values without per-cell index
+// lookups.
 type Pattern struct {
 	// Rows[i] holds the stored target columns of source row i, strictly
 	// ascending. Column indices are int32 — a matrix side is bounded by
@@ -16,6 +18,12 @@ type Pattern struct {
 	Rows [][]int32
 
 	nnz int
+	// full marks the pattern storing every one of cols columns in every
+	// row. Its rows all alias one ascending 0..cols-1 slice, so the
+	// index costs O(rows + cols), and a cell's storage offset is its
+	// column.
+	full bool
+	cols int
 }
 
 // NewPattern wraps per-row column lists into a Pattern. Each row is
@@ -32,12 +40,40 @@ func NewPattern(rows [][]int32) *Pattern {
 	return p
 }
 
+// fullPattern returns the pattern of an unblocked rows×cols matrix.
+func fullPattern(rows, cols int) *Pattern {
+	all := make([]int32, cols)
+	for j := range all {
+		all[j] = int32(j)
+	}
+	p := &Pattern{Rows: make([][]int32, rows), nnz: rows * cols, full: true, cols: cols}
+	for i := range p.Rows {
+		p.Rows[i] = all
+	}
+	return p
+}
+
 // NNZ returns the number of stored cells.
 func (p *Pattern) NNZ() int { return p.nnz }
 
 // pos returns the storage offset of column j within row i, or -1 when
-// the cell is not part of the pattern. Binary search over the sorted row.
+// the cell is not part of the pattern. On a full pattern the offset is
+// j itself, found in O(1): flooding reads neighbour cells through pos
+// once per child pair and the incremental patches once per copied cell,
+// so pos stays small enough to inline. Other patterns binary-search the
+// row. i must be a valid row of a full pattern.
 func (p *Pattern) pos(i int, j int32) int {
+	if p.full && uint32(j) < uint32(p.cols) {
+		return int(j)
+	}
+	return p.search(i, j)
+}
+
+// search binary-searches row i for column j. It stays out of line so
+// that pos inlines.
+//
+//go:noinline
+func (p *Pattern) search(i int, j int32) int {
 	if i < 0 || i >= len(p.Rows) {
 		return -1
 	}
@@ -58,15 +94,21 @@ func (p *Pattern) pos(i int, j int32) int {
 }
 
 // Contains reports whether cell (i, j) is stored.
-func (p *Pattern) Contains(i, j int) bool { return p.pos(i, int32(j)) >= 0 }
+func (p *Pattern) Contains(i, j int) bool {
+	return i >= 0 && i < len(p.Rows) && p.pos(i, int32(j)) >= 0
+}
 
 // Equal reports whether two patterns store exactly the same cell set.
+// Two full patterns compare by shape in O(1).
 func (p *Pattern) Equal(q *Pattern) bool {
 	if p == q {
 		return true
 	}
 	if p == nil || q == nil || len(p.Rows) != len(q.Rows) || p.nnz != q.nnz {
 		return false
+	}
+	if p.full && q.full {
+		return p.cols == q.cols
 	}
 	for i := range p.Rows {
 		a, b := p.Rows[i], q.Rows[i]
@@ -82,9 +124,21 @@ func (p *Pattern) Equal(q *Pattern) bool {
 	return true
 }
 
-// Bytes estimates the pattern's resident size for cache accounting.
+// sameBlocking reports whether matrices over p and q prune the same
+// pairs: both full, whatever their sizes (a full pattern prunes
+// nothing), or equal blocking patterns.
+func (p *Pattern) sameBlocking(q *Pattern) bool {
+	if p.full || q.full {
+		return p.full && q.full
+	}
+	return p.Equal(q)
+}
+
+// Bytes estimates the pattern's resident size for cache accounting. A
+// full pattern adds nothing: its shared column slice and row headers
+// fit in MatrixBytes's per-row and per-column charge.
 func (p *Pattern) Bytes() int64 {
-	if p == nil {
+	if p == nil || p.full {
 		return 0
 	}
 	return int64(p.nnz)*4 + int64(len(p.Rows))*24 + 64

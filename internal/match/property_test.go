@@ -16,9 +16,9 @@ func randomVotes(rng *rand.Rand, k int) []Vote {
 	votes := make([]Vote, k)
 	for v := 0; v < k; v++ {
 		m := MatrixOver(src, tgt)
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				m.Scores[i][j] = rng.Float64()*1.98 - 0.99
+		for i := range m.Sources {
+			for j := range m.Targets {
+				m.SetAt(i, j, rng.Float64()*1.98-0.99)
 			}
 		}
 		votes[v] = Vote{Voter: string(rune('A' + v)), Matrix: m}
@@ -34,15 +34,15 @@ func TestMergeBoundedByVotes(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		votes := randomVotes(rng, 2+rng.Intn(4))
 		merged := g.Merge(votes)
-		for i := range merged.Scores {
-			for j := range merged.Scores[i] {
+		for i := range merged.Sources {
+			for j := range merged.Targets {
 				lo, hi := 1.0, -1.0
 				for _, v := range votes {
-					c := v.Matrix.Scores[i][j]
+					c := v.Matrix.At(i, j)
 					lo = math.Min(lo, c)
 					hi = math.Max(hi, c)
 				}
-				got := merged.Scores[i][j]
+				got := merged.At(i, j)
 				if got < lo-1e-9 || got > hi+1e-9 {
 					t.Fatalf("merged %g outside vote range [%g, %g]", got, lo, hi)
 				}
@@ -59,17 +59,17 @@ func TestMergeSignAgreement(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		votes := randomVotes(rng, 3)
 		for _, v := range votes {
-			for i := range v.Matrix.Scores {
-				for j := range v.Matrix.Scores[i] {
-					v.Matrix.Scores[i][j] = math.Abs(v.Matrix.Scores[i][j])
+			for i := range v.Matrix.Sources {
+				for j := range v.Matrix.Targets {
+					v.Matrix.SetAt(i, j, math.Abs(v.Matrix.At(i, j)))
 				}
 			}
 		}
 		merged := g.Merge(votes)
-		for i := range merged.Scores {
-			for j := range merged.Scores[i] {
-				if merged.Scores[i][j] < 0 {
-					t.Fatalf("all-positive votes merged negative: %g", merged.Scores[i][j])
+		for i := range merged.Sources {
+			for j := range merged.Targets {
+				if merged.At(i, j) < 0 {
+					t.Fatalf("all-positive votes merged negative: %g", merged.At(i, j))
 				}
 			}
 		}
@@ -87,10 +87,10 @@ func TestMergeOrderInvariant(t *testing.T) {
 		rev[len(votes)-1-i] = v
 	}
 	b := g.Merge(rev)
-	for i := range a.Scores {
-		for j := range a.Scores[i] {
-			if math.Abs(a.Scores[i][j]-b.Scores[i][j]) > 1e-12 {
-				t.Fatalf("order dependence at (%d,%d): %g vs %g", i, j, a.Scores[i][j], b.Scores[i][j])
+	for i := range a.Sources {
+		for j := range a.Targets {
+			if math.Abs(a.At(i, j)-b.At(i, j)) > 1e-12 {
+				t.Fatalf("order dependence at (%d,%d): %g vs %g", i, j, a.At(i, j), b.At(i, j))
 			}
 		}
 	}
@@ -101,9 +101,9 @@ func TestStableMatchingIsOneToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 30; trial++ {
 		m := MatrixOver(sourceSchema(), targetSchema())
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				m.Scores[i][j] = rng.Float64()*2 - 1
+		for i := range m.Sources {
+			for j := range m.Targets {
+				m.SetAt(i, j, rng.Float64()*2-1)
 			}
 		}
 		sel := m.StableMatching(-1)
@@ -133,11 +133,11 @@ func TestStableMatchingGreedyOptimalFirst(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		m := MatrixOver(sourceSchema(), targetSchema())
 		best := -2.0
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				m.Scores[i][j] = rng.Float64()*2 - 1
-				if m.Scores[i][j] > best {
-					best = m.Scores[i][j]
+		for i := range m.Sources {
+			for j := range m.Targets {
+				m.SetAt(i, j, rng.Float64()*2-1)
+				if m.At(i, j) > best {
+					best = m.At(i, j)
 				}
 			}
 		}
@@ -153,9 +153,9 @@ func TestStableMatchingGreedyOptimalFirst(t *testing.T) {
 func TestAboveMaxPerSourceConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := MatrixOver(sourceSchema(), targetSchema())
-	for i := range m.Scores {
-		for j := range m.Scores[i] {
-			m.Scores[i][j] = rng.Float64()*2 - 1
+	for i := range m.Sources {
+		for j := range m.Targets {
+			m.SetAt(i, j, rng.Float64()*2-1)
 		}
 	}
 	above := map[string]bool{}
@@ -204,15 +204,15 @@ func TestHarmonyFloodBoundsRandom(t *testing.T) {
 	src, tgt := sourceSchema(), targetSchema()
 	for trial := 0; trial < 20; trial++ {
 		m := MatrixOver(src, tgt)
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				m.Scores[i][j] = rng.Float64()*1.98 - 0.99
+		for i := range m.Sources {
+			for j := range m.Targets {
+				m.SetAt(i, j, rng.Float64()*1.98-0.99)
 			}
 		}
 		out := HarmonyFlood(m, src, tgt, FloodOptions{Iterations: 1 + rng.Intn(4)})
-		for i := range out.Scores {
-			for j := range out.Scores[i] {
-				if v := out.Scores[i][j]; v < -0.99-1e-9 || v > 0.99+1e-9 {
+		for i := range out.Sources {
+			for j := range out.Targets {
+				if v := out.At(i, j); v < -0.99-1e-9 || v > 0.99+1e-9 {
 					t.Fatalf("flooding escaped bounds: %g", v)
 				}
 			}

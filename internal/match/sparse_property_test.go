@@ -63,12 +63,14 @@ func TestPropertySparseDenseAgree(t *testing.T) {
 		if sp.Get(srcs[si].ID, tgts[tj].ID) != dn.Get(srcs[si].ID, tgts[tj].ID) {
 			t.Fatalf("trial %d: Get by ID disagrees", trial)
 		}
-		// ToDense reproduces every cell.
-		td := sp.ToDense()
+		// Copying the stored cells into an unblocked matrix reproduces
+		// every cell.
+		td := NewMatrix(srcs, tgts)
+		sp.Each(func(i, j int, v float64) { td.SetAt(i, j, v) })
 		for i := 0; i < nr; i++ {
 			for j := 0; j < nc; j++ {
 				if math.Float64bits(td.At(i, j)) != math.Float64bits(sp.At(i, j)) {
-					t.Fatalf("trial %d: ToDense differs at (%d,%d)", trial, i, j)
+					t.Fatalf("trial %d: unblocked copy differs at (%d,%d)", trial, i, j)
 				}
 			}
 		}
@@ -154,5 +156,58 @@ func TestPropertyPatternPosContains(t *testing.T) {
 		if pat.NNZ() != nnz {
 			t.Fatalf("trial %d: NNZ = %d, counted %d", trial, pat.NNZ(), nnz)
 		}
+	}
+}
+
+// TestFullPattern covers the unblocked matrix's pattern: every cell is
+// stored at its column's offset, two full patterns are equal exactly
+// when their shapes are, a full pattern equals a blocking pattern that
+// happens to hold every cell, and full patterns of any sizes prune the
+// same pairs (none) while a blocking pattern never prunes like a full
+// one.
+func TestFullPattern(t *testing.T) {
+	p := fullPattern(3, 4)
+	if p.NNZ() != 12 {
+		t.Fatalf("NNZ = %d; want 12", p.NNZ())
+	}
+	for i := -1; i <= 3; i++ {
+		for j := -1; j <= 4; j++ {
+			in := i >= 0 && i < 3 && j >= 0 && j < 4
+			if p.Contains(i, j) != in {
+				t.Fatalf("Contains(%d,%d) = %v; want %v", i, j, !in, in)
+			}
+			if in && p.pos(i, int32(j)) != j {
+				t.Fatalf("pos(%d,%d) = %d; want %d", i, j, p.pos(i, int32(j)), j)
+			}
+		}
+	}
+	every := NewPattern([][]int32{{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2, 3}})
+	for _, c := range []struct {
+		name      string
+		q         *Pattern
+		eq, prune bool
+	}{
+		{"same shape", fullPattern(3, 4), true, true},
+		{"more columns", fullPattern(3, 5), false, true},
+		{"fewer rows", fullPattern(2, 4), false, true},
+		{"blocking holding every cell", every, true, false},
+		{"blocking", NewPattern([][]int32{{0}, {1}, {2}}), false, false},
+	} {
+		if got := p.Equal(c.q); got != c.eq {
+			t.Errorf("%s: Equal = %v; want %v", c.name, got, c.eq)
+		}
+		if got := p.sameBlocking(c.q); got != c.prune {
+			t.Errorf("%s: sameBlocking = %v; want %v", c.name, got, c.prune)
+		}
+	}
+	if p.Bytes() != 0 {
+		t.Errorf("full pattern Bytes = %d; want 0 (charged by MatrixBytes)", p.Bytes())
+	}
+	srcs, tgts, _ := randomPatternPair(rand.New(rand.NewSource(14)), 3, 4)
+	if m := NewMatrix(srcs, tgts); m.Sparse() || m.CandidatePattern() != nil {
+		t.Error("unblocked matrix reports a blocking pattern")
+	}
+	if m := NewSparseMatrix(srcs, tgts, every); !m.Sparse() || m.CandidatePattern() != every {
+		t.Error("blocked matrix does not report its blocking pattern")
 	}
 }

@@ -49,41 +49,28 @@ func kindCompatible(a, b *model.Element) bool {
 	return (isRel(a) && isEnt(b)) || (isEnt(a) && isRel(b))
 }
 
-// forEachPair drives a voter body over all kind-compatible pairs;
-// incompatible pairs receive a firm negative vote. Rows are sharded
-// across the context's worker pool — each goroutine owns disjoint
-// Scores[i] rows, so score must only read from the context (every
-// built-in voter does).
-func forEachPair(ctx *Context, m *Matrix, score func(s, t *model.Element) float64) {
-	if m.Sparse() {
-		// Blocking: only the pattern's surviving cells are scored; pruned
-		// pairs stay at the implicit 0 ("no evidence").
-		pat := m.pat
-		shardRows(ctx.Workers(), len(m.Sources), func(i int) {
-			s := m.Sources[i]
-			vals := m.vals[i]
-			for k, j := range pat.Rows[i] {
-				t := m.Targets[j]
-				if !kindCompatible(s, t) {
-					vals[k] = -0.75
-					continue
-				}
-				vals[k] = score(s, t)
-			}
-		})
-		return
-	}
+// forEachPair drives a voter body over the matrix's stored pairs (all
+// pairs when unblocked; pairs a blocking pattern pruned stay at the
+// implicit 0, "no evidence"). Rows are sharded across the context's
+// worker pool — each goroutine owns disjoint rows of the backing array,
+// so score must only read from the context (every built-in voter does).
+func forEachPair(ctx *Context, m *Matrix, score scoreFunc) {
 	shardRows(ctx.Workers(), len(m.Sources), func(i int) {
-		s := m.Sources[i]
-		row := m.Scores[i]
-		for j, t := range m.Targets {
-			if !kindCompatible(s, t) {
-				row[j] = -0.75
-				continue
-			}
-			row[j] = score(s, t)
+		s, vals := m.Sources[i], m.vals[i]
+		for k, j := range m.pat.Rows[i] {
+			vals[k] = votePair(s, m.Targets[j], score)
 		}
 	})
+}
+
+// votePair is the per-cell vote kernel of the full sweep and of
+// votePatch: kind-incompatible pairs receive a firm negative vote, every
+// other pair the voter's score.
+func votePair(s, t *model.Element, score scoreFunc) float64 {
+	if !kindCompatible(s, t) {
+		return -0.75
+	}
+	return score(s, t)
 }
 
 // NameVoter compares element names: token-set Jaccard blended with

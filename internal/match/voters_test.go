@@ -200,9 +200,9 @@ func TestDefaultVotersComplete(t *testing.T) {
 		}
 		seen[v.Name()] = true
 		m := v.Vote(ctx)
-		for i := range m.Scores {
-			for j := range m.Scores[i] {
-				if c := m.Scores[i][j]; c <= -1 || c >= 1 {
+		for i := range m.Sources {
+			for j := range m.Targets {
+				if c := m.At(i, j); c <= -1 || c >= 1 {
 					t.Errorf("%s score out of open interval: %g", v.Name(), c)
 				}
 			}
