@@ -182,26 +182,24 @@ func (e *Engine) Workers() int { return match.ResolveWorkers(e.parallelism) }
 // merger combines, flooding adjusts, and user decisions are re-applied as
 // pinned ±1 scores. It returns per-stage timings.
 //
-// Every stage is timed through an obs span, and the returned
-// []StageTiming is derived from the tracer's finished spans — so the
-// -timings output and the harmony_stage_duration_seconds histograms are
-// two views of the same measurement and can never disagree. With
-// Parallelism != 1 the voters run concurrently, so the sum of stage
-// durations (CPU time) exceeds the run's wall-clock time; span order is
-// normalized back to panel order so timings stay deterministic.
+// Every stage is one obs span, opened through a per-run collector, and
+// the returned []StageTiming and the harmony_stage_duration_seconds
+// histograms are both derived from the collected spans — so the
+// -timings output and the metrics are two views of the same
+// measurement and can never disagree. With Parallelism != 1 the voters
+// run concurrently, so the sum of stage durations (CPU time) exceeds
+// the run's wall-clock time; span order is normalized back to panel
+// order so timings stay deterministic.
 func (e *Engine) Run() []StageTiming {
-	return e.RunContext(context.Background())
+	return e.run(context.Background())
 }
 
-// RunContext is Run with request-trace propagation: when ctx carries a
-// span (a server request), every stage span joins that trace with
-// parent links, and cache lookups record their hit/miss inline — the
-// stage histograms and StageTiming output are unchanged.
-func (e *Engine) RunContext(ctx context.Context) []StageTiming {
-	tr := obs.NewTracer(e.metrics, MetricStageDuration)
-	tr.Bind(ctx)
-	workers := e.Workers()
-	e.metrics.Gauge(MetricParallelism).Set(float64(workers))
+// run is Run with request-trace propagation: when ctx carries a span (a
+// server request), every stage span joins that trace as its child, and
+// cache lookups record their hit/miss inline.
+func (e *Engine) run(ctx context.Context) []StageTiming {
+	col := obs.NewCollector(ctx)
+	e.metrics.Gauge(MetricParallelism).Set(float64(e.Workers()))
 
 	// Content-addressed caching: schema hashes + options fingerprint name
 	// each intermediate exactly, so a hit is bit-identical by
@@ -224,46 +222,20 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 	// stores only its cells. A disabled blocking stage emits no span,
 	// keeping unblocked -timings output identical to the pre-blocking
 	// engine.
-	e.installCandidates(ctx, tr, snap.srcHash, snap.tgtHash, fp, useCache)
+	e.installCandidates(col, snap.srcHash, snap.tgtHash, fp, useCache)
 
-	// Voter panel: one goroutine per voter, bounded by the worker pool,
-	// results collected positionally so lastVotes order — and therefore
-	// the merger's input — is byte-identical to the sequential run.
-	votes := make([]match.Vote, len(e.voters))
-	runVoter := func(i int, v match.Voter) {
-		sp := tr.Start("voter:" + v.Name())
-		defer sp.End()
-		if useCache {
-			key := voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Name())
-			if got, ok := e.cache.GetTraced(obs.ContextWithSpan(ctx, sp), key); ok {
-				votes[i] = match.Vote{Voter: v.Name(), Matrix: got.(*match.Matrix)}
-				return
-			}
-			m := v.Vote(e.ctx)
-			e.cache.Put(key, m, match.MatrixBytes(m))
-			votes[i] = match.Vote{Voter: v.Name(), Matrix: m}
-			return
+	votes := e.votePanel(col, func(ctx context.Context, v match.Voter) *match.Matrix {
+		if !useCache {
+			return v.Vote(e.ctx)
 		}
-		votes[i] = match.Vote{Voter: v.Name(), Matrix: v.Vote(e.ctx)}
-	}
-	if workers <= 1 || len(e.voters) <= 1 {
-		for i, v := range e.voters {
-			runVoter(i, v)
+		key := voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Name())
+		if got, ok := e.cache.GetTraced(ctx, key); ok {
+			return got.(*match.Matrix)
 		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, v := range e.voters {
-			wg.Add(1)
-			go func(i int, v match.Voter) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				runVoter(i, v)
-			}(i, v)
-		}
-		wg.Wait()
-	}
+		m := v.Vote(e.ctx)
+		e.cache.Put(key, m, match.MatrixBytes(m))
+		return m
+	})
 	e.lastVotes = votes
 	snap.votes = votes
 
@@ -277,19 +249,21 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 			gotMerged = true
 			// Keep the span sequence identical on the cache-hit path so
 			// -timings always lists the same stages.
-			tr.Start("merge").End()
+			sp, _ := col.Start("merge")
+			sp.End()
 			if e.flooding {
-				tr.Start("flooding").End()
+				sp, _ = col.Start("flooding")
+				sp.End()
 			}
 		}
 	}
 	if !gotMerged {
-		sp := tr.Start("merge")
+		sp, _ := col.Start("merge")
 		snap.premerge = e.merger.Merge(votes)
 		sp.End()
 		snap.prepin = snap.premerge
 		if e.flooding {
-			sp = tr.Start("flooding")
+			sp, _ = col.Start("flooding")
 			snap.prepin, snap.flood = match.HarmonyFloodState(snap.premerge, e.ctx.Source, e.ctx.Target, e.floodOpt)
 			sp.End()
 		}
@@ -303,19 +277,55 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 	// rejected, the engine will not try to modify that link" (§4.3).
 	// Pins land on a clone — snap.prepin stays pristine (and possibly
 	// shared through the cache) for incremental reuse.
-	sp := tr.Start("pin-decisions")
-	merged := snap.prepin.Clone()
+	e.pinDecisions(col, snap.prepin)
+	e.snap = &snap
+	return e.timings(col.Spans(), MetricStageDuration)
+}
+
+// votePanel runs score for every panel voter inside its voter:<name>
+// span, one goroutine per voter bounded by the worker pool. score gets
+// the span's context, so cache lookups nest under it. Results are
+// collected positionally, so the merger's input is byte-identical to
+// the sequential run.
+func (e *Engine) votePanel(col *obs.Collector, score func(context.Context, match.Voter) *match.Matrix) []match.Vote {
+	votes := make([]match.Vote, len(e.voters))
+	vote := func(i int, v match.Voter) {
+		sp, ctx := col.Start("voter:" + v.Name())
+		defer sp.End()
+		votes[i] = match.Vote{Voter: v.Name(), Matrix: score(ctx, v)}
+	}
+	workers := e.Workers()
+	if workers <= 1 || len(e.voters) <= 1 {
+		for i, v := range e.voters {
+			vote(i, v)
+		}
+		return votes
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, v := range e.voters {
+		wg.Add(1)
+		go func(i int, v match.Voter) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			vote(i, v)
+		}(i, v)
+	}
+	wg.Wait()
+	return votes
+}
+
+// pinDecisions is the pipeline's last stage: it pins every user
+// decision onto a clone of prepin and installs the result as the
+// engine's matrix.
+func (e *Engine) pinDecisions(col *obs.Collector, prepin *match.Matrix) {
+	sp, _ := col.Start("pin-decisions")
+	merged := prepin.Clone()
 	e.applyPins(merged)
 	sp.End()
 	e.merged = merged
-	e.snap = &snap
 	e.metrics.Counter(MetricRuns).Inc()
-
-	// Concurrent voters finish in scheduler order; normalize the spans
-	// back to pipeline order (panel, merge, flooding, pin-decisions) so
-	// the returned timings are deterministic and identical between
-	// sequential and parallel runs.
-	return e.orderedTimings(tr)
 }
 
 // installCandidates builds (or cache-fetches) the blocking pattern over
@@ -324,15 +334,15 @@ func (e *Engine) RunContext(ctx context.Context) []StageTiming {
 // deterministic function of the schema pair and the options fingerprint,
 // so it shares the content-addressed cache discipline of the matrices
 // computed over it.
-func (e *Engine) installCandidates(ctx context.Context, tr *obs.Tracer, srcHash, tgtHash, fp string, useCache bool) {
+func (e *Engine) installCandidates(col *obs.Collector, srcHash, tgtHash, fp string, useCache bool) {
 	if !e.blocking.Enabled {
 		return
 	}
-	sp := tr.Start("blocking")
+	sp, ctx := col.Start("blocking")
 	defer sp.End()
 	if useCache {
 		key := patternCacheKey(srcHash, tgtHash, fp)
-		if got, ok := e.cache.GetTraced(obs.ContextWithSpan(ctx, sp), key); ok {
+		if got, ok := e.cache.GetTraced(ctx, key); ok {
 			e.ctx.SetCandidates(got.(*match.Pattern))
 			return
 		}
@@ -355,10 +365,13 @@ func (e *Engine) applyPins(m *match.Matrix) {
 	}
 }
 
-// orderedTimings converts a tracer's finished spans to StageTimings in
-// pipeline order (panel order, then merge/flooding/pin-decisions, with
-// Rematch's extra stages leading).
-func (e *Engine) orderedTimings(tr *obs.Tracer) []StageTiming {
+// timings observes one run's collected stage spans into metric's
+// histograms and returns them as StageTimings in pipeline order: the
+// rematch-only stages, blocking, the panel in panel order, then
+// merge, flooding and pin-decisions. Concurrent voters finish in
+// scheduler order, so the order is normalized here and timings stay
+// identical between sequential and parallel runs.
+func (e *Engine) timings(spans []obs.SpanRecord, metric string) []StageTiming {
 	rank := make(map[string]int, len(e.voters)+6)
 	rank["signatures"] = -3
 	rank["context"] = -2
@@ -369,10 +382,10 @@ func (e *Engine) orderedTimings(tr *obs.Tracer) []StageTiming {
 	rank["merge"] = len(e.voters)
 	rank["flooding"] = len(e.voters) + 1
 	rank["pin-decisions"] = len(e.voters) + 2
-	spans := tr.Finished()
 	sort.SliceStable(spans, func(a, b int) bool { return rank[spans[a].Name] < rank[spans[b].Name] })
 	timings := make([]StageTiming, len(spans))
 	for i, rec := range spans {
+		e.metrics.Histogram(metric, obs.LatencyBuckets, "stage", rec.Name).ObserveDuration(rec.Duration)
 		timings[i] = StageTiming{rec.Name, rec.Duration}
 	}
 	return timings

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"sync"
 
 	"repro/internal/match"
 	"repro/internal/model"
@@ -32,7 +31,7 @@ const (
 	// fast path), "incremental" (row/column patching), "corpus" (a
 	// documentation change moved every IDF weight: the documentation
 	// voter re-votes fully, other voters still patch) or "full" (learned
-	// state forced a complete re-run).
+	// state or a voter without VotePatch forced a complete re-run).
 	MetricRematchTotal = "harmony_rematch_total"
 	// MetricRematchStageDuration mirrors MetricStageDuration for the
 	// rematch pipeline, plus the rematch-only "signatures" and "context"
@@ -110,12 +109,6 @@ func (e *Engine) Rematch(dirty Dirty) []StageTiming {
 	return e.rematch(context.Background(), e.ctx.Source, e.ctx.Target, dirty)
 }
 
-// RematchContext is Rematch with request-trace propagation (see
-// RunContext).
-func (e *Engine) RematchContext(ctx context.Context, dirty Dirty) []StageTiming {
-	return e.rematch(ctx, e.ctx.Source, e.ctx.Target, dirty)
-}
-
 // RematchWith is Rematch for callers that replace schema objects rather
 // than editing them in place (the server reloads schemas from the
 // blackboard): the engine re-aligns everything by element ID, so the
@@ -124,11 +117,7 @@ func (e *Engine) RematchWith(source, target *model.Schema, dirty Dirty) []StageT
 	return e.rematch(context.Background(), source, target, dirty)
 }
 
-// RematchWithContext is RematchWith with request-trace propagation.
-func (e *Engine) RematchWithContext(ctx context.Context, source, target *model.Schema, dirty Dirty) []StageTiming {
-	return e.rematch(ctx, source, target, dirty)
-}
-
+// rematch is RematchWith with request-trace propagation (see run).
 func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirty Dirty) []StageTiming {
 	replaced := source != e.ctx.Source || target != e.ctx.Target
 	mode := RematchFull
@@ -140,26 +129,16 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	e.metrics.Describe(MetricRematchStageDuration, "Rematch pipeline stage wall-clock time, labeled by stage.")
 	e.metrics.Describe(MetricRematchDirty, "Dirty element count of the most recent Rematch (post-diff, pre-closure).")
 
-	// A never-run engine, a custom non-incremental voter, or learned
-	// state (whose effects signatures cannot see) all force the full
-	// pipeline — the one code path guaranteed correct for them.
-	fullRun := func() []StageTiming {
-		if replaced {
-			e.ctx = match.NewContext(source, target, e.ctxOpts...)
-		}
-		return e.RunContext(ctx)
-	}
+	// The context caches tokens per element pointer, so a never-run
+	// engine whose schemas were edited in place needs a fresh one too.
 	if e.snap == nil {
 		mode = RematchCold
-		return fullRun()
-	}
-	if !allIncremental(e.voters) {
-		return fullRun()
+		e.ctx = match.NewContext(source, target, e.ctxOpts...)
+		return e.run(ctx)
 	}
 
-	tr := obs.NewTracer(e.metrics, MetricRematchStageDuration)
-	tr.Bind(ctx)
-	sp := tr.Start("signatures")
+	col := obs.NewCollector(ctx)
+	sp, _ := col.Start("signatures")
 	srcSig, srcParent, srcHash := schemaSignature(source)
 	tgtSig, tgtParent, tgtHash := schemaSignature(target)
 	dirtySrc := diffSignatures(e.snap.srcSig, srcSig)
@@ -174,30 +153,29 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	sp.End()
 	e.metrics.Gauge(MetricRematchDirty).Set(float64(len(dirtySrc) + len(dirtyTgt)))
 
-	if e.learnGen != e.snap.learnGen {
-		// Post-Learn: corpus word weights and merger weights moved. A
-		// plain Run on the existing context keeps the learned corpus
-		// (rebuilding would reset it), matching the documented
-		// Learn-then-Run workflow. With schema edits on top, the context
-		// must be rebuilt for correct tokens, which resets word-weight
-		// learning — merger weights persist either way.
+	if e.learnGen != e.snap.learnGen || !allIncremental(e.voters) {
+		// Learned state (whose effects signatures cannot see) or a voter
+		// without VotePatch forces the full pipeline — the one code path
+		// guaranteed correct for them. A plain run on the existing context
+		// keeps the learned corpus (rebuilding would reset it), matching
+		// the documented Learn-then-Run workflow. With schema edits on
+		// top, the context must be rebuilt for correct tokens, which
+		// resets word-weight learning — merger weights persist either way.
 		if replaced || len(dirtySrc) > 0 || len(dirtyTgt) > 0 {
 			e.ctx = match.NewContext(source, target, e.ctxOpts...)
 		}
-		return e.RunContext(ctx)
+		// The diff above is observed as a rematch stage; the timings
+		// returned are the run's own.
+		e.timings(col.Spans(), MetricRematchStageDuration)
+		return e.run(ctx)
 	}
 
 	if len(dirtySrc) == 0 && len(dirtyTgt) == 0 && !replaced && mergerSig == e.snap.mergerSig {
 		// Only decisions changed: the pipeline output is still valid,
 		// re-pin onto a fresh clone of it.
 		mode = RematchPins
-		sp = tr.Start("pin-decisions")
-		merged := e.snap.prepin.Clone()
-		e.applyPins(merged)
-		sp.End()
-		e.merged = merged
-		e.metrics.Counter(MetricRuns).Inc()
-		return e.orderedTimings(tr)
+		e.pinDecisions(col, e.snap.prepin)
+		return e.timings(col.Spans(), MetricRematchStageDuration)
 	}
 
 	// The context's per-element caches are keyed by element pointer, so
@@ -207,7 +185,7 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	// schema objects, doc edits, added/removed documents — rebuilds the
 	// whole context (O(elements), still far below the O(|S1|·|S2|)
 	// matrix work the stages below save).
-	sp = tr.Start("context")
+	sp, _ = col.Start("context")
 	if replaced || !e.ctx.Refresh(dirtySrc, dirtyTgt) {
 		e.ctx = match.NewContext(source, target, e.ctxOpts...)
 	}
@@ -242,22 +220,18 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	// patterns is copied positionally, a cell new to the pattern is
 	// recomputed (bit-identical to a cold run, its inputs being clean),
 	// and a cell that left the pattern simply drops.
-	e.installCandidates(ctx, tr, srcHash, tgtHash, fp, useCache)
+	e.installCandidates(col, srcHash, tgtHash, fp, useCache)
 
 	// Voter panel: patch each voter against its previous vote; the
 	// corpus-sensitive documentation voter re-votes fully when any
-	// document changed (IDF is global). Same fan-out discipline as Run.
+	// document changed (IDF is global).
 	prevVotes := make(map[string]*match.Matrix, len(e.snap.votes))
 	for _, v := range e.snap.votes {
 		prevVotes[v.Voter] = v.Matrix
 	}
-	votes := make([]match.Vote, len(e.voters))
-	patchVoter := func(i int, v match.Voter) {
-		sp := tr.Start("voter:" + v.Name())
-		defer sp.End()
+	votes := e.votePanel(col, func(_ context.Context, v match.Voter) *match.Matrix {
 		var m *match.Matrix
-		cs, _ := v.(match.CorpusSensitive)
-		if corpusChanged && cs != nil && cs.CorpusSensitive() {
+		if cs, _ := v.(match.CorpusSensitive); corpusChanged && cs != nil && cs.CorpusSensitive() {
 			m = v.Vote(e.ctx)
 		} else {
 			m = v.(match.IncrementalVoter).VotePatch(e.ctx, prevVotes[v.Name()], closedSrc, closedTgt)
@@ -265,27 +239,8 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		if useCache {
 			e.cache.Put(voterCacheKey(srcHash, tgtHash, fp, v.Name()), m, match.MatrixBytes(m))
 		}
-		votes[i] = match.Vote{Voter: v.Name(), Matrix: m}
-	}
-	workers := e.Workers()
-	if workers <= 1 || len(e.voters) <= 1 {
-		for i, v := range e.voters {
-			patchVoter(i, v)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, v := range e.voters {
-			wg.Add(1)
-			go func(i int, v match.Voter) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				patchVoter(i, v)
-			}(i, v)
-		}
-		wg.Wait()
-	}
+		return m
+	})
 	e.lastVotes = votes
 	snap.votes = votes
 
@@ -294,23 +249,23 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		// the merge and flood must be full, but the patched voters above
 		// still saved the panel sweep.
 		mode = RematchCorpus
-		sp = tr.Start("merge")
+		sp, _ = col.Start("merge")
 		snap.premerge = e.merger.Merge(votes)
 		sp.End()
 		snap.prepin = snap.premerge
 		if e.flooding {
-			sp = tr.Start("flooding")
+			sp, _ = col.Start("flooding")
 			snap.prepin, snap.flood = match.HarmonyFloodState(snap.premerge, source, target, e.floodOpt)
 			sp.End()
 		}
 	} else {
 		mode = RematchIncremental
-		sp = tr.Start("merge")
+		sp, _ = col.Start("merge")
 		snap.premerge = e.merger.MergePatch(votes, e.snap.premerge, closedSrc, closedTgt)
 		sp.End()
 		snap.prepin = snap.premerge
 		if e.flooding {
-			sp = tr.Start("flooding")
+			sp, _ = col.Start("flooding")
 			out, st, ok := match.HarmonyFloodPatch(e.snap.flood, snap.premerge, source, target, closedSrc, closedTgt, e.floodOpt)
 			if !ok {
 				out, st = match.HarmonyFloodState(snap.premerge, source, target, e.floodOpt)
@@ -324,14 +279,9 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		e.cache.Put(mergedCacheKey(srcHash, tgtHash, fp, mergerSig), me, me.bytes())
 	}
 
-	sp = tr.Start("pin-decisions")
-	merged := snap.prepin.Clone()
-	e.applyPins(merged)
-	sp.End()
-	e.merged = merged
+	e.pinDecisions(col, snap.prepin)
 	e.snap = &snap
-	e.metrics.Counter(MetricRuns).Inc()
-	return e.orderedTimings(tr)
+	return e.timings(col.Spans(), MetricRematchStageDuration)
 }
 
 // allIncremental reports whether every panel voter supports VotePatch.

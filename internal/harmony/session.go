@@ -114,13 +114,13 @@ func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackb
 		if cold || s.eng == nil {
 			s.eng = NewEngine(src, tgt, s.opts)
 			syncPins(s.eng, mp)
-			s.eng.RunContext(ctx)
+			s.eng.run(ctx)
 			mode = RematchCold
 		} else {
 			// Pins on elements only the new schemas carry fail against
 			// the engine's old ones; they are placed after the swap.
 			failed := syncPins(s.eng, mp)
-			s.eng.RematchWithContext(ctx, src, tgt, dirty)
+			s.eng.rematch(ctx, src, tgt, dirty)
 			for _, c := range failed {
 				_ = pin(s.eng, c) // absent from both versions: dropped
 			}
@@ -129,7 +129,7 @@ func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackb
 		s.read = now
 	} else {
 		syncPins(s.eng, mp)
-		s.eng.RematchContext(ctx, dirty)
+		s.eng.rematch(ctx, s.eng.ctx.Source, s.eng.ctx.Target, dirty)
 		mode = s.eng.LastRematchMode()
 	}
 	return &Result{Mode: mode, Links: s.eng.Matrix().Above(threshold)}, nil

@@ -1,9 +1,9 @@
 // Package obs is the workbench's observability layer: an atomic-safe
 // metrics registry (counters, gauges, fixed-bucket histograms, all with
-// optional labels), a lightweight Span/Tracer API for timing nested
-// pipeline stages, and exposition in Prometheus text format and JSON —
-// plus an opt-in HTTP handler serving /metrics and /healthz for the
-// future service mode.
+// optional labels), context spans that assemble into request traces
+// (with a per-run Collector for reading back stage timings), and
+// exposition in Prometheus text format and JSON — plus an opt-in HTTP
+// handler serving /metrics and /healthz for the future service mode.
 //
 // The package is stdlib-only by design: the workbench manager is the
 // mediation layer for every tool (paper §5.2), so instrumentation must

@@ -6,53 +6,6 @@ import (
 	"time"
 )
 
-// Metric names emitted by the tracing layer.
-const (
-	// MetricSpansDropped counts finished spans evicted from a tracer's
-	// bounded ring buffer (long-lived tracers on busy servers).
-	MetricSpansDropped = "tracer_spans_dropped_total"
-)
-
-// DefaultTracerCapacity bounds a tracer's finished-span ring when no
-// explicit capacity is configured: generous enough that a full Harmony
-// pipeline run (a dozen stages) or a long CLI session is never clipped,
-// small enough that a tracer owned by a long-lived server cannot grow
-// without bound.
-const DefaultTracerCapacity = 4096
-
-// Tracer times a tree of named spans and, when bound to a registry,
-// mirrors every finished span into a labeled latency histogram. It is
-// the timing backbone of the Harmony pipeline: the engine derives its
-// public []StageTiming from the tracer's finished spans, so the
-// -timings output and the obs metrics can never disagree.
-//
-// Since the tracing PR a tracer can also be bound to a request trace
-// (Bind): its spans then carry 64-bit trace/span IDs with parent links
-// and are exported to the trace's TraceStore, so one distributed trace
-// shows the pipeline stages inline with the HTTP/txn/WAL spans around
-// them.
-type Tracer struct {
-	reg    *Registry
-	metric string
-	base   []string // base labels applied to every span's histogram
-
-	// root parents every top-level span when the tracer is bound to a
-	// trace; sink receives the finished records.
-	root SpanContext
-	sink *TraceStore
-
-	mu       sync.Mutex
-	finished []SpanRecord // ring storage: grows to cap, then wraps
-	head     int          // index of the oldest record once the ring is full
-	cap      int
-	dropped  int64
-
-	// labelMu guards the reusable label slice; End is the hot path and
-	// must not allocate a fresh slice per span.
-	labelMu sync.Mutex
-	labels  []string // base labels + "stage" key + one value slot
-}
-
 // Attr is one key/value span attribute.
 type Attr struct {
 	Key   string `json:"key"`
@@ -61,12 +14,11 @@ type Attr struct {
 
 // SpanRecord is one finished span.
 type SpanRecord struct {
-	// Name is the span's full path, parent names joined with "/".
 	Name     string
 	Start    time.Time
 	Duration time.Duration
 	// Trace/ID/Parent link the span into a distributed trace; all zero
-	// for spans recorded outside any trace (plain stage timing).
+	// for spans recorded outside any trace (collected stage timing).
 	Trace  TraceID
 	ID     SpanID
 	Parent SpanID
@@ -75,67 +27,11 @@ type SpanRecord struct {
 	Err string
 }
 
-// NewTracer returns a tracer recording into metric on reg (histogram
-// with a "stage" label per span, plus the given base labels). A nil reg
-// or empty metric yields a pure in-memory timer — spans still record.
-func NewTracer(reg *Registry, metric string, baseLabels ...string) *Tracer {
-	labels := make([]string, 0, len(baseLabels)+2)
-	labels = append(labels, baseLabels...)
-	labels = append(labels, "stage", "")
-	return &Tracer{
-		reg:    reg,
-		metric: metric,
-		base:   baseLabels,
-		cap:    DefaultTracerCapacity,
-		labels: labels,
-	}
-}
-
-// SetCapacity bounds the tracer's finished-span ring to the most recent
-// n spans (n <= 0 restores DefaultTracerCapacity). If the ring already
-// holds more than n spans, only the newest n survive.
-func (t *Tracer) SetCapacity(n int) {
-	if n <= 0 {
-		n = DefaultTracerCapacity
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ordered := t.finishedLocked()
-	if len(ordered) > n {
-		t.dropped += int64(len(ordered) - n)
-		ordered = ordered[len(ordered)-n:]
-	}
-	t.cap = n
-	t.finished = ordered
-	t.head = 0
-}
-
-// Bind attaches the tracer to the trace carried by ctx (if any): every
-// subsequent top-level span is parented under that span and exported to
-// its TraceStore. Binding to a context without a span is a no-op, so
-// callers can thread request contexts unconditionally.
-func (t *Tracer) Bind(ctx context.Context) {
-	sp := SpanFromContext(ctx)
-	if sp == nil || !sp.sc.Valid() {
-		return
-	}
-	t.mu.Lock()
-	t.root = sp.sc
-	t.sink = sp.sink
-	t.mu.Unlock()
-}
-
-// Dropped reports how many finished spans the ring has evicted.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// Span is one in-flight timed stage.
+// Span is one in-flight timed operation, opened by StartSpan,
+// TraceStore.StartRoot or Collector.Start.
 type Span struct {
-	t     *Tracer
 	sink  *TraceStore
+	coll  *Collector
 	name  string
 	start time.Time
 
@@ -150,38 +46,13 @@ type Span struct {
 	err    string
 }
 
-// Start begins a top-level span.
-func (t *Tracer) Start(name string) *Span {
-	t.mu.Lock()
-	root, sink := t.root, t.sink
-	t.mu.Unlock()
-	s := &Span{t: t, name: name, start: time.Now()}
-	if root.Valid() {
-		s.sink = sink
-		s.sc = SpanContext{Trace: root.Trace, Span: NewSpanID()}
-		s.parent = root.Span
-	}
-	return s
-}
-
-// Child begins a nested span; its name is path-joined under the parent,
-// so "merge" under "run" records as "run/merge".
-func (s *Span) Child(name string) *Span {
-	c := &Span{t: s.t, sink: s.sink, name: s.name + "/" + name, start: time.Now()}
-	if s.sc.Valid() {
-		c.sc = SpanContext{Trace: s.sc.Trace, Span: NewSpanID()}
-		c.parent = s.sc.Span
-	}
-	return c
-}
-
 // Context returns the span's trace coordinates (zero outside a trace).
 func (s *Span) Context() SpanContext { return s.sc }
 
-// Recording reports whether the span will be recorded anywhere; inert
-// spans (StartSpan on a context without a trace) report false so
-// callers can skip attribute work.
-func (s *Span) Recording() bool { return s.t != nil || (s.sink != nil && s.sc.Valid()) }
+// Recording reports whether the span belongs to a trace; inert spans
+// (StartSpan on a context without a trace) report false so callers can
+// skip attribute work.
+func (s *Span) Recording() bool { return s.sink != nil && s.sc.Valid() }
 
 // SetAttr attaches a key/value attribute to the span (no-op on inert
 // spans).
@@ -204,12 +75,14 @@ func (s *Span) SetError(err error) {
 	s.attrMu.Unlock()
 }
 
-// End finishes the span, appends it to the tracer's bounded record,
-// observes its duration into the bound histogram, and — when the span
-// belongs to a trace — exports it to the trace store. It returns the
-// duration.
+// End finishes the span, exports it to its trace store when it belongs
+// to a trace, records it in its collector when one opened it, and
+// returns its duration.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
+	if s.coll == nil && !s.Recording() {
+		return d
+	}
 	s.attrMu.Lock()
 	rec := SpanRecord{
 		Name: s.name, Start: s.start, Duration: d,
@@ -217,66 +90,47 @@ func (s *Span) End() time.Duration {
 		Attrs: s.attrs, Err: s.err,
 	}
 	s.attrMu.Unlock()
-	if t := s.t; t != nil {
-		t.record(rec)
-		if t.reg != nil && t.metric != "" {
-			// The registry copies labels into its canonical key, so the
-			// slice can be reused across spans — one mutex swap instead of
-			// two appends and an allocation per End.
-			t.labelMu.Lock()
-			t.labels[len(t.labels)-1] = s.name
-			h := t.reg.Histogram(t.metric, LatencyBuckets, t.labels...)
-			t.labelMu.Unlock()
-			h.ObserveDuration(d)
-		}
-	}
-	if s.sink != nil && s.sc.Valid() {
+	if s.Recording() {
 		s.sink.add(rec)
+	}
+	if c := s.coll; c != nil {
+		c.mu.Lock()
+		c.spans = append(c.spans, rec)
+		c.mu.Unlock()
 	}
 	return d
 }
 
-// record ring-appends one finished span, evicting the oldest once the
-// ring is full.
-func (t *Tracer) record(rec SpanRecord) {
-	t.mu.Lock()
-	if t.cap <= 0 {
-		t.cap = DefaultTracerCapacity
-	}
-	if len(t.finished) < t.cap {
-		t.finished = append(t.finished, rec)
-		t.mu.Unlock()
-		return
-	}
-	t.finished[t.head] = rec
-	t.head = (t.head + 1) % t.cap
-	t.dropped++
-	reg := t.reg
-	t.mu.Unlock()
-	if reg != nil {
-		reg.Counter(MetricSpansDropped).Inc()
-	}
+// Collector gathers the spans one unit of work opens through it, so the
+// work can read back its own timings whether or not it runs inside a
+// request trace. The Harmony engine opens each pipeline stage through a
+// per-run collector and derives []StageTiming and its stage histograms
+// from the records.
+//
+// Only spans opened by Start are collected. Their children (a cache
+// lookup under a stage, say) join the trace as usual but not the
+// collector.
+type Collector struct {
+	ctx   context.Context
+	mu    sync.Mutex
+	spans []SpanRecord
 }
 
-// Time runs fn inside a span named name.
-func (t *Tracer) Time(name string, fn func()) time.Duration {
-	sp := t.Start(name)
-	fn()
-	return sp.End()
+// NewCollector returns a collector whose spans are children of the span
+// ctx carries (if any).
+func NewCollector(ctx context.Context) *Collector { return &Collector{ctx: ctx} }
+
+// Start opens a span named name as StartSpan(ctx, name) would; when it
+// ends it is recorded in the collector as well as in the trace.
+func (c *Collector) Start(name string) (*Span, context.Context) {
+	sp, ctx := StartSpan(c.ctx, name)
+	sp.coll = c
+	return sp, ctx
 }
 
-// Finished returns the finished spans in end order (a copy; at most the
-// configured capacity).
-func (t *Tracer) Finished() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.finishedLocked()
-}
-
-// finishedLocked linearizes the ring into a fresh slice. Caller holds t.mu.
-func (t *Tracer) finishedLocked() []SpanRecord {
-	out := make([]SpanRecord, 0, len(t.finished))
-	out = append(out, t.finished[t.head:]...)
-	out = append(out, t.finished[:t.head]...)
-	return out
+// Spans returns the collected spans in end order (a copy).
+func (c *Collector) Spans() []SpanRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]SpanRecord(nil), c.spans...)
 }

@@ -1,89 +1,99 @@
 package obs
 
 import (
-	"strings"
+	"context"
 	"sync"
 	"testing"
 	"time"
 )
 
-func TestTracerRecordsSpansAndHistogram(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "stage_seconds", "engine", "harmony")
-	sp := tr.Start("merge")
+// TestNestedSpans runs a collector inside a request trace: collected
+// spans are children of the context's span, and a span opened under a
+// collected one joins the trace with its parent link but is not
+// collected.
+func TestNestedSpans(t *testing.T) {
+	ts := NewTraceStore(4)
+	root, ctx := ts.StartRoot(context.Background(), "request", SpanContext{})
+	col := NewCollector(ctx)
+	stage, sctx := col.Start("merge")
+	grand, _ := StartSpan(sctx, "matchcache.get")
+	grand.SetAttr("cache_hit", "true")
+	grand.End()
+	stage.End()
+	other, _ := col.Start("flooding")
+	other.End()
+	root.End()
+
+	got := col.Spans()
+	if len(got) != 2 || got[0].Name != "merge" || got[1].Name != "flooding" {
+		t.Fatalf("collected = %+v, want merge then flooding", got)
+	}
+	for _, rec := range got {
+		if rec.Trace != root.Context().Trace || rec.Parent != root.Context().Span {
+			t.Errorf("collected %q not parented under the request root", rec.Name)
+		}
+	}
+
+	tr, _ := ts.Get(root.Context().Trace)
+	byName := map[string]SpanRecord{}
+	for _, sp := range tr.Spans {
+		byName[sp.Name] = sp
+	}
+	if len(tr.Spans) != 4 {
+		t.Fatalf("trace spans = %d, want 4", len(tr.Spans))
+	}
+	if byName["merge"].ID != got[0].ID {
+		t.Error("collected and traced records of one span differ")
+	}
+	if g := byName["matchcache.get"]; g.Parent != got[0].ID || len(g.Attrs) != 1 {
+		t.Errorf("grandchild = %+v, want a child of merge carrying its attr", g)
+	}
+}
+
+// TestCollectorOutsideTrace checks that a collector records its spans
+// without any trace, while spans below them stay inert.
+func TestCollectorOutsideTrace(t *testing.T) {
+	col := NewCollector(context.Background())
+	sp, ctx := col.Start("merge")
+	if sp.Recording() {
+		t.Error("span outside a trace must not report Recording")
+	}
+	child, _ := StartSpan(ctx, "matchcache.get")
+	if child.Recording() {
+		t.Error("child of an untraced collected span must be inert")
+	}
+	child.End()
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {
 		t.Errorf("span duration %v too short", d)
 	}
-	tr.Time("flooding", func() {})
-
-	fin := tr.Finished()
-	if len(fin) != 2 || fin[0].Name != "merge" || fin[1].Name != "flooding" {
-		t.Fatalf("finished = %+v", fin)
+	got := col.Spans()
+	if len(got) != 1 || got[0].Name != "merge" || got[0].Duration != d {
+		t.Fatalf("collected = %+v, want one merge span of %v", got, d)
 	}
-	if fin[0].Duration <= 0 {
-		t.Error("recorded duration must be positive")
-	}
-
-	m, ok := r.Find("stage_seconds")
-	if !ok || m.Type != TypeHistogram {
-		t.Fatalf("histogram missing: %+v", m)
-	}
-	var sawMerge bool
-	for _, s := range m.Series {
-		if s.Labels["stage"] == "merge" {
-			sawMerge = true
-			if s.Labels["engine"] != "harmony" {
-				t.Errorf("base label missing: %v", s.Labels)
-			}
-			if s.Count != 1 || s.Sum <= 0 {
-				t.Errorf("merge series = count %d sum %v", s.Count, s.Sum)
-			}
-		}
-	}
-	if !sawMerge {
-		t.Error("no stage=merge series")
+	if got[0].Trace != 0 || got[0].ID != 0 || got[0].Parent != 0 {
+		t.Errorf("untraced record carries trace coordinates: %+v", got[0])
 	}
 }
 
-func TestNestedSpans(t *testing.T) {
-	tr := NewTracer(nil, "") // pure timer: no registry needed
-	run := tr.Start("run")
-	child := run.Child("merge")
-	child.End()
-	run.End()
-	fin := tr.Finished()
-	if len(fin) != 2 {
-		t.Fatalf("finished = %+v", fin)
-	}
-	if fin[0].Name != "run/merge" {
-		t.Errorf("child name = %q, want run/merge", fin[0].Name)
-	}
-	if !strings.HasPrefix(fin[0].Name, fin[1].Name+"/") {
-		t.Errorf("child %q not nested under %q", fin[0].Name, fin[1].Name)
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "par_seconds")
+// TestCollectorConcurrent ends spans of one collector from many
+// goroutines; under -race this guards the collector's synchronization.
+func TestCollectorConcurrent(t *testing.T) {
+	col := NewCollector(context.Background())
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr.Time("stage", func() {})
+				sp, _ := col.Start("stage")
+				sp.End()
 			}
 		}()
 	}
 	wg.Wait()
-	if n := len(tr.Finished()); n != 800 {
-		t.Errorf("finished spans = %d, want 800", n)
-	}
-	m, _ := r.Find("par_seconds")
-	if m.Series[0].Count != 800 {
-		t.Errorf("histogram count = %d, want 800", m.Series[0].Count)
+	if n := len(col.Spans()); n != 800 {
+		t.Errorf("collected spans = %d, want 800", n)
 	}
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -17,7 +15,7 @@ import (
 // and its parent's, so a request that crosses the client/server wire and
 // then descends through manager transaction, Harmony stages, cache
 // lookups and WAL fsync reassembles into one tree. Spans reach a
-// TraceStore — a bounded in-memory buffer with JSONL export — via the
+// TraceStore — a bounded in-memory buffer of recent traces — via the
 // context: the HTTP layer opens a root span per request, puts it in the
 // request context, and every instrumented layer below starts children
 // from whatever span the context carries. Code running outside any
@@ -296,69 +294,4 @@ func cloneTrace(t Trace) Trace {
 	c := t
 	c.Spans = append([]SpanRecord(nil), t.Spans...)
 	return c
-}
-
-// traceJSON is the JSONL wire form of one trace.
-type traceJSON struct {
-	Trace        string     `json:"trace"`
-	Root         string     `json:"root"`
-	Start        time.Time  `json:"start"`
-	DurationUS   int64      `json:"duration_us"`
-	DroppedSpans int        `json:"dropped_spans,omitempty"`
-	Spans        []spanJSON `json:"spans"`
-}
-
-type spanJSON struct {
-	ID         string `json:"id"`
-	Parent     string `json:"parent,omitempty"`
-	Name       string `json:"name"`
-	StartUS    int64  `json:"start_us"` // offset from trace start
-	DurationUS int64  `json:"duration_us"`
-	Attrs      []Attr `json:"attrs,omitempty"`
-	Err        string `json:"err,omitempty"`
-}
-
-func traceToJSON(t Trace) traceJSON {
-	out := traceJSON{
-		Trace:        t.ID.String(),
-		Root:         t.Root,
-		Start:        t.Start,
-		DurationUS:   t.Duration.Microseconds(),
-		DroppedSpans: t.DroppedSpans,
-		Spans:        make([]spanJSON, 0, len(t.Spans)),
-	}
-	for _, s := range t.Spans {
-		sj := spanJSON{
-			ID:         s.ID.String(),
-			Name:       s.Name,
-			StartUS:    s.Start.Sub(t.Start).Microseconds(),
-			DurationUS: s.Duration.Microseconds(),
-			Attrs:      s.Attrs,
-			Err:        s.Err,
-		}
-		if s.Parent != 0 {
-			sj.Parent = s.Parent.String()
-		}
-		out.Spans = append(out.Spans, sj)
-	}
-	return out
-}
-
-// WriteJSONL writes every retained trace as one JSON object per line,
-// oldest first — the export format for offline analysis.
-func (ts *TraceStore) WriteJSONL(w io.Writer) error {
-	traces := ts.filter(0, func(Trace) bool { return true })
-	enc := json.NewEncoder(w)
-	for i := len(traces) - 1; i >= 0; i-- {
-		if err := enc.Encode(traceToJSON(traces[i])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MarshalTraceJSON renders one trace in the same shape WriteJSONL uses
-// (for single-trace HTTP responses).
-func MarshalTraceJSON(t Trace) ([]byte, error) {
-	return json.Marshal(traceToJSON(t))
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -201,7 +200,7 @@ func TestTraceStoreCapsSpansPerTrace(t *testing.T) {
 	}
 }
 
-func TestTraceStoreSlowAndJSONL(t *testing.T) {
+func TestTraceStoreSlow(t *testing.T) {
 	ts := NewTraceStore(8)
 	fast, _ := ts.StartRoot(context.Background(), "fast", SpanContext{})
 	fast.End()
@@ -212,79 +211,5 @@ func TestTraceStoreSlowAndJSONL(t *testing.T) {
 	got := ts.Slow(2*time.Millisecond, 0)
 	if len(got) != 1 || got[0].Root != "slow" {
 		t.Fatalf("Slow = %+v", got)
-	}
-	var buf bytes.Buffer
-	if err := ts.WriteJSONL(&buf); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("JSONL lines = %d, want 2", len(lines))
-	}
-	// Oldest first: the fast trace was registered first.
-	if !strings.Contains(lines[0], `"root":"fast"`) || !strings.Contains(lines[1], `"root":"slow"`) {
-		t.Errorf("JSONL order wrong:\n%s", buf.String())
-	}
-}
-
-func TestTracerRingOverflow(t *testing.T) {
-	r := NewRegistry()
-	tr := NewTracer(r, "ring_seconds")
-	tr.SetCapacity(4)
-	for i := 0; i < 10; i++ {
-		tr.Time("stage", func() {})
-	}
-	fin := tr.Finished()
-	if len(fin) != 4 {
-		t.Fatalf("ring holds %d spans, want 4", len(fin))
-	}
-	if got := tr.Dropped(); got != 6 {
-		t.Errorf("Dropped = %d, want 6", got)
-	}
-	m, ok := r.Find(MetricSpansDropped)
-	if !ok || len(m.Series) == 0 || m.Series[0].Value != 6 {
-		t.Errorf("%s metric = %+v, want 6", MetricSpansDropped, m)
-	}
-	// Shrinking below the live count drops the oldest survivors too.
-	tr.SetCapacity(2)
-	if len(tr.Finished()) != 2 || tr.Dropped() != 8 {
-		t.Errorf("after shrink: %d spans, %d dropped; want 2, 8", len(tr.Finished()), tr.Dropped())
-	}
-}
-
-func TestTracerBindJoinsTrace(t *testing.T) {
-	ts := NewTraceStore(4)
-	root, ctx := ts.StartRoot(context.Background(), "request", SpanContext{})
-
-	tr := NewTracer(nil, "")
-	tr.Bind(ctx)
-	stage := tr.Start("merge")
-	childSpan := stage.Child("score")
-	childSpan.End()
-	stage.End()
-	root.End()
-
-	trace, _ := ts.Get(root.Context().Trace)
-	if len(trace.Spans) != 3 {
-		t.Fatalf("trace spans = %d, want 3", len(trace.Spans))
-	}
-	var merge, score SpanRecord
-	for _, sp := range trace.Spans {
-		switch sp.Name {
-		case "merge":
-			merge = sp
-		case "merge/score":
-			score = sp
-		}
-	}
-	if merge.Parent != root.Context().Span {
-		t.Error("bound tracer span not parented under the request root")
-	}
-	if score.Parent != merge.ID {
-		t.Error("tracer child span not parented under its stage")
-	}
-	// Binding must not disturb plain stage timing.
-	if n := len(tr.Finished()); n != 2 {
-		t.Errorf("tracer finished %d spans, want 2", n)
 	}
 }

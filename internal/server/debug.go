@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -68,12 +69,19 @@ func traceInfo(t obs.Trace) TraceInfo {
 // handleTraces lists recent traces, newest first. Query parameters:
 // n bounds the count (default 20), min=<duration> filters to completed
 // traces at least that slow (the slow-request log), format=jsonl
-// streams the full store as JSON Lines instead.
+// streams the whole store instead: one TraceInfo per line, oldest
+// first.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("format") == "jsonl" {
 		w.Header().Set("Content-Type", "application/jsonl")
-		_ = s.traces.WriteJSONL(w)
+		traces := s.traces.Recent(0)
+		enc := json.NewEncoder(w)
+		for i := len(traces) - 1; i >= 0; i-- {
+			if enc.Encode(traceInfo(traces[i])) != nil {
+				return // the client went away
+			}
+		}
 		return
 	}
 	n := defaultTraceListLimit

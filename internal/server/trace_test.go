@@ -7,6 +7,10 @@ package server_test
 // every parent link resolving inside the trace.
 
 import (
+	"bufio"
+	"encoding/json"
+	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -125,7 +129,7 @@ func TestMatchRequestProducesConnectedTrace(t *testing.T) {
 		t.Error("wal.fsync not parented under wal.append")
 	}
 
-	// Harmony's stage tracer joined the same trace: voter spans under the
+	// Harmony's stage spans joined the same trace: voter spans under the
 	// route, each with a matchcache lookup child carrying cache_hit.
 	var voters, cacheGets int
 	for _, sp := range tr.Spans {
@@ -148,7 +152,23 @@ func TestMatchRequestProducesConnectedTrace(t *testing.T) {
 	if cacheGets == 0 {
 		t.Error("no matchcache.get spans in trace")
 	}
-	ix.find("flooding") // similarity flooding stage rode along too
+	// The remaining Figure 1 stages hang off the route span too; no
+	// wrapping span sits between a request and its pipeline.
+	for _, name := range []string{"merge", "flooding", "pin-decisions"} {
+		if ix.find(name).Parent != root.ID {
+			t.Errorf("stage span %q not parented under the route span", name)
+		}
+	}
+	// A voter's cache lookup hangs off its voter span, the merged
+	// lookup off the route span.
+	for _, sp := range tr.Spans {
+		if sp.Name != "matchcache.get" {
+			continue
+		}
+		if p := ix.byID[sp.Parent]; p.ID != root.ID && !strings.HasPrefix(p.Name, "voter:") {
+			t.Errorf("matchcache.get parented under %q, want a voter span or the route", p.Name)
+		}
+	}
 }
 
 func TestRematchTraceCarriesMode(t *testing.T) {
@@ -168,6 +188,64 @@ func TestRematchTraceCarriesMode(t *testing.T) {
 	root := ix.find("match.rematch")
 	if mode := ix.attr(root, "rematch_mode"); mode == "" {
 		t.Errorf("rematch root span has no rematch_mode attr: %v", root.Attrs)
+	}
+}
+
+// TestTraceJSONLExport reads the whole store as JSON Lines: one
+// TraceInfo per line, oldest first, each line equal to the single-trace
+// view of the same trace.
+func TestTraceJSONLExport(t *testing.T) {
+	c, srv := startServer(t, "", false)
+	id := loadPair(t, c)
+	if _, err := c.Match(id, 0.1); err != nil {
+		t.Fatalf("Match: %v", err)
+	}
+	matchTrace := c.LastTrace()
+	if _, err := c.Rematch(id, 0.1, nil, nil); err != nil {
+		t.Fatalf("Rematch: %v", err)
+	}
+	rematchTrace := c.LastTrace()
+
+	resp, err := http.Get(c.BaseURL() + "/debug/traces?format=jsonl")
+	if err != nil {
+		t.Fatalf("GET jsonl: %v", err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/jsonl" {
+		t.Errorf("Content-Type = %q", ct)
+	}
+	var lines []server.TraceInfo
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var tr server.TraceInfo
+		if err := json.Unmarshal(sc.Bytes(), &tr); err != nil {
+			t.Fatalf("line %d does not decode as a TraceInfo: %v", len(lines)+1, err)
+		}
+		lines = append(lines, tr)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading jsonl: %v", err)
+	}
+	if len(lines) != srv.Traces().Len() || len(lines) < 2 {
+		t.Fatalf("jsonl lines = %d, store holds %d traces", len(lines), srv.Traces().Len())
+	}
+	// Oldest first: the rematch was the last request, the match before it.
+	if n := len(lines); lines[n-2].Trace != matchTrace || lines[n-1].Trace != rematchTrace {
+		t.Errorf("last two lines are traces %s, %s; want match %s then rematch %s",
+			lines[n-2].Trace, lines[n-1].Trace, matchTrace, rematchTrace)
+	}
+	for i, line := range lines {
+		if i > 0 && line.Start.Before(lines[i-1].Start) {
+			t.Errorf("line %d (%s) starts before line %d", i+1, line.Root, i)
+		}
+		one, err := c.Trace(line.Trace)
+		if err != nil {
+			t.Fatalf("Trace(%s): %v", line.Trace, err)
+		}
+		if !reflect.DeepEqual(line, one) {
+			t.Errorf("jsonl line for %s differs from GET /debug/traces/{id}:\n%+v\n%+v", line.Trace, line, one)
+		}
 	}
 }
 

@@ -312,8 +312,6 @@ type (
 	MetricsRegistry = obs.Registry
 	// MetricsSnapshot is one metric family's point-in-time state.
 	MetricsSnapshot = obs.Metric
-	// Tracer times nested pipeline stages into a latency histogram.
-	Tracer = obs.Tracer
 )
 
 // NewMetricsRegistry returns an empty metrics registry, for isolating a
