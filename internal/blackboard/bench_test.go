@@ -1,8 +1,11 @@
 package blackboard
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/model"
+	"repro/internal/rdf"
 	"repro/internal/registry"
 )
 
@@ -86,5 +89,40 @@ func BenchmarkMappingSetCell(b *testing.B) {
 		if err := m.SetCell(p[0], p[1], float64(i%200)/200, false, "harmony"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPutSchemaRePut re-puts a 300-element schema whose versions
+// differ in one attribute's doc, into graphs padded with unrelated
+// triples to ~50k and ~250k, and reports the journal ops per put. A
+// re-put costs the schema and its edit, not the graph: both sizes
+// should run at the same speed and the same op count.
+func BenchmarkPutSchemaRePut(b *testing.B) {
+	base := versionSchema(1, 30, 270, 300)
+	versions := [2]*model.Schema{copySchema(base, base.Name), copySchema(base, base.Name)}
+	versions[1].ElementsOfKind(model.KindAttribute)[0].Doc = "rewritten"
+	for _, pad := range []int{50_000, 250_000} {
+		b.Run(fmt.Sprintf("graph=%dk", pad/1000), func(b *testing.B) {
+			bb := New()
+			if _, err := bb.PutSchema(versions[0]); err != nil {
+				b.Fatal(err)
+			}
+			g := bb.Graph()
+			for i := g.Len(); i < pad; i++ {
+				g.Add(rdf.Triple{S: rdf.IRI(fmt.Sprintf("%spad/%d", wbNS, i)), P: predConfidence, O: rdf.FloatLiteral(float64(i))})
+			}
+			ops := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp := g.Savepoint()
+				if _, err := bb.PutSchema(versions[(i+1)%2]); err != nil {
+					b.Fatal(err)
+				}
+				ops += len(g.ChangesSince(sp))
+				g.Release(sp)
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "ops/put")
+		})
 	}
 }

@@ -196,10 +196,25 @@ func (b *Blackboard) atomically(op func() error) (err error) {
 
 // ---- Schemata ----
 
+// Schema versions (§5.1.3). The head node "name" holds the current
+// version; each earlier version n is an archive node "name@v<n>" that
+// stores the patch turning version n+1 back into n, one statement per
+// changed triple in the WAL's N-Triples form.
+var (
+	classSchemaVersion = rdf.IRI(wbNS + "SchemaVersion")
+	// predUndoAdd holds a triple version n has and version n+1 lacks,
+	// predUndoDel one that version n+1 added.
+	predUndoAdd = rdf.IRI(wbNS + "undo-add")
+	predUndoDel = rdf.IRI(wbNS + "undo-del")
+)
+
 // PutSchema stores a schema. Re-putting a schema with an existing name
 // archives the previous version under "name@v<n>" and bumps the version
 // counter (§5.1.3: "the blackboard should track schemata across
-// versions"). It returns the new version number (1 for first put).
+// versions"). A re-put is a patch: it removes and adds only the triples
+// that differ between the stored version and the new one, and the
+// archive stores the patch's inverse, so both cost the size of the edit.
+// It returns the new version number (1 for first put).
 func (b *Blackboard) PutSchema(s *model.Schema) (int, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
@@ -207,30 +222,41 @@ func (b *Blackboard) PutSchema(s *model.Schema) (int, error) {
 	node := model.SchemaIRI(s.Name)
 	version := 1
 	err := b.atomically(func() error {
-		if rdf.TypeOf(b.g, node) != (rdf.Term{}) {
-			// Existing schema: archive under a versioned name.
-			old, err := model.FromRDF(b.g, s.Name)
-			if err != nil {
-				return fmt.Errorf("blackboard: archiving %q: %w", s.Name, err)
+		if rdf.TypeOf(b.g, node).IsZero() {
+			if err := chaos.Inject(SitePutSchema); err != nil {
+				return err
 			}
+			model.ToRDF(b.g, s)
+		} else {
 			prevVersion, _ := b.g.One(node, predVersion).Int()
 			if prevVersion == 0 {
 				prevVersion = 1
 			}
 			version = prevVersion + 1
-			archived := *old
-			archived.Name = fmt.Sprintf("%s@v%d", s.Name, prevVersion)
-			b.deleteSchemaTriples(s.Name)
-			archNode := model.ToRDF(b.g, &archived)
-			b.g.SetOne(archNode, predVersion, rdf.IntLiteral(prevVersion))
-			b.g.Add(rdf.Triple{S: node, P: predArchivedAs, O: archNode})
+			del, add := b.schemaPatch(s)
+			arch := model.SchemaIRI(fmt.Sprintf("%s@v%d", s.Name, prevVersion))
+			b.g.Add(rdf.Triple{S: arch, P: rdf.RDFType, O: classSchemaVersion})
+			b.g.SetOne(arch, predVersion, rdf.IntLiteral(prevVersion))
+			for _, t := range del {
+				b.g.Add(rdf.Triple{S: arch, P: predUndoAdd, O: rdf.Literal(t.String())})
+			}
+			for _, t := range add {
+				b.g.Add(rdf.Triple{S: arch, P: predUndoDel, O: rdf.Literal(t.String())})
+			}
+			b.g.Add(rdf.Triple{S: node, P: predArchivedAs, O: arch})
+			// Failpoint mid-write: the old version is archived but the
+			// head not yet patched; a fault here must roll the whole put
+			// back.
+			if err := chaos.Inject(SitePutSchema); err != nil {
+				return err
+			}
+			for _, t := range del {
+				b.g.Remove(t)
+			}
+			for _, t := range add {
+				b.g.Add(t)
+			}
 		}
-		// Failpoint mid-write: the old version is already archived and its
-		// triples deleted; a fault here must roll the whole put back.
-		if err := chaos.Inject(SitePutSchema); err != nil {
-			return err
-		}
-		model.ToRDF(b.g, s)
 		b.g.SetOne(node, predVersion, rdf.IntLiteral(version))
 		b.nextRevision()
 		return nil
@@ -241,31 +267,89 @@ func (b *Blackboard) PutSchema(s *model.Schema) (int, error) {
 	return version, nil
 }
 
-// deleteSchemaTriples removes all triples whose subject is the schema
-// node or one of its elements/domains (identified by IRI prefix).
-func (b *Blackboard) deleteSchemaTriples(name string) {
-	prefix := model.SchemaIRI(name).Value()
-	var victims []rdf.Triple
-	b.g.Visit(rdf.Wild, rdf.Wild, rdf.Wild, func(t rdf.Triple) bool {
-		sv := t.S.Value()
-		if t.S.Kind() == rdf.IRIKind &&
-			(sv == prefix || strings.HasPrefix(sv, prefix+"#") || strings.HasPrefix(sv, prefix+"/domain/")) {
-			// Keep archive links on the head node.
-			if t.P == predArchivedAs {
-				return true
-			}
-			victims = append(victims, t)
+// schemaPatch returns the triples a re-put of s removes from the stored
+// version and the triples it adds: the set difference between the
+// stored version's triples and s rendered by model.ToRDF. The head's
+// version and archived-as triples belong to no version.
+func (b *Blackboard) schemaPatch(s *model.Schema) (del, add []rdf.Triple) {
+	next := rdf.NewGraph()
+	model.ToRDF(next, s)
+	node := model.SchemaIRI(s.Name)
+	head := model.SchemaTriples(b.g, s.Name)
+	stored := make(map[rdf.Triple]struct{}, len(head))
+	for _, t := range head {
+		if t.S == node && (t.P == predVersion || t.P == predArchivedAs) {
+			continue
+		}
+		stored[t] = struct{}{}
+		if !next.Has(t) {
+			del = append(del, t)
+		}
+	}
+	next.Visit(rdf.Wild, rdf.Wild, rdf.Wild, func(t rdf.Triple) bool {
+		if _, ok := stored[t]; !ok {
+			add = append(add, t)
 		}
 		return true
 	})
-	for _, t := range victims {
-		b.g.Remove(t)
-	}
+	return del, add
 }
 
-// GetSchema reconstructs a stored schema by name.
+// GetSchema reconstructs a stored schema by name: the current version,
+// or an archived one as "name@v<n>".
 func (b *Blackboard) GetSchema(name string) (*model.Schema, error) {
-	return model.FromRDF(b.g, name)
+	node := model.SchemaIRI(name)
+	if rdf.TypeOf(b.g, node) != classSchemaVersion {
+		// The head, or an archive stored as a full copy of its version
+		// (data written before archives were patches).
+		return model.FromRDF(b.g, name)
+	}
+	return b.archivedSchema(node, name)
+}
+
+// archivedSchema rebuilds the archived version stored at node: the
+// head's triples with the inverse patch of every later put applied,
+// newest first, read under the archived name as the version was put.
+func (b *Blackboard) archivedSchema(node rdf.Term, name string) (*model.Schema, error) {
+	heads := b.g.Subjects(predArchivedAs, node)
+	if len(heads) != 1 {
+		return nil, fmt.Errorf("blackboard: archived schema %q has %d heads", name, len(heads))
+	}
+	base := strings.TrimPrefix(heads[0].Value(), wbNS+"schema/")
+	want, _ := b.g.One(node, predVersion).Int()
+	top, _ := b.g.One(heads[0], predVersion).Int()
+	g := rdf.NewGraph()
+	for _, t := range model.SchemaTriples(b.g, base) {
+		g.Add(t)
+	}
+	for v := top - 1; v >= want; v-- {
+		arch := model.SchemaIRI(fmt.Sprintf("%s@v%d", base, v))
+		if rdf.TypeOf(b.g, arch) != classSchemaVersion {
+			return nil, fmt.Errorf("blackboard: rebuilding %q: no archived version %d", name, v)
+		}
+		for _, p := range []rdf.Term{predUndoDel, predUndoAdd} {
+			for _, lit := range b.g.Objects(arch, p) {
+				t, err := rdf.ParseTriple(lit.Value())
+				if err != nil {
+					return nil, fmt.Errorf("blackboard: rebuilding %q: %w", name, err)
+				}
+				if p == predUndoDel {
+					g.Remove(t)
+				} else {
+					g.Add(t)
+				}
+			}
+		}
+	}
+	old, err := model.FromRDF(g, base)
+	if err != nil {
+		return nil, err
+	}
+	archived := *old
+	archived.Name = name
+	out := rdf.NewGraph()
+	model.ToRDF(out, &archived)
+	return model.FromRDF(out, name)
 }
 
 // SchemaVersion returns the current version of a schema (0 if absent).
@@ -274,8 +358,9 @@ func (b *Blackboard) SchemaVersion(name string) int {
 	return v
 }
 
-// Schemas lists stored schema names (current versions only; archived
-// versions carry "@v" in their names and are filtered).
+// Schemas lists stored schema names, current versions only. Archived
+// versions are not typed as schemas; the "@v" filter drops the archives
+// that data written before archives were patches stores as full copies.
 func (b *Blackboard) Schemas() []string {
 	var out []string
 	for _, n := range model.SchemaNames(b.g) {

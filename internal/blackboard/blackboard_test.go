@@ -468,3 +468,69 @@ func TestRevisionsResumePastStoredOnes(t *testing.T) {
 		}
 	}
 }
+
+// TestSetCellUnchangedProvenanceJournals rewrites a cell's confidence
+// with its provenance unchanged: only the confidence and the revision
+// change, so the journal (and the WAL record built from it) holds two
+// delete+add pairs.
+func TestSetCellUnchangedProvenanceJournals(t *testing.T) {
+	b := boardWithSchemata(t)
+	m, err := b.NewMapping("m", "purchaseOrder", "shippingInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const src, tgt = "purchaseOrder/purchaseOrder/shipTo", "shippingInfo/shippingInfo"
+	if err := m.SetCell(src, tgt, 0.5, false, "harmony"); err != nil {
+		t.Fatal(err)
+	}
+	g := b.Graph()
+	sp := g.Savepoint()
+	if err := m.SetCell(src, tgt, 0.7, false, "harmony"); err != nil {
+		t.Fatal(err)
+	}
+	ops := g.ChangesSince(sp)
+	g.Release(sp)
+	if len(ops) != 4 {
+		t.Fatalf("cell rewrite journaled %d ops, want 4: %v", len(ops), ops)
+	}
+	for _, op := range ops {
+		if p := op.T.P; p != predConfidence && p != predRevision {
+			t.Errorf("journaled a write of unchanged %s", p)
+		}
+	}
+}
+
+// TestSnapshotRestoreEscapedIRIs stores a schema whose element and
+// domain names put a space, '>' and '\' into IRIs — quoted SQL
+// identifiers and inferred domain names do — and restores it from a
+// snapshot.
+func TestSnapshotRestoreEscapedIRIs(t *testing.T) {
+	s := model.NewSchema("orders", "sql")
+	tab := s.AddElement(nil, "Order Lines", model.KindEntity, model.ContainsTable)
+	no := s.AddElement(tab, "line no", model.KindAttribute, model.ContainsAttribute)
+	no.DataType, no.DomainRef = "int", "Order Lines.line no (inferred)"
+	no.Props = map[string]string{"check expr": "line no > 0"}
+	s.AddElement(tab, `a>b\c`, model.KindAttribute, model.ContainsAttribute)
+	s.AddDomain(&model.Domain{Name: "Order Lines.line no (inferred)", Values: []model.DomainValue{{Code: "1"}}})
+	b := New()
+	if _, err := b.PutSchema(s); err != nil {
+		t.Fatal(err)
+	}
+	var snap strings.Builder
+	if err := b.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	r := New()
+	if err := r.Restore(strings.NewReader(snap.String())); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if !rdf.Equal(b.Graph(), r.Graph()) {
+		added, removed := r.Graph().Diff(b.Graph())
+		t.Fatalf("restored graph differs: %d extra, %d missing", len(added), len(removed))
+	}
+	got, err := r.GetSchema("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSchema(t, "restored", got, s)
+}

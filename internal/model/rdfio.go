@@ -256,6 +256,34 @@ func FromRDF(g *rdf.Graph, name string) (*Schema, error) {
 	return s, nil
 }
 
+// SchemaTriples returns every triple whose subject is a node of the
+// stored schema name: the schema node, its root and the elements below
+// it, its domains and their values. It walks the index from the schema
+// node along the edges FromRDF follows (root, the structural edges,
+// has-value), so it costs the schema's size, not the graph's.
+func SchemaTriples(g *rdf.Graph, name string) []rdf.Triple {
+	sNode := SchemaIRI(name)
+	var out []rdf.Triple
+	seen := map[rdf.Term]bool{sNode: true}
+	for todo := []rdf.Term{sNode}; len(todo) > 0; {
+		n := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		from := len(out)
+		g.Visit(n, rdf.Wild, rdf.Wild, func(t rdf.Triple) bool {
+			out = append(out, t)
+			return true
+		})
+		for _, t := range out[from:] {
+			_, contains := edgeFromPredIR[t.P]
+			if (contains || t.P == PredRootOf || t.P == PredHasValue) && !seen[t.O] {
+				seen[t.O] = true
+				todo = append(todo, t.O)
+			}
+		}
+	}
+	return out
+}
+
 // SchemaNames lists the names of all schemata stored in the graph.
 func SchemaNames(g *rdf.Graph) []string {
 	var names []string

@@ -64,3 +64,28 @@ func FuzzParseTriple(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTermRoundTrip: any IRI of valid UTF-8 without control characters
+// survives Triple.String and ParseTriple in every position — the form
+// the WAL, snapshots and replication carry.
+func FuzzTermRoundTrip(f *testing.F) {
+	f.Add("urn:workbench:schema/s#s/e")
+	f.Add("urn:workbench:schema/orders#orders/Order Lines/line no")
+	f.Add(`urn:a>b\c`)
+	f.Add(`urn: `)
+	f.Add("")
+	f.Fuzz(func(t *testing.T, iri string) {
+		if checkTermText(iri, "IRI", false) != nil {
+			return
+		}
+		want := Triple{IRI(iri), IRI(iri), IRI(iri)}
+		line := want.String()
+		got, err := ParseTriple(line)
+		if err != nil {
+			t.Fatalf("ParseTriple(%q): %v", line, err)
+		}
+		if got != want {
+			t.Fatalf("round trip of %q gave %v", iri, got)
+		}
+	})
+}

@@ -364,9 +364,10 @@ func (g *Graph) Subjects(p, o Term) []Term {
 	return out
 }
 
-// SetOne makes o the unique object of (s, p, ·), removing any existing
-// objects first. It is the primitive behind functional annotations such as
-// confidence-score.
+// SetOne makes o the unique object of (s, p, ·). It is the primitive
+// behind functional annotations such as confidence-score. It removes
+// only the objects other than o and adds o only when absent, so setting
+// the value a pair already holds changes, and journals, nothing.
 func (g *Graph) SetOne(s, p, o Term) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -374,7 +375,9 @@ func (g *Graph) SetOne(s, p, o Term) {
 		// Copy the members first: removeLocked mutates the set.
 		var buf [1]Term
 		for _, old := range set.appendTo(buf[:0]) {
-			g.removeLocked(Triple{s, p, old})
+			if old != o {
+				g.removeLocked(Triple{s, p, old})
+			}
 		}
 	}
 	g.addLocked(Triple{s, p, o})

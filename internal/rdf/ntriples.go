@@ -109,7 +109,10 @@ func checkTermText(s, what string, allowControl bool) error {
 func parseTermToken(tok string) (Term, error) {
 	switch {
 	case strings.HasPrefix(tok, "<") && strings.HasSuffix(tok, ">"):
-		v := tok[1 : len(tok)-1]
+		v, err := unescapeIRI(tok[1 : len(tok)-1])
+		if err != nil {
+			return Term{}, err
+		}
 		if err := checkTermText(v, "IRI", false); err != nil {
 			return Term{}, err
 		}
@@ -149,7 +152,10 @@ func parseTermToken(tok string) (Term, error) {
 			return Literal(lex), nil
 		}
 		if strings.HasPrefix(rest, "^^<") && strings.HasSuffix(rest, ">") {
-			dt := rest[3 : len(rest)-1]
+			dt, err := unescapeIRI(rest[3 : len(rest)-1])
+			if err != nil {
+				return Term{}, err
+			}
 			if err := checkTermText(dt, "datatype IRI", false); err != nil {
 				return Term{}, err
 			}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the three kinds of RDF terms.
@@ -128,18 +129,75 @@ func (t Term) Bool() (bool, error) {
 func (t Term) String() string {
 	switch t.kind {
 	case IRIKind:
-		return "<" + t.value + ">"
+		return "<" + escapeIRI(t.value) + ">"
 	case BlankKind:
 		return "_:" + t.value
 	case LiteralKind:
 		s := "\"" + escapeLiteral(t.value) + "\""
 		if t.datatype != "" {
-			s += "^^<" + t.datatype + ">"
+			s += "^^<" + escapeIRI(t.datatype) + ">"
 		}
 		return s
 	default:
 		return "?!"
 	}
+}
+
+// escapeIRI writes the IRI characters a statement cannot carry verbatim
+// as N-Triples UCHAR escapes: the space that would split the statement
+// into four terms, the '>' that would end the IRI early, and the '\'
+// that starts an escape. Every other IRI is returned unchanged, so the
+// blackboard's own IRIs (the '|' of every cell IRI included) keep their
+// WAL and snapshot bytes.
+func escapeIRI(s string) string {
+	if !strings.ContainsAny(s, ` >\`) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case ' ', '>', '\\':
+			fmt.Fprintf(&b, `\u%04X`, c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// unescapeIRI reverses escapeIRI. It decodes any UCHAR (\uXXXX or
+// \UXXXXXXXX) naming a valid code point and rejects every other
+// backslash.
+func unescapeIRI(s string) (string, error) {
+	if strings.IndexByte(s, '\\') < 0 {
+		return s, nil
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			b.WriteByte(s[i])
+			continue
+		}
+		n := 0
+		if i+1 < len(s) {
+			switch s[i+1] {
+			case 'u':
+				n = 4
+			case 'U':
+				n = 8
+			}
+		}
+		if n == 0 || i+2+n > len(s) {
+			return "", fmt.Errorf("rdf: malformed escape in IRI %q", s)
+		}
+		v, err := strconv.ParseUint(s[i+2:i+2+n], 16, 32)
+		if err != nil || !utf8.ValidRune(rune(v)) {
+			return "", fmt.Errorf("rdf: malformed escape in IRI %q", s)
+		}
+		b.WriteRune(rune(v))
+		i += 1 + n
+	}
+	return b.String(), nil
 }
 
 // escapeLiteral escapes a literal lexical form per N-Triples rules.

@@ -162,3 +162,35 @@ func TestTripleString(t *testing.T) {
 		t.Errorf("Triple.String = %q", got)
 	}
 }
+
+// TestIRIEscapes: an IRI's space, '>' and '\' serialize as UCHAR
+// escapes and parse back; every other IRI serializes verbatim.
+func TestIRIEscapes(t *testing.T) {
+	cases := []struct {
+		term Term
+		want string
+	}{
+		{IRI("urn:workbench:mapping/m1/cell/a|b"), "<urn:workbench:mapping/m1/cell/a|b>"},
+		{IRI(`urn:x"{}^` + "`é"), `<urn:x"{}^` + "`é>"},
+		{IRI(`urn:Order Lines>1\x`), `<urn:Order\u0020Lines\u003E1\u005Cx>`},
+		{TypedLiteral("1", "urn:t t"), `"1"^^<urn:t\u0020t>`},
+	}
+	for _, c := range cases {
+		got := c.term.String()
+		if got != c.want {
+			t.Errorf("String(%q) = %q, want %q", c.term.Value(), got, c.want)
+		}
+		back, err := parseTermToken(got)
+		if err != nil || back != c.term {
+			t.Errorf("parseTermToken(%q) = %v, %v; want %v", got, back, err, c.term)
+		}
+	}
+	for _, tok := range []string{`<a\u00>`, `<a\u00zz>`, `<a\x>`, `<a\>`, `<a\UFFFFFFFF>`, `<a\uD800>`, `<a\u0001>`} {
+		if got, err := parseTermToken(tok); err == nil {
+			t.Errorf("parseTermToken(%q) = %v, want an error", tok, got)
+		}
+	}
+	if got, err := parseTermToken(`<a\U0001F600é>`); err != nil || got != IRI("a😀é") {
+		t.Errorf("8- and 4-digit escapes: %v, %v", got, err)
+	}
+}

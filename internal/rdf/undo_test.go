@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -156,5 +157,40 @@ func TestEqualAndDiff(t *testing.T) {
 	}
 	if len(removed) != 1 || removed[0] != tr("x", "p", "2") {
 		t.Fatalf("removed = %v", removed)
+	}
+}
+
+// TestSetOneJournalsOnlyChanges: SetOne journals nothing when o is
+// already the sole object, a delete+add pair when it replaces one, and
+// when o is one of several objects only the deletes of the others.
+func TestSetOneJournalsOnlyChanges(t *testing.T) {
+	s, p := IRI("urn:s"), IRI("urn:p")
+	journal := func(g *Graph, o Term) []ChangeOp {
+		sp := g.Savepoint()
+		g.SetOne(s, p, o)
+		ops := g.ChangesSince(sp)
+		g.Release(sp)
+		return ops
+	}
+	g := NewGraph()
+	g.SetOne(s, p, IRI("urn:v1"))
+	gen := g.Generation()
+	if ops := journal(g, IRI("urn:v1")); len(ops) != 0 || g.Generation() != gen {
+		t.Fatalf("same-value SetOne journaled %v (generation %d → %d)", ops, gen, g.Generation())
+	}
+	want := []ChangeOp{{Add: false, T: Triple{s, p, IRI("urn:v1")}}, {Add: true, T: Triple{s, p, IRI("urn:v2")}}}
+	if ops := journal(g, IRI("urn:v2")); !slices.Equal(ops, want) {
+		t.Fatalf("changed SetOne journaled %v, want %v", ops, want)
+	}
+	g.Add(Triple{s, p, IRI("urn:v3")})
+	g.Add(Triple{s, p, IRI("urn:v4")})
+	ops := journal(g, IRI("urn:v3"))
+	slices.SortFunc(ops, func(a, b ChangeOp) int { return a.T.Compare(b.T) })
+	want = []ChangeOp{{Add: false, T: Triple{s, p, IRI("urn:v2")}}, {Add: false, T: Triple{s, p, IRI("urn:v4")}}}
+	if !slices.Equal(ops, want) {
+		t.Fatalf("multi-valued SetOne journaled %v, want %v", ops, want)
+	}
+	if objs := g.Objects(s, p); len(objs) != 1 || objs[0] != IRI("urn:v3") {
+		t.Fatalf("after SetOne, Objects = %v", objs)
 	}
 }
