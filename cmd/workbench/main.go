@@ -110,6 +110,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/regmatch"
+	"repro/internal/schemaset"
 	"repro/internal/server"
 	"repro/internal/wal"
 	"repro/internal/wbmgr"
@@ -411,7 +412,7 @@ func runRemote(o opts, cmd string, rest []string) error {
 		if err := need(rest, 1, "load <schema-file>"); err != nil {
 			return err
 		}
-		name, format, err := schemaNameFormat(rest[0])
+		name, format, err := schemaset.SchemaNameFormat(rest[0])
 		if err != nil {
 			return err
 		}
@@ -835,23 +836,6 @@ func runLoadgen(o opts, rest []string) error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
-}
-
-// schemaNameFormat derives the blackboard schema name (file stem) and
-// wire format from a schema file path, mirroring the local loaders.
-func schemaNameFormat(path string) (name, format string, err error) {
-	ext := strings.ToLower(filepath.Ext(path))
-	name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	switch ext {
-	case ".xsd", ".xml":
-		return name, "xsd", nil
-	case ".sql", ".ddl":
-		return name, "sql", nil
-	case ".er":
-		return name, "er", nil
-	default:
-		return "", "", fmt.Errorf("unknown schema extension on %q", path)
-	}
 }
 
 // ---- local mode ----

@@ -173,7 +173,6 @@ func Run(cfg Config) *Report {
 	m := wbmgr.New()
 	m.SetMetrics(reg)
 	m.Blackboard().SetMetrics(reg)
-	m.EnableEventLog = true
 	m.SetEventLogCapacity(cfg.Tools*cfg.Ops*6 + 64)
 
 	// Seed the board with shared base schemata before any site is armed,

@@ -36,7 +36,6 @@ type IntegrationSession struct {
 // registers the mapper and code generator tools.
 func NewIntegrationSession(mappingID string, source, target *model.Schema, sourceEntityID, targetEntityID string) (*IntegrationSession, error) {
 	m := wbmgr.New()
-	m.EnableEventLog = true
 
 	// Loaders run inside a transaction and announce the schema graphs.
 	err := m.Do(context.Background(), "loader", func(txn *wbmgr.Txn) error {

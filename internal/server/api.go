@@ -288,15 +288,31 @@ type QueryResponse struct {
 	Rows [][]string `json:"rows"`
 }
 
+// FeedEvent is one blackboard-change event as seen by network clients:
+// the workspace manager's event with its sequence number. Sequence
+// numbers start at 1 and never repeat within a server process, so a
+// client that long-polls with after=<last seen seq> receives every
+// event exactly once, in order.
+type FeedEvent struct {
+	Seq     uint64 `json:"seq"`
+	Kind    string `json:"kind"`
+	Tool    string `json:"tool"`
+	Subject string `json:"subject"`
+}
+
 // EventsResponse is one long-poll answer: the events after the client's
 // cursor plus the new cursor to poll with next.
 type EventsResponse struct {
-	// Next is the cursor for the next poll (the highest delivered seq, or
-	// the request's after when no events arrived before the timeout).
+	// Next is the cursor for the next poll: the highest delivered seq,
+	// the head after a gap with nothing retained, or the request's after
+	// when no events arrived before the timeout.
 	Next uint64 `json:"next"`
-	// Gap reports that the client fell further behind than the feed
-	// buffer holds: events were evicted undelivered, so the client should
-	// re-read current state before trusting incremental updates again.
+	// Gap reports that the feed cannot continue the client's cursor: the
+	// client fell further behind than the workspace's event log retains,
+	// or its cursor is ahead of the head (sequence numbers restart at 1
+	// when the server restarts). Events then holds every retained event,
+	// oldest first, and the client should re-read current state before
+	// trusting incremental updates again.
 	Gap    bool        `json:"gap,omitempty"`
 	Events []FeedEvent `json:"events"`
 }
@@ -338,7 +354,8 @@ type WorkspaceInfo struct {
 	WALBytes int64 `json:"wal_bytes"`
 	// LastTxn is the partition's committed-transaction high-water mark.
 	LastTxn uint64 `json:"last_txn"`
-	// FeedSeq is the workspace feed's highest assigned sequence number.
+	// FeedSeq is the highest sequence number the workspace's event log
+	// has assigned.
 	FeedSeq uint64 `json:"feed_seq"`
 	// StoreOpen reports whether the WAL partition is currently open
 	// (false after the idle sweeper folded it closed).

@@ -5,7 +5,7 @@ package server
 // that tails every partition of a primary into the matching local
 // workspace, fenced failover (/v1/promote + /v1/repl/fence), and the
 // role-based write guard. The protocol pieces live in internal/repl;
-// this file binds them to the workspaces' stores, blackboards, feeds,
+// this file binds them to the workspaces' stores, blackboards, managers,
 // and per-workspace transaction locks.
 //
 // Role and epoch are node-level: one promotion covers every workspace
@@ -36,11 +36,11 @@ import (
 )
 
 // replTool is the provenance name replication applies transactions
-// under; like feedTool it never originates local transactions.
+// under; it never originates local transactions.
 const replTool = "_repl"
 
-// EventReplTxn is the feed event kind emitted once per applied primary
-// transaction on a replica — a follower's clients see replication
+// EventReplTxn is the event kind a replica's manager publishes once per
+// applied primary transaction — a follower's clients see replication
 // progress through the same exactly-once feed as local mutations.
 const EventReplTxn wbmgr.EventKind = "repl-txn"
 
@@ -312,8 +312,9 @@ func (s *Server) fetchPrimaryWorkspaces(ctx context.Context) ([]string, error) {
 // replApplier adapts one tenant to repl.Applier: shipped transactions
 // become durable in the follower's partition (preserving the primary's
 // txn ids), then mutate the blackboard graph directly — replay bypasses
-// the manager because provenance, events, and validation already
-// happened on the primary and are encoded in the ops.
+// manager transactions because provenance, events, and validation
+// already happened on the primary and are encoded in the ops. The
+// manager publishes one repl-txn event per applied transaction.
 type replApplier struct {
 	s *Server
 	t *tenant
@@ -343,7 +344,7 @@ func (a replApplier) ApplyTxn(txn uint64, ops []rdf.ChangeOp) error {
 		}
 	}
 	a.applyOpsLocked(txn, ops)
-	t.feed.append(wbmgr.Event{Kind: EventReplTxn, Tool: replTool, Subject: strconv.FormatUint(txn, 10)})
+	t.mgr().Publish(wbmgr.Event{Kind: EventReplTxn, Tool: replTool, Subject: strconv.FormatUint(txn, 10)})
 	return nil
 }
 
@@ -403,7 +404,7 @@ func (a replApplier) Bootstrap(g *rdf.Graph, txn uint64) error {
 		// snapshot; failure is harmless — the log replays fine.
 		_ = t.ws.SnapshotNow()
 	}
-	t.feed.append(wbmgr.Event{Kind: EventReplTxn, Tool: replTool, Subject: strconv.FormatUint(txn, 10)})
+	t.mgr().Publish(wbmgr.Event{Kind: EventReplTxn, Tool: replTool, Subject: strconv.FormatUint(txn, 10)})
 	return nil
 }
 

@@ -48,7 +48,7 @@ import (
 )
 
 // Metric names emitted by the server (see DESIGN.md §11). Request and
-// feed metrics carry a `workspace` label.
+// session metrics carry a `workspace` label.
 const (
 	// MetricRequests counts HTTP requests, labeled route, code and
 	// workspace.
@@ -57,15 +57,7 @@ const (
 	MetricRequestDuration = "server_request_seconds"
 	// MetricSessions gauges currently open sessions per workspace.
 	MetricSessions = "server_sessions"
-	// MetricFeedLag gauges, per workspace, how far the slowest observed
-	// feed consumer trails the feed head.
-	MetricFeedLag = "server_feed_lag_events"
 )
-
-// feedTool is the tool name the server's feed subscription runs under.
-// It never originates transactions, so the manager's "don't echo events
-// to their originator" rule can never hide an event from the feed.
-const feedTool = "_feed"
 
 // DefaultThreshold filters match-run correspondences when the request
 // doesn't specify one (the CLI default).
@@ -79,9 +71,6 @@ type Config struct {
 	DataDir string
 	// SnapshotEvery forwards to wal.Options (0 = default cadence).
 	SnapshotEvery int
-	// FeedCapacity bounds each workspace's event feed (0 =
-	// DefaultFeedCapacity).
-	FeedCapacity int
 	// Parallelism forwards to the Harmony engine for match runs.
 	Parallelism int
 	// MatchCacheBytes bounds the shared score-matrix cache that match and
@@ -141,14 +130,13 @@ type session struct {
 const SiteMatchSchemas = harmony.SiteSessionSchemas
 
 // tenant is the server-side request state of one workspace: sessions,
-// match sessions, the event feed, and (on a replica) the partition's
-// tail loop. It hangs off workspace.Workspace.Ext.
+// match sessions and (on a replica) the partition's tail loop. Its event
+// feed is the workspace manager's event log. It hangs off
+// workspace.Workspace.Ext.
 type tenant struct {
 	srv *Server
 	ws  *workspace.Workspace
 	reg *obs.Registry // workspace-labeled registry view
-
-	feed *feed
 
 	mu       sync.Mutex // guards sessions
 	sessions map[string]*session
@@ -212,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 	reg.Describe(MetricRequests, "Workbench API requests, by route, status code and workspace.")
 	reg.Describe(MetricRequestDuration, "Workbench API request latency, by route.")
 	reg.Describe(MetricSessions, "Currently open workbench sessions, by workspace.")
-	reg.Describe(MetricFeedLag, "Feed events the slowest observed consumer trails by, per workspace.")
 
 	slow := cfg.SlowRequest
 	switch {
@@ -271,14 +258,6 @@ func (s *Server) attachTenant(ws *workspace.Workspace) error {
 		// a stale pre-restart session ID can never collide with one
 		// minted after the restart.
 		sessSeq: ws.OpenHighWater(),
-	}
-	t.feed = newFeed(s.cfg.FeedCapacity, ws.Metrics().Gauge(MetricFeedLag))
-	mgr := ws.Manager()
-	for _, kind := range []wbmgr.EventKind{
-		wbmgr.EventSchemaGraph, wbmgr.EventMappingCell,
-		wbmgr.EventMappingVector, wbmgr.EventMappingMatrix,
-	} {
-		mgr.Subscribe(kind, feedTool, t.feed.append)
 	}
 	ws.Ext = t
 	return nil
@@ -414,96 +393,94 @@ func (s *Server) requestWorkspace(r *http.Request) string {
 	return workspace.DefaultName
 }
 
-// route mounts a tenant handler twice — bare /v1<suffix> (default
-// workspace, or the X-Ib-Workspace header) and
-// /v1/workspaces/{ws}<suffix> — under the request metrics + tracing
-// middleware: every request gets a root span in the server's trace
-// store (continuing the client's trace when the X-Ib-Trace header names
-// one), carried down through r.Context() so transactions, match stages
-// and WAL writes join the same trace. Requests slower than the
-// configured threshold are logged with their trace ID. A request naming
-// an unknown workspace is a 404 carrying the name; workspaces are never
-// created as a routing side effect.
+// route mounts a traced tenant handler twice — bare /v1<suffix>
+// (default workspace, or the X-Ib-Workspace header) and
+// /v1/workspaces/{ws}<suffix>.
 func (s *Server) route(mux *http.ServeMux, method, suffix, name string, h tenantHandler) {
-	fn := func(w http.ResponseWriter, r *http.Request) {
-		wsName := s.requestWorkspace(r)
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(TraceHeader))
-		sp, ctx := s.traces.StartRoot(r.Context(), name, remote)
-		sp.SetAttr("route", name)
-		sp.SetAttr("workspace", wsName)
-		if t, ok := s.tenantOf(wsName); ok {
-			t.ws.Touch()
-			h(t, rec, r.WithContext(ctx))
-		} else {
-			fail(rec, http.StatusNotFound, "workspace %q not found", wsName)
-		}
-		sp.SetAttr("code", strconv.Itoa(rec.code))
-		if rec.code >= 500 {
-			sp.SetError(fmt.Errorf("http %d", rec.code))
-		}
-		d := sp.End()
-		if s.slow > 0 && d >= s.slow {
-			s.log.Warn(ctx, "slow request", "route", name, "workspace", wsName, "code", rec.code, "duration", d)
-		} else {
-			s.log.Debug(ctx, "request", "route", name, "workspace", wsName, "code", rec.code, "duration", d)
-		}
-		s.reg.Histogram(MetricRequestDuration, obs.LatencyBuckets, "route", name).
-			ObserveDuration(d)
-		s.reg.Counter(MetricRequests, "route", name, "code", strconv.Itoa(rec.code),
-			"workspace", wsName).Inc()
-	}
+	fn := s.middleware(name, true, true, h)
 	mux.HandleFunc(method+" /v1"+suffix, fn)
 	mux.HandleFunc(method+" /v1/workspaces/{ws}"+suffix, fn)
 }
 
-// routePlain mounts a node-level handler (no workspace resolution)
-// under the same metrics + tracing middleware.
-func (s *Server) routePlain(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		remote, _ := obs.ParseTraceHeader(r.Header.Get(TraceHeader))
-		sp, ctx := s.traces.StartRoot(r.Context(), name, remote)
-		sp.SetAttr("route", name)
-		h(rec, r.WithContext(ctx))
-		sp.SetAttr("code", strconv.Itoa(rec.code))
-		if rec.code >= 500 {
-			sp.SetError(fmt.Errorf("http %d", rec.code))
-		}
-		d := sp.End()
-		if s.slow > 0 && d >= s.slow {
-			s.log.Warn(ctx, "slow request", "route", name, "code", rec.code, "duration", d)
-		} else {
-			s.log.Debug(ctx, "request", "route", name, "code", rec.code, "duration", d)
-		}
-		s.reg.Histogram(MetricRequestDuration, obs.LatencyBuckets, "route", name).
-			ObserveDuration(d)
-		s.reg.Counter(MetricRequests, "route", name, "code", strconv.Itoa(rec.code)).Inc()
-	})
+// routeQuiet mounts a tenant handler like route but untraced, for
+// high-frequency machine routes (replication polls) that would otherwise
+// flood the bounded trace store.
+func (s *Server) routeQuiet(mux *http.ServeMux, method, suffix, name string, h tenantHandler) {
+	fn := s.middleware(name, false, true, h)
+	mux.HandleFunc(method+" /v1"+suffix, fn)
+	mux.HandleFunc(method+" /v1/workspaces/{ws}"+suffix, fn)
 }
 
-// routeQuiet mounts a tenant handler (both path forms) with request
-// metrics but without tracing, for high-frequency machine routes
-// (replication polls) that would otherwise flood the bounded trace
-// store.
-func (s *Server) routeQuiet(mux *http.ServeMux, method, suffix, name string, h tenantHandler) {
-	fn := func(w http.ResponseWriter, r *http.Request) {
-		wsName := s.requestWorkspace(r)
+// routePlain mounts a traced node-level handler (no workspace
+// resolution) at pattern.
+func (s *Server) routePlain(mux *http.ServeMux, pattern, name string, h http.HandlerFunc) {
+	mux.HandleFunc(pattern, s.middleware(name, true, false,
+		func(_ *tenant, w http.ResponseWriter, r *http.Request) { h(w, r) }))
+}
+
+// middleware is the one request wrapper: every route's status code is
+// recorded, its latency observed and its request counted by route and
+// code. A traced route also gets a root span in the server's trace store
+// (continuing the client's trace when the X-Ib-Trace header names one),
+// carried down through r.Context() so transactions, match stages and WAL
+// writes join the same trace, and a log line — a warning with the trace
+// ID when slower than the configured threshold. A scoped route resolves
+// the request's workspace, which labels its span, log line and request
+// counter; a request naming an unknown workspace is a 404 carrying the
+// name, since workspaces are never created as a routing side effect.
+func (s *Server) middleware(name string, traced, scoped bool, h tenantHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var wsName string
+		if scoped {
+			wsName = s.requestWorkspace(r)
+		}
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
-		if t, ok := s.tenantOf(wsName); ok {
+		var sp *obs.Span
+		if traced {
+			remote, _ := obs.ParseTraceHeader(r.Header.Get(TraceHeader))
+			var ctx context.Context
+			sp, ctx = s.traces.StartRoot(r.Context(), name, remote)
+			sp.SetAttr("route", name)
+			if scoped {
+				sp.SetAttr("workspace", wsName)
+			}
+			r = r.WithContext(ctx)
+		}
+		if !scoped {
+			h(nil, rec, r)
+		} else if t, ok := s.tenantOf(wsName); ok {
 			t.ws.Touch()
 			h(t, rec, r)
 		} else {
 			fail(rec, http.StatusNotFound, "workspace %q not found", wsName)
 		}
-		s.reg.Histogram(MetricRequestDuration, obs.LatencyBuckets, "route", name).
-			ObserveDuration(time.Since(t0))
-		s.reg.Counter(MetricRequests, "route", name, "code", strconv.Itoa(rec.code),
-			"workspace", wsName).Inc()
+		code := strconv.Itoa(rec.code)
+		d := time.Since(t0)
+		if traced {
+			sp.SetAttr("code", code)
+			if rec.code >= 500 {
+				sp.SetError(fmt.Errorf("http %d", rec.code))
+			}
+			d = sp.End()
+			kv := []any{"route", name}
+			if scoped {
+				kv = append(kv, "workspace", wsName)
+			}
+			kv = append(kv, "code", rec.code, "duration", d)
+			if s.slow > 0 && d >= s.slow {
+				s.log.Warn(r.Context(), "slow request", kv...)
+			} else {
+				s.log.Debug(r.Context(), "request", kv...)
+			}
+		}
+		s.reg.Histogram(MetricRequestDuration, obs.LatencyBuckets, "route", name).ObserveDuration(d)
+		labels := []string{"route", name, "code", code}
+		if scoped {
+			labels = append(labels, "workspace", wsName)
+		}
+		s.reg.Counter(MetricRequests, labels...).Inc()
 	}
-	mux.HandleFunc(method+" /v1"+suffix, fn)
-	mux.HandleFunc(method+" /v1/workspaces/{ws}"+suffix, fn)
 }
 
 // writeJSON sends v with the given status.
@@ -1089,24 +1066,38 @@ func (s *Server) handleEvents(t *tenant, w http.ResponseWriter, r *http.Request)
 	if !ok {
 		return
 	}
-	evs, gap := t.feed.wait(r.Context(), after, timeout)
-	resp := EventsResponse{Next: after, Gap: gap, Events: evs}
-	if len(evs) > 0 {
-		resp.Next = evs[len(evs)-1].Seq
-	} else if gap {
-		// Everything the client missed is gone; restart from the head.
-		resp.Next = t.feed.head()
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		evs, head, gap, wake := t.mgr().EventsSince(after)
+		if len(evs) > 0 || gap {
+			writeJSON(w, http.StatusOK, EventsResponse{Next: head, Gap: gap, Events: feedEvents(evs)})
+			return
+		}
+		select {
+		case <-wake:
+			continue
+		case <-deadline.C:
+		case <-r.Context().Done():
+		}
+		writeJSON(w, http.StatusOK, EventsResponse{Next: after, Events: []FeedEvent{}})
+		return
 	}
-	if resp.Events == nil {
-		resp.Events = []FeedEvent{}
+}
+
+// feedEvents converts logged manager events to their wire form.
+func feedEvents(evs []wbmgr.Event) []FeedEvent {
+	out := make([]FeedEvent, len(evs))
+	for i, e := range evs {
+		out[i] = FeedEvent{Seq: e.Seq, Kind: string(e.Kind), Tool: e.Tool, Subject: e.Subject}
 	}
-	t.feed.noteServed(resp.Next)
-	writeJSON(w, http.StatusOK, resp)
+	return out
 }
 
 // serveSSE streams the feed as Server-Sent Events: each event carries
 // its sequence number as the SSE id, so Last-Event-ID style resumption
-// maps directly onto the after cursor.
+// maps directly onto the after cursor. A gap is an `event: gap` frame
+// followed by every retained event.
 func (s *Server) serveSSE(t *tenant, w http.ResponseWriter, r *http.Request, after uint64) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -1119,18 +1110,17 @@ func (s *Server) serveSSE(t *tenant, w http.ResponseWriter, r *http.Request, aft
 	flusher.Flush()
 	cursor := after
 	for {
-		evs, gap, wake := t.feed.since(cursor)
+		evs, head, gap, wake := t.mgr().EventsSince(cursor)
 		if gap {
 			fmt.Fprintf(w, "event: gap\ndata: {}\n\n")
 		}
-		for _, e := range evs {
+		for _, e := range feedEvents(evs) {
 			data, _ := json.Marshal(e)
 			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", e.Seq, data)
-			cursor = e.Seq
 		}
 		if len(evs) > 0 || gap {
+			cursor = head
 			flusher.Flush()
-			t.feed.noteServed(cursor)
 		}
 		select {
 		case <-wake:

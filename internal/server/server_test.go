@@ -5,18 +5,25 @@ package server_test
 // test exercises the exact bytes the CLI's -remote mode sends.
 
 import (
+	"bufio"
+	"context"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/harmony"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/server"
+	"repro/internal/wbmgr"
 	"repro/internal/xmlschema"
 )
 
@@ -209,10 +216,11 @@ func TestServerEventFeedExactlyOnce(t *testing.T) {
 }
 
 func TestServerFeedGapSignal(t *testing.T) {
-	srv, err := server.New(server.Config{FeedCapacity: 4, Metrics: obs.NewRegistry()})
+	srv, err := server.New(server.Config{Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Manager().SetEventLogCapacity(4)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := client.New(ts.URL)
@@ -233,6 +241,78 @@ func TestServerFeedGapSignal(t *testing.T) {
 	}
 	if !gap || len(evs) != 4 || next != 6 {
 		t.Fatalf("gap=%v events=%d next=%d, want gap with the 4 retained events", gap, len(evs), next)
+	}
+}
+
+func TestServerFeedCursorAheadAfterRestart(t *testing.T) {
+	// Sequence numbers restart at 1 with the process, so a cursor from
+	// before a restart can be ahead of the new head. The feed must answer
+	// it with a gap and the retained events, as it does a cursor behind
+	// the retention window — never with silence.
+	dir := t.TempDir()
+	c, _ := startServer(t, dir, false)
+	loadPair(t, c)
+	_, cursor, _, err := c.Events(0, time.Second)
+	if err != nil || cursor != 3 {
+		t.Fatalf("pre-restart cursor = %d, %v; want 3", cursor, err)
+	}
+
+	c2, srv2 := startServer(t, dir, true)
+	evs, next, gap, err := c2.Events(cursor, 2*time.Second)
+	if err != nil || !gap || len(evs) != 0 || next != 0 {
+		t.Fatalf("poll before any write = %d events next=%d gap=%v, %v; want a gap at head 0", len(evs), next, gap, err)
+	}
+	if _, err := c2.LoadSchema("hr", "sql", schemaText(t, "hr.sql")); err != nil {
+		t.Fatal(err)
+	}
+	evs, next, gap, err = c2.Events(cursor, 2*time.Second)
+	if err != nil || !gap || len(evs) != 1 || evs[0].Seq != 1 || evs[0].Subject != "hr" || next != 1 {
+		t.Fatalf("poll after one write = %+v next=%d gap=%v, %v; want a gap, event 1 and next 1", evs, next, gap, err)
+	}
+
+	// SSE resumes from the same point: a gap frame, then event 1.
+	ts := httptest.NewServer(srv2.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("%s/v1/events?after=%d&stream=sse", ts.URL, cursor), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var frames []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() && len(frames) < 2 {
+		if line := sc.Text(); strings.HasPrefix(line, "event: ") || strings.HasPrefix(line, "id: ") {
+			frames = append(frames, line)
+		}
+	}
+	if len(frames) != 2 || frames[0] != "event: gap" || frames[1] != "id: 1" {
+		t.Fatalf("SSE frames = %q, want [event: gap, id: 1]", frames)
+	}
+}
+
+func TestServerFeedSurvivesDeliveryFaults(t *testing.T) {
+	// The event log records each event before any subscriber runs, so a
+	// failed delivery drops nothing from /v1/events.
+	c, srv := startServer(t, "", false)
+	var observed atomic.Int64
+	srv.Manager().Subscribe(wbmgr.EventSchemaGraph, "observer", func(wbmgr.Event) { observed.Add(1) })
+	defer chaos.Reset()
+	chaos.Enable(wbmgr.SitePublish, chaos.Rule{Kind: chaos.FaultError, Every: 1})
+	loadPair(t, c) // 2 schema-graph + 1 mapping-matrix events
+	if chaos.Fired(wbmgr.SitePublish) == 0 || observed.Load() != 0 {
+		t.Fatalf("deliveries were not dropped: fired %d, observed %d", chaos.Fired(wbmgr.SitePublish), observed.Load())
+	}
+	evs, next, gap, err := c.Events(0, time.Second)
+	if err != nil || gap || len(evs) != 3 || next != 3 {
+		t.Fatalf("feed = %d events next=%d gap=%v, %v; want the 3 committed events", len(evs), next, gap, err)
+	}
+	for i, want := range []string{"schema-graph", "schema-graph", "mapping-matrix"} {
+		if evs[i].Seq != uint64(i+1) || evs[i].Kind != want {
+			t.Fatalf("event %d = %+v, want seq %d %s", i, evs[i], i+1, want)
+		}
 	}
 }
 

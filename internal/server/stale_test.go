@@ -17,7 +17,10 @@ import (
 // publishes nothing on the renamed-away element, and scores
 // bit-identically to a cold match over the new version.
 func TestDroppedSchemaEventStillRereads(t *testing.T) {
-	c, _ := startServer(t, "", false)
+	c, srv := startServer(t, "", false)
+	// The server subscribes to nothing; an observing tool gives the
+	// failpoint a delivery to drop.
+	srv.Manager().Subscribe(wbmgr.EventSchemaGraph, "observer", func(wbmgr.Event) {})
 	id := loadPair(t, c)
 	if _, err := c.Match(id, 0.2); err != nil {
 		t.Fatalf("Match: %v", err)

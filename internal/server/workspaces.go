@@ -29,7 +29,7 @@ func (s *Server) workspaceInfo(t *tenant) WorkspaceInfo {
 		Sessions:    sessions,
 		WALBytes:    t.ws.WALSize(),
 		LastTxn:     t.ws.HighWater(),
-		FeedSeq:     t.feed.head(),
+		FeedSeq:     t.mgr().EventHead(),
 		StoreOpen:   t.ws.StoreOpen(),
 		MaxTriples:  q.MaxTriples,
 		MaxWALBytes: q.MaxWALBytes,

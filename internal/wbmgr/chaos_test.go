@@ -36,7 +36,6 @@ func TestCommitFaultRollsBackWholeTxn(t *testing.T) {
 	m := New()
 	m.SetMetrics(reg)
 	m.Blackboard().SetMetrics(reg)
-	m.EnableEventLog = true
 
 	pre := m.Blackboard().Graph().Clone()
 	chaos.Enable(SiteCommit, chaos.Rule{Every: 1})

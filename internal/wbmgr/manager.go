@@ -32,7 +32,7 @@ const (
 	MetricCommitDuration = "wbmgr_txn_commit_duration_seconds"
 	// MetricEventsPublished is labeled kind=<EventKind>.
 	MetricEventsPublished = "wbmgr_events_published_total"
-	// MetricEventsDropped counts events evicted from the ring buffer.
+	// MetricEventsDropped counts events evicted from the event log.
 	MetricEventsDropped = "wbmgr_eventlog_dropped_total"
 	// MetricToolInvocations is labeled tool=<name>, status=ok|error.
 	MetricToolInvocations = "wbmgr_tool_invocations_total"
@@ -64,7 +64,8 @@ const (
 	SiteAbort chaos.Site = "wbmgr.abort"
 	// SitePublish fires once per handler delivery; an injected error
 	// skips that handler, an injected panic exercises per-handler
-	// recovery.
+	// recovery. The event log records the event before any delivery, so
+	// neither fault hides it from EventsSince.
 	SitePublish chaos.Site = "wbmgr.publish"
 	// SiteInvoke fires before each tool invocation attempt, exercising
 	// the retry/backoff path.
@@ -109,10 +110,14 @@ type Event struct {
 	// Subject identifies what changed: a schema name, mapping id, or
 	// "mappingID|srcID|tgtID" for cells and "mappingID|tgtID" for vectors.
 	Subject string
+	// Seq is the event's position in the manager's event log, assigned
+	// by Publish: contiguous from 1 per manager (so it restarts with the
+	// process). Zero until the event is published.
+	Seq uint64
 }
 
 // Handler receives events. Handlers run synchronously on the committing
-// goroutine, after the transaction commits.
+// goroutine, after the transaction commits and the event is logged.
 type Handler func(Event)
 
 // Tool is the §5.2.1 tool interface: "the tool interface defines two
@@ -150,23 +155,26 @@ type Manager struct {
 	subs  map[EventKind][]subscription
 	subID int
 
-	// EnableEventLog turns on event recording; the case-study
-	// experiments inspect the log via EventLog(). Events land in a ring
-	// buffer of logCap entries (DefaultEventLogCapacity unless
-	// SetEventLogCapacity was called) so long-running sessions don't
-	// grow memory without bound.
-	EnableEventLog bool
-	logCap         int
-	eventLog       []Event // ring storage, len grows to logCap then wraps
-	logHead        int     // index of the oldest entry once len == logCap
+	// The event log records every published event in a ring of logCap
+	// slots indexed by sequence number — event s lives in slot
+	// (s-1) % logCap — so an append never shifts. It retains seqs
+	// logFirst..seq (none when logFirst > seq); the slice grows to
+	// logCap, then wraps. wake, once a reader asked for it, is closed by
+	// the next publish.
+	seq      uint64
+	logFirst uint64
+	logCap   int
+	log      []Event
+	wake     chan struct{}
 
 	metrics *obs.Registry
 }
 
 // DefaultEventLogCapacity bounds the event log when no explicit capacity
-// is configured — generous enough that every case study and test sees
-// its full event history, small enough to cap a long-running session.
-const DefaultEventLogCapacity = 1024
+// is configured: a cursor client (GET /v1/events) that falls further
+// behind than this sees a gap, and a long-running session's memory
+// stays bounded.
+const DefaultEventLogCapacity = 4096
 
 type subscription struct {
 	id      int
@@ -182,11 +190,12 @@ func New() *Manager {
 // NewWith wraps an existing blackboard (e.g. a restored snapshot).
 func NewWith(bb *blackboard.Blackboard) *Manager {
 	m := &Manager{
-		bb:      bb,
-		tools:   map[string]Tool{},
-		subs:    map[EventKind][]subscription{},
-		logCap:  DefaultEventLogCapacity,
-		metrics: obs.Default(),
+		bb:       bb,
+		tools:    map[string]Tool{},
+		subs:     map[EventKind][]subscription{},
+		logFirst: 1,
+		logCap:   DefaultEventLogCapacity,
+		metrics:  obs.Default(),
 	}
 	m.describeMetrics()
 	return m
@@ -211,7 +220,7 @@ func (m *Manager) describeMetrics() {
 	r.Describe(MetricTxnCommit, "Transactions committed.")
 	r.Describe(MetricTxnAbort, "Transactions rolled back.")
 	r.Describe(MetricCommitDuration, "Begin-to-commit latency of manager transactions.")
-	r.Describe(MetricEventsPublished, "Events delivered to subscribers, by kind.")
+	r.Describe(MetricEventsPublished, "Events published (logged, then delivered to subscribers), by kind.")
 	r.Describe(MetricEventsDropped, "Events evicted from the bounded event log.")
 	r.Describe(MetricToolInvocations, "Tool Invoke calls, by tool and status.")
 	r.Describe(MetricInvokeDuration, "Tool Invoke wall-clock time, by tool.")
@@ -388,17 +397,28 @@ func (m *Manager) Unsubscribe(token int) {
 	}
 }
 
-// publish delivers an event to subscribers (excluding the originating
-// tool — "the manager propagates these events to allow any tool to
-// respond to the update"; the originator already knows). Each handler
-// runs under its own recover: one panicking subscriber is counted and
-// skipped, and every remaining subscriber still receives the event.
-func (m *Manager) publish(e Event) {
+// Publish gives e the next sequence number, records it in the event log
+// and then delivers it to subscribers (excluding the originating tool —
+// "the manager propagates these events to allow any tool to respond to
+// the update"; the originator already knows). Each handler runs under
+// its own recover: one panicking subscriber is counted and skipped, and
+// every remaining subscriber still receives the event. Commit publishes
+// a transaction's events; call Publish only for an event no transaction
+// carries, such as a replica's applied-transaction notice.
+func (m *Manager) Publish(e Event) {
 	m.mu.Lock()
-	subs := append([]subscription(nil), m.subs[e.Kind]...)
-	if m.EnableEventLog {
-		m.logAppendLocked(e)
+	m.seq++
+	e.Seq = m.seq
+	m.logPutLocked(e)
+	if m.seq-m.logFirst >= uint64(m.logCap) {
+		m.logFirst++
+		m.metrics.Counter(MetricEventsDropped).Inc()
 	}
+	if m.wake != nil {
+		close(m.wake)
+		m.wake = nil
+	}
+	subs := append([]subscription(nil), m.subs[e.Kind]...)
 	reg := m.metrics
 	m.mu.Unlock()
 	reg.Counter(MetricEventsPublished, "kind", string(e.Kind)).Inc()
@@ -426,53 +446,80 @@ func (m *Manager) deliver(reg *obs.Registry, s subscription, e Event) {
 	s.handler(e)
 }
 
-// logAppendLocked appends to the ring buffer, evicting the oldest entry
-// once the buffer is full. Caller holds m.mu.
-func (m *Manager) logAppendLocked(e Event) {
-	if m.logCap <= 0 {
-		m.logCap = DefaultEventLogCapacity
+// logPutLocked stores e in its ring slot, growing the ring up to logCap.
+// Caller holds m.mu.
+func (m *Manager) logPutLocked(e Event) {
+	i := int((e.Seq - 1) % uint64(m.logCap))
+	if i >= len(m.log) {
+		m.log = append(m.log, make([]Event, i+1-len(m.log))...)
 	}
-	if len(m.eventLog) < m.logCap {
-		m.eventLog = append(m.eventLog, e)
-		return
+	m.log[i] = e
+}
+
+// logSinceLocked copies the logged events with Seq > after, oldest
+// first; after must lie in logFirst-1..seq. Caller holds m.mu.
+func (m *Manager) logSinceLocked(after uint64) []Event {
+	out := make([]Event, 0, m.seq-after)
+	for s := after + 1; s <= m.seq; s++ {
+		out = append(out, m.log[(s-1)%uint64(m.logCap)])
 	}
-	m.eventLog[m.logHead] = e
-	m.logHead = (m.logHead + 1) % m.logCap
-	m.metrics.Counter(MetricEventsDropped).Inc()
+	return out
 }
 
 // SetEventLogCapacity bounds the event log to the most recent n events
 // (n <= 0 restores DefaultEventLogCapacity). If the log already holds
-// more than n events, only the newest n survive.
+// more than n events, only the newest n survive. Sequence numbers are
+// unaffected.
 func (m *Manager) SetEventLogCapacity(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if n <= 0 {
 		n = DefaultEventLogCapacity
 	}
-	ordered := m.eventLogLocked()
-	if len(ordered) > n {
-		ordered = ordered[len(ordered)-n:]
+	kept := m.logSinceLocked(m.logFirst - 1)
+	if len(kept) > n {
+		kept = kept[len(kept)-n:]
 	}
 	m.logCap = n
-	m.eventLog = ordered
-	m.logHead = 0
+	m.log = nil
+	m.logFirst = m.seq + 1 - uint64(len(kept))
+	for _, e := range kept {
+		m.logPutLocked(e)
+	}
 }
 
-// EventLog returns the recorded events, oldest first (a copy; at most
+// EventLog returns the retained events, oldest first (a copy; at most
 // the configured capacity).
 func (m *Manager) EventLog() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.eventLogLocked()
+	return m.logSinceLocked(m.logFirst - 1)
 }
 
-// eventLogLocked linearizes the ring into a fresh slice. Caller holds m.mu.
-func (m *Manager) eventLogLocked() []Event {
-	out := make([]Event, 0, len(m.eventLog))
-	out = append(out, m.eventLog[m.logHead:]...)
-	out = append(out, m.eventLog[:m.logHead]...)
-	return out
+// EventHead returns the highest sequence number assigned so far (0
+// before the first event).
+func (m *Manager) EventHead() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.seq
+}
+
+// EventsSince returns the logged events with Seq > after, oldest first,
+// the head (the highest Seq assigned), and a channel the next Publish
+// closes, for waiting when there is nothing new. A cursor the log cannot
+// continue — behind the oldest retained event, or ahead of the head (a
+// cursor from before a restart; sequence numbers restart at 1) — sets
+// gap and gets every retained event instead.
+func (m *Manager) EventsSince(after uint64) (evs []Event, head uint64, gap bool, wake <-chan struct{}) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if after+1 < m.logFirst || after > m.seq {
+		gap, after = true, m.logFirst-1
+	}
+	if m.wake == nil {
+		m.wake = make(chan struct{})
+	}
+	return m.logSinceLocked(after), m.seq, gap, m.wake
 }
 
 // ---- Transactions ----
@@ -623,7 +670,7 @@ func (t *Txn) Commit() (err error) {
 	reg.Counter(MetricTxnCommit).Inc()
 	reg.Histogram(MetricCommitDuration, nil).ObserveDuration(time.Since(t.began))
 	for _, e := range queued {
-		t.m.publish(e)
+		t.m.Publish(e)
 	}
 	return nil
 }

@@ -3,8 +3,10 @@ package wbmgr
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -216,7 +218,6 @@ func TestUnsubscribe(t *testing.T) {
 
 func TestEventLog(t *testing.T) {
 	m := New()
-	m.EnableEventLog = true
 	txn, _ := m.Begin("x")
 	txn.Emit(EventMappingMatrix, "m")
 	_ = txn.Commit()
@@ -339,7 +340,6 @@ func TestSequentialTransactionThroughput(t *testing.T) {
 
 func TestEventLogRingBuffer(t *testing.T) {
 	m := New()
-	m.EnableEventLog = true
 	m.SetEventLogCapacity(3)
 	for i := 0; i < 5; i++ {
 		txn, err := m.Begin("x")
@@ -362,7 +362,6 @@ func TestEventLogRingBuffer(t *testing.T) {
 
 func TestSetEventLogCapacityShrinksToNewest(t *testing.T) {
 	m := New()
-	m.EnableEventLog = true
 	for i := 0; i < 4; i++ {
 		txn, _ := m.Begin("x")
 		txn.Emit(EventMappingCell, fmt.Sprintf("s%d", i))
@@ -449,10 +448,9 @@ func TestManagerMetrics(t *testing.T) {
 
 func TestConcurrentPublishAndEventLog(t *testing.T) {
 	// Subscriptions, direct publishes and log reads from many goroutines:
-	// the -race proof for the manager's event path. publish is exercised
+	// the -race proof for the manager's event path. Publish is exercised
 	// directly (not via transactions) because only one txn may be active.
 	m := New()
-	m.EnableEventLog = true
 	m.SetEventLogCapacity(64)
 	var delivered atomic.Int64
 	m.Subscribe(EventMappingCell, "listener", func(Event) { delivered.Add(1) })
@@ -461,7 +459,7 @@ func TestConcurrentPublishAndEventLog(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				m.publish(Event{Kind: EventMappingCell, Tool: "writer", Subject: "s"})
+				m.Publish(Event{Kind: EventMappingCell, Tool: "writer", Subject: "s"})
 				if i%20 == 0 {
 					_ = m.EventLog()
 				}
@@ -476,5 +474,168 @@ func TestConcurrentPublishAndEventLog(t *testing.T) {
 	}
 	if got := len(m.EventLog()); got != 64 {
 		t.Errorf("ring holds %d, want 64", got)
+	}
+}
+
+func TestEventSeqContiguousAcrossCommitsPublishesAndShrink(t *testing.T) {
+	// Commits, direct publishes and a capacity shrink share one sequence:
+	// contiguous from 1, stamped before delivery. An aborted transaction
+	// takes no numbers; a cursor the log can no longer continue gets a gap.
+	reg := obs.NewRegistry()
+	m := New()
+	m.SetMetrics(reg)
+	var delivered []Event
+	m.Subscribe(EventMappingCell, "listener", func(e Event) { delivered = append(delivered, e) })
+	commit := func(subjects ...string) {
+		t.Helper()
+		txn, err := m.Begin("x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subjects {
+			txn.Emit(EventMappingCell, s)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit("c1", "c2")
+	m.Publish(Event{Kind: EventMappingCell, Tool: "replica", Subject: "p1"})
+	txn, _ := m.Begin("x")
+	txn.Emit(EventMappingCell, "aborted")
+	_ = txn.Abort()
+	commit("c3")
+	m.SetEventLogCapacity(3) // keeps seqs 2..4
+	m.Publish(Event{Kind: EventMappingCell, Tool: "replica", Subject: "p2"})
+	commit("c4", "c5") // the log now holds seqs 5..7
+
+	want := []string{"c1", "c2", "p1", "c3", "p2", "c4", "c5"}
+	if len(delivered) != len(want) {
+		t.Fatalf("delivered %d events, want %d", len(delivered), len(want))
+	}
+	for i, e := range delivered {
+		if e.Seq != uint64(i+1) || e.Subject != want[i] {
+			t.Fatalf("delivered[%d] = seq %d %q, want seq %d %q", i, e.Seq, e.Subject, i+1, want[i])
+		}
+	}
+	if head := m.EventHead(); head != 7 {
+		t.Fatalf("EventHead = %d, want 7", head)
+	}
+	if log := m.EventLog(); len(log) != 3 || log[0].Seq != 5 || log[2].Seq != 7 || log[0].Subject != "p2" {
+		t.Fatalf("EventLog = %+v, want seqs 5..7", log)
+	}
+	// Three appends evicted seqs 2, 3 and 4; the shrink itself counts none.
+	if n := findCounter(t, reg, MetricEventsDropped, "", ""); n != 3 {
+		t.Fatalf("%s = %v, want 3", MetricEventsDropped, n)
+	}
+
+	for _, tc := range []struct {
+		after    uint64
+		gap      bool
+		firstSeq uint64
+		n        int
+	}{
+		{after: 4, firstSeq: 5, n: 3},
+		{after: 6, firstSeq: 7, n: 1},
+		{after: 7},
+		{after: 3, gap: true, firstSeq: 5, n: 3}, // behind the eviction horizon
+		{after: 0, gap: true, firstSeq: 5, n: 3},
+		{after: 9, gap: true, firstSeq: 5, n: 3}, // ahead of the head
+	} {
+		evs, head, gap, _ := m.EventsSince(tc.after)
+		if head != 7 || gap != tc.gap || len(evs) != tc.n || (tc.n > 0 && evs[0].Seq != tc.firstSeq) {
+			t.Errorf("EventsSince(%d) = %d events (first %+v), head %d, gap %v; want %d from seq %d, head 7, gap %v",
+				tc.after, len(evs), evs, head, gap, tc.n, tc.firstSeq, tc.gap)
+		}
+	}
+
+	// The wake channel closes on the next publish, not before.
+	_, _, _, wake := m.EventsSince(7)
+	select {
+	case <-wake:
+		t.Fatal("wake closed with no new event")
+	default:
+	}
+	m.Publish(Event{Kind: EventSchemaGraph, Tool: "replica", Subject: "p3"})
+	select {
+	case <-wake:
+	default:
+		t.Fatal("wake still open after a publish")
+	}
+	if evs, _, gap, _ := m.EventsSince(7); gap || len(evs) != 1 || evs[0].Seq != 8 {
+		t.Fatalf("after publish: %+v gap=%v, want seq 8", evs, gap)
+	}
+}
+
+func TestEventsSinceFollowsConcurrentPublishes(t *testing.T) {
+	// A cursor reader that waits on the wake channel while several
+	// goroutines publish sees every sequence number once, in order.
+	m := New()
+	const writers, each = 4, 250
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				m.Publish(Event{Kind: EventMappingCell, Tool: "writer", Subject: "s"})
+			}
+		}()
+	}
+	defer wg.Wait()
+	var cursor uint64
+	for cursor < writers*each {
+		evs, _, gap, wake := m.EventsSince(cursor)
+		if gap {
+			t.Fatalf("gap at cursor %d", cursor)
+		}
+		for _, e := range evs {
+			if e.Seq != cursor+1 {
+				t.Fatalf("seq %d after cursor %d", e.Seq, cursor)
+			}
+			cursor = e.Seq
+		}
+		if len(evs) == 0 {
+			select {
+			case <-wake:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no wake-up at cursor %d", cursor)
+			}
+		}
+	}
+}
+
+// BenchmarkPublishFullLog commits one 1,500-cell match publish into an
+// event log that is already full. The ring is indexed by sequence
+// number, so ns/event must not grow with the capacity.
+func BenchmarkPublishFullLog(b *testing.B) {
+	subjects := make([]string, 1500)
+	for i := range subjects {
+		subjects[i] = fmt.Sprintf("m1|src/e%d|tgt/e%d", i, i)
+	}
+	for _, capacity := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
+			m := New()
+			m.SetMetrics(obs.NewRegistry())
+			m.SetEventLogCapacity(capacity)
+			for i := 0; i < capacity; i++ {
+				m.Publish(Event{Kind: EventMappingCell, Tool: "fill", Subject: "fill"})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				txn, err := m.Begin("harmony")
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range subjects {
+					txn.Emit(EventMappingCell, s)
+				}
+				if err := txn.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(subjects)), "ns/event")
+		})
 	}
 }
