@@ -185,7 +185,7 @@ func TestCLIApplyRemoteKillRecover(t *testing.T) {
 
 	// An analyst pins a decision, then the declared version bumps.
 	remote(t, dir, addr, "-workspace", "team-a", "map", "m1", "orders", "shipping")
-	remote(t, dir, addr, "-workspace", "team-a", "accept", "m1", "orders/status", "shipping/recipient")
+	remote(t, dir, addr, "-workspace", "team-a", "accept", "m1", "orders/orders/status", "shipping/shipping/recipient")
 	writeSchemaSetVersion(t, dir, "v2")
 	out = remote(t, dir, addr, "-workspace", "team-a", "apply", "-yes")
 	for _, want := range []string{

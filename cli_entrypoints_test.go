@@ -2,27 +2,34 @@ package workbench
 
 // The cross-entrypoint differential: one seeded op script — load, map,
 // match, accept/reject, match again, apply v2 — through the local state
-// file, -remote, and -remote -workspace must leave the same blackboard
-// behind. The three paths share one match session, one publish and one
-// apply path, so anything but identical schemas, cells and revision
-// order is a divergence between entry points.
+// file, -remote, -remote -workspace, and a replica promoted halfway
+// through must print the same output and leave the same blackboard
+// behind. Every entry point runs the same client code against the same
+// service routes, so anything but identical stdout, schemas, cells
+// (decision provenance included) and revision order is a divergence
+// between entry points.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/blackboard"
 	"repro/internal/client"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/obs/logx"
 	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/xmlschema"
@@ -103,8 +110,8 @@ func schemaGraph(bb *blackboard.Blackboard) *rdf.Graph {
 }
 
 // cellView renders each mapping's cells (source, target, confidence
-// bits, user-defined flag, and the writer of machine cells) and the
-// order their revisions put them in.
+// bits, user-defined flag and writer) and the order their revisions put
+// them in.
 func cellView(t *testing.T, bb *blackboard.Blackboard) (cells, order map[string][]string) {
 	t.Helper()
 	cells, order = map[string][]string{}, map[string][]string{}
@@ -115,14 +122,8 @@ func cellView(t *testing.T, bb *blackboard.Blackboard) (cells, order map[string]
 		}
 		all := mp.Cells()
 		for _, c := range all {
-			// A decision's writer differs by design: the local CLI
-			// records "engineer", a client without a session "remote".
-			setBy := c.SetBy
-			if c.UserDefined {
-				setBy = "(decision)"
-			}
 			cells[id] = append(cells[id], fmt.Sprintf("%s → %s %016x user=%v by %s",
-				c.SourceID, c.TargetID, math.Float64bits(c.Confidence), c.UserDefined, setBy))
+				c.SourceID, c.TargetID, math.Float64bits(c.Confidence), c.UserDefined, c.SetBy))
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Revision < all[j].Revision })
 		for _, c := range all {
@@ -142,6 +143,43 @@ func firstDiff(a, b []string) string {
 	return fmt.Sprintf("lengths %d vs %d", len(a), len(b))
 }
 
+// runStdout executes the workbench in dir and returns its stdout alone.
+func runStdout(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(filepath.Join(buildCLIs(t), "workbench"), args...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("workbench %v: %v\n%s%s", args, err, out, stderr.Bytes())
+	}
+	return string(out)
+}
+
+// rematchMode matches the mode apply reports per re-matched mapping: a
+// one-shot local process has no live engine, so its mode is "cold"
+// where a long-lived service re-matches incrementally.
+var rematchMode = regexp.MustCompile(`(?m)^(  rematch \S+: mode=)\S+`)
+
+// waitCaughtUp blocks until the replica's last applied txn reaches the
+// primary's.
+func waitCaughtUp(t *testing.T, pri, rep *client.Client) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		ps, perr := pri.ReplStatus()
+		rs, rerr := rep.ReplStatus()
+		if perr == nil && rerr == nil && rs.LastTxn >= ps.LastTxn {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica did not catch up: primary %+v (%v), replica %+v (%v)", ps, perr, rs, rerr)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestCrossEntrypointDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -150,60 +188,102 @@ func TestCrossEntrypointDifferential(t *testing.T) {
 	script := [][]string{
 		{"load", "po.xsd"},
 		{"load", "si.xsd"},
+		{"schemas"},
 		{"map", "m1", "po", "si"},
 		{"match", "m1", "0.2"},
 	}
+	firstDecision := len(script)
 	script = append(script, decisionScript(t, 7, po, si)...)
-	script = append(script, []string{"match", "m1", "0.2"}, []string{"apply", "-yes"})
+	script = append(script,
+		[]string{"match", "m1", "0.2"},
+		[]string{"cells", "m1"},
+		[]string{"query", `?s <urn:workbench:name> "subtotal"`, "s"},
+		[]string{"plan"},
+		[]string{"apply", "-yes"})
 
-	srv, err := server.New(server.Config{Metrics: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if _, err := client.New(ts.URL).CreateWorkspace("team", 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	addr := strings.TrimPrefix(ts.URL, "http://")
-
-	localDir := entrypointDir(t, po, si)
-	boards := map[string]*blackboard.Blackboard{}
-	for _, ep := range []struct {
-		name   string
-		prefix []string
-		dir    string
-	}{
-		{"local", nil, localDir},
-		{"remote", []string{"-remote", addr}, entrypointDir(t, po, si)},
-		{"workspace", []string{"-remote", addr, "-workspace", "team"}, entrypointDir(t, po, si)},
-	} {
-		for _, op := range script {
-			run(t, ep.dir, "workbench", append(slices.Clone(ep.prefix), op...)...)
+	serve := func(cfg server.Config) (*server.Server, string) {
+		cfg.Metrics, cfg.Log = obs.NewRegistry(), logx.Discard()
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ep.name == "local" {
-			f, err := os.Open(filepath.Join(ep.dir, "workbench.nt"))
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(srv.StopReplication)
+		return srv, ts.URL
+	}
+	srv, url := serve(server.Config{})
+	if _, err := client.New(url).CreateWorkspace("team", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	addr := strings.TrimPrefix(url, "http://")
+	// The replica entry point runs the script up to the decisions on a
+	// durable primary, promotes the caught-up replica, and runs the rest
+	// there.
+	_, priURL := serve(server.Config{DataDir: t.TempDir()})
+	repSrv, repURL := serve(server.Config{
+		ReplicaOf: priURL, ReplPollTimeout: 250 * time.Millisecond, ReplBackoff: 20 * time.Millisecond,
+	})
+	priAddr, repAddr := strings.TrimPrefix(priURL, "http://"), strings.TrimPrefix(repURL, "http://")
+	promote := func(dir string) {
+		waitCaughtUp(t, client.New(priURL), client.New(repURL))
+		runStdout(t, dir, "-remote", repAddr, "promote")
+	}
+
+	type entrypoint struct {
+		name string
+		// prefix addresses the ops before the first decision, then the
+		// rest; switchover runs between the two.
+		prefix, then []string
+		switchover   func(dir string)
+		board        func(dir string) *blackboard.Blackboard
+	}
+	workspaceBoard := func(srv *server.Server, ws string) func(string) *blackboard.Blackboard {
+		return func(string) *blackboard.Blackboard {
+			w, ok := srv.Workspaces().Get(ws)
+			if !ok {
+				t.Fatalf("workspace %q missing", ws)
+			}
+			return w.Blackboard()
+		}
+	}
+	bare := []string{"-remote", addr}
+	team := []string{"-remote", addr, "-workspace", "team"}
+	eps := []entrypoint{
+		{name: "local", board: func(dir string) *blackboard.Blackboard {
+			f, err := os.Open(filepath.Join(dir, "workbench.nt"))
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer f.Close()
 			bb := blackboard.New()
-			err = bb.Restore(f)
-			f.Close()
-			if err != nil {
+			if err := bb.Restore(f); err != nil {
 				t.Fatal(err)
 			}
-			boards[ep.name] = bb
-			continue
+			return bb
+		}},
+		{name: "remote", prefix: bare, then: bare, board: workspaceBoard(srv, "default")},
+		{name: "workspace", prefix: team, then: team, board: workspaceBoard(srv, "team")},
+		{name: "replica", prefix: []string{"-remote", priAddr}, then: []string{"-remote", repAddr},
+			switchover: promote, board: workspaceBoard(repSrv, "default")},
+	}
+
+	outs := map[string][]string{}
+	boards := map[string]*blackboard.Blackboard{}
+	for _, ep := range eps {
+		dir := entrypointDir(t, po, si)
+		for i, op := range script {
+			prefix := ep.prefix
+			if i >= firstDecision {
+				if i == firstDecision && ep.switchover != nil {
+					ep.switchover(dir)
+				}
+				prefix = ep.then
+			}
+			out := runStdout(t, dir, append(slices.Clone(prefix), op...)...)
+			outs[ep.name] = append(outs[ep.name], rematchMode.ReplaceAllString(out, "${1}*"))
 		}
-		ws := "default"
-		if ep.name == "workspace" {
-			ws = "team"
-		}
-		w, ok := srv.Workspaces().Get(ws)
-		if !ok {
-			t.Fatalf("workspace %q missing", ws)
-		}
-		boards[ep.name] = w.Blackboard()
+		boards[ep.name] = ep.board(dir)
 	}
 
 	local := boards["local"]
@@ -211,8 +291,13 @@ func TestCrossEntrypointDifferential(t *testing.T) {
 	if len(wantCells["m1"]) == 0 {
 		t.Fatal("the script left no cells")
 	}
-	for _, name := range []string{"remote", "workspace"} {
-		bb := boards[name]
+	for _, ep := range eps[1:] {
+		name, bb := ep.name, boards[ep.name]
+		for i, op := range script {
+			if outs[name][i] != outs["local"][i] {
+				t.Errorf("%s: %v prints\n%s\nlocal prints\n%s", name, op, outs[name][i], outs["local"][i])
+			}
+		}
 		if !rdf.Equal(schemaGraph(local), schemaGraph(bb)) {
 			t.Errorf("%s: schema subgraph differs from local", name)
 		}

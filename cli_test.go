@@ -136,7 +136,7 @@ func TestWorkbenchCLIEndToEnd(t *testing.T) {
 
 	run(t, dir, "workbench", "accept", "m1", "po/shipTo/subtotal", "si/shippingInfo/total")
 	out = run(t, dir, "workbench", "cells", "m1")
-	if !strings.Contains(out, "+1.00 (user, by engineer)") {
+	if !strings.Contains(out, "+1.00 (user, by remote)") {
 		t.Fatalf("cells: %s", out)
 	}
 
@@ -187,8 +187,8 @@ func TestWorkbenchCLIMatchKeepsDecisions(t *testing.T) {
 	run(t, dir, "workbench", "match", "m1", "0.2")
 	out := run(t, dir, "workbench", "cells", "m1")
 	for _, want := range []string{
-		"po/shipTo/subtotal                       ↔ si/shippingInfo/total                    +1.00 (user, by engineer)",
-		"po/shipTo/firstName                      ↔ si/shippingInfo/name                     -1.00 (user, by engineer)",
+		"po/shipTo/subtotal                       ↔ si/shippingInfo/total                    +1.00 (user, by remote)",
+		"po/shipTo/firstName                      ↔ si/shippingInfo/name                     -1.00 (user, by remote)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("cells after match lost a decision; want %q in:\n%s", want, out)
@@ -251,6 +251,33 @@ func TestWorkbenchCLIErrors(t *testing.T) {
 	run(t, dir, "workbench", "map", "m1", "po", "si")
 	runExpectError(t, dir, "workbench", "code", "m1", "po/shipTo", "$s",
 		"si/shippingInfo/total", "((bad code")
+
+	// A decision must name non-root elements of the mapping's schemas:
+	// no engine could ever pin any other pair.
+	state := filepath.Join(dir, "workbench.nt")
+	before, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]string{
+		{"po/noSuchElement", "si/alsoMissing"},
+		{"po/shipTo/subtotal", "si/alsoMissing"},
+		{"po", "si/shippingInfo/total"}, // the source schema's root
+	} {
+		cmd := exec.Command(filepath.Join(buildCLIs(t), "workbench"), "accept", "m1", pair[0], pair[1])
+		cmd.Dir = dir
+		out, _ := cmd.CombinedOutput()
+		if got := cmd.ProcessState.ExitCode(); got != 1 || !strings.Contains(string(out), "unknown element") {
+			t.Errorf("accept %v: exit %d, want 1 and an unknown-element error:\n%s", pair, got, out)
+		}
+	}
+	after, err := os.ReadFile(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a refused decision changed the state file")
+	}
 }
 
 func TestHarmonyCLI(t *testing.T) {

@@ -53,6 +53,9 @@ func TestCLIFlagPlacement(t *testing.T) {
 		{"workspace trailing remote honored", []string{"workspace", "list", "-remote", "127.0.0.1:1"}, 1, ""},
 		{"workspace unknown flag rejected", []string{"workspace", "list", "-bogus"}, 2, "usage"},
 		{"workspace without remote rejected", []string{"workspace", "list"}, 2, "-remote"},
+		{"events without remote rejected", []string{"events"}, 2, "-remote"},
+		{"snapshot without remote rejected", []string{"snapshot"}, 2, "-remote"},
+		{"repl-status without remote rejected", []string{"repl-status"}, 2, "-remote"},
 		{"loadgen trailing workers honored", []string{"-remote", "127.0.0.1:1", "loadgen", "-workers", "1", "-duration", "1ms"}, 1, ""},
 		{"loadgen unknown flag rejected", []string{"-remote", "127.0.0.1:1", "loadgen", "-bogus"}, 2, "usage"},
 		// Fixed-arity data subcommands reject trailing flags by name.

@@ -44,6 +44,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/schemaset"
 )
 
 func main() {
@@ -257,16 +258,16 @@ func demoPair(arg string) (*model.Schema, *model.Schema, error) {
 }
 
 func loadSchema(path string) (*model.Schema, error) {
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".xsd", ".xml":
-		return workbench.LoadXSDFile(path)
-	case ".sql", ".ddl":
-		return workbench.LoadSQLFile(path)
-	case ".er":
-		return workbench.LoadERFile(path)
-	default:
-		return nil, fmt.Errorf("harmony: unknown schema extension on %q (want .xsd, .sql or .er)", path)
+	name, format, err := schemaset.SchemaNameFormat(path)
+	if err != nil {
+		return nil, err
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return schemaset.ParseSchema(name, format, f)
 }
 
 func exitIf(err error) {

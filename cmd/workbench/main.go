@@ -1,12 +1,17 @@
-// Command workbench is a stateful CLI over the integration blackboard —
-// and, since the durable-service PR, both the server and a client of
-// the long-lived workbench service.
+// Command workbench is a stateful CLI over the integration blackboard:
+// both the long-lived workbench service and its client.
 //
-// Local mode persists the blackboard between invocations as an
-// N-Triples snapshot (default workbench.nt). Service mode (`workbench
-// serve`) runs a crash-safe, WAL-backed blackboard behind an HTTP/JSON
-// API; pointing any subcommand at it with -remote turns the CLI into a
-// thin client, so several analysts share one durable blackboard.
+// Service mode (`workbench serve`) runs a crash-safe, WAL-backed
+// blackboard behind an HTTP/JSON API; -remote ADDR runs a subcommand
+// against it, so several analysts share one durable blackboard. Local
+// mode is the same client against an in-process service: the N-Triples
+// snapshot named by -state (default workbench.nt) is restored into the
+// default workspace of a service with no data dir, the subcommand runs
+// through the same code as with -remote (the client's transport calls
+// the service's handler; nothing listens), and the blackboard is
+// written back when the subcommand succeeded and changed it. Both modes
+// print the same output and record the same provenance: a decision is
+// set by "remote", as for any client without a session.
 //
 // Subcommands:
 //
@@ -86,25 +91,23 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	workbench "repro"
 	"repro/internal/atomicfile"
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
 	"repro/internal/chaos/sim"
 	"repro/internal/client"
-	"repro/internal/harmony"
 	"repro/internal/loadgen"
 	"repro/internal/mapgen"
 	"repro/internal/model"
@@ -113,7 +116,6 @@ import (
 	"repro/internal/schemaset"
 	"repro/internal/server"
 	"repro/internal/wal"
-	"repro/internal/wbmgr"
 )
 
 func main() {
@@ -213,8 +215,6 @@ func run(argv []string) int {
 		err = runMetrics(o, rest)
 	case cmd == "workspace":
 		err = runWorkspace(o, rest)
-	case cmd == "plan" || cmd == "apply":
-		err = runSchemaSet(o, cmd, rest)
 	case o.remote != "":
 		err = runRemote(o, cmd, rest)
 	default:
@@ -321,11 +321,7 @@ func runFsck(o opts, rest []string) error {
 	}
 	switch {
 	case o.remote != "":
-		c := client.New(o.remote)
-		if o.workspace != "" {
-			c = c.ForWorkspace(o.workspace)
-		}
-		resp, err := c.Fsck()
+		resp, err := remoteClient(o).Fsck()
 		if err != nil {
 			return err
 		}
@@ -374,8 +370,8 @@ func runFsck(o opts, rest []string) error {
 		}
 		return firstErr
 	default:
-		bb, err := loadState(o.state)
-		if err != nil {
+		bb := blackboard.New()
+		if err := loadState(o.state, bb); err != nil {
 			return fmt.Errorf("fsck: %w", err)
 		}
 		return fsckGraph(bb)
@@ -394,18 +390,87 @@ func fsckGraph(bb *blackboard.Blackboard) error {
 	return nil
 }
 
-// ---- remote mode ----
+// ---- data subcommands ----
 
-// runRemote executes one subcommand against a workbench service,
-// printing the same shapes the local path prints so scripts don't care
-// which side of the network the blackboard lives on.
-func runRemote(o opts, cmd string, rest []string) error {
-	if err := rejectFlags(cmd, rest); err != nil {
-		return err
-	}
+// remoteClient addresses the service at -remote, scoped by -workspace.
+func remoteClient(o opts) *client.Client {
 	c := client.New(o.remote)
 	if o.workspace != "" {
 		c = c.ForWorkspace(o.workspace)
+	}
+	return c
+}
+
+// runRemote runs one data subcommand against the service at -remote.
+func runRemote(o opts, cmd string, rest []string) error {
+	switch cmd {
+	case "code", "gen", "dot":
+		return usageError{fmt.Sprintf("%s is not available in -remote mode", cmd)}
+	}
+	return runCommand(remoteClient(o), cmd, rest)
+}
+
+// runLocal runs one subcommand against the -state file through an
+// in-process service: the file is restored into the default workspace
+// of a service with no data dir, data subcommands run through
+// runCommand on a client whose transport calls the service's handler,
+// and code, gen and dot edit that same blackboard directly. The file is
+// rewritten only when the subcommand succeeded and changed the
+// blackboard, so a failed run never clobbers the previous state. The
+// feed, snapshot and replication subcommands need a real service.
+func runLocal(o opts, cmd string, rest []string) error {
+	switch cmd {
+	case "events", "snapshot", "repl-status":
+		return usageError{cmd + " requires -remote ADDR (a running `workbench serve`)"}
+	}
+	srv, err := server.New(server.Config{SlowRequest: -1})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	bb := srv.Workspaces().Default().Blackboard()
+	if err := loadState(o.state, bb); err != nil {
+		return err
+	}
+	rev := bb.Revision()
+	switch cmd {
+	case "code", "gen", "dot":
+		err = runOffline(bb, cmd, rest)
+	default:
+		c := client.New("in-process")
+		c.SetHTTPClient(&http.Client{Transport: inProcess{srv.Handler()}})
+		err = runCommand(c, cmd, rest)
+	}
+	if err != nil || bb.Revision() == rev {
+		return err
+	}
+	return saveState(o.state, bb)
+}
+
+// inProcess is an http.RoundTripper that serves every request with h in
+// this process.
+type inProcess struct{ h http.Handler }
+
+func (t inProcess) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Body == nil {
+		r = r.Clone(r.Context())
+		r.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// runCommand executes one data subcommand through c. It is the only
+// implementation of each: -remote passes a client of the service at
+// ADDR, local mode one of its in-process service, so scripts don't care
+// which side of the network the blackboard lives on.
+func runCommand(c *client.Client, cmd string, rest []string) error {
+	if cmd == "plan" || cmd == "apply" {
+		return runSchemaSet(c, cmd, rest)
+	}
+	if err := rejectFlags(cmd, rest); err != nil {
+		return err
 	}
 	switch cmd {
 	case "load":
@@ -548,7 +613,7 @@ func runRemote(o opts, cmd string, rest []string) error {
 			fmt.Printf("  primary %s, lag %d txns / %.1fs\n", st.Primary, st.LagTxns, st.LagSeconds)
 		}
 	default:
-		return usageError{fmt.Sprintf("%s is not available in -remote mode", cmd)}
+		return usageError{"<command>; run with no arguments for the command list"}
 	}
 	return nil
 }
@@ -689,8 +754,8 @@ func runMetrics(o opts, rest []string) error {
 	if o.remote != "" {
 		return usageError{fmt.Sprintf("metrics is not available in -remote mode; scrape http://%s/metrics instead", o.remote)}
 	}
-	bb, err := loadState(o.state)
-	if err != nil {
+	bb := blackboard.New()
+	if err := loadState(o.state, bb); err != nil {
 		return err
 	}
 	// Snapshot-derived gauges complement the mutation-path metrics,
@@ -838,112 +903,15 @@ func runLoadgen(o opts, rest []string) error {
 	return nil
 }
 
-// ---- local mode ----
+// ---- local-only subcommands ----
 
-func runLocal(o opts, cmd string, rest []string) error {
+// runOffline runs the subcommands no service route covers against the
+// restored blackboard: column code, XQuery generation and DOT.
+func runOffline(bb *blackboard.Blackboard, cmd string, rest []string) error {
 	if err := rejectFlags(cmd, rest); err != nil {
 		return err
 	}
-	bb, err := loadState(o.state)
-	if err != nil {
-		return err
-	}
-	m := wbmgr.NewWith(bb)
-
 	switch cmd {
-	case "load":
-		if err := need(rest, 1, "load <schema-file>"); err != nil {
-			return err
-		}
-		s, err := loadSchema(rest[0])
-		if err != nil {
-			return err
-		}
-		v, err := bb.PutSchema(s)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("loaded schema %q (version %d, %d elements)\n", s.Name, v, s.Len())
-	case "schemas":
-		for _, n := range bb.Schemas() {
-			fmt.Printf("  %s (v%d)\n", n, bb.SchemaVersion(n))
-		}
-	case "map":
-		if err := need(rest, 3, "map <id> <source> <target>"); err != nil {
-			return err
-		}
-		if _, err := bb.NewMapping(rest[0], rest[1], rest[2]); err != nil {
-			return err
-		}
-		fmt.Printf("created mapping %q: %s → %s\n", rest[0], rest[1], rest[2])
-	case "match":
-		if err := need(rest, 1, "match <id> [threshold]"); err != nil {
-			return err
-		}
-		threshold := server.DefaultThreshold
-		if len(rest) > 1 {
-			t, err := strconv.ParseFloat(rest[1], 64)
-			if err != nil {
-				return err
-			}
-			threshold = t
-		}
-		mp, err := bb.GetMapping(rest[0])
-		if err != nil {
-			return err
-		}
-		// A cold run through a match session, published like the
-		// server's match route: decisions pin and are never overwritten,
-		// bit-identical machine cells are not rewritten.
-		res, err := harmony.NewSession(harmony.Options{Flooding: true}).Run(context.Background(), bb, mp, threshold)
-		if err != nil {
-			return err
-		}
-		var cells []blackboard.Cell
-		err = m.Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
-			var perr error
-			cells, perr = res.Publish(txn, mp)
-			return perr
-		})
-		if err != nil {
-			return err
-		}
-		for _, l := range res.Links {
-			fmt.Println(" ", l)
-		}
-		fmt.Printf("published %d cells at threshold %.2f\n", len(cells), threshold)
-	case "accept", "reject":
-		if err := need(rest, 3, cmd+" <id> <srcElem> <tgtElem>"); err != nil {
-			return err
-		}
-		mp, err := bb.GetMapping(rest[0])
-		if err != nil {
-			return err
-		}
-		conf := 1.0
-		if cmd == "reject" {
-			conf = -1.0
-		}
-		if err := mp.SetCell(rest[1], rest[2], conf, true, "engineer"); err != nil {
-			return err
-		}
-		fmt.Printf("%sed %s ↔ %s\n", cmd, rest[1], rest[2])
-	case "cells":
-		if err := need(rest, 1, "cells <id>"); err != nil {
-			return err
-		}
-		mp, err := bb.GetMapping(rest[0])
-		if err != nil {
-			return err
-		}
-		for _, c := range mp.Cells() {
-			origin := "machine"
-			if c.UserDefined {
-				origin = "user"
-			}
-			fmt.Printf("  %-40s ↔ %-40s %+.2f (%s, by %s)\n",
-				c.SourceID, c.TargetID, c.Confidence, origin, c.SetBy)
-		}
 	case "code":
 		if err := need(rest, 5, "code <id> <rowElem> <var> <colElem> <expr>"); err != nil {
 			return err
@@ -999,25 +967,8 @@ func runLocal(o opts, cmd string, rest []string) error {
 			})
 		}
 		fmt.Print(model.MappingToDOT(src, tgt, cells))
-	case "query":
-		if err := need(rest, 2, "query '<pattern lines>' v1 [v2 ...]"); err != nil {
-			return err
-		}
-		rows, err := m.Query(rest[0], rest[1:]...)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			fmt.Println(" ", strings.Join(r, "  "))
-		}
-		fmt.Printf("%d rows\n", len(rows))
-	default:
-		return usageError{"<command>; run with no arguments for the command list"}
 	}
-
-	// Persist the blackboard — only reached when the subcommand
-	// succeeded, so a failed run never clobbers the previous state.
-	return saveState(o.state, bb)
+	return nil
 }
 
 // siteStateSave is the chaos failpoint inside a local state save, after
@@ -1028,22 +979,18 @@ func init() {
 	chaos.RegisterSite(siteStateSave, "local state save: snapshot written, not yet renamed over the state file")
 }
 
-// loadState reads the local blackboard from the state file; a missing
-// file is an empty blackboard.
-func loadState(path string) (*blackboard.Blackboard, error) {
-	bb := blackboard.New()
+// loadState restores the state file into bb; a missing file leaves bb
+// empty.
+func loadState(path string, bb *blackboard.Blackboard) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return bb, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-	if err := bb.Restore(f); err != nil {
-		return nil, err
-	}
-	return bb, nil
+	return bb.Restore(f)
 }
 
 // saveState replaces the state file with bb's snapshot crash-safely: a
@@ -1055,19 +1002,6 @@ func saveState(path string, bb *blackboard.Blackboard) error {
 		}
 		return chaos.Inject(siteStateSave)
 	})
-}
-
-func loadSchema(path string) (*model.Schema, error) {
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".xsd", ".xml":
-		return workbench.LoadXSDFile(path)
-	case ".sql", ".ddl":
-		return workbench.LoadSQLFile(path)
-	case ".er":
-		return workbench.LoadERFile(path)
-	default:
-		return nil, fmt.Errorf("unknown schema extension on %q", path)
-	}
 }
 
 // runRegistryMatch runs the registry-scale matching harness in memory —

@@ -5,9 +5,9 @@ package main
 // what apply would change; `apply` shows the plan, asks (unless -yes),
 // puts every changed schema as one transaction, re-matches affected
 // mappings incrementally, and records the applied hashes in the
-// lockfile. With -remote the diffing and matching run server-side
-// against the shared blackboard; the config, schema files and lockfile
-// stay client-side.
+// lockfile. The diffing and matching run in the service (the -remote
+// one, or local mode's in-process one); the config, schema files and
+// lockfile stay client-side.
 
 import (
 	"bufio"
@@ -20,10 +20,12 @@ import (
 	"repro/internal/client"
 	"repro/internal/schemaset"
 	"repro/internal/server"
-	"repro/internal/wbmgr"
 )
 
-func runSchemaSet(o opts, cmd string, rest []string) error {
+// runSchemaSet plans or applies the declared sets through c: a dry-run
+// request renders the service-computed plan, and after confirmation the
+// same request re-runs for real.
+func runSchemaSet(c *client.Client, cmd string, rest []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	config := fs.String("config", "schemasets.json", "schema-set declaration file")
@@ -38,7 +40,6 @@ func runSchemaSet(o opts, cmd string, rest []string) error {
 	if len(fs.Args()) != 0 {
 		return usageError{cmd + ": unexpected argument " + fs.Args()[0]}
 	}
-	planOnly := cmd == "plan" || *dryRun
 	if *lockPath == "" {
 		*lockPath = strings.TrimSuffix(*config, filepath.Ext(*config)) + ".lock.json"
 	}
@@ -62,88 +63,9 @@ func runSchemaSet(o opts, cmd string, rest []string) error {
 			sets = append(sets, cfg.Set(name))
 		}
 	}
-	if o.remote != "" {
-		return schemaSetRemote(o, cfg, sets, lock, *lockPath, planOnly, *yes, *threshold)
-	}
-	return schemaSetLocal(o, cfg, sets, lock, *lockPath, planOnly, *yes, *threshold)
-}
-
-// confirmApply asks on stdout and reads one stdin line; anything but an
-// explicit yes declines.
-func confirmApply() bool {
-	fmt.Print("apply these changes? [y/N]: ")
-	line, _ := bufio.NewReader(os.Stdin).ReadString('\n')
-	line = strings.ToLower(strings.TrimSpace(line))
-	return line == "y" || line == "yes"
-}
-
-// schemaSetLocal plans/applies against the local state file. The
-// snapshot is only rewritten after every selected set applied cleanly,
-// so a failed apply never clobbers the previous state.
-func schemaSetLocal(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock *schemaset.Lockfile, lockPath string, planOnly, yes bool, threshold float64) error {
-	bb, err := loadState(o.state)
-	if err != nil {
-		return err
-	}
-	ap := &schemaset.Applier{BB: bb, Mgr: wbmgr.NewWith(bb), Threshold: threshold}
-	applied := false
+	planOnly := cmd == "plan" || *dryRun
 	for _, set := range sets {
-		schemas, err := schemaset.LoadSet(cfg.Root, set)
-		if err != nil {
-			return err
-		}
-		plan, err := ap.Plan(set, schemas, lock)
-		if err != nil {
-			return err
-		}
-		plan.Render(os.Stdout)
-		if planOnly {
-			continue
-		}
-		if plan.NoOp() {
-			fmt.Printf("set %s: nothing to apply\n", set.Name)
-			lock.Upsert(plan.LockSet())
-			continue
-		}
-		if !yes && !confirmApply() {
-			fmt.Println("apply aborted; no changes made")
-			return nil
-		}
-		res, err := ap.Apply(plan)
-		if err != nil {
-			return err
-		}
-		applied = true
-		fmt.Printf("applied set %s %s: %d schema(s) in %d txn(s)\n",
-			set.Name, set.Version, len(res.Applied), res.Txns)
-		for _, rm := range res.Rematches {
-			fmt.Printf("  rematch %s: mode=%s published=%d\n", rm.Mapping, rm.Mode, rm.Published)
-		}
-		lock.Upsert(plan.LockSet())
-	}
-	if planOnly {
-		return nil
-	}
-	if err := schemaset.WriteLockfile(lockPath, lock); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", lockPath)
-	if !applied {
-		return nil
-	}
-	return saveState(o.state, bb)
-}
-
-// schemaSetRemote plans/applies against a workbench service: a dry-run
-// request renders the server-computed plan, and after confirmation the
-// same request re-runs for real.
-func schemaSetRemote(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock *schemaset.Lockfile, lockPath string, planOnly, yes bool, threshold float64) error {
-	c := client.New(o.remote)
-	if o.workspace != "" {
-		c = c.ForWorkspace(o.workspace)
-	}
-	for _, set := range sets {
-		req, err := applyRequestFor(cfg, set, lock, threshold)
+		req, err := applyRequestFor(cfg, set, lock, *threshold)
 		if err != nil {
 			return err
 		}
@@ -161,7 +83,7 @@ func schemaSetRemote(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock 
 			lock.Upsert(lockSetFromPlan(set, resp))
 			continue
 		}
-		if !yes && !confirmApply() {
+		if !*yes && !confirmApply() {
 			fmt.Println("apply aborted; no changes made")
 			return nil
 		}
@@ -180,11 +102,20 @@ func schemaSetRemote(o opts, cfg *schemaset.Config, sets []*schemaset.Set, lock 
 	if planOnly {
 		return nil
 	}
-	if err := schemaset.WriteLockfile(lockPath, lock); err != nil {
+	if err := schemaset.WriteLockfile(*lockPath, lock); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s\n", lockPath)
+	fmt.Printf("wrote %s\n", *lockPath)
 	return nil
+}
+
+// confirmApply asks on stdout and reads one stdin line; anything but an
+// explicit yes declines.
+func confirmApply() bool {
+	fmt.Print("apply these changes? [y/N]: ")
+	line, _ := bufio.NewReader(os.Stdin).ReadString('\n')
+	line = strings.ToLower(strings.TrimSpace(line))
+	return line == "y" || line == "yes"
 }
 
 // applyRequestFor builds the wire request for one set: raw schema texts

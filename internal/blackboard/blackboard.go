@@ -12,6 +12,7 @@
 package blackboard
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -514,6 +515,29 @@ func (m *Mapping) SetCell(srcID, tgtID string, confidence float64, userDefined b
 		m.b.g.SetOne(c, predRevision, rdf.IntLiteral(m.b.nextRevision()))
 		return nil
 	})
+}
+
+// ErrUnknownElement is wrapped by CheckPair's error.
+var ErrUnknownElement = errors.New("blackboard: unknown element")
+
+// CheckPair reports an error, wrapping ErrUnknownElement and naming the
+// ID, unless srcID and tgtID name non-root elements of the mapping's
+// current source and target schemas: the only pairs a decision may pin,
+// since a match engine rejects any other. It costs two index probes per
+// side and never rebuilds a schema.
+func (m *Mapping) CheckPair(srcID, tgtID string) error {
+	for _, side := range [...]struct{ role, schema, id string }{
+		{"source", m.SourceSchema, srcID},
+		{"target", m.TargetSchema, tgtID},
+	} {
+		el := model.ElementIRI(side.schema, side.id)
+		if !m.b.g.Has(rdf.Triple{S: el, P: rdf.RDFType, O: model.ClassElementT}) ||
+			m.b.g.One(model.SchemaIRI(side.schema), model.PredRootOf) == el {
+			return fmt.Errorf("%w %q: not a non-root element of mapping %s's %s schema %q",
+				ErrUnknownElement, side.id, m.ID, side.role, side.schema)
+		}
+	}
+	return nil
 }
 
 // GetCell reads a cell; ok is false when the pair has never been scored.

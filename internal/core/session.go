@@ -26,9 +26,9 @@ type IntegrationSession struct {
 	mapper  *mapgen.MapperTool
 	codegen *mapgen.CodeGenTool
 
-	sourceName, targetName string
-	sourceEntity           string
-	targetEntity           string
+	targetName   string
+	sourceEntity string
+	targetEntity string
 }
 
 // NewIntegrationSession stores both schemata on a fresh workbench
@@ -59,7 +59,6 @@ func NewIntegrationSession(mappingID string, source, target *model.Schema, sourc
 		Manager:      m,
 		MappingID:    mappingID,
 		matcher:      harmony.NewSession(harmony.Options{Flooding: true}),
-		sourceName:   source.Name,
 		targetName:   target.Name,
 		sourceEntity: sourceEntityID,
 		targetEntity: targetEntityID,
@@ -119,21 +118,14 @@ func (s *IntegrationSession) Reject(srcID, tgtID string) error {
 }
 
 func (s *IntegrationSession) decide(srcID, tgtID string, conf float64) error {
-	bb := s.Manager.Blackboard()
-	for _, side := range [][2]string{{s.sourceName, srcID}, {s.targetName, tgtID}} {
-		sc, err := bb.GetSchema(side[0])
-		if err != nil {
-			return err
-		}
-		if el := sc.Element(side[1]); el == nil || el == sc.Root() {
-			return fmt.Errorf("core: unknown element %q in schema %q", side[1], side[0])
-		}
+	mp, err := s.Manager.Blackboard().GetMapping(s.MappingID)
+	if err != nil {
+		return err
+	}
+	if err := mp.CheckPair(srcID, tgtID); err != nil {
+		return err
 	}
 	return s.Manager.Do(context.Background(), "engineer", func(txn *wbmgr.Txn) error {
-		mp, err := txn.Blackboard().GetMapping(s.MappingID)
-		if err != nil {
-			return err
-		}
 		if err := mp.SetCell(srcID, tgtID, conf, true, "engineer"); err != nil {
 			return err
 		}

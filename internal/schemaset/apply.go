@@ -47,12 +47,6 @@ type Applier struct {
 	BB *blackboard.Blackboard
 	// Mgr runs Apply's transactions; ApplyWith's caller brings its own.
 	Mgr *wbmgr.Manager
-	// Tool is the provenance name Apply's transactions carry (default
-	// "schemaset").
-	Tool string
-	// Threshold gates which correspondences Apply publishes as cells
-	// (default 0.25, the server's).
-	Threshold float64
 	// Engine configures new match engines. Zero value: flooding on,
 	// default voters, process-default metrics.
 	Engine harmony.Options
@@ -124,19 +118,12 @@ func (a *Applier) EngineFor(mappingID string) *harmony.Engine {
 	return a.sessions().For(mappingID).Engine()
 }
 
-// Apply executes a plan in the Applier's own Mgr transactions, at its
-// Threshold. See ApplyWith.
+// Apply executes a plan in the Applier's own Mgr transactions, run as
+// the "schemaset" tool, publishing at the server's default threshold
+// 0.25. See ApplyWith.
 func (a *Applier) Apply(p *Plan) (*Result, error) {
-	threshold := a.Threshold
-	if threshold == 0 {
-		threshold = 0.25
-	}
-	return a.ApplyWith(context.Background(), p, threshold, func(fn func(*wbmgr.Txn) error) error {
-		tool := a.Tool
-		if tool == "" {
-			tool = "schemaset"
-		}
-		return a.Mgr.Do(context.Background(), tool, fn)
+	return a.ApplyWith(context.Background(), p, 0.25, func(fn func(*wbmgr.Txn) error) error {
+		return a.Mgr.Do(context.Background(), "schemaset", fn)
 	})
 }
 

@@ -27,6 +27,7 @@ package schemaset
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -81,7 +82,7 @@ func safeSegment(s string) error {
 }
 
 // SchemaNameFormat derives the blackboard schema name (file stem) and
-// format from a schema file name. It mirrors the CLI's loader dispatch.
+// format from a schema file name, as ParseSchema takes them.
 func SchemaNameFormat(file string) (name, format string, err error) {
 	ext := strings.ToLower(filepath.Ext(file))
 	name = strings.TrimSuffix(filepath.Base(file), filepath.Ext(file))
@@ -94,6 +95,27 @@ func SchemaNameFormat(file string) (name, format string, err error) {
 		return name, "er", nil
 	default:
 		return "", "", fmt.Errorf("unknown schema extension on %q (want .xsd/.xml, .sql/.ddl or .er)", file)
+	}
+}
+
+// ParseSchema parses schema text in the given format (xsd/xml, sql/ddl
+// or er, any case) into a schema named name, surrounding space trimmed.
+// It is the one format dispatch: the CLIs, the server's load and apply
+// routes and LoadSet all parse through it.
+func ParseSchema(name, format string, r io.Reader) (*model.Schema, error) {
+	name = strings.TrimSpace(name)
+	if name == "" {
+		return nil, fmt.Errorf("schema name required")
+	}
+	switch strings.ToLower(format) {
+	case "xsd", "xml":
+		return xmlschema.Load(name, r)
+	case "sql", "ddl":
+		return sqlddl.Load(name, r)
+	case "er":
+		return erwin.Load(name, r)
+	default:
+		return nil, fmt.Errorf("unknown schema format %q (want xsd, sql or er)", format)
 	}
 }
 
@@ -190,15 +212,7 @@ func LoadSet(root string, s *Set) ([]*model.Schema, error) {
 		if err != nil {
 			return nil, fmt.Errorf("schemaset: set %q %s: %v", s.Name, s.Version, err)
 		}
-		var sch *model.Schema
-		switch format {
-		case "xsd":
-			sch, err = xmlschema.Load(name, fh)
-		case "sql":
-			sch, err = sqlddl.Load(name, fh)
-		case "er":
-			sch, err = erwin.Load(name, fh)
-		}
+		sch, err := ParseSchema(name, format, fh)
 		fh.Close()
 		if err != nil {
 			return nil, fmt.Errorf("schemaset: %s: %v", path, err)

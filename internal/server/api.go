@@ -58,7 +58,13 @@ import (
 //
 // Mutating routes attribute their transaction (and therefore event
 // provenance) to the session named by the X-Workbench-Session header;
-// without one they run as the "remote" tool.
+// without one they run as the "remote" tool. The workbench CLI opens no
+// session, in -remote and in local mode alike (local mode is a client of
+// an in-process service), so every CLI decision is set by "remote".
+//
+// A decide names a source and a target element; unless each is a
+// non-root element of the mapping's current source or target schema,
+// the route answers 400 naming the ID and stores nothing.
 //
 // Errors are {"error": "..."} with a 4xx/5xx status.
 

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
-	"repro/internal/erwin"
 	"repro/internal/harmony"
 	"repro/internal/matchcache"
 	"repro/internal/model"
@@ -40,11 +39,9 @@ import (
 	"repro/internal/obs/logx"
 	"repro/internal/repl"
 	"repro/internal/schemaset"
-	"repro/internal/sqlddl"
 	"repro/internal/wal"
 	"repro/internal/wbmgr"
 	"repro/internal/workspace"
-	"repro/internal/xmlschema"
 )
 
 // Metric names emitted by the server (see DESIGN.md §11). Request and
@@ -69,21 +66,11 @@ type Config struct {
 	// partition lives under DataDir/ws/<name>/. Empty means in-memory
 	// only: the API works but nothing survives the process.
 	DataDir string
-	// SnapshotEvery forwards to wal.Options (0 = default cadence).
-	SnapshotEvery int
 	// Parallelism forwards to the Harmony engine for match runs.
 	Parallelism int
-	// MatchCacheBytes bounds the shared score-matrix cache that match and
-	// rematch runs warm (0 = matchcache.DefaultMaxBytes). The cache is
-	// content-addressed, so it is shared across workspaces safely — the
-	// same schema pair loaded by two tenants hits once.
-	MatchCacheBytes int64
 	// Metrics receives server + WAL instrumentation (nil = obs.Default()).
 	// Per-workspace series are labeled through obs.Registry.WithLabels.
 	Metrics *obs.Registry
-	// TraceCapacity bounds the in-memory trace store (0 =
-	// obs.DefaultTraceCapacity traces; oldest evicted first).
-	TraceCapacity int
 	// SlowRequest is the latency threshold for the slow-request log (0 =
 	// DefaultSlowRequest; negative disables slow-request logging).
 	SlowRequest time.Duration
@@ -174,7 +161,8 @@ type Server struct {
 
 	// matchCache holds per-voter and merged score matrices across match
 	// and rematch runs, shared by every mapping's engine in every
-	// workspace (content-addressed keys make cross-tenant reuse safe).
+	// workspace (content-addressed keys make cross-tenant reuse safe: the
+	// same schema pair loaded by two tenants hits once).
 	matchCache *matchcache.Cache
 
 	// Replication state (internal/server/repl.go). role is the node's
@@ -215,15 +203,14 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		reg:        reg,
-		matchCache: matchcache.New(cfg.MatchCacheBytes),
-		traces:     obs.NewTraceStore(cfg.TraceCapacity),
+		matchCache: matchcache.New(matchcache.DefaultMaxBytes),
+		traces:     obs.NewTraceStore(obs.DefaultTraceCapacity),
 		log:        srvLog.With("component", "server"),
 		slow:       slow,
 	}
 	s.matchCache.SetMetrics(reg)
 	wsm, err := workspace.NewManager(workspace.Options{
 		Root:           cfg.DataDir,
-		SnapshotEvery:  cfg.SnapshotEvery,
 		ReplBufferTxns: cfg.ReplBufferTxns,
 		Metrics:        reg,
 		IdleTTL:        cfg.WorkspaceIdleTTL,
@@ -607,24 +594,6 @@ func (s *Server) handleListSessions(t *tenant, w http.ResponseWriter, r *http.Re
 
 // ---- schemata ----
 
-func loadSchema(req LoadSchemaRequest) (*model.Schema, error) {
-	name := strings.TrimSpace(req.Name)
-	if name == "" {
-		return nil, fmt.Errorf("schema name required")
-	}
-	r := strings.NewReader(req.Text)
-	switch strings.ToLower(req.Format) {
-	case "xsd", "xml":
-		return xmlschema.Load(name, r)
-	case "sql", "ddl":
-		return sqlddl.Load(name, r)
-	case "er":
-		return erwin.Load(name, r)
-	default:
-		return nil, fmt.Errorf("unknown schema format %q (want xsd, sql or er)", req.Format)
-	}
-}
-
 func (s *Server) handleLoadSchema(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if s.rejectReadOnly(w) {
 		return
@@ -634,7 +603,7 @@ func (s *Server) handleLoadSchema(t *tenant, w http.ResponseWriter, r *http.Requ
 		fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	schema, err := loadSchema(req)
+	schema, err := schemaset.ParseSchema(req.Name, req.Format, strings.NewReader(req.Text))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -918,7 +887,7 @@ func (s *Server) handleApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	schemas := make([]*model.Schema, 0, len(req.Schemas))
 	for _, as := range req.Schemas {
-		sch, err := loadSchema(LoadSchemaRequest{Name: as.Name, Format: as.Format, Text: as.Text})
+		sch, err := schemaset.ParseSchema(as.Name, as.Format, strings.NewReader(as.Text))
 		if err != nil {
 			fail(w, http.StatusBadRequest, "apply: schema %q: %v", as.Name, err)
 			return
@@ -1008,11 +977,14 @@ func (s *Server) handleDecide(t *tenant, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	tool := t.toolFor(r)
-	// The response is read inside the transaction: after it, a
-	// concurrent decide on the same cell could already have overwritten
-	// this one.
+	// The pair is checked and the response read inside the transaction:
+	// outside it, a concurrent schema put could drop an element, or a
+	// concurrent decide overwrite this one.
 	var c blackboard.Cell
 	err = s.inTxnAs(r.Context(), t, tool, func(txn *wbmgr.Txn) error {
+		if cerr := mp.CheckPair(req.Source, req.Target); cerr != nil {
+			return cerr
+		}
 		if cerr := mp.SetCell(req.Source, req.Target, conf, true, tool); cerr != nil {
 			return cerr
 		}
@@ -1020,6 +992,10 @@ func (s *Server) handleDecide(t *tenant, w http.ResponseWriter, r *http.Request)
 		c, _ = mp.GetCell(req.Source, req.Target)
 		return nil
 	})
+	if errors.Is(err, blackboard.ErrUnknownElement) {
+		fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if err != nil {
 		failTxn(w, err, http.StatusInternalServerError)
 		return

@@ -7,11 +7,13 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -405,5 +407,45 @@ func TestServerErrorShapes(t *testing.T) {
 	id := loadPair(t, c)
 	if _, err := c.Decide(id, "a", "b", "maybe"); err == nil {
 		t.Fatal("bad verdict accepted")
+	}
+}
+
+// TestServerDecideRejectsUnknownElements: a decision must name a
+// non-root element of each side's schema, since no engine can pin any
+// other pair. Anything else is a 400 naming the ID, and leaves no cell
+// and no event behind.
+func TestServerDecideRejectsUnknownElements(t *testing.T) {
+	c, srv := startServer(t, "", false)
+	id := loadPair(t, c)
+	_, head, _, _ := srv.Manager().EventsSince(0)
+	for _, tc := range []struct{ source, target, named string }{
+		{"po/noSuchElement", "si/shippingInfo/total", "po/noSuchElement"},
+		{"po/purchaseOrder/shipTo/subtotal", "si/alsoMissing", "si/alsoMissing"},
+		// The source schema's root, then the two sides swapped.
+		{"po", "si/shippingInfo/total", "po"},
+		{"si/shippingInfo/total", "po/purchaseOrder/shipTo/subtotal", "si/shippingInfo/total"},
+	} {
+		body := fmt.Sprintf(`{"source": %q, "target": %q, "verdict": "accept"}`, tc.source, tc.target)
+		resp, err := http.Post(c.BaseURL()+"/v1/mappings/"+id+"/decide", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e server.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, strconv.Quote(tc.named)) {
+			t.Errorf("decide %s → %s: status %d, error %q (%v); want 400 naming %q",
+				tc.source, tc.target, resp.StatusCode, e.Error, err, tc.named)
+		}
+	}
+	if cells, err := c.Cells(id); err != nil || len(cells) != 0 {
+		t.Errorf("refused decisions left cells: %v, %v", cells, err)
+	}
+	if _, after, _, _ := srv.Manager().EventsSince(0); after != head {
+		t.Errorf("refused decisions published events: head %d → %d", head, after)
+	}
+	// A real pair still decides.
+	if _, err := c.Decide(id, "po/purchaseOrder/shipTo/subtotal", "si/shippingInfo/total", "accept"); err != nil {
+		t.Fatalf("decide on real elements: %v", err)
 	}
 }

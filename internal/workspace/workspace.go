@@ -70,9 +70,8 @@ type Options struct {
 	// Root is the service data directory; workspace partitions live
 	// under Root/ws/<name>/. Empty means every workspace is in-memory.
 	Root string
-	// SnapshotEvery and ReplBufferTxns forward to wal.Options for every
-	// partition (0 = the wal defaults).
-	SnapshotEvery  int
+	// ReplBufferTxns forwards to wal.Options for every partition (0 =
+	// wal.DefaultReplBufferTxns).
 	ReplBufferTxns int
 	// Metrics is the process-wide registry. Every workspace gets a
 	// WithLabels("workspace", name) view of it. nil = obs.Default().
@@ -203,7 +202,6 @@ func (m *Manager) openLocked(name string, q Quota) (*Workspace, error) {
 		reg:   wsReg,
 		quota: q,
 		walOpts: wal.Options{
-			SnapshotEvery:  m.opts.SnapshotEvery,
 			ReplBufferTxns: m.opts.ReplBufferTxns,
 			Metrics:        wsReg,
 		},
