@@ -149,31 +149,6 @@ func BenchmarkEngineRematch(b *testing.B) {
 	}
 }
 
-// benchCloneSchema deep-copies a schema, re-deriving element IDs from
-// names — the canonical form a freshly parsed schema file carries, and
-// the form every declared schema-set version arrives in.
-func benchCloneSchema(in *model.Schema) *model.Schema {
-	out := model.NewSchema(in.Name, in.Format)
-	out.Doc = in.Doc
-	for name, d := range in.Domains {
-		out.Domains[name] = &model.Domain{Name: d.Name, Doc: d.Doc, Values: append([]model.DomainValue(nil), d.Values...)}
-	}
-	var walk func(src, dstParent *model.Element)
-	walk = func(src, dstParent *model.Element) {
-		for _, c := range src.Children() {
-			n := out.AddElement(dstParent, c.Name, c.Kind, c.EdgeFromParent)
-			n.DataType = c.DataType
-			n.Doc = c.Doc
-			n.DomainRef = c.DomainRef
-			n.Key = c.Key
-			n.Required = c.Required
-			walk(c, n)
-		}
-	}
-	walk(in.Root(), nil)
-	return out
-}
-
 // BenchmarkApplyVersionBump measures the full schema-set apply path
 // (DESIGN.md §17) in the steady state: a blackboard carrying an applied
 // set and one mapping takes version bumps that rename a single element,
@@ -227,11 +202,11 @@ func BenchmarkApplyVersionBump(b *testing.B) {
 
 			// Two canonical source variants, one leaf renamed; alternating
 			// them makes every bump a real single-element change.
-			variantA := benchCloneSchema(src)
-			edited := benchCloneSchema(src)
+			variantA := src.Clone()
+			edited := src.Clone()
 			leaf := edited.Elements()[len(edited.Elements())-1]
 			leaf.Name = leaf.Name + "Edited"
-			variantB := benchCloneSchema(edited)
+			variantB := edited.Clone()
 
 			// First bump with the mapping present runs the engine cold; the
 			// timed bumps after it are the steady state.

@@ -53,30 +53,6 @@ type ApplyBenchFile struct {
 	Sizes     []ApplyRecord `json:"sizes"`
 }
 
-// cloneSchema deep-copies a schema, re-deriving element IDs from names —
-// the same canonical form a freshly parsed schema file carries.
-func cloneSchema(in *model.Schema) *model.Schema {
-	out := model.NewSchema(in.Name, in.Format)
-	out.Doc = in.Doc
-	for name, d := range in.Domains {
-		out.Domains[name] = &model.Domain{Name: d.Name, Doc: d.Doc, Values: append([]model.DomainValue(nil), d.Values...)}
-	}
-	var walk func(src, dstParent *model.Element)
-	walk = func(src, dstParent *model.Element) {
-		for _, c := range src.Children() {
-			n := out.AddElement(dstParent, c.Name, c.Kind, c.EdgeFromParent)
-			n.DataType = c.DataType
-			n.Doc = c.Doc
-			n.DomainRef = c.DomainRef
-			n.Key = c.Key
-			n.Required = c.Required
-			walk(c, n)
-		}
-	}
-	walk(in.Root(), nil)
-	return out
-}
-
 // runApplyJSON measures the apply version-bump scenario at both
 // benchmark sizes and writes the BENCH file to path.
 func runApplyJSON(path string) error {
@@ -135,11 +111,11 @@ func runApplyJSON(path string) error {
 
 		// Two canonical source variants, one leaf renamed; alternating
 		// them makes every bump a real single-element change.
-		variantA := cloneSchema(src)
-		edited := cloneSchema(src)
+		variantA := src.Clone()
+		edited := src.Clone()
 		leaf := edited.Elements()[len(edited.Elements())-1]
 		leaf.Name = leaf.Name + "Edited"
-		variantB := cloneSchema(edited)
+		variantB := edited.Clone()
 
 		// First bump with a mapping present runs the engine cold; the
 		// measured bumps after it are the steady state.

@@ -230,8 +230,8 @@ func TestRematchWithReplacedSchemas(t *testing.T) {
 	live := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
 	live.Run()
 
-	src2 := copySchema(src)
-	tgt2 := copySchema(tgt)
+	src2 := src.Clone()
+	tgt2 := tgt.Clone()
 	renamed := src2.Elements()[3]
 	renamed.Name = renamed.Name + "Replaced"
 	live.RematchWith(src2, tgt2, Dirty{})
@@ -243,40 +243,15 @@ func TestRematchWithReplacedSchemas(t *testing.T) {
 	cold.Run()
 	assertBitIdentical(t, "replaced schemas", cold.Matrix(), live.Matrix())
 
-	// Replacing the schemas again must also work. Note copySchema derives
+	// Replacing the schemas again must also work. Note Clone derives
 	// IDs from names, so the earlier rename shifts one element's ID here —
 	// the engine must treat that as a drop + add and still agree with a
 	// cold run over the replacement objects.
-	srcCopy, tgtCopy := copySchema(src2), copySchema(tgt2)
+	srcCopy, tgtCopy := src2.Clone(), tgt2.Clone()
 	live.RematchWith(srcCopy, tgtCopy, Dirty{})
 	cold2 := NewEngine(srcCopy, tgtCopy, Options{Flooding: true, Metrics: obs.NewRegistry()})
 	cold2.Run()
 	assertBitIdentical(t, "re-replacement", cold2.Matrix(), live.Matrix())
-}
-
-// copySchema deep-copies a schema; same names in the same order produce
-// the same element IDs.
-func copySchema(in *model.Schema) *model.Schema {
-	out := model.NewSchema(in.Name, in.Format)
-	out.Doc = in.Doc
-	for name, d := range in.Domains {
-		cp := &model.Domain{Name: d.Name, Doc: d.Doc, Values: append([]model.DomainValue(nil), d.Values...)}
-		out.Domains[name] = cp
-	}
-	var walk func(src, dstParent *model.Element)
-	walk = func(src, dstParent *model.Element) {
-		for _, c := range src.Children() {
-			n := out.AddElement(dstParent, c.Name, c.Kind, c.EdgeFromParent)
-			n.DataType = c.DataType
-			n.Doc = c.Doc
-			n.DomainRef = c.DomainRef
-			n.Key = c.Key
-			n.Required = c.Required
-			walk(c, n)
-		}
-	}
-	walk(in.Root(), nil)
-	return out
 }
 
 // TestRematchAfterLearnFallsBack ensures learned state forces the full

@@ -64,15 +64,14 @@ type Options struct {
 	Parallelism int
 	// Cache, when non-nil, stores per-voter score matrices and the
 	// merged/flooded intermediates across runs and across engines, keyed
-	// by schema content hashes and an options fingerprint (DESIGN.md
-	// §12). Cached matrices are shared and must be treated as immutable;
-	// the engine never mutates them. Runs after Learn bypass the cache
-	// entirely — learned corpus/merger state is not part of the key.
+	// by schema content hashes and a fingerprint of every option that
+	// shapes matrix content, the thesaurus's synsets included (DESIGN.md
+	// §12). A run with nothing to reuse reads each stage from the cache
+	// before computing it; every run writes what it computes. Cached
+	// matrices are shared and must be treated as immutable; the engine
+	// never mutates them. Runs after Learn bypass the cache entirely —
+	// learned corpus/merger state is not part of the key.
 	Cache *matchcache.Cache
-	// CacheSalt is folded into the cache fingerprint. Set it when engine
-	// behavior differs in a way the fingerprint cannot see (for example,
-	// a custom thesaurus whose content changes between runs).
-	CacheSalt string
 }
 
 // Engine is one Harmony matching session over a (source, target) pair.
@@ -88,22 +87,18 @@ type Engine struct {
 
 	// ctxOpts replays the caller's context options when Rematch rebuilds
 	// the linguistic context after a schema edit.
-	ctxOpts   []match.ContextOption
-	cache     *matchcache.Cache
-	cacheSalt string
+	ctxOpts []match.ContextOption
+	cache   *matchcache.Cache
 	// learnGen counts Learn calls; learned corpus/merger state is not
 	// content-addressable, so learnGen > 0 bypasses the cache and makes
 	// Rematch fall back to a full run.
 	learnGen int
 	// snap is the recorded state of the last completed pipeline run —
-	// what Rematch patches against.
+	// what Rematch patches against and Learn reads the votes of.
 	snap *runSnapshot
 	// lastRematchMode records how the most recent Rematch resolved.
 	lastRematchMode string
 
-	// lastVotes holds each voter's matrix from the most recent Run, used
-	// by Learn.
-	lastVotes []match.Vote
 	// merged is the current confidence matrix including pinned decisions.
 	merged *match.Matrix
 	// decisions holds user accept/reject pins.
@@ -126,6 +121,9 @@ func NewEngine(source, target *model.Schema, opts Options) *Engine {
 	metrics.Describe(MetricStageDuration, "Harmony pipeline stage wall-clock time, labeled by stage.")
 	metrics.Describe(MetricRuns, "Completed Harmony pipeline runs.")
 	metrics.Describe(MetricParallelism, "Resolved worker count of the most recent Harmony pipeline run.")
+	metrics.Describe(MetricRematchTotal, "Rematch calls by resolved mode (cold/pins/incremental/corpus/full).")
+	metrics.Describe(MetricRematchStageDuration, "Rematch pipeline stage wall-clock time, labeled by stage.")
+	metrics.Describe(MetricRematchDirty, "Dirty element count of the most recent Rematch (post-diff, pre-closure).")
 	// Options.Parallelism governs the whole pipeline, so it is applied
 	// after the user's ContextOptions.
 	ctxOpts := append(append([]match.ContextOption(nil), opts.ContextOptions...),
@@ -143,7 +141,6 @@ func NewEngine(source, target *model.Schema, opts Options) *Engine {
 		parallelism: opts.Parallelism,
 		ctxOpts:     ctxOpts,
 		cache:       opts.Cache,
-		cacheSalt:   opts.CacheSalt,
 		decisions:   map[pairKey]Decision{},
 		complete:    map[string]bool{},
 	}
@@ -196,22 +193,62 @@ func (e *Engine) Run() []StageTiming {
 
 // run is Run with request-trace propagation: when ctx carries a span (a
 // server request), every stage span joins that trace as its child, and
-// cache lookups record their hit/miss inline.
+// cache lookups record their hit/miss inline. It is the pipeline with
+// nothing to reuse, observed as a run.
 func (e *Engine) run(ctx context.Context) []StageTiming {
 	col := obs.NewCollector(ctx)
+	snap := e.signatures(e.ctx.Source, e.ctx.Target)
+	snap.corpusSig = corpusSignature(e.ctx)
+	e.pipeline(ctx, col, snap, nil, nil, nil)
+	return e.timings(col.Spans(), MetricStageDuration)
+}
+
+// pipeline is the one match pipeline behind every run and rematch: over
+// the engine's current context it runs blocking, the voter panel, merge
+// and flooding, pins the decisions, and records snap — which the caller
+// filled with the current signatures — as the run the next rematch
+// reuses.
+//
+// prev is the run to reuse. With prev nil there is nothing to reuse:
+// each stage reads the cache first and otherwise runs its full kernel.
+// Otherwise each stage patches prev's matrix, recomputing the rows and
+// columns of the (structurally closed) dirty sets; a moved corpus
+// signature re-votes the corpus-sensitive voters in full, and a moved
+// corpus or merger signature re-merges and re-floods in full. A patch
+// recomputes its cells with the full kernel's code, so every path is
+// bit-identical to prev nil. Every matrix computed is written to the
+// cache. The returned mode names how much of prev was reused:
+// RematchIncremental, RematchCorpus, or RematchFull for prev nil.
+func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *runSnapshot, dirtySrc, dirtyTgt map[string]bool) string {
 	e.metrics.Gauge(MetricParallelism).Set(float64(e.Workers()))
+	mode := RematchFull
+	var prevVotes map[string]*match.Matrix
+	var prevMerged *match.Matrix
+	var prevFlood *match.FloodState
+	if prev != nil {
+		// Any changed document moves every IDF weight, so a moved corpus
+		// signature leaves no corpus-sensitive vote, and no merged or
+		// flooded cell, to patch.
+		corpusMoved := snap.corpusSig != prev.corpusSig
+		prevVotes = make(map[string]*match.Matrix, len(prev.votes))
+		for i, v := range e.voters {
+			if cs, ok := v.(match.CorpusSensitive); !corpusMoved || !ok || !cs.CorpusSensitive() {
+				prevVotes[v.Name()] = prev.votes[i].Matrix
+			}
+		}
+		mode = RematchCorpus
+		if !corpusMoved && snap.mergerSig == prev.mergerSig {
+			prevMerged, prevFlood = prev.premerge, prev.flood
+			mode = RematchIncremental
+		}
+	}
 
 	// Content-addressed caching: schema hashes + options fingerprint name
 	// each intermediate exactly, so a hit is bit-identical by
 	// construction. Learned corpus/merger state is not part of the key,
 	// hence the learnGen guard.
 	useCache := e.cache != nil && e.learnGen == 0
-	var snap runSnapshot
-	snap.srcSig, snap.srcParent, snap.srcHash = schemaSignature(e.ctx.Source)
-	snap.tgtSig, snap.tgtParent, snap.tgtHash = schemaSignature(e.ctx.Target)
-	snap.corpusSig = corpusSignature(e.ctx)
-	snap.mergerSig = mergerSignature(e.merger)
-	snap.learnGen = e.learnGen
+	lookup := useCache && prev == nil
 	var fp string
 	if useCache {
 		fp = e.cacheFingerprint()
@@ -221,55 +258,65 @@ func (e *Engine) run(ctx context.Context) []StageTiming {
 	// voter runs; every matrix the pipeline allocates from here on
 	// stores only its cells. A disabled blocking stage emits no span,
 	// keeping unblocked -timings output identical to the pre-blocking
-	// engine.
+	// engine. After an edit the pattern may have moved (a renamed
+	// element meets different index postings); the patch kernels
+	// tolerate that cell by cell.
 	e.installCandidates(col, snap.srcHash, snap.tgtHash, fp, useCache)
 
 	votes := e.votePanel(col, func(ctx context.Context, v match.Voter) *match.Matrix {
-		if !useCache {
-			return v.Vote(e.ctx)
-		}
 		key := voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Name())
-		if got, ok := e.cache.GetTraced(ctx, key); ok {
-			return got.(*match.Matrix)
+		if lookup {
+			if got, ok := e.cache.GetTraced(ctx, key); ok {
+				return got.(*match.Matrix)
+			}
 		}
-		m := v.Vote(e.ctx)
-		e.cache.Put(key, m, match.MatrixBytes(m))
+		var m *match.Matrix
+		if old := prevVotes[v.Name()]; old != nil {
+			m = v.(match.IncrementalVoter).VotePatch(e.ctx, old, dirtySrc, dirtyTgt)
+		} else {
+			m = v.Vote(e.ctx)
+		}
+		if useCache {
+			e.cache.Put(key, m, match.MatrixBytes(m))
+		}
 		return m
 	})
-	e.lastVotes = votes
 	snap.votes = votes
 
 	// Merge + flooding, as one cached unit (the flood state rides along
-	// so a later Rematch can warm-start from the recorded rounds).
-	gotMerged := false
-	if useCache {
-		if got, ok := e.cache.GetTraced(ctx, mergedCacheKey(snap.srcHash, snap.tgtHash, fp, snap.mergerSig)); ok {
-			me := got.(*mergedEntry)
-			snap.premerge, snap.flood, snap.prepin = me.premerge, me.flood, me.prepin
-			gotMerged = true
-			// Keep the span sequence identical on the cache-hit path so
-			// -timings always lists the same stages.
-			sp, _ := col.Start("merge")
-			sp.End()
-			if e.flooding {
-				sp, _ = col.Start("flooding")
-				sp.End()
-			}
-		}
+	// so a later rematch can warm-start from the recorded rounds).
+	mergedKey := mergedCacheKey(snap.srcHash, snap.tgtHash, fp, snap.mergerSig)
+	var hit any
+	if lookup {
+		hit, _ = e.cache.GetTraced(ctx, mergedKey)
 	}
-	if !gotMerged {
+	if me, ok := hit.(*mergedEntry); ok {
+		snap.premerge, snap.flood, snap.prepin = me.premerge, me.flood, me.prepin
+		// Keep the span sequence identical on the cache-hit path so
+		// -timings always lists the same stages.
 		sp, _ := col.Start("merge")
-		snap.premerge = e.merger.Merge(votes)
+		sp.End()
+		if e.flooding {
+			sp, _ = col.Start("flooding")
+			sp.End()
+		}
+	} else {
+		sp, _ := col.Start("merge")
+		snap.premerge = e.merger.MergePatch(votes, prevMerged, dirtySrc, dirtyTgt)
 		sp.End()
 		snap.prepin = snap.premerge
 		if e.flooding {
 			sp, _ = col.Start("flooding")
-			snap.prepin, snap.flood = match.HarmonyFloodState(snap.premerge, e.ctx.Source, e.ctx.Target, e.floodOpt)
+			out, st, ok := match.HarmonyFloodPatch(prevFlood, snap.premerge, e.ctx.Source, e.ctx.Target, dirtySrc, dirtyTgt, e.floodOpt)
+			if !ok {
+				out, st = match.HarmonyFloodState(snap.premerge, e.ctx.Source, e.ctx.Target, e.floodOpt)
+			}
+			snap.prepin, snap.flood = out, st
 			sp.End()
 		}
 		if useCache {
 			me := &mergedEntry{premerge: snap.premerge, flood: snap.flood, prepin: snap.prepin}
-			e.cache.Put(mergedCacheKey(snap.srcHash, snap.tgtHash, fp, snap.mergerSig), me, me.bytes())
+			e.cache.Put(mergedKey, me, me.bytes())
 		}
 	}
 
@@ -278,8 +325,8 @@ func (e *Engine) run(ctx context.Context) []StageTiming {
 	// Pins land on a clone — snap.prepin stays pristine (and possibly
 	// shared through the cache) for incremental reuse.
 	e.pinDecisions(col, snap.prepin)
-	e.snap = &snap
-	return e.timings(col.Spans(), MetricStageDuration)
+	e.snap = snap
+	return mode
 }
 
 // votePanel runs score for every panel voter inside its voter:<name>
@@ -461,14 +508,14 @@ func (e *Engine) Decisions() map[[2]string]Decision {
 // corpus re-weights words that proved predictive. Call Run afterwards to
 // re-score with the learned parameters.
 func (e *Engine) Learn() {
-	if len(e.lastVotes) == 0 || len(e.decisions) == 0 {
+	if e.snap == nil || len(e.snap.votes) == 0 || len(e.decisions) == 0 {
 		return
 	}
 	var fb []match.Feedback
 	for k, d := range e.decisions {
 		fb = append(fb, match.Feedback{SourceID: k.src, TargetID: k.tgt, Accepted: d.Accepted})
 	}
-	e.merger.LearnWeights(e.lastVotes, fb, 0.15)
+	e.merger.LearnWeights(e.snap.votes, fb, 0.15)
 	// Learned state is invisible to the content-addressed cache keys, so
 	// from here on this engine bypasses the cache and Rematch falls back
 	// to full runs (see Options.Cache).

@@ -117,7 +117,9 @@ func (e *Engine) RematchWith(source, target *model.Schema, dirty Dirty) []StageT
 	return e.rematch(context.Background(), source, target, dirty)
 }
 
-// rematch is RematchWith with request-trace propagation (see run).
+// rematch is RematchWith with request-trace propagation (see run). It
+// picks the mode and what the pipeline may reuse; the pipeline itself is
+// the one every run takes.
 func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirty Dirty) []StageTiming {
 	replaced := source != e.ctx.Source || target != e.ctx.Target
 	mode := RematchFull
@@ -125,9 +127,6 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		e.lastRematchMode = mode
 		e.metrics.Counter(MetricRematchTotal, "mode", mode).Inc()
 	}()
-	e.metrics.Describe(MetricRematchTotal, "Rematch calls by resolved mode (cold/pins/incremental/corpus/full).")
-	e.metrics.Describe(MetricRematchStageDuration, "Rematch pipeline stage wall-clock time, labeled by stage.")
-	e.metrics.Describe(MetricRematchDirty, "Dirty element count of the most recent Rematch (post-diff, pre-closure).")
 
 	// The context caches tokens per element pointer, so a never-run
 	// engine whose schemas were edited in place needs a fresh one too.
@@ -139,24 +138,22 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 
 	col := obs.NewCollector(ctx)
 	sp, _ := col.Start("signatures")
-	srcSig, srcParent, srcHash := schemaSignature(source)
-	tgtSig, tgtParent, tgtHash := schemaSignature(target)
-	dirtySrc := diffSignatures(e.snap.srcSig, srcSig)
-	dirtyTgt := diffSignatures(e.snap.tgtSig, tgtSig)
+	snap := e.signatures(source, target)
+	dirtySrc := diffSignatures(e.snap.srcSig, snap.srcSig)
+	dirtyTgt := diffSignatures(e.snap.tgtSig, snap.tgtSig)
 	for _, id := range dirty.Source {
 		dirtySrc[id] = true
 	}
 	for _, id := range dirty.Target {
 		dirtyTgt[id] = true
 	}
-	mergerSig := mergerSignature(e.merger)
 	sp.End()
 	e.metrics.Gauge(MetricRematchDirty).Set(float64(len(dirtySrc) + len(dirtyTgt)))
 
 	if e.learnGen != e.snap.learnGen || !allIncremental(e.voters) {
 		// Learned state (whose effects signatures cannot see) or a voter
-		// without VotePatch forces the full pipeline — the one code path
-		// guaranteed correct for them. A plain run on the existing context
+		// without VotePatch leaves nothing safely reusable: the pipeline
+		// runs with no previous run. A plain run on the existing context
 		// keeps the learned corpus (rebuilding would reset it), matching
 		// the documented Learn-then-Run workflow. With schema edits on
 		// top, the context must be rebuilt for correct tokens, which
@@ -170,7 +167,7 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		return e.run(ctx)
 	}
 
-	if len(dirtySrc) == 0 && len(dirtyTgt) == 0 && !replaced && mergerSig == e.snap.mergerSig {
+	if len(dirtySrc) == 0 && len(dirtyTgt) == 0 && !replaced && snap.mergerSig == e.snap.mergerSig {
 		// Only decisions changed: the pipeline output is still valid,
 		// re-pin onto a fresh clone of it.
 		mode = RematchPins
@@ -189,99 +186,28 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	if replaced || !e.ctx.Refresh(dirtySrc, dirtyTgt) {
 		e.ctx = match.NewContext(source, target, e.ctxOpts...)
 	}
-	corpusSig := corpusSignature(e.ctx)
+	snap.corpusSig = corpusSignature(e.ctx)
 	sp.End()
-	corpusChanged := corpusSig != e.snap.corpusSig
 
 	// Close the dirty sets under the voter panel's structural
 	// dependency: parents of changed elements (StructureVoter reads
 	// children), including parents of removed elements via the previous
 	// run's parent map.
-	closedSrc := closeDirty(source, dirtySrc, e.snap.srcParent)
-	closedTgt := closeDirty(target, dirtyTgt, e.snap.tgtParent)
-
-	snap := runSnapshot{
-		srcSig: srcSig, tgtSig: tgtSig,
-		srcParent: srcParent, tgtParent: tgtParent,
-		srcHash: srcHash, tgtHash: tgtHash,
-		corpusSig: corpusSig, mergerSig: mergerSig,
-		learnGen: e.learnGen,
-	}
-	useCache := e.cache != nil && e.learnGen == 0
-	var fp string
-	if useCache {
-		fp = e.cacheFingerprint()
-	}
-
-	// With blocking on, the edit may have moved candidates (a renamed
-	// element meets different index postings), so the pattern is rebuilt
-	// over the refreshed context before any voter patches. The patch
-	// kernels tolerate the drift cell by cell: a cell still in both
-	// patterns is copied positionally, a cell new to the pattern is
-	// recomputed (bit-identical to a cold run, its inputs being clean),
-	// and a cell that left the pattern simply drops.
-	e.installCandidates(col, srcHash, tgtHash, fp, useCache)
-
-	// Voter panel: patch each voter against its previous vote; the
-	// corpus-sensitive documentation voter re-votes fully when any
-	// document changed (IDF is global).
-	prevVotes := make(map[string]*match.Matrix, len(e.snap.votes))
-	for _, v := range e.snap.votes {
-		prevVotes[v.Voter] = v.Matrix
-	}
-	votes := e.votePanel(col, func(_ context.Context, v match.Voter) *match.Matrix {
-		var m *match.Matrix
-		if cs, _ := v.(match.CorpusSensitive); corpusChanged && cs != nil && cs.CorpusSensitive() {
-			m = v.Vote(e.ctx)
-		} else {
-			m = v.(match.IncrementalVoter).VotePatch(e.ctx, prevVotes[v.Name()], closedSrc, closedTgt)
-		}
-		if useCache {
-			e.cache.Put(voterCacheKey(srcHash, tgtHash, fp, v.Name()), m, match.MatrixBytes(m))
-		}
-		return m
-	})
-	e.lastVotes = votes
-	snap.votes = votes
-
-	if corpusChanged || mergerSig != e.snap.mergerSig {
-		// Every documentation-voter cell (or every merge weight) moved:
-		// the merge and flood must be full, but the patched voters above
-		// still saved the panel sweep.
-		mode = RematchCorpus
-		sp, _ = col.Start("merge")
-		snap.premerge = e.merger.Merge(votes)
-		sp.End()
-		snap.prepin = snap.premerge
-		if e.flooding {
-			sp, _ = col.Start("flooding")
-			snap.prepin, snap.flood = match.HarmonyFloodState(snap.premerge, source, target, e.floodOpt)
-			sp.End()
-		}
-	} else {
-		mode = RematchIncremental
-		sp, _ = col.Start("merge")
-		snap.premerge = e.merger.MergePatch(votes, e.snap.premerge, closedSrc, closedTgt)
-		sp.End()
-		snap.prepin = snap.premerge
-		if e.flooding {
-			sp, _ = col.Start("flooding")
-			out, st, ok := match.HarmonyFloodPatch(e.snap.flood, snap.premerge, source, target, closedSrc, closedTgt, e.floodOpt)
-			if !ok {
-				out, st = match.HarmonyFloodState(snap.premerge, source, target, e.floodOpt)
-			}
-			snap.prepin, snap.flood = out, st
-			sp.End()
-		}
-	}
-	if useCache {
-		me := &mergedEntry{premerge: snap.premerge, flood: snap.flood, prepin: snap.prepin}
-		e.cache.Put(mergedCacheKey(srcHash, tgtHash, fp, mergerSig), me, me.bytes())
-	}
-
-	e.pinDecisions(col, snap.prepin)
-	e.snap = &snap
+	mode = e.pipeline(ctx, col, snap, e.snap,
+		closeDirty(source, dirtySrc, e.snap.srcParent), closeDirty(target, dirtyTgt, e.snap.tgtParent))
 	return e.timings(col.Spans(), MetricRematchStageDuration)
+}
+
+// signatures starts the snapshot of a run over source and target with
+// what the linguistic context does not yield: per-element signatures,
+// parent maps and content hashes of both schemas, the merger signature
+// and the learn generation. The corpus signature and the matrices are
+// the context's and the pipeline's to add.
+func (e *Engine) signatures(source, target *model.Schema) *runSnapshot {
+	snap := &runSnapshot{mergerSig: mergerSignature(e.merger), learnGen: e.learnGen}
+	snap.srcSig, snap.srcParent, snap.srcHash = schemaSignature(source)
+	snap.tgtSig, snap.tgtParent, snap.tgtHash = schemaSignature(target)
+	return snap
 }
 
 // allIncremental reports whether every panel voter supports VotePatch.
@@ -429,10 +355,10 @@ func mergerSignature(g *match.Merger) uint64 {
 }
 
 // cacheFingerprint identifies every engine option that shapes matrix
-// content: panel composition, flooding schedule, stemming, thesaurus
-// presence/size, and the caller's salt. Parallelism is excluded —
-// results are bit-identical at any worker count, so sequential and
-// parallel engines share entries.
+// content: panel composition, flooding schedule, stemming, blocking and
+// the thesaurus's content. Parallelism is excluded — results are
+// bit-identical at any worker count, so sequential and parallel engines
+// share entries.
 func (e *Engine) cacheFingerprint() string {
 	h := fnv.New64a()
 	for _, v := range e.voters {
@@ -446,9 +372,8 @@ func (e *Engine) cacheFingerprint() string {
 			e.blocking.QGramSize, e.blocking.MaxPostingFrac, e.blocking.NoParentClosure)
 	}
 	if th := e.ctx.Thesaurus; th != nil {
-		fmt.Fprintf(h, "th=%d;", th.Len())
+		fmt.Fprintf(h, "th=%x;", th.Digest())
 	}
-	h.Write([]byte(e.cacheSalt))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 

@@ -16,9 +16,10 @@ import (
 // blackboard mapping and is the only path from an engine to the
 // blackboard: the server's match, rematch and apply routes, the schema
 // set Applier, core.IntegrationSession and local `workbench match` all
-// run and publish through it. The analyst's decisions live on the
-// blackboard; the session mirrors them onto the engine as pins before
-// every run and never writes over them when it publishes.
+// run and publish through it, and all through its one entry point,
+// Rematch. The analyst's decisions live on the blackboard; the session
+// mirrors them onto the engine as pins before every run and never
+// writes over them when it publishes.
 
 // SiteSessionSchemas is the chaos failpoint between a session reading
 // its mapping's schemas and running its engine — the window in which a
@@ -61,42 +62,27 @@ func NewSession(opts Options) *Session { return &Session{opts: opts} }
 // Result is one session run's outcome, detached from the engine so the
 // caller can publish it after the session moves on.
 type Result struct {
-	// Mode is RematchCold for a cold run, else the engine's self-chosen
-	// rematch mode.
+	// Mode is RematchCold for a run on a new engine, else the engine's
+	// self-chosen rematch mode.
 	Mode string
 	// Links are the correspondences at or above the run's threshold, in
 	// matrix order.
 	Links []match.Correspondence
 }
 
-// Run builds a fresh engine over the mapping's current schemas, pins the
-// mapping's decisions and runs the full pipeline.
-func (s *Session) Run(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, threshold float64) (*Result, error) {
-	return s.run(ctx, bb, mp, true, Dirty{}, threshold)
-}
-
-// Rematch re-runs the live engine on its cheapest valid path: it
+// Rematch is the session's one entry point: it pins the mapping's
+// decisions and re-runs the live engine on its cheapest valid path. It
 // re-reads the schemas only when either side's blackboard version moved
 // since they were read, and otherwise lets the engine patch in place
 // (the decision-only "pins" path when nothing else changed). dirty is
-// an advisory hint (see Engine.Rematch). Without a live engine it runs
-// cold. The mode is also recorded as the rematch_mode attribute of the
-// span in ctx.
+// an advisory hint (see Engine.Rematch). Without a live engine it
+// builds one and runs it cold. The mode is also recorded as the
+// rematch_mode attribute of the span in ctx.
 func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, dirty Dirty, threshold float64) (*Result, error) {
-	res, err := s.run(ctx, bb, mp, false, dirty, threshold)
-	if err == nil {
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			sp.SetAttr("rematch_mode", res.Mode)
-		}
-	}
-	return res, err
-}
-
-func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, cold bool, dirty Dirty, threshold float64) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var mode string
-	if now := versionsOf(bb, mp); cold || s.eng == nil || now != s.read {
+	mode := RematchCold
+	if now := versionsOf(bb, mp); s.eng == nil || now != s.read {
 		// The versions are taken before the schemas are read: a load
 		// committing in between leaves them behind the engine's graphs,
 		// so the next rematch reads again rather than trusting them.
@@ -111,11 +97,10 @@ func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackb
 		if err := chaos.Inject(SiteSessionSchemas); err != nil {
 			return nil, err
 		}
-		if cold || s.eng == nil {
+		if s.eng == nil {
 			s.eng = NewEngine(src, tgt, s.opts)
 			syncPins(s.eng, mp)
 			s.eng.run(ctx)
-			mode = RematchCold
 		} else {
 			// Pins on elements only the new schemas carry fail against
 			// the engine's old ones; they are placed after the swap.
@@ -131,6 +116,9 @@ func (s *Session) run(ctx context.Context, bb *blackboard.Blackboard, mp *blackb
 		syncPins(s.eng, mp)
 		s.eng.rematch(ctx, s.eng.ctx.Source, s.eng.ctx.Target, dirty)
 		mode = s.eng.LastRematchMode()
+	}
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		sp.SetAttr("rematch_mode", mode)
 	}
 	return &Result{Mode: mode, Links: s.eng.Matrix().Above(threshold)}, nil
 }

@@ -101,7 +101,7 @@ func TestSessionUnpinsRemovedDecision(t *testing.T) {
 	if err := mp.SetCell(firstID, nameID, 1, true, "analyst"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(context.Background(), bb, mp, 0.2); err != nil {
+	if _, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Engine().IsUserDefined(firstID, nameID) {
@@ -132,7 +132,7 @@ func TestSessionRetriesPinsAfterSchemaSwap(t *testing.T) {
 	if err := mp.SetCell(givenID, nameID, 1, true, "analyst"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(context.Background(), bb, mp, 0.2); err != nil {
+	if _, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if s.Engine().IsUserDefined(givenID, nameID) {
@@ -157,7 +157,7 @@ func TestSessionRetriesPinsAfterSchemaSwap(t *testing.T) {
 func TestSessionIdenticalRematchWritesNothing(t *testing.T) {
 	bb, mp := sessionBoard(t)
 	s := newTestSession()
-	res, err := s.Run(context.Background(), bb, mp, 0.1)
+	res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSessionNeverOverwritesMidRangeDecision(t *testing.T) {
 	if err := mp.SetCell(subtotalID, totalID, 0.5, true, "analyst"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(context.Background(), bb, mp, 0.1)
+	res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,19 +210,12 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			s := table.For("m")
-			var err error
-			if i%2 == 0 {
-				_, err = s.Run(context.Background(), bb, mp, 0.2)
-			} else {
-				_, err = s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2)
-			}
-			if err != nil {
+			if _, err := table.For("m").Rematch(context.Background(), bb, mp, Dirty{}, 0.2); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	assertColdEqual(t, table.For("m"), bb, mp)

@@ -3,6 +3,8 @@ package lingo
 import (
 	"bufio"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io"
 	"sort"
 	"strings"
@@ -18,6 +20,9 @@ type Thesaurus struct {
 	// members maps set id to its (sorted) member words.
 	members map[int][]string
 	nextID  int
+	// digest hashes every set's members, in set order, as sets are
+	// added (see Digest).
+	digest hash.Hash64
 }
 
 // NewThesaurus returns an empty thesaurus.
@@ -25,6 +30,7 @@ func NewThesaurus() *Thesaurus {
 	return &Thesaurus{
 		synsets: make(map[string][]int),
 		members: make(map[int][]string),
+		digest:  fnv.New64a(),
 	}
 }
 
@@ -48,7 +54,18 @@ func (t *Thesaurus) AddSynset(words ...string) {
 	}
 	sort.Strings(normalized)
 	t.members[id] = normalized
+	for _, w := range normalized {
+		t.digest.Write([]byte(w))
+		t.digest.Write([]byte{0})
+	}
+	t.digest.Write([]byte{1})
 }
+
+// Digest returns a content hash of the thesaurus: its members per
+// synset, in set order. Two thesauri with the same synsets added in the
+// same order digest equal; it costs nothing to read, being kept up to
+// date by AddSynset.
+func (t *Thesaurus) Digest() uint64 { return t.digest.Sum64() }
 
 // Synonyms returns all synonyms of word (excluding word itself), sorted.
 func (t *Thesaurus) Synonyms(word string) []string {

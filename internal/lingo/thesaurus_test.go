@@ -119,3 +119,26 @@ func TestDefaultThesaurus(t *testing.T) {
 		}
 	}
 }
+
+func TestThesaurusDigest(t *testing.T) {
+	build := func(sets ...[]string) *Thesaurus {
+		th := NewThesaurus()
+		for _, s := range sets {
+			th.AddSynset(s...)
+		}
+		return th
+	}
+	base := build([]string{"Total", "sum"}, []string{"name", "title"})
+	if same := build([]string{"sum", "total"}, []string{"title", "name"}); same.Digest() != base.Digest() {
+		t.Error("equal synsets in the same set order digest differently")
+	}
+	for label, th := range map[string]*Thesaurus{
+		"other members": build([]string{"total", "amount"}, []string{"name", "title"}),
+		"set order":     build([]string{"name", "title"}, []string{"total", "sum"}),
+		"one more set":  build([]string{"total", "sum"}, []string{"name", "title"}, []string{"id", "key"}),
+	} {
+		if th.Digest() == base.Digest() {
+			t.Errorf("%s: digest did not change", label)
+		}
+	}
+}

@@ -13,6 +13,7 @@ package model
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -174,6 +175,30 @@ func NewSchema(name, format string) *Schema {
 	s.root = &Element{ID: name, Name: name, Kind: KindSchema}
 	s.byID[name] = s.root
 	return s
+}
+
+// Clone returns a deep copy of s holding every field the blackboard
+// stores: the schema's documentation and domains, and each element's
+// annotations, flags and Props. Element IDs are re-derived from names,
+// as a parser derives them, so a clone carries the IDs of the schema
+// file it was parsed from.
+func (s *Schema) Clone() *Schema {
+	out := NewSchema(s.Name, s.Format)
+	out.Doc = s.Doc
+	for name, d := range s.Domains {
+		out.Domains[name] = &Domain{Name: d.Name, Doc: d.Doc, Values: append([]DomainValue(nil), d.Values...)}
+	}
+	var copyTree func(src, dst *Element)
+	copyTree = func(src, dst *Element) {
+		dst.DataType, dst.Doc, dst.DomainRef = src.DataType, src.Doc, src.DomainRef
+		dst.Key, dst.Required = src.Key, src.Required
+		dst.Props = maps.Clone(src.Props)
+		for _, c := range src.children {
+			copyTree(c, out.AddElement(dst, c.Name, c.Kind, c.EdgeFromParent))
+		}
+	}
+	copyTree(s.root, out.root)
+	return out
 }
 
 // Root returns the schema's synthetic root element.

@@ -43,31 +43,6 @@ func evoPair(seed int64, entities, attributes, values int) (*model.Schema, *mode
 	return src, tgt
 }
 
-// evoCopy deep-copies a schema so the next version can be edited without
-// touching the one the blackboard holds. Same names in the same order
-// produce the same element IDs, so an unedited copy hashes identically.
-func evoCopy(in *model.Schema) *model.Schema {
-	out := model.NewSchema(in.Name, in.Format)
-	out.Doc = in.Doc
-	for name, d := range in.Domains {
-		out.Domains[name] = &model.Domain{Name: d.Name, Doc: d.Doc, Values: append([]model.DomainValue(nil), d.Values...)}
-	}
-	var walk func(src, dstParent *model.Element)
-	walk = func(src, dstParent *model.Element) {
-		for _, c := range src.Children() {
-			n := out.AddElement(dstParent, c.Name, c.Kind, c.EdgeFromParent)
-			n.DataType = c.DataType
-			n.Doc = c.Doc
-			n.DomainRef = c.DomainRef
-			n.Key = c.Key
-			n.Required = c.Required
-			walk(c, n)
-		}
-	}
-	walk(in.Root(), nil)
-	return out
-}
-
 // evoEdit applies one random schema edit for a version bump and returns
 // a description for failure messages.
 func evoEdit(rng *rand.Rand, step int, sch *model.Schema) string {
@@ -204,7 +179,7 @@ func TestEvolutionApplyMatchesColdRun(t *testing.T) {
 
 				cur, curT := src, tgt
 				for bump := 0; bump < bumps; bump++ {
-					next, nextT := evoCopy(cur), evoCopy(curT)
+					next, nextT := cur.Clone(), curT.Clone()
 					var edits []string
 					for e := 0; e < editsPerBump; e++ {
 						side, sch := "src", next
@@ -216,7 +191,7 @@ func TestEvolutionApplyMatchesColdRun(t *testing.T) {
 					// Re-copy to re-derive element IDs from the edited
 					// names — the declared version of a set always comes
 					// from freshly parsed files, whose IDs are name paths.
-					next, nextT = evoCopy(next), evoCopy(nextT)
+					next, nextT = next.Clone(), nextT.Clone()
 					set.Version = fmt.Sprintf("v%d", bump+2)
 					label := fmt.Sprintf("%s (%v)", set.Version, edits)
 
@@ -319,7 +294,7 @@ func TestEvolutionNoOpReapply(t *testing.T) {
 	// A version-only bump (same file contents under a new version dir)
 	// is also a no-op apply; only the lockfile records the new version.
 	set.Version = "v2"
-	plan, err = ap.Plan(set, []*model.Schema{evoCopy(src), evoCopy(tgt)}, lock)
+	plan, err = ap.Plan(set, []*model.Schema{src.Clone(), tgt.Clone()}, lock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,14 +316,14 @@ func TestEvolutionChaosRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	next, nextT := evoCopy(src), evoCopy(tgt)
+	next, nextT := src.Clone(), tgt.Clone()
 	rng := rand.New(rand.NewSource(9))
 	for e := 0; e < 3; e++ {
 		evoEdit(rng, e, next)
 		evoEdit(rng, e, nextT)
 	}
 	// Canonical IDs, as freshly parsed files would carry.
-	next, nextT = evoCopy(next), evoCopy(nextT)
+	next, nextT = next.Clone(), nextT.Clone()
 	set.Version = "v2"
 	plan, err := ap.Plan(set, []*model.Schema{next, nextT}, lock)
 	if err != nil {

@@ -318,8 +318,8 @@ func (s *Server) buildMux() {
 	s.route(mux, "GET", "/mappings", "mappings.list", s.handleListMappings)
 	s.route(mux, "GET", "/mappings/{id}", "mappings.get", s.handleGetMapping)
 	s.route(mux, "GET", "/mappings/{id}/cells", "cells.list", s.handleCells)
-	s.route(mux, "POST", "/mappings/{id}/match", "match.run", s.handleMatch)
-	s.route(mux, "POST", "/mappings/{id}/rematch", "match.rematch", s.handleRematch)
+	s.route(mux, "POST", "/mappings/{id}/match", "match.run", s.handleMatch(false))
+	s.route(mux, "POST", "/mappings/{id}/rematch", "match.rematch", s.handleMatch(true))
 	s.route(mux, "POST", "/mappings/{id}/decide", "cells.decide", s.handleDecide)
 	s.route(mux, "POST", "/apply", "apply", s.handleApply)
 	s.route(mux, "POST", "/query", "query", s.handleQuery)
@@ -765,95 +765,68 @@ func (s *Server) cacheStats() CacheStats {
 	}
 }
 
-// handleMatch runs Harmony over the mapping's schema pair and publishes
-// every correspondence above the threshold, as one transaction. The
-// engine stays alive as the mapping's match session, so a later rematch
-// can recompute incrementally from its run snapshot.
-func (s *Server) handleMatch(t *tenant, w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req MatchRequest
-	if err := readJSON(r, &req); err != nil {
-		fail(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	threshold := DefaultThreshold
-	if req.Threshold != nil {
-		threshold = *req.Threshold
-	}
-	id := r.PathValue("id")
-	mp, err := t.bb().GetMapping(id)
-	if err != nil {
-		fail(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if sp := obs.SpanFromContext(r.Context()); sp != nil {
-		sp.SetAttr("mapping", id)
-	}
-	// The engine run is read-only and can be slow; keep it outside the
-	// transaction so concurrent mutators aren't blocked by matching.
-	res, err := t.matches.For(id).Run(r.Context(), t.bb(), mp, threshold)
-	if err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, chaos.ErrInjected) {
-			status = http.StatusInternalServerError
+// handleMatch serves both match routes through the mapping's match
+// session, its one entry point: the engine runs cold on a mapping
+// without a live one, and otherwise re-reads the schemas when either
+// one's blackboard version moved and recomputes only what its change
+// signatures (plus a rematch request's optional dirty hints) require.
+// Every correspondence above the threshold is published in one
+// transaction. The routes differ only in their response: a rematch
+// also reports the mode that ran and the matrix cache.
+func (s *Server) handleMatch(rematch bool) tenantHandler {
+	return func(t *tenant, w http.ResponseWriter, r *http.Request) {
+		if s.rejectReadOnly(w) {
+			return
 		}
-		fail(w, status, "%v", err)
-		return
+		var req RematchRequest // MatchRequest is its threshold-only subset
+		if err := readJSON(r, &req); err != nil {
+			fail(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		threshold := DefaultThreshold
+		if req.Threshold != nil {
+			threshold = *req.Threshold
+		}
+		var dirty harmony.Dirty
+		if rematch {
+			dirty = harmony.Dirty{Source: req.DirtySource, Target: req.DirtyTarget}
+		}
+		id := r.PathValue("id")
+		mp, err := t.bb().GetMapping(id)
+		if err != nil {
+			fail(w, http.StatusNotFound, "%v", err)
+			return
+		}
+		if sp := obs.SpanFromContext(r.Context()); sp != nil {
+			sp.SetAttr("mapping", id)
+		}
+		// The engine run is read-only and can be slow; keep it outside the
+		// transaction so concurrent mutators aren't blocked by matching.
+		res, err := t.matches.For(id).Rematch(r.Context(), t.bb(), mp, dirty, threshold)
+		if err != nil {
+			status := http.StatusNotFound
+			if errors.Is(err, chaos.ErrInjected) {
+				status = http.StatusInternalServerError
+			}
+			fail(w, status, "%v", err)
+			return
+		}
+		cells, err := s.publish(t, r, mp, res)
+		if err != nil {
+			failTxn(w, err, http.StatusInternalServerError)
+			return
+		}
+		if !rematch {
+			writeJSON(w, http.StatusOK, MatchResponse{
+				Threshold: threshold, Published: len(cells), Cells: cells,
+			})
+			return
+		}
+		writeJSON(w, http.StatusOK, RematchResponse{
+			Mode: res.Mode, Threshold: threshold, Published: len(cells),
+			Cells: cells, Cache: s.cacheStats(),
+		})
 	}
-	cells, err := s.publish(t, r, mp, res)
-	if err != nil {
-		failTxn(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, MatchResponse{
-		Threshold: threshold, Published: len(cells), Cells: cells,
-	})
-}
-
-// handleRematch recomputes a mapping's matrix incrementally through its
-// match session: the engine re-reads the schemas when either one's
-// blackboard version moved, recomputes only what its change signatures
-// (plus the request's optional dirty hints) require, and republishes. Without a prior match it degrades to
-// a cold full run — the response's mode says which path ran.
-func (s *Server) handleRematch(t *tenant, w http.ResponseWriter, r *http.Request) {
-	if s.rejectReadOnly(w) {
-		return
-	}
-	var req RematchRequest
-	if err := readJSON(r, &req); err != nil {
-		fail(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	threshold := DefaultThreshold
-	if req.Threshold != nil {
-		threshold = *req.Threshold
-	}
-	id := r.PathValue("id")
-	mp, err := t.bb().GetMapping(id)
-	if err != nil {
-		fail(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	dirty := harmony.Dirty{Source: req.DirtySource, Target: req.DirtyTarget}
-	if reqSpan := obs.SpanFromContext(r.Context()); reqSpan != nil {
-		reqSpan.SetAttr("mapping", id)
-	}
-	res, err := t.matches.For(id).Rematch(r.Context(), t.bb(), mp, dirty, threshold)
-	if err != nil {
-		failTxn(w, err, http.StatusInternalServerError)
-		return
-	}
-	cells, err := s.publish(t, r, mp, res)
-	if err != nil {
-		failTxn(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, RematchResponse{
-		Mode: res.Mode, Threshold: threshold, Published: len(cells),
-		Cells: cells, Cache: s.cacheStats(),
-	})
 }
 
 // handleApply plans or applies one versioned schema set (DESIGN.md
