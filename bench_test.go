@@ -99,8 +99,7 @@ func BenchmarkEngineRematch(b *testing.B) {
 
 		b.Run(sz.name+"/warm-run", func(b *testing.B) {
 			reg := obs.NewRegistry()
-			cache := matchcache.New(0)
-			cache.SetMetrics(reg)
+			cache := matchcache.New(reg)
 			opts := harmony.Options{Flooding: true, Metrics: reg, Cache: cache}
 			harmony.NewEngine(src, tgt, opts).Run() // populate the cache
 			b.ResetTimer()

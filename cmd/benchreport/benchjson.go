@@ -109,8 +109,9 @@ func runBenchJSON(path string) error {
 			harmony.NewEngine(src, tgt, harmony.Options{Flooding: true, Metrics: reg}).Run()
 		})
 
-		// Warm: fresh engines over a populated score-matrix cache.
-		cache := matchcache.New(0)
+		// Warm: fresh engines over a cache index the populating engine
+		// keeps holding its matrices in.
+		cache := matchcache.New(reg)
 		opts := harmony.Options{Flooding: true, Metrics: reg, Cache: cache}
 		harmony.NewEngine(src, tgt, opts).Run() // populate
 		rec.WarmRunMs = bestOfMs(sz.coldIters, func() {

@@ -93,7 +93,7 @@ func main() {
 
 	var cache *matchcache.Cache
 	if *incremental {
-		cache = matchcache.New(0)
+		cache = matchcache.New(nil)
 	}
 	opts := workbench.EngineOptions{
 		Flooding:       !*noFlood,
@@ -108,8 +108,9 @@ func main() {
 	if *timings {
 		printTimings(stages, wall, engine.Workers())
 		if *incremental {
-			// Warm demo: a second engine over the same pair serves every
-			// voter and the merged matrix straight from the cache.
+			// Warm demo: the first engine holds its matrices in the cache
+			// while it lives, so a second engine over the same pair serves
+			// every voter and the merged matrix straight from it.
 			warm := workbench.NewEngine(src, tgt, opts)
 			warmStart := time.Now()
 			warmStages := warm.Run()
@@ -193,8 +194,8 @@ func printTimings(stages []harmony.StageTiming, wall time.Duration, workers int)
 // printCacheStats summarizes the score-matrix cache after a -incremental
 // timing demo.
 func printCacheStats(st matchcache.Stats) {
-	fmt.Printf("match cache: %d entries, %d/%d bytes, %d hits, %d misses, %d evictions (hit ratio %.0f%%)\n",
-		st.Entries, st.Bytes, st.MaxBytes, st.Hits, st.Misses, st.Evictions, 100*st.HitRatio())
+	fmt.Printf("match cache: %d entries, %d hits, %d misses, %d evictions (hit ratio %.0f%%)\n",
+		st.Entries, st.Hits, st.Misses, st.Evictions, 100*st.HitRatio())
 }
 
 // fmtSeconds formats a duration in seconds with a fixed 10-rune width:

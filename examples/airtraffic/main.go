@@ -23,6 +23,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 	"strings"
 
 	workbench "repro"
@@ -176,8 +177,14 @@ func main() {
 	fmt.Printf("  facilityID ↔ aerodromeCode pinned at %+.0f (user decision survives)\n",
 		engine.Matrix().Get("FAA/Facility/facilityID", "Eurocontrol/Aerodrome/aerodromeCode"))
 	fmt.Println("  learned voter weights:")
-	for name, w := range engine.Merger().Weights() {
-		fmt.Printf("    %-22s %.3f\n", name, w)
+	weights := engine.Merger().Weights()
+	names := make([]string, 0, len(weights))
+	for name := range weights {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Printf("    %-22s %.3f\n", name, weights[name])
 	}
 	fmt.Printf("  overall progress: %.0f%%\n", 100*engine.Progress())
 }

@@ -12,63 +12,68 @@ import (
 
 // TestCacheTrafficGolden pins the matchcache traffic of every run and
 // rematch mode: it replays TestStageSequenceGolden's script against one
-// cache and asserts the cache's hits, misses and entries after each
-// step. A run with nothing to reuse reads every stage from the cache
-// before computing it; a rematch patches its previous matrices and only
-// writes; a run after Learn bypasses the cache entirely.
+// cache index and asserts the index's hits, misses, entries and
+// evictions after each step. A run with nothing to reuse reads every
+// stage from the index before computing it; a rematch patches its
+// previous matrices without a lookup; after every run the engine holds
+// its snapshot's entries in place of its previous ones, and an engine
+// that has learned holds nothing.
 func TestCacheTrafficGolden(t *testing.T) {
-	cache := matchcache.New(1 << 24)
-	cache.SetMetrics(obs.NewRegistry())
+	cache := matchcache.New(obs.NewRegistry())
 	opts := Options{Flooding: true, Metrics: obs.NewRegistry(), Cache: cache}
 	src, tgt := poSource(), siTarget()
 	live := NewEngine(src, tgt, opts)
 
 	steps := []struct {
-		name                  string
-		call                  func()
-		hits, misses, entries int64
+		name                             string
+		call                             func()
+		hits, misses, entries, evictions int64
 	}{
 		// Six voter matrices and the merged entry: each looked up, missed
-		// and stored.
-		{"cold run", func() { live.Run() }, 0, 7, 7},
-		// A second engine over the same pair hits all seven.
-		{"cache hit", func() { NewEngine(src, tgt, opts).Run() }, 7, 7, 7},
-		// Re-pinning reads and writes nothing.
+		// and held.
+		{"cold run", func() { live.Run() }, 0, 7, 7, 0},
+		// A second engine over the same pair hits all seven and holds
+		// them too.
+		{"cache hit", func() { NewEngine(src, tgt, opts).Run() }, 7, 7, 7, 0},
+		// Re-pinning reads and holds nothing new.
 		{"pins", func() {
 			if err := live.Accept(firstID, nameID); err != nil {
 				t.Fatal(err)
 			}
 			live.Rematch(Dirty{})
-		}, 7, 7, 7},
-		// Patched matrices are stored under the edited schema's hash,
-		// without a lookup.
+		}, 7, 7, 7, 0},
+		// Patched matrices are held under the edited schema's hash,
+		// without a lookup; the second engine still holds the first
+		// version.
 		{"rename", func() {
 			src.Element(lastID).Name = "surname"
 			live.Rematch(Dirty{})
-		}, 7, 7, 14},
+		}, 7, 7, 14, 0},
+		// The renamed version's last holder moves on.
 		{"doc edit", func() {
 			src.Element(subtotalID).Doc += " excluding shipping charges"
 			live.Rematch(Dirty{})
-		}, 7, 7, 21},
-		// Learned state is not part of the key.
+		}, 7, 7, 14, 7},
+		// Learned state is not part of the key: the learned engine's run
+		// releases what it held and holds nothing.
 		{"learn", func() {
 			live.Learn()
 			live.Rematch(Dirty{})
-		}, 7, 7, 21},
+		}, 7, 7, 7, 14},
 		// Blocking changes the fingerprint: the pattern joins the seven
-		// matrices, all missed and stored.
+		// matrices, all missed and held.
 		{"blocking", func() {
 			o := opts
 			o.Blocking = match.BlockingOptions{Enabled: true, PerSourceK: 2}
 			NewEngine(poSource(), siTarget(), o).Run()
-		}, 7, 15, 29},
+		}, 7, 15, 15, 14},
 	}
 	for _, st := range steps {
 		st.call()
 		got := cache.Stats()
-		if got.Hits != st.hits || got.Misses != st.misses || int64(got.Entries) != st.entries || got.Evictions != 0 {
-			t.Errorf("%s: hits %d misses %d entries %d evictions %d, want %d %d %d 0",
-				st.name, got.Hits, got.Misses, got.Entries, got.Evictions, st.hits, st.misses, st.entries)
+		if got.Hits != st.hits || got.Misses != st.misses || int64(got.Entries) != st.entries || got.Evictions != st.evictions {
+			t.Errorf("%s: hits %d misses %d entries %d evictions %d, want %d %d %d %d",
+				st.name, got.Hits, got.Misses, got.Entries, got.Evictions, st.hits, st.misses, st.entries, st.evictions)
 		}
 	}
 }
@@ -105,8 +110,7 @@ func TestCacheFingerprintSeesThesaurusContent(t *testing.T) {
 		t.Fatal("the two thesauri score the pair identically; the test cannot tell them apart")
 	}
 
-	cache := matchcache.New(1 << 24)
-	cache.SetMetrics(obs.NewRegistry())
+	cache := matchcache.New(obs.NewRegistry())
 	engine(first, cache).Run()
 	assertBitIdentical(t, "second thesaurus through a shared cache", want, engine(second, cache).Matrix())
 }

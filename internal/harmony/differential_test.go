@@ -175,8 +175,7 @@ func runDifferentialScript(t *testing.T, blocking match.BlockingOptions) {
 				t.Run(name, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					src, tgt := diffPair(seed, size.entities, size.attributes, size.codes)
-					cache := matchcache.New(1 << 24)
-					cache.SetMetrics(obs.NewRegistry())
+					cache := matchcache.New(obs.NewRegistry())
 					live := NewEngine(src, tgt, Options{
 						Flooding:    true,
 						Parallelism: par,

@@ -62,15 +62,17 @@ type Options struct {
 	// must tolerate concurrent Vote calls (read-only Context access) when
 	// Parallelism != 1.
 	Parallelism int
-	// Cache, when non-nil, stores per-voter score matrices and the
-	// merged/flooded intermediates across runs and across engines, keyed
-	// by schema content hashes and a fingerprint of every option that
-	// shapes matrix content, the thesaurus's synsets included (DESIGN.md
-	// §12). A run with nothing to reuse reads each stage from the cache
-	// before computing it; every run writes what it computes. Cached
-	// matrices are shared and must be treated as immutable; the engine
-	// never mutates them. Runs after Learn bypass the cache entirely —
-	// learned corpus/merger state is not part of the key.
+	// Cache, when non-nil, is the index through which the engines given
+	// it share their matrices (DESIGN.md §12). After every run the
+	// engine holds its snapshot's per-voter score matrices, merged and
+	// flooded intermediates and blocking pattern there, keyed by schema
+	// content hashes and a fingerprint of every option that shapes
+	// matrix content, the thesaurus's synsets included, and releases
+	// what it held before. A run with nothing to reuse reads each stage
+	// from the index before computing it. Shared matrices are immutable;
+	// the engine never mutates them. Learned corpus/merger state is not
+	// part of the key, so an engine that has learned neither reads nor
+	// holds entries.
 	Cache *matchcache.Cache
 }
 
@@ -89,9 +91,14 @@ type Engine struct {
 	// the linguistic context after a schema edit.
 	ctxOpts []match.ContextOption
 	cache   *matchcache.Cache
+	// holder names the engine in the cache index. It is an allocation of
+	// its own, so an index that outlives the engine (fresh engines over
+	// one long-lived index) keeps only the entries it held reachable,
+	// never the engine.
+	holder *int
 	// learnGen counts Learn calls; learned corpus/merger state is not
-	// content-addressable, so learnGen > 0 bypasses the cache and makes
-	// Rematch fall back to a full run.
+	// content-addressable, so learnGen > 0 keeps the engine out of the
+	// cache index and makes Rematch fall back to a full run.
 	learnGen int
 	// snap is the recorded state of the last completed pipeline run —
 	// what Rematch patches against and Learn reads the votes of.
@@ -141,6 +148,7 @@ func NewEngine(source, target *model.Schema, opts Options) *Engine {
 		parallelism: opts.Parallelism,
 		ctxOpts:     ctxOpts,
 		cache:       opts.Cache,
+		holder:      new(int),
 		decisions:   map[pairKey]Decision{},
 		complete:    map[string]bool{},
 	}
@@ -210,15 +218,16 @@ func (e *Engine) run(ctx context.Context) []StageTiming {
 // reuses.
 //
 // prev is the run to reuse. With prev nil there is nothing to reuse:
-// each stage reads the cache first and otherwise runs its full kernel.
-// Otherwise each stage patches prev's matrix, recomputing the rows and
-// columns of the (structurally closed) dirty sets; a moved corpus
-// signature re-votes the corpus-sensitive voters in full, and a moved
-// corpus or merger signature re-merges and re-floods in full. A patch
-// recomputes its cells with the full kernel's code, so every path is
-// bit-identical to prev nil. Every matrix computed is written to the
-// cache. The returned mode names how much of prev was reused:
-// RematchIncremental, RematchCorpus, or RematchFull for prev nil.
+// each stage looks its key up in the cache index and otherwise runs its
+// full kernel. Otherwise each stage patches prev's matrix, recomputing
+// the rows and columns of the (structurally closed) dirty sets; a moved
+// corpus signature re-votes the corpus-sensitive voters in full, and a
+// moved corpus or merger signature re-merges and re-floods in full. A
+// patch recomputes its cells with the full kernel's code, so every path
+// is bit-identical to prev nil. Once snap is recorded, the engine holds
+// its matrices in the index in place of the previous snapshot's. The
+// returned mode names how much of prev was reused: RematchIncremental,
+// RematchCorpus, or RematchFull for prev nil.
 func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *runSnapshot, dirtySrc, dirtyTgt map[string]bool) string {
 	e.metrics.Gauge(MetricParallelism).Set(float64(e.Workers()))
 	mode := RematchFull
@@ -243,7 +252,7 @@ func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *r
 		}
 	}
 
-	// Content-addressed caching: schema hashes + options fingerprint name
+	// Content-addressed sharing: schema hashes + options fingerprint name
 	// each intermediate exactly, so a hit is bit-identical by
 	// construction. Learned corpus/merger state is not part of the key,
 	// hence the learnGen guard.
@@ -254,41 +263,34 @@ func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *r
 		fp = e.cacheFingerprint()
 	}
 
-	// Blocking: build (or cache-fetch) the candidate pattern before any
-	// voter runs; every matrix the pipeline allocates from here on
-	// stores only its cells. A disabled blocking stage emits no span,
-	// keeping unblocked -timings output identical to the pre-blocking
-	// engine. After an edit the pattern may have moved (a renamed
-	// element meets different index postings); the patch kernels
+	// Blocking: build (or fetch from the index) the candidate pattern
+	// before any voter runs; every matrix the pipeline allocates from
+	// here on stores only its cells. A disabled blocking stage emits no
+	// span, keeping unblocked -timings output identical to the
+	// pre-blocking engine. After an edit the pattern may have moved (a
+	// renamed element meets different index postings); the patch kernels
 	// tolerate that cell by cell.
-	e.installCandidates(col, snap.srcHash, snap.tgtHash, fp, useCache)
+	pat := e.installCandidates(col, snap.srcHash, snap.tgtHash, fp, useCache)
 
 	votes := e.votePanel(col, func(ctx context.Context, v match.Voter) *match.Matrix {
-		key := voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Name())
 		if lookup {
-			if got, ok := e.cache.GetTraced(ctx, key); ok {
+			if got, ok := e.cache.Get(ctx, voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Name())); ok {
 				return got.(*match.Matrix)
 			}
 		}
-		var m *match.Matrix
 		if old := prevVotes[v.Name()]; old != nil {
-			m = v.(match.IncrementalVoter).VotePatch(e.ctx, old, dirtySrc, dirtyTgt)
-		} else {
-			m = v.Vote(e.ctx)
+			return v.(match.IncrementalVoter).VotePatch(e.ctx, old, dirtySrc, dirtyTgt)
 		}
-		if useCache {
-			e.cache.Put(key, m, match.MatrixBytes(m))
-		}
-		return m
+		return v.Vote(e.ctx)
 	})
 	snap.votes = votes
 
-	// Merge + flooding, as one cached unit (the flood state rides along
+	// Merge + flooding, as one shared unit (the flood state rides along
 	// so a later rematch can warm-start from the recorded rounds).
 	mergedKey := mergedCacheKey(snap.srcHash, snap.tgtHash, fp, snap.mergerSig)
 	var hit any
 	if lookup {
-		hit, _ = e.cache.GetTraced(ctx, mergedKey)
+		hit, _ = e.cache.Get(ctx, mergedKey)
 	}
 	if me, ok := hit.(*mergedEntry); ok {
 		snap.premerge, snap.flood, snap.prepin = me.premerge, me.flood, me.prepin
@@ -314,18 +316,27 @@ func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *r
 			snap.prepin, snap.flood = out, st
 			sp.End()
 		}
-		if useCache {
-			me := &mergedEntry{premerge: snap.premerge, flood: snap.flood, prepin: snap.prepin}
-			e.cache.Put(mergedKey, me, me.bytes())
-		}
 	}
 
 	// Re-apply pinned user decisions: "once a link has been accepted or
 	// rejected, the engine will not try to modify that link" (§4.3).
 	// Pins land on a clone — snap.prepin stays pristine (and possibly
-	// shared through the cache) for incremental reuse.
+	// shared through the index) for incremental reuse.
 	e.pinDecisions(col, snap.prepin)
 	e.snap = snap
+	if e.cache != nil {
+		var held map[string]any
+		if useCache {
+			held = map[string]any{mergedKey: &mergedEntry{premerge: snap.premerge, flood: snap.flood, prepin: snap.prepin}}
+			for _, v := range votes {
+				held[voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Voter)] = v.Matrix
+			}
+			if pat != nil {
+				held[patternCacheKey(snap.srcHash, snap.tgtHash, fp)] = pat
+			}
+		}
+		e.cache.Hold(e.holder, held)
+	}
 	return mode
 }
 
@@ -375,30 +386,29 @@ func (e *Engine) pinDecisions(col *obs.Collector, prepin *match.Matrix) {
 	e.metrics.Counter(MetricRuns).Inc()
 }
 
-// installCandidates builds (or cache-fetches) the blocking pattern over
-// the engine's current context and installs it, so ctx.NewMatrix()
-// allocates over it. No-op when blocking is off. The pattern is a
-// deterministic function of the schema pair and the options fingerprint,
-// so it shares the content-addressed cache discipline of the matrices
-// computed over it.
-func (e *Engine) installCandidates(col *obs.Collector, srcHash, tgtHash, fp string, useCache bool) {
+// installCandidates builds (or fetches from the cache index) the
+// blocking pattern over the engine's current context, installs it, so
+// ctx.NewMatrix() allocates over it, and returns it. No-op returning nil
+// when blocking is off. The pattern is a deterministic function of the
+// schema pair and the options fingerprint, so it shares the
+// content-addressed keying of the matrices computed over it.
+func (e *Engine) installCandidates(col *obs.Collector, srcHash, tgtHash, fp string, useCache bool) *match.Pattern {
 	if !e.blocking.Enabled {
-		return
+		return nil
 	}
 	sp, ctx := col.Start("blocking")
 	defer sp.End()
+	var pat *match.Pattern
 	if useCache {
-		key := patternCacheKey(srcHash, tgtHash, fp)
-		if got, ok := e.cache.GetTraced(ctx, key); ok {
-			e.ctx.SetCandidates(got.(*match.Pattern))
-			return
+		if got, ok := e.cache.Get(ctx, patternCacheKey(srcHash, tgtHash, fp)); ok {
+			pat = got.(*match.Pattern)
 		}
-		pat := match.BuildCandidates(e.ctx, e.blocking)
-		e.cache.Put(key, pat, pat.Bytes())
-		e.ctx.SetCandidates(pat)
-		return
 	}
-	e.ctx.SetCandidates(match.BuildCandidates(e.ctx, e.blocking))
+	if pat == nil {
+		pat = match.BuildCandidates(e.ctx, e.blocking)
+	}
+	e.ctx.SetCandidates(pat)
+	return pat
 }
 
 // applyPins writes every user decision into m as a pinned ±1.
@@ -517,8 +527,10 @@ func (e *Engine) Learn() {
 	}
 	e.merger.LearnWeights(e.snap.votes, fb, 0.15)
 	// Learned state is invisible to the content-addressed cache keys, so
-	// from here on this engine bypasses the cache and Rematch falls back
-	// to full runs (see Options.Cache).
+	// from here on this engine neither reads nor holds index entries and
+	// Rematch falls back to full runs (see Options.Cache). What it holds
+	// now was computed before learning and still matches its keys; its
+	// next run releases it.
 	e.learnGen++
 
 	// Word-weight learning: words shared by accepted pairs' documentation

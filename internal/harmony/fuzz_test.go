@@ -34,8 +34,7 @@ func FuzzRematchEquivalence(f *testing.F) {
 		src := reg.Models[0]
 		tgt, _ := registry.Perturb(src, registry.DefaultPerturb())
 
-		cache := matchcache.New(1 << 22)
-		cache.SetMetrics(obs.NewRegistry())
+		cache := matchcache.New(obs.NewRegistry())
 		live := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry(), Cache: cache})
 		live.Run()
 

@@ -78,22 +78,12 @@ type runSnapshot struct {
 	prepin   *match.Matrix     // pipeline output before decision pinning
 }
 
-// mergedEntry is the cached merge+flood unit.
+// mergedEntry is the merge+flood unit an engine holds in the cache
+// index.
 type mergedEntry struct {
 	premerge *match.Matrix
 	flood    *match.FloodState
 	prepin   *match.Matrix
-}
-
-func (me *mergedEntry) bytes() int64 {
-	n := match.MatrixBytes(me.premerge)
-	if me.flood != nil {
-		n += me.flood.Bytes()
-	}
-	if me.prepin != me.premerge {
-		n += match.MatrixBytes(me.prepin)
-	}
-	return n
 }
 
 // LastRematchMode reports how the most recent Rematch resolved ("" before

@@ -18,8 +18,7 @@ import (
 // timed must leave both unchanged.
 func TestStageSequenceGolden(t *testing.T) {
 	reg := obs.NewRegistry()
-	cache := matchcache.New(1 << 24)
-	cache.SetMetrics(obs.NewRegistry())
+	cache := matchcache.New(obs.NewRegistry())
 	opts := Options{Flooding: true, Metrics: reg, Cache: cache}
 	src, tgt := poSource(), siTarget()
 	live := NewEngine(src, tgt, opts)

@@ -88,15 +88,6 @@ type FloodState struct {
 	DownWeight float64
 }
 
-// Bytes estimates the state's cache charge.
-func (st *FloodState) Bytes() int64 {
-	var n int64
-	for _, m := range st.Rounds {
-		n += MatrixBytes(m)
-	}
-	return n
-}
-
 // HarmonyFloodState is HarmonyFlood plus a recorded FloodState for
 // warm-starting HarmonyFloodPatch later.
 func HarmonyFloodState(m *Matrix, source, target *model.Schema, opts FloodOptions) (*Matrix, *FloodState) {

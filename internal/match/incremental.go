@@ -114,19 +114,6 @@ func ExpandDirty(sch *model.Schema, dirty map[string]bool) map[string]bool {
 	return out
 }
 
-// MatrixBytes estimates a matrix's resident size for cache accounting:
-// the stored cells plus per-row slice headers and the two index maps,
-// plus the blocking pattern's share and the overflow cells. For an
-// unblocked matrix that is exactly r·c·8 + (r+c)·64 + 256, the charge of
-// the full cross product.
-func MatrixBytes(m *Matrix) int64 {
-	if m == nil {
-		return 0
-	}
-	r, c := int64(len(m.Sources)), int64(len(m.Targets))
-	return int64(m.NNZ())*8 + m.pat.Bytes() + int64(len(m.extra))*24 + (r+c)*64 + 256
-}
-
 // HarmonyFloodPatch warm-starts flooding from a previous run's recorded
 // FloodState. Per round it recomputes only cells in the cross-shaped
 // region R×all ∪ all×C and copies the rest from the corresponding

@@ -330,25 +330,3 @@ func TestHarmonyFloodPatchWarmStartRule(t *testing.T) {
 		t.Fatal("unblocked to blocked toggle: warm start accepted")
 	}
 }
-
-// TestMatrixBytesUnblockedCharge pins the cache charge of an unblocked
-// matrix to the dense layout's r·c·8 + (r+c)·64 + 256, so matchcache
-// admission and eviction do not depend on how cells are stored.
-func TestMatrixBytesUnblockedCharge(t *testing.T) {
-	src, tgt := incrTestPair()
-	ctx := NewContext(src, tgt)
-	votes := []Vote{{Voter: "name", Matrix: NameVoter{}.Vote(ctx)}}
-	merged := NewMerger().Merge(votes)
-	_, st := HarmonyFloodState(merged, src, tgt, FloodOptions{})
-	for name, m := range map[string]*Matrix{
-		"MatrixOver": MatrixOver(src, tgt),
-		"vote":       votes[0].Matrix,
-		"merged":     merged,
-		"flooded":    st.Rounds[len(st.Rounds)-1],
-	} {
-		r, c := int64(len(m.Sources)), int64(len(m.Targets))
-		if got, want := MatrixBytes(m), r*c*8+(r+c)*64+256; got != want {
-			t.Errorf("%s: MatrixBytes = %d; want %d", name, got, want)
-		}
-	}
-}

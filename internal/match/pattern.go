@@ -134,16 +134,6 @@ func (p *Pattern) sameBlocking(q *Pattern) bool {
 	return p.Equal(q)
 }
 
-// Bytes estimates the pattern's resident size for cache accounting. A
-// full pattern adds nothing: its shared column slice and row headers
-// fit in MatrixBytes's per-row and per-column charge.
-func (p *Pattern) Bytes() int64 {
-	if p == nil || p.full {
-		return 0
-	}
-	return int64(p.nnz)*4 + int64(len(p.Rows))*24 + 64
-}
-
 func int32Sorted(a []int32) bool {
 	for k := 1; k < len(a); k++ {
 		if a[k-1] > a[k] {

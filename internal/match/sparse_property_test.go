@@ -200,9 +200,6 @@ func TestFullPattern(t *testing.T) {
 			t.Errorf("%s: sameBlocking = %v; want %v", c.name, got, c.prune)
 		}
 	}
-	if p.Bytes() != 0 {
-		t.Errorf("full pattern Bytes = %d; want 0 (charged by MatrixBytes)", p.Bytes())
-	}
 	srcs, tgts, _ := randomPatternPair(rand.New(rand.NewSource(14)), 3, 4)
 	if m := NewMatrix(srcs, tgts); m.Sparse() || m.CandidatePattern() != nil {
 		t.Error("unblocked matrix reports a blocking pattern")

@@ -1,280 +1,143 @@
-// Package matchcache is a sharded, byte-budgeted LRU cache for match
-// engine intermediates (per-voter score matrices, merged/flooded
-// matrices). The refinement loop of paper Figure 1 re-runs the matcher
-// after every analyst decision; at registry scale (Table 1, ~13k
-// elements) the |S1|x|S2| voter sweeps dominate that loop, and — as in
-// COMA's reuse-oriented architecture — almost all of the work is
-// identical between consecutive runs. Entries are keyed by content
-// ("<kind>|<schema revision hashes>|<voter>|<options fingerprint>"), so
-// a key either names exactly one bit-identical value or misses; stale
-// data cannot be returned under a fresh key. Eviction is
-// least-recently-used by byte size within each shard.
+// Package matchcache indexes the match engine intermediates that live
+// engines hold (per-voter score matrices, the merged/flooded matrices,
+// the blocking pattern), so a run with nothing of its own to reuse can
+// share another engine's. The refinement loop of paper Figure 1 re-runs
+// the matcher after every analyst decision, and each live engine
+// patches its own previous run; what is worth sharing is what the live
+// engines hold right now, e.g. a second analyst's mapping over a
+// registry pair another mapping already matched. Entries are keyed by
+// content ("<kind>|<schema revision hashes>|<options fingerprint>|..."),
+// so a key either names exactly one bit-identical value or misses;
+// stale data cannot be returned under a fresh key.
 //
-// The cache is safe for concurrent use. Hit/miss/eviction counters and
-// byte/entry gauges are exported through internal/obs.
+// An entry lives as long as some holder holds its key: Hold replaces
+// everything one holder holds, and a key whose last holder moved on
+// leaves the index. There is no byte budget and no eviction policy:
+// the index holds only entries of its holders' current snapshots,
+// which the holders keep alive anyway.
+//
+// The index is safe for concurrent use. Hit/miss/eviction counters and
+// the entry gauge are exported through internal/obs.
 package matchcache
 
 import (
 	"context"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/obs"
 )
 
-// Metric names emitted by the cache (see DESIGN.md §12). All carry a
-// cache=<name> label so several caches can share one registry.
+// Metric names emitted by the index (see DESIGN.md §12).
 const (
-	// MetricHits counts Get calls that found a live entry.
+	// MetricHits counts Get calls that found a held entry.
 	MetricHits = "match_cache_hits_total"
 	// MetricMisses counts Get calls that found nothing.
 	MetricMisses = "match_cache_misses_total"
-	// MetricEvictions counts entries evicted to respect the byte budget.
+	// MetricEvictions counts entries that left the index because their
+	// last holder moved on.
 	MetricEvictions = "match_cache_evictions_total"
-	// MetricInvalidations counts entries removed by InvalidatePrefix/Delete.
-	MetricInvalidations = "match_cache_invalidations_total"
-	// MetricBytes gauges the bytes currently held.
-	MetricBytes = "match_cache_bytes"
 	// MetricEntries gauges the entries currently held.
 	MetricEntries = "match_cache_entries"
 )
 
-// DefaultMaxBytes is the byte budget used when New is given n <= 0:
-// large enough for the full intermediate set of a ~1000-element pair at
-// every pipeline stage, small enough for a laptop.
-const DefaultMaxBytes = 256 << 20
-
-// shardCount is fixed: key hashing spreads entries, and 16 shards keep
-// lock contention negligible next to the matrix work being cached.
-const shardCount = 16
-
-// entry is one cached value inside a shard's intrusive LRU list.
+// entry is one indexed value and the number of holders holding its key.
 type entry struct {
-	key   string
-	value any
-	bytes int64
-	prev  *entry // toward most recently used
-	next  *entry // toward least recently used
+	value   any
+	holders int
 }
 
-// shard is an independently locked LRU: map for lookup, doubly linked
-// list for recency order (head = most recent, tail = next to evict).
-type shard struct {
-	mu    sync.Mutex
-	items map[string]*entry
-	head  *entry
-	tail  *entry
-	bytes int64
-	max   int64
-}
-
-// Cache is a sharded byte-LRU. Create with New.
+// Cache is the index of what its holders hold. Create with New.
 type Cache struct {
-	name   string
-	shards [shardCount]*shard
+	mu      sync.Mutex
+	entries map[string]*entry
+	held    map[any][]string // owner → the keys it holds
 
-	mu  sync.Mutex // guards reg swap only
-	reg *obs.Registry
+	hits, misses, evictions *obs.Counter
+	size                    *obs.Gauge
 }
 
-// New returns a cache bounded to maxBytes in total (n <= 0 selects
-// DefaultMaxBytes). The budget is split evenly across shards, so one
-// entry can never exceed maxBytes/16 — Put reports whether the value
-// was retained. Metrics go to obs.Default() until SetMetrics.
-func New(maxBytes int64) *Cache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultMaxBytes
-	}
-	c := &Cache{name: "match", reg: obs.Default()}
-	per := maxBytes / shardCount
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{items: map[string]*entry{}, max: per}
-	}
-	c.describe()
-	return c
-}
-
-// SetName changes the cache=<name> metric label (default "match").
-func (c *Cache) SetName(name string) {
-	c.mu.Lock()
-	c.name = name
-	c.mu.Unlock()
-}
-
-// SetMetrics redirects the cache's instrumentation (nil resets to
-// obs.Default()).
-func (c *Cache) SetMetrics(reg *obs.Registry) {
+// New returns an empty index reporting to reg (nil means obs.Default()).
+func New(reg *obs.Registry) *Cache {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	c.mu.Lock()
-	c.reg = reg
-	c.mu.Unlock()
-	c.describe()
-}
-
-func (c *Cache) describe() {
-	r, _ := c.handles()
-	r.Describe(MetricHits, "Match cache lookups that found a live entry.")
-	r.Describe(MetricMisses, "Match cache lookups that found nothing.")
-	r.Describe(MetricEvictions, "Match cache entries evicted by the LRU byte budget.")
-	r.Describe(MetricInvalidations, "Match cache entries removed by explicit invalidation.")
-	r.Describe(MetricBytes, "Bytes currently held by the match cache.")
-	r.Describe(MetricEntries, "Entries currently held by the match cache.")
-}
-
-func (c *Cache) handles() (*obs.Registry, string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reg, c.name
-}
-
-// shardFor hashes a key to its shard (FNV-1a, inlined — the stdlib
-// hash/fnv allocates a hasher per call).
-func (c *Cache) shardFor(key string) *shard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
+	reg.Describe(MetricHits, "Match cache lookups that found a held entry.")
+	reg.Describe(MetricMisses, "Match cache lookups that found nothing.")
+	reg.Describe(MetricEvictions, "Match cache entries dropped because their last holder moved on.")
+	reg.Describe(MetricEntries, "Entries currently held in the match cache.")
+	return &Cache{
+		entries:   map[string]*entry{},
+		held:      map[any][]string{},
+		hits:      reg.Counter(MetricHits),
+		misses:    reg.Counter(MetricMisses),
+		evictions: reg.Counter(MetricEvictions),
+		size:      reg.Gauge(MetricEntries),
 	}
-	return c.shards[h%shardCount]
 }
 
-// Get returns the value cached under key and whether it was present,
-// refreshing the entry's recency.
-func (c *Cache) Get(key string) (any, bool) {
-	reg, name := c.handles()
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.items[key]
-	if ok {
-		s.moveToFront(e)
-		v := e.value
-		s.mu.Unlock()
-		reg.Counter(MetricHits, "cache", name).Inc()
-		return v, true
-	}
-	s.mu.Unlock()
-	reg.Counter(MetricMisses, "cache", name).Inc()
-	return nil, false
-}
-
-// GetTraced is Get with request-trace instrumentation: when ctx carries
-// a span (see internal/obs tracing), the lookup records a
-// "matchcache.get" child span annotated with cache_hit, so a trace
-// shows which stages were answered from cache. Outside a trace it is
-// exactly Get.
-func (c *Cache) GetTraced(ctx context.Context, key string) (any, bool) {
+// Get returns the value held under key and whether it was present,
+// counting a hit or a miss. When ctx carries a span (see internal/obs
+// tracing), the lookup records a "matchcache.get" child span annotated
+// with cache_hit, so a trace shows which stages were answered from the
+// index.
+func (c *Cache) Get(ctx context.Context, key string) (any, bool) {
 	sp, _ := obs.StartSpan(ctx, "matchcache.get")
-	v, ok := c.Get(key)
+	c.mu.Lock()
+	e, ok := c.entries[key]
+	var v any
+	if ok {
+		v = e.value
+	}
+	c.mu.Unlock()
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
 	sp.SetAttr("cache_hit", strconv.FormatBool(ok))
 	sp.End()
 	return v, ok
 }
 
-// Put stores value under key, charging it the given byte size, and
-// evicts least-recently-used entries until the shard fits its budget.
-// A value larger than the per-shard budget is not retained (Put returns
-// false); re-putting an existing key replaces the value and size.
-func (c *Cache) Put(key string, value any, bytes int64) bool {
-	if bytes < 0 {
-		bytes = 0
-	}
-	reg, name := c.handles()
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if bytes > s.max {
-		// Too large to ever fit; dropping the stale entry (if any) keeps
-		// the "no stale value under a live key" invariant. The drop counts
-		// as an invalidation (the caller asked for a replacement, not an
-		// eviction under budget pressure) so Stats/metrics explain where
-		// the entry went.
-		old, had := s.items[key]
-		if had {
-			s.remove(old)
+// Hold makes entries everything owner holds. The new holds are taken
+// before owner's previous ones are released, so a key both sets name
+// never leaves the index; a held key's value is the one its latest
+// holder gave. A key whose last holder released it leaves the index
+// and counts as an eviction. Hold(owner, nil) releases everything owner
+// holds. The index keeps owner reachable while it holds anything.
+func (c *Cache) Hold(owner any, entries map[string]any) {
+	keys := make([]string, 0, len(entries))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, v := range entries {
+		e := c.entries[k]
+		if e == nil {
+			e = &entry{}
+			c.entries[k] = e
 		}
-		s.mu.Unlock()
-		if had {
-			reg.Counter(MetricInvalidations, "cache", name).Inc()
-			c.syncGauges(reg, name)
-		}
-		return false
+		e.value = v
+		e.holders++
+		keys = append(keys, k)
 	}
-	if old, ok := s.items[key]; ok {
-		s.bytes += bytes - old.bytes
-		old.bytes = bytes
-		old.value = value
-		s.moveToFront(old)
+	for _, k := range c.held[owner] {
+		e := c.entries[k]
+		if e.holders--; e.holders == 0 {
+			delete(c.entries, k)
+			c.evictions.Inc()
+		}
+	}
+	if len(keys) == 0 {
+		delete(c.held, owner)
 	} else {
-		e := &entry{key: key, value: value, bytes: bytes}
-		s.items[key] = e
-		s.pushFront(e)
-		s.bytes += bytes
+		c.held[owner] = keys
 	}
-	evicted := 0
-	for s.bytes > s.max && s.tail != nil {
-		s.remove(s.tail)
-		evicted++
-	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		reg.Counter(MetricEvictions, "cache", name).Add(int64(evicted))
-	}
-	c.syncGauges(reg, name)
-	return true
+	c.size.Set(float64(len(c.entries)))
 }
 
-// Delete removes one key if present.
-func (c *Cache) Delete(key string) bool {
-	reg, name := c.handles()
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.items[key]
-	if ok {
-		s.remove(e)
-	}
-	s.mu.Unlock()
-	if ok {
-		reg.Counter(MetricInvalidations, "cache", name).Inc()
-		c.syncGauges(reg, name)
-	}
-	return ok
-}
-
-// InvalidatePrefix removes every entry whose key starts with prefix and
-// returns how many were dropped. Content-hashed keys make revision
-// bumps self-invalidating (the new revision reads a new key), but
-// explicit invalidation lets callers reclaim the budget immediately —
-// e.g. when a schema is deleted from the blackboard.
-func (c *Cache) InvalidatePrefix(prefix string) int {
-	reg, name := c.handles()
-	dropped := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for k, e := range s.items {
-			if strings.HasPrefix(k, prefix) {
-				s.remove(e)
-				dropped++
-			}
-		}
-		s.mu.Unlock()
-	}
-	if dropped > 0 {
-		reg.Counter(MetricInvalidations, "cache", name).Add(int64(dropped))
-		c.syncGauges(reg, name)
-	}
-	return dropped
-}
-
-// Stats is a point-in-time cache summary.
+// Stats is a point-in-time index summary.
 type Stats struct {
 	Entries   int
-	Bytes     int64
-	MaxBytes  int64
 	Hits      int64
 	Misses    int64
 	Evictions int64
@@ -289,77 +152,15 @@ func (st Stats) HitRatio() float64 {
 	return float64(st.Hits) / float64(total)
 }
 
-// Stats sums the shards and reads the lifetime counters back from the
-// metrics registry (the counters are the single source of truth, so
-// Stats and /metrics can never disagree).
+// Stats counts the held entries and reads the lifetime counters back
+// from the metrics registry (the counters are the single source of
+// truth, so Stats and /metrics can never disagree).
 func (c *Cache) Stats() Stats {
-	reg, name := c.handles()
-	var st Stats
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Entries += len(s.items)
-		st.Bytes += s.bytes
-		st.MaxBytes += s.max
-		s.mu.Unlock()
+	c.mu.Lock()
+	n := len(c.entries)
+	c.mu.Unlock()
+	return Stats{
+		Entries: n, Hits: c.hits.Value(), Misses: c.misses.Value(),
+		Evictions: c.evictions.Value(),
 	}
-	st.Hits = reg.Counter(MetricHits, "cache", name).Value()
-	st.Misses = reg.Counter(MetricMisses, "cache", name).Value()
-	st.Evictions = reg.Counter(MetricEvictions, "cache", name).Value()
-	return st
-}
-
-// syncGauges refreshes the byte/entry gauges from shard state.
-func (c *Cache) syncGauges(reg *obs.Registry, name string) {
-	var bytes int64
-	entries := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		bytes += s.bytes
-		entries += len(s.items)
-		s.mu.Unlock()
-	}
-	reg.Gauge(MetricBytes, "cache", name).Set(float64(bytes))
-	reg.Gauge(MetricEntries, "cache", name).Set(float64(entries))
-}
-
-// ---- intrusive LRU list (caller holds s.mu) ----
-
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
-
-func (s *shard) remove(e *entry) {
-	s.unlink(e)
-	delete(s.items, e.key)
-	s.bytes -= e.bytes
 }

@@ -1,329 +1,286 @@
 package matchcache
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-func newTestCache(t *testing.T, maxBytes int64) *Cache {
-	t.Helper()
-	c := New(maxBytes)
-	c.SetMetrics(obs.NewRegistry())
-	return c
+var bg = context.Background()
+
+// keysOf lists the index's keys, sorted.
+func keysOf(c *Cache) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.entries))
+	for k := range c.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-func TestGetPutBasics(t *testing.T) {
-	c := newTestCache(t, 1<<20)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache returned a hit")
+func TestGetHoldBasics(t *testing.T) {
+	c := New(obs.NewRegistry())
+	if _, ok := c.Get(bg, "a"); ok {
+		t.Fatal("empty index returned a hit")
 	}
-	if !c.Put("a", 42, 10) {
-		t.Fatal("Put rejected a fitting entry")
-	}
-	v, ok := c.Get("a")
+	owner := new(int)
+	c.Hold(owner, map[string]any{"a": 42})
+	v, ok := c.Get(bg, "a")
 	if !ok || v.(int) != 42 {
 		t.Fatalf("Get(a) = %v, %v; want 42, true", v, ok)
 	}
-	// Replacement keeps one entry and updates the value and charge.
-	c.Put("a", 43, 20)
-	v, _ = c.Get("a")
-	if v.(int) != 43 {
-		t.Fatalf("after replace Get(a) = %v; want 43", v)
+	// A re-hold keeps one entry and takes the value it is given.
+	c.Hold(owner, map[string]any{"a": 43})
+	if v, _ = c.Get(bg, "a"); v.(int) != 43 {
+		t.Fatalf("after re-hold Get(a) = %v; want 43", v)
 	}
 	st := c.Stats()
-	if st.Entries != 1 || st.Bytes != 20 {
-		t.Fatalf("stats after replace = %+v; want 1 entry, 20 bytes", st)
+	if st.Entries != 1 || st.Hits != 2 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("stats after re-hold = %+v; want 1 entry, 2 hits, 1 miss, 0 evictions", st)
 	}
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("hits/misses = %d/%d; want 2/1", st.Hits, st.Misses)
+	// Holding nothing releases everything.
+	c.Hold(owner, nil)
+	if _, ok := c.Get(bg, "a"); ok {
+		t.Fatal("released entry readable")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Evictions != 1 {
+		t.Fatalf("stats after release = %+v; want 0 entries, 1 eviction", st)
+	}
+	if len(c.held) != 0 {
+		t.Fatalf("released owner still tracked: %v", c.held)
 	}
 }
 
-func TestOversizedPutNotRetained(t *testing.T) {
-	c := newTestCache(t, 16*100) // 100 bytes per shard
-	if c.Put("big", 1, 101) {
-		t.Fatal("Put retained an entry larger than a shard budget")
+// TestSharedKeySurvivesUntilLastHolder: a key two holders hold leaves
+// the index only when the second of them moves on.
+func TestSharedKeySurvivesUntilLastHolder(t *testing.T) {
+	c := New(obs.NewRegistry())
+	a, b := new(int), new(int)
+	c.Hold(a, map[string]any{"x": 1, "shared": 2})
+	c.Hold(b, map[string]any{"shared": 2, "z": 3})
+	c.Hold(a, map[string]any{"w": 4})
+	if got, want := fmt.Sprint(keysOf(c)), "[shared w z]"; got != want {
+		t.Fatalf("after a moved on: keys %s; want %s", got, want)
 	}
-	if _, ok := c.Get("big"); ok {
-		t.Fatal("oversized entry is readable")
+	if st := c.Stats(); st.Evictions != 1 {
+		t.Fatalf("after a moved on: %d evictions; want 1 (x)", st.Evictions)
 	}
-	// Growing an existing key past the budget must drop it, not keep the
-	// stale small value.
-	c.Put("k", "old", 10)
-	if c.Put("k", "new", 200) {
-		t.Fatal("oversized replacement retained")
+	c.Hold(b, nil)
+	if got, want := fmt.Sprint(keysOf(c)), "[w]"; got != want {
+		t.Fatalf("after b released: keys %s; want %s", got, want)
 	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("stale value survived an oversized replacement")
-	}
-	// The drop is accounted: the shard gives the bytes back and the
-	// removal is visible as an invalidation (not an eviction — no budget
-	// pressure was involved).
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("stats after oversized replacement = %+v; want empty cache", st)
-	}
-	if st.Evictions != 0 {
-		t.Fatalf("oversized replacement counted as eviction (%d)", st.Evictions)
-	}
-	reg, name := c.handles()
-	if n := reg.Counter(MetricInvalidations, "cache", name).Value(); n != 1 {
-		t.Fatalf("invalidations after oversized replacement = %d; want 1", n)
-	}
-	// A plain oversized Put with no prior entry invalidates nothing.
-	if c.Put("fresh", 1, 200) {
-		t.Fatal("oversized fresh Put retained")
-	}
-	if n := reg.Counter(MetricInvalidations, "cache", name).Value(); n != 1 {
-		t.Fatalf("fresh oversized Put bumped invalidations to %d; want 1", n)
+	if st := c.Stats(); st.Evictions != 3 {
+		t.Fatalf("after b released: %d evictions; want 3", st.Evictions)
 	}
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
-	// Single-shard-sized budget: craft keys that land in one shard by
-	// brute force so eviction order is observable.
-	c := newTestCache(t, 16*30)
-	shard := c.shardFor("seed")
-	keys := []string{}
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("k%d", i)
-		if c.shardFor(k) == shard {
-			keys = append(keys, k)
+// TestReholdUnchangedKeyNeverDrops: a holder whose new set repeats a
+// key of its old one keeps that key throughout — a concurrent reader
+// never misses it — and counts no eviction for it.
+func TestReholdUnchangedKeyNeverDrops(t *testing.T) {
+	c := New(obs.NewRegistry())
+	owner := new(int)
+	c.Hold(owner, map[string]any{"k": 0, "old": 0})
+	done := make(chan struct{})
+	missed := make(chan int, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			if _, ok := c.Get(bg, "k"); !ok {
+				missed <- i
+				return
+			}
 		}
+	}()
+	for i := 1; i <= 500; i++ {
+		c.Hold(owner, map[string]any{"k": i, fmt.Sprint("new", i): i})
 	}
-	c.Put(keys[0], 0, 10)
-	c.Put(keys[1], 1, 10)
-	c.Put(keys[2], 2, 10) // shard full: 30/30
-	c.Get(keys[0])        // refresh 0; 1 is now LRU
-	if !c.Put("seed", 3, 10) && c.shardFor("seed") == shard {
-		t.Fatal("Put into full shard failed")
+	<-done
+	select {
+	case i := <-missed:
+		t.Fatalf("re-held key missed at read %d", i)
+	default:
 	}
-	if c.shardFor("seed") == shard {
-		if _, ok := c.Get(keys[1]); ok {
-			t.Fatal("LRU entry survived eviction")
-		}
-		if _, ok := c.Get(keys[0]); !ok {
-			t.Fatal("recently used entry was evicted")
-		}
+	// Every key the next set did not repeat left: "old" and new1..new499.
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 500 {
+		t.Fatalf("stats = %+v; want 2 entries, 500 evictions", st)
 	}
-}
-
-func TestDeleteAndInvalidatePrefix(t *testing.T) {
-	c := newTestCache(t, 1<<20)
-	c.Put("v|h1|name", 1, 8)
-	c.Put("v|h1|doc", 2, 8)
-	c.Put("v|h2|name", 3, 8)
-	c.Put("m|h1|x", 4, 8)
-	if !c.Delete("m|h1|x") {
-		t.Fatal("Delete missed a live key")
-	}
-	if c.Delete("m|h1|x") {
-		t.Fatal("Delete hit a dead key")
-	}
-	if n := c.InvalidatePrefix("v|h1|"); n != 2 {
-		t.Fatalf("InvalidatePrefix dropped %d; want 2", n)
-	}
-	if _, ok := c.Get("v|h1|name"); ok {
-		t.Fatal("invalidated entry readable")
-	}
-	if _, ok := c.Get("v|h2|name"); !ok {
-		t.Fatal("unrelated entry dropped by prefix invalidation")
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Bytes != 8 {
-		t.Fatalf("stats after invalidation = %+v; want 1 entry, 8 bytes", st)
+	if v, _ := c.Get(bg, "k"); v.(int) != 500 {
+		t.Fatalf("re-held key value = %v; want the last hold's 500", v)
 	}
 }
 
 func TestHitRatio(t *testing.T) {
-	c := newTestCache(t, 1<<20)
+	c := New(obs.NewRegistry())
 	if r := c.Stats().HitRatio(); r != 0 {
 		t.Fatalf("virgin hit ratio = %v; want 0", r)
 	}
-	c.Put("a", 1, 1)
-	c.Get("a")
-	c.Get("a")
-	c.Get("b")
-	c.Get("b")
+	c.Hold(new(int), map[string]any{"a": 1})
+	c.Get(bg, "a")
+	c.Get(bg, "a")
+	c.Get(bg, "b")
+	c.Get(bg, "b")
 	if r := c.Stats().HitRatio(); r != 0.5 {
 		t.Fatalf("hit ratio = %v; want 0.5", r)
 	}
 }
 
-func TestDefaultBudget(t *testing.T) {
-	c := New(0)
-	c.SetMetrics(obs.NewRegistry())
-	if st := c.Stats(); st.MaxBytes != DefaultMaxBytes {
-		t.Fatalf("default budget = %d; want %d", st.MaxBytes, DefaultMaxBytes)
-	}
-}
+// ---- property tests (keying discipline, concurrent use) ----
 
-// ---- property tests (satellite: invalidation soundness, byte budget,
-// concurrent determinism) ----
-
-// TestPropertyRevisionBumpInvalidation models the engine's keying
-// discipline: keys embed a content revision. After a bump, no Get under
-// the new revision can observe a value stored under the old one, and
-// InvalidatePrefix of the old revision leaves nothing stale behind.
+// TestPropertyRevisionBumpInvalidation models the engines' keying
+// discipline: keys embed a content revision, and each holder moves to
+// a new revision with every run, sometimes onto one that another holder
+// already holds. After every bump the index holds exactly the union of
+// the holders' current keys, each under its own value, so no Get can
+// observe a superseded revision once its last holder moved on.
 func TestPropertyRevisionBumpInvalidation(t *testing.T) {
+	voters := []string{"name", "doc", "type", "struct"}
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := newTestCache(t, 1<<20)
-		voters := []string{"name", "doc", "type", "struct"}
-		for rev := 0; rev < 10; rev++ {
-			prefix := fmt.Sprintf("v|rev%d|", rev)
-			for _, v := range voters {
-				c.Put(prefix+v, fmt.Sprintf("%d-%s", rev, v), int64(8+rng.Intn(64)))
+		c := New(obs.NewRegistry())
+		holders := make([]*int, 4)
+		current := make([]int, len(holders)) // 0 = holds nothing
+		for i := range holders {
+			holders[i] = new(int)
+		}
+		var evictions int64
+		for step := 0; step < 200; step++ {
+			h := rng.Intn(len(holders))
+			rev := 1 + rng.Intn(12)
+			if rng.Intn(8) == 0 {
+				rev = 0 // a learned engine: holds nothing
 			}
-			// New revision's keys must all miss before being written.
-			next := fmt.Sprintf("v|rev%d|", rev+1)
-			for _, v := range voters {
-				if got, ok := c.Get(next + v); ok {
-					t.Fatalf("seed %d rev %d: stale value %v under fresh key", seed, rev, got)
+			var entries map[string]any
+			if rev > 0 {
+				entries = map[string]any{}
+				for _, v := range voters {
+					entries[fmt.Sprintf("v|rev%d|%s", rev, v)] = fmt.Sprintf("%d-%s", rev, v)
 				}
 			}
-			// Old revision's entries are gone after explicit invalidation.
-			if rev > 0 {
-				old := fmt.Sprintf("v|rev%d|", rev-1)
-				c.InvalidatePrefix(old)
+			old := current[h]
+			current[h] = rev
+			if old != 0 && old != rev {
+				stillHeld := false
+				for _, r := range current {
+					stillHeld = stillHeld || r == old
+				}
+				if !stillHeld {
+					evictions += int64(len(voters))
+				}
+			}
+			c.Hold(holders[h], entries)
+
+			live := map[int]bool{}
+			for _, r := range current {
+				if r != 0 {
+					live[r] = true
+				}
+			}
+			for r := 0; r <= 12; r++ {
 				for _, v := range voters {
-					if _, ok := c.Get(old + v); ok {
-						t.Fatalf("seed %d rev %d: entry survived revision invalidation", seed, rev)
+					got, ok := c.Get(bg, fmt.Sprintf("v|rev%d|%s", r, v))
+					if ok != live[r] {
+						t.Fatalf("seed %d step %d: rev %d %s present=%v; want %v", seed, step, r, v, ok, live[r])
+					}
+					if ok && got.(string) != fmt.Sprintf("%d-%s", r, v) {
+						t.Fatalf("seed %d step %d: rev %d %s = %v", seed, step, r, v, got)
 					}
 				}
 			}
-			// Live revision still fully readable and values uncorrupted.
-			for _, v := range voters {
-				got, ok := c.Get(prefix + v)
-				if !ok || got.(string) != fmt.Sprintf("%d-%s", rev, v) {
-					t.Fatalf("seed %d rev %d: live entry %q = %v, %v", seed, rev, v, got, ok)
-				}
+			if st := c.Stats(); st.Entries != len(live)*len(voters) || st.Evictions != evictions {
+				t.Fatalf("seed %d step %d: stats %+v; want %d entries, %d evictions",
+					seed, step, st, len(live)*len(voters), evictions)
 			}
 		}
 	}
 }
 
-// TestPropertyByteBudgetNeverExceeded drives random puts/deletes and
-// checks the accounted bytes never exceed the budget and always equal a
-// shadow-model recomputation.
-func TestPropertyByteBudgetNeverExceeded(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const budget = 16 * 512
-		c := newTestCache(t, budget)
-		for op := 0; op < 2000; op++ {
-			k := fmt.Sprintf("k%d", rng.Intn(200))
-			switch rng.Intn(10) {
-			case 0:
-				c.Delete(k)
-			case 1:
-				c.InvalidatePrefix(fmt.Sprintf("k%d", rng.Intn(20)))
-			default:
-				c.Put(k, op, int64(rng.Intn(700))) // sometimes oversized
-			}
-			st := c.Stats()
-			if st.Bytes > budget {
-				t.Fatalf("seed %d op %d: bytes %d exceed budget %d", seed, op, st.Bytes, budget)
-			}
-			var model int64
-			for _, s := range c.shards {
-				s.mu.Lock()
-				var sum int64
-				n := 0
-				for e := s.head; e != nil; e = e.next {
-					sum += e.bytes
-					n++
-				}
-				if n != len(s.items) {
-					t.Fatalf("seed %d op %d: list has %d entries, map has %d", seed, op, n, len(s.items))
-				}
-				if sum != s.bytes {
-					t.Fatalf("seed %d op %d: shard accounts %d bytes, list sums %d", seed, op, s.bytes, sum)
-				}
-				model += sum
-				s.mu.Unlock()
-			}
-			if model != st.Bytes {
-				t.Fatalf("seed %d op %d: stats bytes %d != model %d", seed, op, st.Bytes, model)
-			}
-		}
-	}
-}
-
-// TestPropertyConcurrentGetPut hammers the cache from many goroutines.
-// Determinism here means: every hit returns the exact value most
-// recently put under that key by anyone (values are keyed to their key,
-// so cross-key mixups are detectable), and the final accounting is
-// consistent. Run under -race this also proves memory safety.
-func TestPropertyConcurrentGetPut(t *testing.T) {
-	c := newTestCache(t, 16*4096)
+// TestPropertyConcurrentGetHold hammers the index from many goroutines,
+// each one holder moving between random key sets while reading others'
+// keys. Every hit must return a value stored under that key (values
+// name their key, so cross-key mixups are detectable), and at the end
+// the index must hold exactly the union of the holders' last sets. Run
+// under -race this also proves memory safety.
+func TestPropertyConcurrentGetHold(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(reg)
 	const workers = 8
+	last := make([]map[string]any, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w + 1)))
-			for op := 0; op < 3000; op++ {
+			owner := new(int)
+			for op := 0; op < 2000; op++ {
 				k := fmt.Sprintf("k%d", rng.Intn(64))
-				switch rng.Intn(4) {
-				case 0:
-					if v, ok := c.Get(k); ok {
-						if v.(string)[:len(k)] != k {
-							t.Errorf("Get(%s) returned value for wrong key: %v", k, v)
-							return
-						}
+				if rng.Intn(4) > 0 {
+					if v, ok := c.Get(bg, k); ok && v.(string)[:len(k)+1] != k+"/" {
+						t.Errorf("Get(%s) returned value for wrong key: %v", k, v)
+						return
 					}
-				case 1:
-					c.InvalidatePrefix(fmt.Sprintf("k%d", rng.Intn(64)))
-				default:
-					c.Put(k, fmt.Sprintf("%s/%d/%d", k, w, op), int64(16+rng.Intn(64)))
+					continue
 				}
+				entries := map[string]any{}
+				for n := rng.Intn(6); n > 0; n-- {
+					k := fmt.Sprintf("k%d", rng.Intn(64))
+					entries[k] = fmt.Sprintf("%s/%d/%d", k, w, op)
+				}
+				c.Hold(owner, entries)
+				last[w] = entries
 			}
 		}(w)
 	}
 	wg.Wait()
-	st := c.Stats()
-	if st.Bytes > 16*4096 {
-		t.Fatalf("final bytes %d exceed budget", st.Bytes)
-	}
-	var model int64
-	entries := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for e := s.head; e != nil; e = e.next {
-			model += e.bytes
-			entries++
+	union := map[string]bool{}
+	for _, entries := range last {
+		for k := range entries {
+			union[k] = true
 		}
-		s.mu.Unlock()
 	}
-	if model != st.Bytes || entries != st.Entries {
-		t.Fatalf("final accounting: stats %d bytes/%d entries, model %d/%d",
-			st.Bytes, st.Entries, model, entries)
+	st := c.Stats()
+	if st.Entries != len(union) {
+		t.Fatalf("final entries %d; want the %d keys of the holders' last sets", st.Entries, len(union))
+	}
+	for k := range union {
+		if _, ok := c.Get(bg, k); !ok {
+			t.Fatalf("held key %s missing", k)
+		}
+	}
+	if g := reg.Gauge(MetricEntries).Value(); g != float64(st.Entries) {
+		t.Fatalf("%s gauge = %v; want %d", MetricEntries, g, st.Entries)
 	}
 }
 
+// TestMetricsExported: the registry's counters and entry gauge are the
+// values Stats reports.
 func TestMetricsExported(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(1 << 20)
-	c.SetMetrics(reg)
-	c.Put("a", 1, 10)
-	c.Get("a")
-	c.Get("missing")
-	if v := reg.Counter(MetricHits, "cache", "match").Value(); v != 1 {
-		t.Fatalf("%s = %d; want 1", MetricHits, v)
+	c := New(reg)
+	a, b := new(int), new(int)
+	c.Hold(a, map[string]any{"x": 1, "y": 2})
+	c.Hold(b, map[string]any{"y": 2})
+	c.Get(bg, "x")
+	c.Get(bg, "missing")
+	c.Hold(a, nil)
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v; want 1 hit, 1 miss, 1 eviction, 1 entry", st)
 	}
-	if v := reg.Counter(MetricMisses, "cache", "match").Value(); v != 1 {
-		t.Fatalf("%s = %d; want 1", MetricMisses, v)
+	for name, want := range map[string]int64{MetricHits: st.Hits, MetricMisses: st.Misses, MetricEvictions: st.Evictions} {
+		if v := reg.Counter(name).Value(); v != want {
+			t.Errorf("%s = %d; want %d", name, v, want)
+		}
 	}
-	if v := reg.Gauge(MetricBytes, "cache", "match").Value(); v != 10 {
-		t.Fatalf("%s = %v; want 10", MetricBytes, v)
-	}
-	if v := reg.Gauge(MetricEntries, "cache", "match").Value(); v != 1 {
-		t.Fatalf("%s = %v; want 1", MetricEntries, v)
+	if v := reg.Gauge(MetricEntries).Value(); v != float64(st.Entries) {
+		t.Errorf("%s = %v; want %d", MetricEntries, v, st.Entries)
 	}
 }

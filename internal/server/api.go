@@ -187,11 +187,12 @@ type RematchRequest struct {
 	DirtyTarget []string `json:"dirtyTarget,omitempty"`
 }
 
-// CacheStats reports the server's shared score-matrix cache.
+// CacheStats reports the score-matrix cache index of the mapping's
+// workspace: the entries its live engines hold, lifetime lookup hits
+// and misses, and evictions — entries dropped because their last
+// holder moved on to newer matrices.
 type CacheStats struct {
 	Entries   int     `json:"entries"`
-	Bytes     int64   `json:"bytes"`
-	MaxBytes  int64   `json:"maxBytes"`
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`
 	Evictions int64   `json:"evictions"`

@@ -132,6 +132,10 @@ type tenant struct {
 	// matches holds each mapping's match session (its live engine),
 	// shared by the match, rematch and apply routes.
 	matches *harmony.Sessions
+	// cache indexes the score matrices the workspace's live engines hold,
+	// so a mapping that runs cold over a pair another mapping already
+	// matched shares its matrices. It lives and dies with matches.
+	cache *matchcache.Cache
 
 	// applied is the in-memory replication cursor for a storeless
 	// replica tenant.
@@ -158,12 +162,6 @@ type Server struct {
 	traces *obs.TraceStore
 	log    *logx.Logger
 	slow   time.Duration // slow-request log threshold (0 = disabled)
-
-	// matchCache holds per-voter and merged score matrices across match
-	// and rematch runs, shared by every mapping's engine in every
-	// workspace (content-addressed keys make cross-tenant reuse safe: the
-	// same schema pair loaded by two tenants hits once).
-	matchCache *matchcache.Cache
 
 	// Replication state (internal/server/repl.go). role is the node's
 	// replication role; the epoch lives in the default workspace's WAL
@@ -201,14 +199,12 @@ func New(cfg Config) (*Server, error) {
 		srvLog = logx.Default()
 	}
 	s := &Server{
-		cfg:        cfg,
-		reg:        reg,
-		matchCache: matchcache.New(matchcache.DefaultMaxBytes),
-		traces:     obs.NewTraceStore(obs.DefaultTraceCapacity),
-		log:        srvLog.With("component", "server"),
-		slow:       slow,
+		cfg:    cfg,
+		reg:    reg,
+		traces: obs.NewTraceStore(obs.DefaultTraceCapacity),
+		log:    srvLog.With("component", "server"),
+		slow:   slow,
 	}
-	s.matchCache.SetMetrics(reg)
 	wsm, err := workspace.NewManager(workspace.Options{
 		Root:           cfg.DataDir,
 		ReplBufferTxns: cfg.ReplBufferTxns,
@@ -232,6 +228,7 @@ func New(cfg Config) (*Server, error) {
 // attachTenant wires the server's per-workspace request state onto a
 // workspace as the workspace manager opens or creates it.
 func (s *Server) attachTenant(ws *workspace.Workspace) error {
+	cache := matchcache.New(ws.Metrics())
 	t := &tenant{
 		srv:      s,
 		ws:       ws,
@@ -239,8 +236,9 @@ func (s *Server) attachTenant(ws *workspace.Workspace) error {
 		sessions: map[string]*session{},
 		matches: harmony.NewSessions(harmony.Options{
 			Flooding: true, Metrics: ws.Metrics(), Parallelism: s.cfg.Parallelism,
-			Cache: s.matchCache,
+			Cache: cache,
 		}),
+		cache: cache,
 		// Session IDs restart from the recovered txn high-water mark, so
 		// a stale pre-restart session ID can never collide with one
 		// minted after the restart.
@@ -755,13 +753,13 @@ func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res
 	return cells, nil
 }
 
-// cacheStats converts the shared cache's counters to their wire form.
-func (s *Server) cacheStats() CacheStats {
-	st := s.matchCache.Stats()
+// cacheStats converts the workspace's cache index counters to their
+// wire form.
+func (t *tenant) cacheStats() CacheStats {
+	st := t.cache.Stats()
 	return CacheStats{
-		Entries: st.Entries, Bytes: st.Bytes, MaxBytes: st.MaxBytes,
-		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-		HitRatio: st.HitRatio(),
+		Entries: st.Entries, Hits: st.Hits, Misses: st.Misses,
+		Evictions: st.Evictions, HitRatio: st.HitRatio(),
 	}
 }
 
@@ -824,7 +822,7 @@ func (s *Server) handleMatch(rematch bool) tenantHandler {
 		}
 		writeJSON(w, http.StatusOK, RematchResponse{
 			Mode: res.Mode, Threshold: threshold, Published: len(cells),
-			Cells: cells, Cache: s.cacheStats(),
+			Cells: cells, Cache: t.cacheStats(),
 		})
 	}
 }
