@@ -253,7 +253,12 @@ func BenchmarkFigure1PipelineStages(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1VoterStages times each voter stage separately.
+// BenchmarkFigure1VoterStages times each voter stage separately: on the
+// small evaluation pair, then sequentially (Parallelism 1) on registry
+// pairs of ~300 and ~1000 elements, where each size also times the
+// linguistic context build (the "context" sub-benchmark) and each voter
+// reports its cost per scored pair. A full vote allocates only its
+// matrix, so allocs/op stays flat across sizes.
 func BenchmarkFigure1VoterStages(b *testing.B) {
 	ps := benchPairs(1)
 	p := ps.Pairs[0]
@@ -264,6 +269,36 @@ func BenchmarkFigure1VoterStages(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v.Vote(ctx)
+			}
+		})
+	}
+	sizes := []struct {
+		name                        string
+		entities, attributes, codes int
+	}{
+		{"300elem", 30, 270, 360},
+		{"1000elem", 100, 900, 1200},
+	}
+	for _, sz := range sizes {
+		src, tgt := benchRegistryPair(sz.entities, sz.attributes, sz.codes)
+		b.Run(sz.name, func(b *testing.B) {
+			b.Run("context", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					match.NewContext(src, tgt, match.WithParallelism(1))
+				}
+			})
+			ctx := match.NewContext(src, tgt, match.WithParallelism(1))
+			pairs := float64(src.Len() * tgt.Len())
+			for _, v := range match.DefaultVoters() {
+				v := v
+				b.Run(v.Name(), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						v.Vote(ctx)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+				})
 			}
 		})
 	}

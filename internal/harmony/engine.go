@@ -206,7 +206,7 @@ func (e *Engine) Run() []StageTiming {
 func (e *Engine) run(ctx context.Context) []StageTiming {
 	col := obs.NewCollector(ctx)
 	snap := e.signatures(e.ctx.Source, e.ctx.Target)
-	snap.corpusSig = corpusSignature(e.ctx)
+	snap.corpusSig = e.ctx.CorpusSignature()
 	e.pipeline(ctx, col, snap, nil, nil, nil)
 	return e.timings(col.Spans(), MetricStageDuration)
 }
@@ -536,43 +536,30 @@ func (e *Engine) Learn() {
 	// Word-weight learning: words shared by accepted pairs' documentation
 	// were predictive (upweight); words shared by rejected pairs misled
 	// (downweight).
-	srcByID := map[string]*model.Element{}
-	for _, el := range e.ctx.Source.Elements() {
-		srcByID[el.ID] = el
+	srcEls, tgtEls := e.ctx.Elements()
+	srcRow := make(map[string]int, len(srcEls))
+	for i, el := range srcEls {
+		srcRow[el.ID] = i
 	}
-	tgtByID := map[string]*model.Element{}
-	for _, el := range e.ctx.Target.Elements() {
-		tgtByID[el.ID] = el
+	tgtRow := make(map[string]int, len(tgtEls))
+	for j, el := range tgtEls {
+		tgtRow[el.ID] = j
 	}
 	for k, d := range e.decisions {
-		s, t := srcByID[k.src], tgtByID[k.tgt]
-		if s == nil || t == nil {
+		i, okS := srcRow[k.src]
+		j, okT := tgtRow[k.tgt]
+		if !okS || !okT {
 			continue
 		}
-		shared := intersectTokens(e.ctx.DocTokens(s), e.ctx.DocTokens(t))
 		factor := 1.15
 		if !d.Accepted {
 			factor = 0.9
 		}
-		for _, w := range shared {
+		for _, w := range e.ctx.SharedDocTerms(i, j) {
 			e.ctx.Corpus.AdjustWordWeight(w, factor)
 		}
 	}
-	e.ctx.InvalidateVectors()
-}
-
-func intersectTokens(a, b []string) []string {
-	set := make(map[string]bool, len(a))
-	for _, t := range a {
-		set[t] = true
-	}
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range b {
-		if set[t] && !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
+	// Learn runs strictly between runs, so the vectors are re-derived
+	// here, eagerly, before any voter reads them.
+	e.ctx.RederiveVectors()
 }

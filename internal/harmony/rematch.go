@@ -118,8 +118,9 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		e.metrics.Counter(MetricRematchTotal, "mode", mode).Inc()
 	}()
 
-	// The context caches tokens per element pointer, so a never-run
-	// engine whose schemas were edited in place needs a fresh one too.
+	// The context's rows follow its element order as of construction,
+	// so a never-run engine whose schemas were edited in place needs a
+	// fresh one too.
 	if e.snap == nil {
 		mode = RematchCold
 		e.ctx = match.NewContext(source, target, e.ctxOpts...)
@@ -165,18 +166,18 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		return e.timings(col.Spans(), MetricRematchStageDuration)
 	}
 
-	// The context's per-element caches are keyed by element pointer, so
-	// every edit needs fresh linguistic state for the touched elements.
+	// The context's rows are aligned with its element pointers, so every
+	// edit needs fresh linguistic state for the touched elements.
 	// In-place edits that provably leave the documentation corpus alone
-	// refresh just those elements (O(dirty)); anything else — replaced
-	// schema objects, doc edits, added/removed documents — rebuilds the
-	// whole context (O(elements), still far below the O(|S1|·|S2|)
-	// matrix work the stages below save).
+	// re-derive just those rows and reuse the rest; anything else —
+	// replaced schema objects, doc edits, added/removed documents —
+	// rebuilds the whole context (O(elements), still far below the
+	// O(|S1|·|S2|) matrix work the stages below save).
 	sp, _ = col.Start("context")
 	if replaced || !e.ctx.Refresh(dirtySrc, dirtyTgt) {
 		e.ctx = match.NewContext(source, target, e.ctxOpts...)
 	}
-	snap.corpusSig = corpusSignature(e.ctx)
+	snap.corpusSig = e.ctx.CorpusSignature()
 	sp.End()
 
 	// Close the dirty sets under the voter panel's structural
@@ -250,7 +251,7 @@ func diffSignatures(old, new map[string]uint64) map[string]bool {
 // content of its referenced coding scheme — so two runs see the same
 // signature iff every per-element voter input is unchanged. (What it
 // deliberately does not cover: children, handled by dirty-set closure,
-// and corpus-global IDF, handled by corpusSignature.)
+// and corpus-global IDF, handled by the context's CorpusSignature.)
 func schemaSignature(sch *model.Schema) (map[string]uint64, map[string]string, string) {
 	elems := sch.Elements()
 	sigs := make(map[string]uint64, len(elems))
@@ -299,25 +300,6 @@ func schemaSignature(sch *model.Schema) (map[string]uint64, map[string]string, s
 func SchemaHash(s *model.Schema) string {
 	_, _, whole := schemaSignature(s)
 	return whole
-}
-
-// corpusSignature hashes both schemas' preprocessed documentation bags
-// in element order. Any difference means the TF-IDF corpus — and with
-// it every IDF weight — changed, so corpus-sensitive voters cannot be
-// patched.
-func corpusSignature(ctx *match.Context) uint64 {
-	h := fnv.New64a()
-	for _, sch := range []*model.Schema{ctx.Source, ctx.Target} {
-		for _, e := range sch.Elements() {
-			for _, tok := range ctx.DocTokens(e) {
-				h.Write([]byte(tok))
-				h.Write([]byte{0})
-			}
-			h.Write([]byte{1})
-		}
-		h.Write([]byte{2})
-	}
-	return h.Sum64()
 }
 
 // mergerSignature hashes the merger configuration (performance weights

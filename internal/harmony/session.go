@@ -98,7 +98,13 @@ func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *bl
 			return nil, err
 		}
 		if s.eng == nil {
+			// The new engine's linguistic context (its feature rows) is
+			// the cold run's set-up; the trace books it as "context", like
+			// a rematch's rebuild. A trace-only span: the run's stage
+			// timings start with the run.
+			sp, _ := obs.StartSpan(ctx, "context")
 			s.eng = NewEngine(src, tgt, s.opts)
+			sp.End()
 			syncPins(s.eng, mp)
 			s.eng.run(ctx)
 		} else {

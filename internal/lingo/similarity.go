@@ -61,14 +61,21 @@ func EditSimilarity(a, b string) float64 {
 
 // JaroWinkler returns the Jaro-Winkler similarity in [0,1], the metric
 // of choice for short identifier-like strings (rewards common prefixes,
-// which abbreviation-heavy schema names exhibit).
+// which abbreviation-heavy schema names exhibit). It converts both
+// strings to runes and delegates to JaroWinklerRunes.
 func JaroWinkler(a, b string) float64 {
-	j := jaro(a, b)
+	return JaroWinklerRunes([]rune(a), []rune(b))
+}
+
+// JaroWinklerRunes is JaroWinkler over rune slices, for callers that keep
+// names as runes (the match voters' feature rows). It allocates nothing
+// for names of up to jaroStackRunes runes.
+func JaroWinklerRunes(ra, rb []rune) float64 {
+	j := jaro(ra, rb)
 	if j == 0 {
 		return 0
 	}
 	// Common prefix length, up to 4.
-	ra, rb := []rune(a), []rune(b)
 	l := 0
 	for l < len(ra) && l < len(rb) && l < 4 && ra[l] == rb[l] {
 		l++
@@ -77,8 +84,11 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(l)*p*(1-j)
 }
 
-func jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+// jaroStackRunes bounds the name length whose match flags jaro keeps on
+// the stack; longer names allocate theirs.
+const jaroStackRunes = 64
+
+func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -94,8 +104,14 @@ func jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	var bufA, bufB [jaroStackRunes]bool
+	matchA, matchB := bufA[:], bufB[:]
+	if la > jaroStackRunes {
+		matchA = make([]bool, la)
+	}
+	if lb > jaroStackRunes {
+		matchB = make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - window
@@ -243,4 +259,42 @@ func OverlapCoefficient(a, b []string) float64 {
 		return 0
 	}
 	return float64(inter) / float64(m)
+}
+
+// JaccardIDs is Jaccard over two sorted, duplicate-free lists of interned
+// token IDs. It returns exactly what Jaccard returns for the tokens' sets
+// (1 for two empty sets) and allocates nothing.
+func JaccardIDs(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := intersectIDs(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
+}
+
+// OverlapIDs is OverlapCoefficient over two sorted, duplicate-free ID
+// lists: 0 when either is empty, and no allocation.
+func OverlapIDs(a, b []int32) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	return float64(intersectIDs(a, b)) / float64(min(len(a), len(b)))
+}
+
+// intersectIDs counts the IDs two sorted, duplicate-free lists share.
+func intersectIDs(a, b []int32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			n++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return n
 }

@@ -92,9 +92,15 @@ func (c *Corpus) Vector(tokens []string) Vector {
 	}
 	v := make(Vector, len(tf))
 	for t, f := range tf {
-		v[t] = (1 + math.Log(float64(f))) * c.IDF(t) * c.WordWeight(t)
+		v[t] = c.TermWeight(t, f)
 	}
 	return v
+}
+
+// TermWeight is the TF-IDF weight of a term that occurs tf times in one
+// document, with the term's learned weight applied.
+func (c *Corpus) TermWeight(term string, tf int) float64 {
+	return (1 + math.Log(float64(tf))) * c.IDF(term) * c.WordWeight(term)
 }
 
 // Cosine returns the cosine similarity of two sparse vectors in [0,1].
@@ -139,6 +145,39 @@ func (v Vector) Sorted() SortedVector {
 // merge join over their term lists. Equivalent to Cosine up to summation
 // order, and deterministic because that order is fixed.
 func CosineSorted(a, b SortedVector) float64 {
+	if len(a.Terms) == 0 || len(b.Terms) == 0 || a.Norm == 0 || b.Norm == 0 {
+		return 0
+	}
+	var dot float64
+	i, j := 0, 0
+	for i < len(a.Terms) && j < len(b.Terms) {
+		switch {
+		case a.Terms[i] == b.Terms[j]:
+			dot += a.Weights[i] * b.Weights[j]
+			i++
+			j++
+		case a.Terms[i] < b.Terms[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return dot / (a.Norm * b.Norm)
+}
+
+// IDVector is a SortedVector over interned term IDs. When IDs are
+// assigned in sorted string order, CosineIDs adds its products in the
+// order CosineSorted adds them over the terms' strings, so the two
+// return bit-identical results.
+type IDVector struct {
+	Terms   []int32
+	Weights []float64
+	Norm    float64
+}
+
+// CosineIDs is CosineSorted over ID vectors: a merge join over the
+// ascending term IDs, with no allocation.
+func CosineIDs(a, b IDVector) float64 {
 	if len(a.Terms) == 0 || len(b.Terms) == 0 || a.Norm == 0 || b.Norm == 0 {
 		return 0
 	}

@@ -20,7 +20,7 @@ func (NameEqualityMatcher) Name() string { return "baseline-name-equality" }
 
 // Vote implements Voter.
 func (NameEqualityMatcher) Vote(ctx *Context) *Matrix {
-	m := MatrixOver(ctx.Source, ctx.Target)
+	m := ctx.fullMatrix()
 	for i, s := range m.Sources {
 		for j, t := range m.Targets {
 			if strings.EqualFold(s.Name, t.Name) {
@@ -40,10 +40,10 @@ func (EditDistanceMatcher) Name() string { return "baseline-edit-distance" }
 
 // Vote implements Voter.
 func (EditDistanceMatcher) Vote(ctx *Context) *Matrix {
-	m := MatrixOver(ctx.Source, ctx.Target)
-	for i, s := range m.Sources {
-		for j, t := range m.Targets {
-			sim := lingo.EditSimilarity(lower(s.Name), lower(t.Name))
+	m := ctx.fullMatrix()
+	for i, s := range ctx.srcRows {
+		for j, t := range ctx.tgtRows {
+			sim := lingo.EditSimilarity(s.lower, t.lower)
 			m.SetAt(i, j, calibrate(sim, 0.5, 0.9, 0.5))
 		}
 	}
@@ -62,21 +62,16 @@ func (COMAMatcher) Name() string { return "baseline-coma" }
 
 // Vote implements Voter.
 func (COMAMatcher) Vote(ctx *Context) *Matrix {
-	m := MatrixOver(ctx.Source, ctx.Target)
-	forEachPair(ctx, m, func(s, t *model.Element) float64 {
-		name := lingo.Jaccard(ctx.NameTokens(s), ctx.NameTokens(t))
-		tri := lingo.TrigramSimilarity(lower(s.Name), lower(t.Name))
+	m := ctx.fullMatrix()
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	forEachPair(ctx, m, func(i, j int) float64 {
+		s, t := &src[i], &tgt[j]
+		name := lingo.JaccardIDs(s.name, t.name)
+		tri := lingo.TrigramSimilarity(s.lower, t.lower)
 		n := 2.0
 		childSim := 0.0
-		if !s.IsLeaf() && !t.IsLeaf() {
-			var ts, tt []string
-			for _, c := range s.Children() {
-				ts = append(ts, ctx.NameTokens(c)...)
-			}
-			for _, c := range t.Children() {
-				tt = append(tt, ctx.NameTokens(c)...)
-			}
-			childSim = lingo.Jaccard(ts, tt)
+		if s.kids > 0 && t.kids > 0 {
+			childSim = lingo.JaccardIDs(s.children, t.children)
 			n = 3
 		}
 		sim := (name + tri + childSim) / n
@@ -105,7 +100,7 @@ func (c CupidMatcher) Vote(ctx *Context) *Matrix {
 	if ws == 0 {
 		ws = 0.5
 	}
-	m := MatrixOver(ctx.Source, ctx.Target)
+	m := ctx.fullMatrix()
 	// Linguistic similarity for every pair, computed up front (one row
 	// per worker) so the scoring pass below only reads shared state. The
 	// pass asks only for pairs of the matrix's own elements: parents
@@ -121,14 +116,15 @@ func (c CupidMatcher) Vote(ctx *Context) *Matrix {
 	lsims := make([][]float64, len(m.Sources))
 	shardRows(ctx.Workers(), len(m.Sources), func(i int) {
 		row := make([]float64, len(m.Targets))
-		for j, t := range m.Targets {
-			row[j] = cupidLinguistic(ctx, m.Sources[i], t)
+		for j := range row {
+			row[j] = cupidLinguistic(ctx, i, j)
 		}
 		lsims[i] = row
 	})
 	lsim := func(s, t *model.Element) float64 { return lsims[srcIdx[s]][tgtIdx[t]] }
-	forEachPair(ctx, m, func(s, t *model.Element) float64 {
-		l := lsim(s, t)
+	forEachPair(ctx, m, func(i, j int) float64 {
+		s, t := m.Sources[i], m.Targets[j]
+		l := lsims[i][j]
 		var ssim float64
 		if s.IsLeaf() && t.IsLeaf() {
 			// Leaves inherit context from their parents.
@@ -160,12 +156,14 @@ func (c CupidMatcher) Vote(ctx *Context) *Matrix {
 	return m
 }
 
-// cupidLinguistic is Cupid's linguistic similarity of a pair: name-token
-// Jaccard, or the thesaurus-expanded Jaccard when that is higher.
-func cupidLinguistic(ctx *Context, s, t *model.Element) float64 {
-	base := lingo.Jaccard(ctx.NameTokens(s), ctx.NameTokens(t))
+// cupidLinguistic is Cupid's linguistic similarity of source row i and
+// target row j: name-token Jaccard, or the thesaurus-expanded Jaccard
+// when that is higher.
+func cupidLinguistic(ctx *Context, i, j int) float64 {
+	s, t := &ctx.srcRows[i], &ctx.tgtRows[j]
+	base := lingo.JaccardIDs(s.name, t.name)
 	if ctx.Thesaurus != nil {
-		if exp := lingo.Jaccard(ctx.ExpandedNameTokens(s), ctx.ExpandedNameTokens(t)); exp > base {
+		if exp := lingo.JaccardIDs(s.expanded, t.expanded); exp > base {
 			base = exp
 		}
 	}
@@ -181,10 +179,10 @@ func (MelnikMatcher) Name() string { return "baseline-similarity-flooding" }
 
 // Vote implements Voter.
 func (MelnikMatcher) Vote(ctx *Context) *Matrix {
-	init := MatrixOver(ctx.Source, ctx.Target)
-	for i, s := range init.Sources {
-		for j, t := range init.Targets {
-			init.SetAt(i, j, lingo.TrigramSimilarity(lower(s.Name), lower(t.Name)))
+	init := ctx.fullMatrix()
+	for i, s := range ctx.srcRows {
+		for j, t := range ctx.tgtRows {
+			init.SetAt(i, j, lingo.TrigramSimilarity(s.lower, t.lower))
 		}
 	}
 	out := MelnikFlood(init, ctx.Source, ctx.Target, 50, 1e-3)

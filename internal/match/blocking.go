@@ -12,15 +12,15 @@ import (
 // per voter. BuildCandidates prunes that space *before* any voter runs,
 // using only per-element evidence that can be inverted into indexes:
 //
-//   - an inverted index over stemmed name tokens (lingo.Tokenize via the
-//     context's precomputed NameTokens),
+//   - an inverted index over stemmed name tokens (the context rows'
+//     interned token IDs),
 //   - an inverted index over thesaurus-expanded surface tokens, so a
 //     synonym rename ("client" → "customer") still meets its partner,
 //   - a character q-gram index over lowercased names (lingo.NGrams), so
 //     abbreviations and typos sharing substrings stay reachable,
-//   - TF-IDF postings over documentation terms (lingo.SortedVector) that
-//     accumulate exact cosine contributions sparsely — the top-k cosine
-//     prefilter — instead of comparing every vector pair,
+//   - TF-IDF postings over documentation term IDs (the rows' vectors)
+//     that accumulate exact cosine contributions sparsely — the top-k
+//     cosine prefilter — instead of comparing every vector pair,
 //   - a hierarchical channel: children of a source element's surviving
 //     parent candidates get a bump proportional to the parent pair's
 //     score. This is what rescues the pairs no per-element evidence can
@@ -82,12 +82,15 @@ const (
 
 // BuildCandidates runs the blocking index over ctx's schema pair and
 // returns the surviving cell pattern. The construction is deterministic:
-// postings are built in target order, each source consults its terms in
-// sorted order, and ties in the top-K cut break by ascending column.
+// postings are built in target order and keyed by interned ID, each
+// source consults its documentation terms in ascending ID order — their
+// string order, so the accumulated cosine sums are those of a walk over
+// the strings — and ties in the top-K cut break by ascending column.
+// Within the other channels every bump of one source carries the same
+// weight, so their order cannot move a sum.
 func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 	opts = opts.withDefaults()
-	srcs := ctx.Source.Elements()
-	tgts := ctx.Target.Elements()
+	srcs, tgts := ctx.src, ctx.tgt
 	nt := len(tgts)
 	maxPost := int(opts.MaxPostingFrac*float64(nt)) + 8
 
@@ -95,29 +98,29 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 		j int32
 		w float64
 	}
-	tokPost := make(map[string][]int32)
-	expPost := make(map[string][]int32)
-	docPost := make(map[string][]docHit)
+	tokPost := make([][]int32, len(ctx.strs))
+	expPost := make([][]int32, len(ctx.strs))
+	docPost := make([][]docHit, len(ctx.strs))
 	var qPost map[string][]int32
 	if opts.QGramSize > 0 {
 		qPost = make(map[string][]int32)
 	}
-	for j, t := range tgts {
-		jj := int32(j)
-		for _, tok := range distinctSorted(ctx.NameTokens(t)) {
-			tokPost[tok] = append(tokPost[tok], jj)
+	for j := range tgts {
+		jj, r := int32(j), &ctx.tgtRows[j]
+		for _, id := range r.name {
+			tokPost[id] = append(tokPost[id], jj)
 		}
-		for _, tok := range distinctSorted(ctx.ExpandedNameTokens(t)) {
-			expPost[tok] = append(expPost[tok], jj)
+		for _, id := range r.expanded {
+			expPost[id] = append(expPost[id], jj)
 		}
 		if qPost != nil {
-			for _, g := range gramKeys(lower(t.Name), opts.QGramSize) {
+			for _, g := range gramKeys(r.lower, opts.QGramSize) {
 				qPost[g] = append(qPost[g], jj)
 			}
 		}
-		if sv := ctx.DocVectorSorted(t); sv.Norm > 0 {
-			for k, term := range sv.Terms {
-				docPost[term] = append(docPost[term], docHit{jj, sv.Weights[k] / sv.Norm})
+		if v := &r.doc; v.Norm > 0 {
+			for k, id := range v.Terms {
+				docPost[id] = append(docPost[id], docHit{jj, v.Weights[k] / v.Norm})
 			}
 		}
 	}
@@ -153,22 +156,23 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 	rows := make([][]int32, len(srcs))
 	rowScores := make([][]float64, len(srcs))
 	for i, s := range srcs {
-		for _, tok := range distinctSorted(ctx.NameTokens(s)) {
-			if p := tokPost[tok]; len(p) <= maxPost {
+		r := &ctx.srcRows[i]
+		for _, id := range r.name {
+			if p := tokPost[id]; len(p) <= maxPost {
 				for _, j := range p {
 					bump(j, blockTokenWeight)
 				}
 			}
 		}
-		for _, tok := range distinctSorted(ctx.ExpandedNameTokens(s)) {
-			if p := expPost[tok]; len(p) <= maxPost {
+		for _, id := range r.expanded {
+			if p := expPost[id]; len(p) <= maxPost {
 				for _, j := range p {
 					bump(j, blockExpandWeight)
 				}
 			}
 		}
 		if qPost != nil {
-			grams := gramKeys(lower(s.Name), opts.QGramSize)
+			grams := gramKeys(r.lower, opts.QGramSize)
 			if len(grams) > 0 {
 				gw := 1.0 / float64(len(grams))
 				for _, g := range grams {
@@ -180,10 +184,10 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 				}
 			}
 		}
-		if sv := ctx.DocVectorSorted(s); sv.Norm > 0 {
-			for k, term := range sv.Terms {
-				w := blockDocWeight * sv.Weights[k] / sv.Norm
-				if p := docPost[term]; len(p) <= maxPost {
+		if v := &r.doc; v.Norm > 0 {
+			for k, id := range v.Terms {
+				w := blockDocWeight * v.Weights[k] / v.Norm
+				if p := docPost[id]; len(p) <= maxPost {
 					for _, h := range p {
 						bump(h.j, w*h.w)
 					}
@@ -227,8 +231,7 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 // lift. Without this, a sparse matrix would silently disable structural
 // propagation for rows whose entity pair scored below the lexical cut.
 func closeOverParents(rows [][]int32, ctx *Context) {
-	srcs := ctx.Source.Elements()
-	tgts := ctx.Target.Elements()
+	srcs, tgts := ctx.src, ctx.tgt
 	srcIdx := make(map[string]int32, len(srcs))
 	for i, e := range srcs {
 		srcIdx[e.ID] = int32(i)
@@ -267,25 +270,6 @@ func closeOverParents(rows [][]int32, ctx *Context) {
 		rows[pi] = append(rows[pi], pj)
 		queue = append(queue, pair{pi, pj})
 	}
-}
-
-// distinctSorted returns the distinct tokens of a slice in sorted order
-// (a fresh slice; the input is not modified).
-func distinctSorted(toks []string) []string {
-	if len(toks) == 0 {
-		return nil
-	}
-	out := make([]string, len(toks))
-	copy(out, toks)
-	sort.Strings(out)
-	w := 1
-	for _, t := range out[1:] {
-		if t != out[w-1] {
-			out[w] = t
-			w++
-		}
-	}
-	return out[:w]
 }
 
 // gramKeys returns the distinct character q-grams of s in sorted order.

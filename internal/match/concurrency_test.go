@@ -28,15 +28,20 @@ func bigFixture(n int) (*model.Schema, *model.Schema) {
 	return build("s"), build("t")
 }
 
-// TestConcurrentContextAccess hammers one Context's read paths from many
-// goroutines while another goroutine repeatedly invalidates the vector
-// cache — the exact sharing pattern of a parallel voter panel plus
-// in-flight learning. Run under -race this proves the Context is safe
-// for concurrent readers.
+// TestConcurrentContextAccess hammers one Context's read paths — every
+// row accessor and every built-in voter kernel — from many goroutines,
+// the sharing pattern of a parallel voter panel. A context does not
+// change while a panel runs (Learn re-derives vectors between runs), so
+// there is no writer. Run under -race this proves the Context is safe
+// for concurrent readers without a lock.
 func TestConcurrentContextAccess(t *testing.T) {
 	src, tgt := bigFixture(10)
 	ctx := NewContext(src, tgt)
-	elems := append(append([]*model.Element(nil), src.Elements()...), tgt.Elements()...)
+	sig := ctx.CorpusSignature()
+	var scorers []scoreFunc
+	for _, v := range DefaultVoters() {
+		scorers = append(scorers, v.(interface{ scorer(*Context) scoreFunc }).scorer(ctx))
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -44,28 +49,35 @@ func TestConcurrentContextAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
-				for _, e := range elems {
-					_ = ctx.NameTokens(e)
-					_ = ctx.NameTokensRaw(e)
-					_ = ctx.ExpandedNameTokens(e)
-					_ = ctx.DocTokens(e)
-					if v := ctx.DocVector(e); len(v) == 0 {
-						t.Errorf("goroutine %d: empty doc vector for %s", g, e.ID)
+				se, te := ctx.Elements()
+				if len(se) != len(ctx.srcRows) || len(te) != len(ctx.tgtRows) {
+					t.Errorf("goroutine %d: %d/%d elements for %d/%d rows", g, len(se), len(te), len(ctx.srcRows), len(ctx.tgtRows))
+					return
+				}
+				for i, e := range se {
+					if r := &ctx.srcRows[i]; len(r.doc.Terms) == 0 || len(r.name) == 0 || r.lower == "" {
+						t.Errorf("goroutine %d: empty row for %s", g, e.ID)
 						return
 					}
 				}
+				for j := range te {
+					i := (j + g + round) % len(se)
+					if len(ctx.SharedDocTerms(i, j)) == 0 {
+						t.Errorf("goroutine %d: no shared doc terms for rows %d, %d", g, i, j)
+						return
+					}
+					for _, score := range scorers {
+						_ = votePair(ctx, i, j, score)
+					}
+				}
+				if ctx.CorpusSignature() != sig {
+					t.Errorf("goroutine %d: corpus signature moved", g)
+					return
+				}
+				_ = ctx.NewMatrix()
 			}
 		}(g)
 	}
-	// Interleave cache invalidation with the readers (the Learn →
-	// InvalidateVectors → re-Run sequence, compressed).
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < 50; round++ {
-			ctx.InvalidateVectors()
-		}
-	}()
 	wg.Wait()
 }
 
@@ -103,16 +115,17 @@ func TestConcurrentVotersShareContext(t *testing.T) {
 // the sequential sweep on a scoring function with per-pair structure.
 func TestConcurrentForEachPairSharded(t *testing.T) {
 	src, tgt := bigFixture(8)
-	score := func(s, t *model.Element) float64 {
-		return float64(len(s.Name)+len(t.Name)) / 100
+	se, te := src.Elements(), tgt.Elements()
+	score := func(i, j int) float64 {
+		return float64(len(se[i].Name)+len(te[j].Name)) / 100
 	}
 
-	seq := MatrixOver(src, tgt)
 	seqCtx := NewContext(src, tgt, WithParallelism(1))
+	seq := seqCtx.NewMatrix()
 	forEachPair(seqCtx, seq, score)
 
-	par := MatrixOver(src, tgt)
 	parCtx := NewContext(src, tgt, WithParallelism(4))
+	par := parCtx.NewMatrix()
 	forEachPair(parCtx, par, score)
 
 	matricesBitIdentical(t, "sharded forEachPair vs sequential", seq, par)

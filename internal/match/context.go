@@ -1,7 +1,10 @@
 package match
 
 import (
-	"sync"
+	"hash/fnv"
+	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/lingo"
 	"repro/internal/model"
@@ -9,26 +12,31 @@ import (
 
 // Context carries the preprocessed linguistic state shared by all voters
 // for one (source, target) schema pair. Building it once per engine run
-// corresponds to Figure 1's "linguistic preprocessing" stage.
+// corresponds to Figure 1's "linguistic preprocessing" stage: every
+// element is reduced, once, to a feature row, and a voter scores pair
+// (i, j) from source row i and target row j.
 //
-// A Context is safe for concurrent readers: all per-element caches
-// (name tokens, thesaurus expansions, TF-IDF vectors) are fully built by
-// NewContext — they are bounded by element count, not pair count — so the
-// voter panel can share one Context across goroutines. The only mutating
-// entry points are InvalidateVectors and the Corpus/Thesaurus fields
-// themselves; InvalidateVectors re-opens the vector cache's lazy path,
-// which is guarded by a lock, while replacing Corpus or Thesaurus after
-// construction is not concurrency-safe and has no effect on the
-// precomputed expansions.
+// Rows are stored in the schemata's pre-order as of construction (or the
+// last Refresh), which is the element order of every matrix NewMatrix
+// allocates, so a matrix's i and j are row indices. Name tokens, domain
+// codes and documentation terms are interned per context into int32 IDs,
+// assigned in sorted string order at construction: the kernels merge
+// sorted ID lists instead of hashing strings, and a cosine over term IDs
+// adds its products in the order a cosine over the strings would.
+//
+// A Context does not change while a voter panel runs, so any number of
+// goroutines may read it without a lock. Refresh, RederiveVectors,
+// SetCandidates and replacing Corpus or Thesaurus mutate it; they run
+// strictly between runs.
 type Context struct {
 	Source *model.Schema
 	Target *model.Schema
 	// Thesaurus backs the thesaurus voter; nil disables expansion. Set it
-	// via WithThesaurus — expansions are precomputed in NewContext.
+	// via WithThesaurus — expansions are derived in NewContext.
 	Thesaurus *lingo.Thesaurus
 	// Corpus accumulates documentation for TF-IDF. Exposed so the engine
 	// can adjust word weights from user feedback (§4.3); call
-	// InvalidateVectors after adjusting.
+	// RederiveVectors after adjusting.
 	Corpus *lingo.Corpus
 	// Parallelism is the worker count the row-sharded pair sweeps
 	// (forEachPair) fan out to: 0 = GOMAXPROCS, 1 = sequential, n = n.
@@ -37,29 +45,48 @@ type Context struct {
 	// candidates is the blocking pattern the voter sweeps restrict
 	// themselves to; nil means unblocked (score every pair). Set via
 	// SetCandidates after running BuildCandidates. The pattern indexes
-	// the schemata's current Elements() order, so the owner must rebuild
-	// it (or clear it) after any structural edit.
+	// the context's rows, so the owner must rebuild it (or clear it)
+	// after any structural edit.
 	candidates *Pattern
-
-	nameTokens map[*model.Element][]string
-	// nameTokensRaw holds unstemmed name tokens; the thesaurus voter
-	// looks these up since synonym tables hold surface forms.
-	nameTokensRaw map[*model.Element][]string
-	// expandedTokens caches thesaurus expansions per element — computing
-	// them per pair would cost O(|S|·|T|) expansions. Fully built by
-	// NewContext, read-only afterwards.
-	expandedTokens map[*model.Element][]string
-	docTokens      map[*model.Element][]string
-	// vecMu guards docVectors/docVecSorted: the vectors are precomputed
-	// by NewContext, but InvalidateVectors re-opens the lazy rebuild
-	// path, which concurrent voters then race through.
-	vecMu      sync.RWMutex
-	docVectors map[*model.Element]lingo.Vector
-	// docVecSorted holds the term-sorted, norm-precomputed form the
-	// documentation voter's O(|S|·|T|) cosine sweep runs on.
-	docVecSorted map[*model.Element]lingo.SortedVector
 	// Stem controls whether preprocessing stems tokens (ablation hook).
 	Stem bool
+
+	// src and tgt are the schemata's elements in pre-order, and srcRows
+	// and tgtRows their feature rows, index for index.
+	src, tgt         []*model.Element
+	srcRows, tgtRows []row
+	// ids interns every name token, domain code and documentation term;
+	// strs[id] is the string back. IDs assigned at construction sort like
+	// their strings; Refresh appends IDs for new name tokens only, never
+	// for documentation terms (it refuses any documentation change).
+	ids  map[string]int32
+	strs []string
+}
+
+// row is one element's features: everything a built-in voter reads about
+// the element, derived once per build.
+type row struct {
+	kind model.Kind
+	// kids counts the element's children (0: a leaf).
+	kids int
+	// lower is the lowercased name and runes its runes (Jaro-Winkler and
+	// containment in NameVoter).
+	lower string
+	runes []rune
+	// name holds the stemmed name token IDs, expanded the unstemmed name
+	// token IDs expanded through the thesaurus, and children the union of
+	// the children's name IDs; each sorted and duplicate-free.
+	name, expanded, children []int32
+	// typeGroup is an attribute's data-type family (0: none).
+	typeGroup uint8
+	// hasDomain reports a coding scheme; codes holds its code IDs, sorted
+	// and duplicate-free.
+	hasDomain bool
+	codes     []int32
+	// doc is the TF-IDF vector of the element's documentation, and
+	// docCounts each term's count in it, aligned with doc.Terms.
+	doc       lingo.IDVector
+	docCounts []int32
 }
 
 // ContextOption customizes context construction.
@@ -81,168 +108,394 @@ func WithParallelism(n int) ContextOption {
 	return func(c *Context) { c.Parallelism = n }
 }
 
+// elemTexts holds one element's preprocessed strings, before interning.
+type elemTexts struct {
+	name, expanded, doc, codes []string
+	hasDomain                  bool
+}
+
 // NewContext preprocesses both schemata: element names and documentation
 // are tokenized, stop-word filtered and stemmed, the documentation corpus
-// is built, and the per-element thesaurus expansions and TF-IDF vectors
-// are precomputed so later reads are lock-free.
+// is built, and every element's feature row — interned tokens, thesaurus
+// expansion, TF-IDF vector — is derived, in O(elements).
 func NewContext(source, target *model.Schema, opts ...ContextOption) *Context {
 	c := &Context{
-		Source:         source,
-		Target:         target,
-		Thesaurus:      lingo.DefaultThesaurus(),
-		Corpus:         lingo.NewCorpus(),
-		nameTokens:     map[*model.Element][]string{},
-		nameTokensRaw:  map[*model.Element][]string{},
-		expandedTokens: map[*model.Element][]string{},
-		docTokens:      map[*model.Element][]string{},
-		docVectors:     map[*model.Element]lingo.Vector{},
-		docVecSorted:   map[*model.Element]lingo.SortedVector{},
-		Stem:           true,
+		Source:    source,
+		Target:    target,
+		Thesaurus: lingo.DefaultThesaurus(),
+		Corpus:    lingo.NewCorpus(),
+		Stem:      true,
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	pre := lingo.Preprocess
-	if !c.Stem {
-		pre = lingo.PreprocessNoStem
-	}
-	for _, s := range []*model.Schema{source, target} {
-		for _, e := range s.Elements() {
-			c.nameTokens[e] = pre(e.Name)
-			c.nameTokensRaw[e] = lingo.PreprocessNoStem(e.Name)
-			doc := e.Doc
-			// Fold enumerated domain documentation into the attribute's
-			// document — the paper's §2 point that domain values carry
-			// matchable documentation.
-			if d := s.DomainOf(e); d != nil {
-				doc += " " + d.Doc
-				for _, v := range d.Values {
-					doc += " " + v.Doc
-				}
-			}
-			toks := pre(doc)
-			c.docTokens[e] = toks
-			if len(toks) > 0 {
-				c.Corpus.AddDocument(toks)
-			}
-		}
-	}
-	// Second pass, after the corpus is complete (IDF needs both schemata's
-	// documents): precompute expansions and vectors eagerly. Both are
-	// O(elements), and doing it here makes the read paths race-free.
-	for _, s := range []*model.Schema{source, target} {
-		for _, e := range s.Elements() {
-			toks := c.nameTokensRaw[e]
-			if c.Thesaurus != nil {
-				toks = c.Thesaurus.Expand(toks)
-			}
-			c.expandedTokens[e] = toks
-			v := c.Corpus.Vector(c.docTokens[e])
-			c.docVectors[e] = v
-			c.docVecSorted[e] = v.Sorted()
-		}
-	}
+	c.src, c.tgt = source.Elements(), target.Elements()
+	stems := stemmer{}
+	srcTexts := c.preprocess(source, c.src, stems)
+	tgtTexts := c.preprocess(target, c.tgt, stems)
+	c.intern(srcTexts, tgtTexts)
+	// Vectors need the complete corpus (IDF spans both schemata), so rows
+	// are derived in a second pass.
+	c.srcRows = c.deriveRows(c.src, srcTexts)
+	c.tgtRows = c.deriveRows(c.tgt, tgtTexts)
 	return c
 }
 
-// Refresh re-derives the per-element caches after in-place edits to the
-// context's schemas, keeping the corpus and every untouched element's
-// state. dirtySrc/dirtyTgt name the elements (by ID) whose content may
-// have changed; elements added since construction are found on its own.
-// Refresh succeeds only when the documentation corpus is provably
-// unchanged — every added, edited or removed element must contribute
-// the same document tokens as before (typically: edits that didn't
-// touch documentation). When that doesn't hold it returns false without
-// mutating anything and the caller must rebuild with NewContext; IDF is
-// global, so a changed document invalidates every vector. After a
-// successful Refresh the cached state is bit-identical to a freshly
-// built context's.
-func (c *Context) Refresh(dirtySrc, dirtyTgt map[string]bool) bool {
-	pre := lingo.Preprocess
-	if !c.Stem {
-		pre = lingo.PreprocessNoStem
+// preprocess runs the linguistic pipeline over every element and adds
+// each non-empty document to the corpus.
+func (c *Context) preprocess(s *model.Schema, els []*model.Element, stems stemmer) []elemTexts {
+	out := make([]elemTexts, len(els))
+	for i, e := range els {
+		out[i] = c.textsOf(s, e, stems)
+		if len(out[i].doc) > 0 {
+			c.Corpus.AddDocument(out[i].doc)
+		}
 	}
-	type update struct {
-		e   *model.Element
-		doc []string
+	return out
+}
+
+// textsOf preprocesses one element, as lingo.Preprocess would (or
+// PreprocessNoStem without stemming). The documentation of an
+// attribute's coding scheme and of its values is folded into the
+// attribute's document — the paper's §2 point that domain values carry
+// matchable documentation.
+func (c *Context) textsOf(s *model.Schema, e *model.Element, stems stemmer) elemTexts {
+	raw := lingo.PreprocessNoStem(e.Name)
+	t := elemTexts{name: raw, expanded: raw}
+	if c.Thesaurus != nil {
+		t.expanded = c.Thesaurus.Expand(raw)
 	}
-	var updates []update
-	for _, sd := range []struct {
-		s     *model.Schema
-		dirty map[string]bool
-	}{{c.Source, dirtySrc}, {c.Target, dirtyTgt}} {
-		for _, e := range sd.s.Elements() {
-			if _, known := c.nameTokens[e]; known && !sd.dirty[e.ID] {
-				continue
-			}
-			doc := e.Doc
-			if d := sd.s.DomainOf(e); d != nil {
-				doc += " " + d.Doc
-				for _, v := range d.Values {
-					doc += " " + v.Doc
+	doc := e.Doc
+	if d := s.DomainOf(e); d != nil {
+		doc += " " + d.Doc
+		for _, v := range d.Values {
+			doc += " " + v.Doc
+		}
+		t.hasDomain, t.codes = true, d.Codes()
+	}
+	t.doc = lingo.PreprocessNoStem(doc)
+	if c.Stem {
+		t.name = stems.stem(append([]string(nil), raw...))
+		t.doc = stems.stem(t.doc)
+	}
+	return t
+}
+
+// stemmer memoizes lingo.Stem over one build: documentation repeats its
+// words, and Porter stemming is most of preprocessing.
+type stemmer map[string]string
+
+// stem stems toks in place.
+func (m stemmer) stem(toks []string) []string {
+	for i, tok := range toks {
+		st, ok := m[tok]
+		if !ok {
+			st = lingo.Stem(tok)
+			m[tok] = st
+		}
+		toks[i] = st
+	}
+	return toks
+}
+
+// intern assigns every string of every element an ID, in sorted string
+// order.
+func (c *Context) intern(sides ...[]elemTexts) {
+	c.ids = make(map[string]int32)
+	for _, side := range sides {
+		for i := range side {
+			t := &side[i]
+			for _, list := range [...][]string{t.name, t.expanded, t.doc, t.codes} {
+				for _, s := range list {
+					c.ids[s] = 0
 				}
 			}
-			toks := pre(doc)
-			if !tokensEqual(toks, c.docTokens[e]) {
-				return false
-			}
-			updates = append(updates, update{e, toks})
 		}
 	}
-	// Elements whose pointers left the schemas may only leave if they
-	// never contributed a document.
-	var stale []*model.Element
-	for e := range c.nameTokens {
-		if c.Source.Element(e.ID) == e || c.Target.Element(e.ID) == e {
+	c.strs = make([]string, 0, len(c.ids))
+	for s := range c.ids {
+		c.strs = append(c.strs, s)
+	}
+	sort.Strings(c.strs)
+	for id, s := range c.strs {
+		c.ids[s] = int32(id)
+	}
+}
+
+// id returns the ID of s, appending a new one for a string never seen.
+func (c *Context) id(s string) int32 {
+	if id, ok := c.ids[s]; ok {
+		return id
+	}
+	id := int32(len(c.strs))
+	c.ids[s] = id
+	c.strs = append(c.strs, s)
+	return id
+}
+
+// idSet interns a token list into sorted, duplicate-free IDs.
+func (c *Context) idSet(toks []string) []int32 {
+	if len(toks) == 0 {
+		return nil
+	}
+	out := make([]int32, len(toks))
+	for i, s := range toks {
+		out[i] = c.id(s)
+	}
+	return sortedSet(out)
+}
+
+// sortedSet sorts ids in place and drops duplicates.
+func sortedSet(ids []int32) []int32 {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// docBag returns the sorted term IDs of a document with each term's
+// count. ok is false when a term has no ID yet; such a document differs
+// from every document the context holds.
+func (c *Context) docBag(doc []string) (terms, counts []int32, ok bool) {
+	if len(doc) == 0 {
+		return nil, nil, true
+	}
+	ids := make([]int32, len(doc))
+	for i, s := range doc {
+		id, known := c.ids[s]
+		if !known {
+			return nil, nil, false
+		}
+		ids[i] = id
+	}
+	slices.Sort(ids)
+	distinct := 1
+	for i := 1; i < len(ids); i++ {
+		if ids[i] != ids[i-1] {
+			distinct++
+		}
+	}
+	terms, counts = make([]int32, 0, distinct), make([]int32, 0, distinct)
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			counts[len(counts)-1]++
 			continue
 		}
-		if len(c.docTokens[e]) > 0 {
-			return false
+		terms = append(terms, id)
+		counts = append(counts, 1)
+	}
+	return terms, counts, true
+}
+
+// deriveRows derives the rows of one side from its preprocessed texts.
+func (c *Context) deriveRows(els []*model.Element, ts []elemTexts) []row {
+	rows := make([]row, len(els))
+	for i, e := range els {
+		rows[i] = c.deriveRow(e, ts[i])
+		rows[i].doc.Terms, rows[i].docCounts, _ = c.docBag(ts[i].doc)
+		c.weigh(&rows[i])
+	}
+	unionChildren(rows, parentRows(els), nil)
+	return rows
+}
+
+// deriveRow derives every feature of one element except its children's
+// token union (unionChildren) and its documentation vector.
+func (c *Context) deriveRow(e *model.Element, t elemTexts) row {
+	low := lower(e.Name)
+	r := row{
+		kind:      e.Kind,
+		kids:      len(e.Children()),
+		lower:     low,
+		runes:     []rune(low),
+		name:      c.idSet(t.name),
+		expanded:  c.idSet(t.expanded),
+		hasDomain: t.hasDomain,
+		codes:     c.idSet(t.codes),
+	}
+	if e.Kind == model.KindAttribute {
+		r.typeGroup = typeGroups[lower(e.DataType)]
+	}
+	return r
+}
+
+// weigh derives a row's TF-IDF weights and norm from its term counts,
+// with the corpus's current IDF and learned word weights: term by term in
+// ascending term order, as lingo.Vector and Sorted compute them.
+func (c *Context) weigh(r *row) {
+	if len(r.doc.Terms) == 0 {
+		r.doc = lingo.IDVector{}
+		return
+	}
+	if len(r.doc.Weights) != len(r.doc.Terms) {
+		r.doc.Weights = make([]float64, len(r.doc.Terms))
+	}
+	var norm float64
+	for k, id := range r.doc.Terms {
+		w := c.Corpus.TermWeight(c.strs[id], int(r.docCounts[k]))
+		r.doc.Weights[k] = w
+		norm += w * w
+	}
+	r.doc.Norm = math.Sqrt(norm)
+}
+
+// parentRows returns each element's parent row (-1 under the root). els
+// is in pre-order, so a parent is on the stack of open ancestors when
+// its child is reached.
+func parentRows(els []*model.Element) []int {
+	parent := make([]int, len(els))
+	var open []int
+	for i, e := range els {
+		for len(open) > 0 && els[open[len(open)-1]] != e.Parent() {
+			open = open[:len(open)-1]
 		}
-		stale = append(stale, e)
+		parent[i] = -1
+		if len(open) > 0 {
+			parent[i] = open[len(open)-1]
+		}
+		open = append(open, i)
+	}
+	return parent
+}
+
+// unionChildren sets the children field of every row with redo[i] set
+// (every row when redo is nil) to the union of its children's name IDs.
+func unionChildren(rows []row, parent []int, redo []bool) {
+	for i := range rows {
+		if redo == nil || redo[i] {
+			rows[i].children = nil
+		}
+	}
+	for i, p := range parent {
+		if p >= 0 && (redo == nil || redo[p]) {
+			rows[p].children = append(rows[p].children, rows[i].name...)
+		}
+	}
+	for i := range rows {
+		if redo == nil || redo[i] {
+			rows[i].children = sortedSet(rows[i].children)
+		}
+	}
+}
+
+// RederiveVectors re-derives every row's TF-IDF vector from the corpus.
+// Call it after adjusting word weights, between runs, so learning takes
+// effect on the next run.
+func (c *Context) RederiveVectors() {
+	for _, rows := range [...][]row{c.srcRows, c.tgtRows} {
+		for i := range rows {
+			c.weigh(&rows[i])
+		}
+	}
+}
+
+// Refresh brings the rows up to date after in-place edits to the
+// context's schemas, keeping the corpus and every untouched element's
+// row. dirtySrc/dirtyTgt name the elements (by ID) whose content may
+// have changed; added and removed elements are found on its own.
+// Refresh succeeds only when the documentation corpus is provably
+// unchanged — every dirty, added or removed element must contribute the
+// same document terms, with the same counts, as before (typically: edits
+// that didn't touch documentation). When that doesn't hold it returns
+// false without changing anything and the caller must rebuild with
+// NewContext; IDF is global, so a changed document moves every vector.
+//
+// On success it re-derives dirty and added rows, reuses clean ones,
+// rebuilds the row order after adds and drops, and re-derives the
+// children's token union of every element whose children changed. Every
+// voter then scores the rows bit-identically to a freshly built
+// context's (only IDs first seen here differ, appended after the rest).
+func (c *Context) Refresh(dirtySrc, dirtyTgt map[string]bool) bool {
+	src, tgt := c.Source.Elements(), c.Target.Elements()
+	srcNew, ok := c.refreshSide(c.Source, src, c.src, c.srcRows, dirtySrc)
+	if !ok {
+		return false
+	}
+	tgtNew, ok := c.refreshSide(c.Target, tgt, c.tgt, c.tgtRows, dirtyTgt)
+	if !ok {
+		return false
 	}
 	// Commit. No corpus change is possible past this point, so the kept
-	// Corpus — and every clean element's cached vector — stays exact.
-	for _, u := range updates {
-		e := u.e
-		c.nameTokens[e] = pre(e.Name)
-		c.nameTokensRaw[e] = lingo.PreprocessNoStem(e.Name)
-		toks := c.nameTokensRaw[e]
-		if c.Thesaurus != nil {
-			toks = c.Thesaurus.Expand(toks)
-		}
-		c.expandedTokens[e] = toks
-		c.docTokens[e] = u.doc
-		v := c.Corpus.Vector(u.doc)
-		c.vecMu.Lock()
-		c.docVectors[e] = v
-		c.docVecSorted[e] = v.Sorted()
-		c.vecMu.Unlock()
-	}
-	for _, e := range stale {
-		delete(c.nameTokens, e)
-		delete(c.nameTokensRaw, e)
-		delete(c.expandedTokens, e)
-		delete(c.docTokens, e)
-		c.vecMu.Lock()
-		delete(c.docVectors, e)
-		delete(c.docVecSorted, e)
-		c.vecMu.Unlock()
-	}
+	// Corpus — and every kept row's vector — stays exact.
+	c.src, c.srcRows = src, c.commitSide(src, srcNew)
+	c.tgt, c.tgtRows = tgt, c.commitSide(tgt, tgtNew)
 	return true
 }
 
-// tokensEqual reports whether two token slices are identical.
-func tokensEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// refreshed is one element's state in a pending Refresh: its kept row,
+// or, when fresh, its re-preprocessed texts.
+type refreshed struct {
+	old   *row
+	fresh bool
+	texts elemTexts
+}
+
+// refreshSide checks one side of a Refresh without changing anything:
+// it pairs every current element with its previous row and
+// re-preprocesses the dirty and added ones. ok is false when a dirty,
+// added or removed element changes the documentation corpus.
+func (c *Context) refreshSide(s *model.Schema, els, oldEls []*model.Element, oldRows []row, dirty map[string]bool) ([]refreshed, bool) {
+	old := make(map[*model.Element]*row, len(oldEls))
+	for i, e := range oldEls {
+		old[e] = &oldRows[i]
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	out := make([]refreshed, len(els))
+	stems := stemmer{}
+	for i, e := range els {
+		r := old[e]
+		out[i].old = r
+		if r != nil && !dirty[e.ID] {
+			continue
+		}
+		t := c.textsOf(s, e, stems)
+		terms, counts, known := c.docBag(t.doc)
+		var prevTerms, prevCounts []int32
+		if r != nil {
+			prevTerms, prevCounts = r.doc.Terms, r.docCounts
+		}
+		if !known || !slices.Equal(terms, prevTerms) || !slices.Equal(counts, prevCounts) {
+			return nil, false
+		}
+		out[i].fresh, out[i].texts = true, t
+	}
+	// Elements that left the schema may only leave if they never
+	// contributed a document.
+	for i, e := range oldEls {
+		if s.Element(e.ID) != e && len(oldRows[i].doc.Terms) > 0 {
+			return nil, false
 		}
 	}
-	return true
+	return out, true
+}
+
+// commitSide builds one side's new row table from a checked Refresh.
+func (c *Context) commitSide(els []*model.Element, pending []refreshed) []row {
+	rows := make([]row, len(els))
+	redo := make([]bool, len(els))
+	parent := parentRows(els)
+	for i, e := range els {
+		p := pending[i]
+		switch {
+		case p.fresh:
+			rows[i] = c.deriveRow(e, p.texts)
+			if p.old != nil {
+				// Same document terms and counts, same corpus: the
+				// previous vector is exact.
+				rows[i].doc, rows[i].docCounts = p.old.doc, p.old.docCounts
+			}
+			redo[i] = true
+		default:
+			rows[i] = *p.old
+			if rows[i].kids != len(e.Children()) {
+				// A child was dropped (an added child is fresh itself).
+				rows[i].kids = len(e.Children())
+				redo[i] = true
+			}
+		}
+		if p.fresh && parent[i] >= 0 {
+			redo[parent[i]] = true
+		}
+	}
+	unionChildren(rows, parent, redo)
+	return rows
 }
 
 // SetCandidates installs (or, with nil, clears) the blocking pattern
@@ -253,14 +506,19 @@ func (c *Context) SetCandidates(p *Pattern) { c.candidates = p }
 // Candidates returns the installed blocking pattern (nil = unblocked).
 func (c *Context) Candidates() *Pattern { return c.candidates }
 
-// NewMatrix allocates the zero matrix a voter should fill: over the
-// blocking pattern when one is installed, over every pair otherwise.
+// NewMatrix allocates the zero matrix a voter should fill, over the
+// context's own element order: over the blocking pattern when one is
+// installed, over every pair otherwise.
 func (c *Context) NewMatrix() *Matrix {
 	if c.candidates != nil {
-		return NewSparseMatrix(c.Source.Elements(), c.Target.Elements(), c.candidates)
+		return NewSparseMatrix(c.src, c.tgt, c.candidates)
 	}
-	return MatrixOver(c.Source, c.Target)
+	return c.fullMatrix()
 }
+
+// fullMatrix allocates a zero matrix over every pair of the context's
+// elements, ignoring any blocking pattern (the baselines score densely).
+func (c *Context) fullMatrix() *Matrix { return NewMatrix(c.src, c.tgt) }
 
 // Workers resolves the context's Parallelism to a concrete worker count.
 func (c *Context) Workers() int {
@@ -270,73 +528,51 @@ func (c *Context) Workers() int {
 	return ResolveWorkers(c.Parallelism)
 }
 
-// NameTokens returns the preprocessed name tokens of an element.
-func (c *Context) NameTokens(e *model.Element) []string { return c.nameTokens[e] }
+// Elements returns the source and target elements in row order — the
+// element order of every matrix NewMatrix allocates. The slices are
+// shared; callers must not modify them.
+func (c *Context) Elements() (src, tgt []*model.Element) { return c.src, c.tgt }
 
-// NameTokensRaw returns the unstemmed name tokens of an element.
-func (c *Context) NameTokensRaw(e *model.Element) []string { return c.nameTokensRaw[e] }
-
-// ExpandedNameTokens returns the element's unstemmed name tokens expanded
-// through the thesaurus. The expansion is precomputed by NewContext, so
-// this is a plain map read, safe under any number of goroutines.
-func (c *Context) ExpandedNameTokens(e *model.Element) []string {
-	return c.expandedTokens[e]
-}
-
-// DocTokens returns the preprocessed documentation tokens of an element.
-func (c *Context) DocTokens(e *model.Element) []string { return c.docTokens[e] }
-
-// DocVector returns the TF-IDF vector of an element's documentation.
-// Vectors are precomputed by NewContext; after InvalidateVectors they are
-// rebuilt lazily under a lock, so concurrent voters stay race-free while
-// learning takes effect.
-func (c *Context) DocVector(e *model.Element) lingo.Vector {
-	c.vecMu.RLock()
-	v, ok := c.docVectors[e]
-	c.vecMu.RUnlock()
-	if ok {
-		return v
+// SharedDocTerms returns the documentation terms that source row i and
+// target row j have in common, in sorted order.
+func (c *Context) SharedDocTerms(i, j int) []string {
+	a, b := c.srcRows[i].doc.Terms, c.tgtRows[j].doc.Terms
+	var out []string
+	for x, y := 0, 0; x < len(a) && y < len(b); {
+		switch {
+		case a[x] == b[y]:
+			out = append(out, c.strs[a[x]])
+			x++
+			y++
+		case a[x] < b[y]:
+			x++
+		default:
+			y++
+		}
 	}
-	v, _ = c.rebuildVector(e)
-	return v
+	return out
 }
 
-// DocVectorSorted returns the element's TF-IDF vector in the term-sorted,
-// norm-precomputed form lingo.CosineSorted consumes — the documentation
-// voter's hot-path representation. Same caching discipline as DocVector.
-func (c *Context) DocVectorSorted(e *model.Element) lingo.SortedVector {
-	c.vecMu.RLock()
-	sv, ok := c.docVecSorted[e]
-	c.vecMu.RUnlock()
-	if ok {
-		return sv
+// CorpusSignature hashes both sides' documentation bags — each row's
+// terms, as strings, with their counts — in row order. TF-IDF depends on
+// nothing else, so two contexts with equal signatures hold the same
+// corpus and the same vectors; any difference means every IDF weight may
+// have moved. It hashes strings, not IDs: IDs belong to one context.
+func (c *Context) CorpusSignature() uint64 {
+	h := fnv.New64a()
+	var buf [5]byte
+	for _, rows := range [...][]row{c.srcRows, c.tgtRows} {
+		for i := range rows {
+			r := &rows[i]
+			for k, id := range r.doc.Terms {
+				h.Write([]byte(c.strs[id]))
+				n := r.docCounts[k]
+				buf = [5]byte{0, byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}
+				h.Write(buf[:])
+			}
+			h.Write([]byte{1})
+		}
+		h.Write([]byte{2})
 	}
-	_, sv = c.rebuildVector(e)
-	return sv
-}
-
-// rebuildVector recomputes and caches both vector forms for one element
-// under the write lock (the post-InvalidateVectors lazy path).
-func (c *Context) rebuildVector(e *model.Element) (lingo.Vector, lingo.SortedVector) {
-	c.vecMu.Lock()
-	defer c.vecMu.Unlock()
-	if v, ok := c.docVectors[e]; ok {
-		return v, c.docVecSorted[e]
-	}
-	v := c.Corpus.Vector(c.docTokens[e])
-	sv := v.Sorted()
-	c.docVectors[e] = v
-	c.docVecSorted[e] = sv
-	return v, sv
-}
-
-// InvalidateVectors clears cached TF-IDF vectors; call after adjusting
-// word weights so learning takes effect on the next engine run. Safe to
-// call concurrently with DocVector readers (but not with writers to
-// Corpus itself).
-func (c *Context) InvalidateVectors() {
-	c.vecMu.Lock()
-	c.docVectors = make(map[*model.Element]lingo.Vector, len(c.docTokens))
-	c.docVecSorted = make(map[*model.Element]lingo.SortedVector, len(c.docTokens))
-	c.vecMu.Unlock()
+	return h.Sum64()
 }

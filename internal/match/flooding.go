@@ -142,7 +142,7 @@ func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, re
 // (both blend from the round-start value), and the clamp applies last.
 func floodCell(m *Matrix, s, t *model.Element, v0 float64, opts FloodOptions) float64 {
 	v := v0
-	if opts.UpWeight > 0 && !s.IsLeaf() && !t.IsLeaf() && kindCompatible(s, t) {
+	if opts.UpWeight > 0 && !s.IsLeaf() && !t.IsLeaf() && kindCompatible(s.Kind, t.Kind) {
 		// Up: children lift parents.
 		if lift := childLift(m, s, t); lift > 0 {
 			v = blend(v0, lift, opts.UpWeight)

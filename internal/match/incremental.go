@@ -16,9 +16,10 @@ import "repro/internal/model"
 //     dependencies (parents for StructureVoter, per-round
 //     parent/children expansion for flooding — see HarmonyFloodPatch).
 
-// scoreFunc scores one kind-compatible element pair; each built-in
-// voter exposes its scoring closure so Vote and VotePatch share it.
-type scoreFunc func(s, t *model.Element) float64
+// scoreFunc scores one kind-compatible pair, source row i against target
+// row j of the context; each built-in voter exposes its scoring closure
+// so Vote and VotePatch share it.
+type scoreFunc func(i, j int) float64
 
 // IncrementalVoter is a Voter that can re-score only dirty rows and
 // columns against a previous vote over the same context options.
@@ -77,7 +78,7 @@ func votePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[string]bool, s
 					}
 				}
 			}
-			vals[k] = votePair(s, t, score)
+			vals[k] = votePair(ctx, i, int(j), score)
 		}
 	})
 	return m

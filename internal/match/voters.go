@@ -37,40 +37,42 @@ func calibrate(s, pivot, posMax, negMax float64) float64 {
 	return (s - pivot) / pivot * negMax
 }
 
-// kindCompatible reports whether two elements could plausibly correspond
-// structurally: entities to entities, attributes to attributes,
-// relationships to either entities or relationships (ER reification).
-func kindCompatible(a, b *model.Element) bool {
-	if a.Kind == b.Kind {
+// kindCompatible reports whether two element kinds could plausibly
+// correspond structurally: entities to entities, attributes to
+// attributes, relationships to either entities or relationships (ER
+// reification).
+func kindCompatible(a, b model.Kind) bool {
+	if a == b {
 		return true
 	}
-	isRel := func(e *model.Element) bool { return e.Kind == model.KindRelationship }
-	isEnt := func(e *model.Element) bool { return e.Kind == model.KindEntity }
-	return (isRel(a) && isEnt(b)) || (isEnt(a) && isRel(b))
+	return (a == model.KindRelationship && b == model.KindEntity) ||
+		(a == model.KindEntity && b == model.KindRelationship)
 }
 
 // forEachPair drives a voter body over the matrix's stored pairs (all
 // pairs when unblocked; pairs a blocking pattern pruned stay at the
-// implicit 0, "no evidence"). Rows are sharded across the context's
-// worker pool — each goroutine owns disjoint rows of the backing array,
-// so score must only read from the context (every built-in voter does).
+// implicit 0, "no evidence"). m must be a matrix over ctx's own element
+// order (NewMatrix, fullMatrix), so its i and j are row indices. Rows are
+// sharded across the context's worker pool — each goroutine owns
+// disjoint rows of the backing array, so score must only read from the
+// context (every built-in voter does).
 func forEachPair(ctx *Context, m *Matrix, score scoreFunc) {
 	shardRows(ctx.Workers(), len(m.Sources), func(i int) {
-		s, vals := m.Sources[i], m.vals[i]
+		vals := m.vals[i]
 		for k, j := range m.pat.Rows[i] {
-			vals[k] = votePair(s, m.Targets[j], score)
+			vals[k] = votePair(ctx, i, int(j), score)
 		}
 	})
 }
 
 // votePair is the per-cell vote kernel of the full sweep and of
 // votePatch: kind-incompatible pairs receive a firm negative vote, every
-// other pair the voter's score.
-func votePair(s, t *model.Element, score scoreFunc) float64 {
-	if !kindCompatible(s, t) {
+// other pair the voter's score of source row i and target row j.
+func votePair(ctx *Context, i, j int, score scoreFunc) float64 {
+	if !kindCompatible(ctx.srcRows[i].kind, ctx.tgtRows[j].kind) {
 		return -0.75
 	}
-	return score(s, t)
+	return score(i, j)
 }
 
 // NameVoter compares element names: token-set Jaccard blended with
@@ -90,13 +92,15 @@ func (v NameVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[
 }
 
 func (NameVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
-		jac := lingo.Jaccard(ctx.NameTokens(s), ctx.NameTokens(t))
-		jw := lingo.JaroWinkler(lower(s.Name), lower(t.Name))
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
+		s, t := &src[i], &tgt[j]
+		jac := lingo.JaccardIDs(s.name, t.name)
+		jw := lingo.JaroWinklerRunes(s.runes, t.runes)
 		sim := 0.6*jac + 0.4*jw
 		// Affix containment: "subtotal" contains "total", "deptCode"
 		// contains "dept" — strong evidence for abbreviation-heavy names.
-		if c := containmentSim(lower(s.Name), lower(t.Name)); c > sim {
+		if c := containment(s.lower, len(s.runes), t.lower, len(t.runes)); c > sim {
 			sim = c
 		}
 		return calibrate(sim, 0.45, 0.9, 0.3)
@@ -108,8 +112,13 @@ func (NameVoter) scorer(ctx *Context) scoreFunc {
 // ambiguous to count — measured in runes, so a 2-character CJK name does
 // not slip past the guard on byte length.
 func containmentSim(a, b string) float64 {
+	return containment(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
+}
+
+// containment is containmentSim given both names' rune counts.
+func containment(a string, aLen int, b string, bLen int) float64 {
 	short, long := a, b
-	shortLen, longLen := utf8.RuneCountInString(short), utf8.RuneCountInString(long)
+	shortLen, longLen := aLen, bLen
 	if shortLen > longLen {
 		short, long = long, short
 		shortLen, longLen = longLen, shortLen
@@ -121,14 +130,20 @@ func containmentSim(a, b string) float64 {
 	return 0.5 + 0.45*ratio
 }
 
-// lower is an ASCII fast path for the hot name comparisons, falling back
-// to strings.ToLower as soon as a non-ASCII byte appears so that "É",
-// "Ü" etc. still fold.
+// lower is an ASCII fast path for name folding, falling back to
+// strings.ToLower as soon as a non-ASCII byte appears so that "É", "Ü"
+// etc. still fold. A name with no upper-case letter is returned as is.
 func lower(s string) string {
+	upper := false
 	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
+		c := s[i]
+		if c >= utf8.RuneSelf {
 			return strings.ToLower(s)
 		}
+		upper = upper || c >= 'A' && c <= 'Z'
+	}
+	if !upper {
+		return s
 	}
 	b := []byte(s)
 	for i, c := range b {
@@ -161,12 +176,13 @@ func (v DocVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[s
 func (DocVoter) CorpusSensitive() bool { return true }
 
 func (DocVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
-		vs, vt := ctx.DocVectorSorted(s), ctx.DocVectorSorted(t)
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
+		vs, vt := &src[i].doc, &tgt[j].doc
 		if len(vs.Terms) == 0 || len(vt.Terms) == 0 {
 			return 0 // no evidence either way
 		}
-		sim := lingo.CosineSorted(vs, vt)
+		sim := lingo.CosineIDs(*vs, *vt)
 		// Documentation matchers have good recall but weaker precision
 		// (§4.1): generous positive calibration, soft negative.
 		return calibrate(sim, 0.2, 0.9, 0.2)
@@ -200,12 +216,11 @@ func (v ThesaurusVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt
 }
 
 func (ThesaurusVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
 		// Expansion uses unstemmed tokens (thesauri hold surface forms),
-		// cached per element by the context.
-		es := ctx.ExpandedNameTokens(s)
-		et := ctx.ExpandedNameTokens(t)
-		sim := lingo.Jaccard(es, et)
+		// derived per element by the context.
+		sim := lingo.JaccardIDs(src[i].expanded, tgt[j].expanded)
 		// Expansion inflates token sets, so a modest overlap is already
 		// meaningful; pivot lower than the raw name voter.
 		return calibrate(sim, 0.25, 0.8, 0.1)
@@ -231,12 +246,13 @@ func (v DomainVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt ma
 }
 
 func (DomainVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
-		ds, dt := ctx.Source.DomainOf(s), ctx.Target.DomainOf(t)
-		if ds == nil || dt == nil {
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
+		s, t := &src[i], &tgt[j]
+		if !s.hasDomain || !t.hasDomain {
 			return 0 // abstain without evidence
 		}
-		sim := lingo.OverlapCoefficient(ds.Codes(), dt.Codes())
+		sim := lingo.OverlapIDs(s.codes, t.codes)
 		// Two enumerated attributes with disjoint code sets are real
 		// negative evidence; shared coding schemes are strong positives.
 		return calibrate(sim, 0.4, 0.95, 0.6)
@@ -250,16 +266,24 @@ type TypeVoter struct{}
 // Name implements Voter.
 func (TypeVoter) Name() string { return "data-type" }
 
+// Data-type families; 0 is no family.
+const (
+	typeText uint8 = iota + 1
+	typeNumber
+	typeTemporal
+	typeBoolean
+)
+
 // typeGroups buckets concrete type names into comparable families.
-var typeGroups = map[string]string{
-	"string": "text", "varchar": "text", "char": "text", "text": "text",
-	"token": "text", "normalizedstring": "text",
-	"int": "number", "integer": "number", "smallint": "number",
-	"bigint": "number", "decimal": "number", "numeric": "number",
-	"float": "number", "double": "number", "real": "number",
-	"date": "temporal", "datetime": "temporal", "time": "temporal",
-	"timestamp": "temporal",
-	"bool":      "boolean", "boolean": "boolean", "bit": "boolean",
+var typeGroups = map[string]uint8{
+	"string": typeText, "varchar": typeText, "char": typeText, "text": typeText,
+	"token": typeText, "normalizedstring": typeText,
+	"int": typeNumber, "integer": typeNumber, "smallint": typeNumber,
+	"bigint": typeNumber, "decimal": typeNumber, "numeric": typeNumber,
+	"float": typeNumber, "double": typeNumber, "real": typeNumber,
+	"date": typeTemporal, "datetime": typeTemporal, "time": typeTemporal,
+	"timestamp": typeTemporal,
+	"bool":      typeBoolean, "boolean": typeBoolean, "bit": typeBoolean,
 }
 
 // Vote implements Voter.
@@ -271,12 +295,11 @@ func (v TypeVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[
 }
 
 func (TypeVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
-		if s.Kind != model.KindAttribute || t.Kind != model.KindAttribute {
-			return 0
-		}
-		gs, gt := typeGroups[lower(s.DataType)], typeGroups[lower(t.DataType)]
-		if gs == "" || gt == "" {
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
+		// Only attributes carry a family.
+		gs, gt := src[i].typeGroup, tgt[j].typeGroup
+		if gs == 0 || gt == 0 {
 			return 0
 		}
 		if gs == gt {
@@ -306,18 +329,13 @@ func (v StructureVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt
 }
 
 func (StructureVoter) scorer(ctx *Context) scoreFunc {
-	return func(s, t *model.Element) float64 {
-		if s.IsLeaf() || t.IsLeaf() {
+	src, tgt := ctx.srcRows, ctx.tgtRows
+	return func(i, j int) float64 {
+		s, t := &src[i], &tgt[j]
+		if s.kids == 0 || t.kids == 0 {
 			return 0
 		}
-		var toksS, toksT []string
-		for _, c := range s.Children() {
-			toksS = append(toksS, ctx.NameTokens(c)...)
-		}
-		for _, c := range t.Children() {
-			toksT = append(toksT, ctx.NameTokens(c)...)
-		}
-		sim := lingo.Jaccard(toksS, toksT)
+		sim := lingo.JaccardIDs(s.children, t.children)
 		return calibrate(sim, 0.35, 0.7, 0.2)
 	}
 }

@@ -220,11 +220,7 @@ func TestContextDomainDocsFoldedIn(t *testing.T) {
 	t2 := model.NewSchema("t", "er")
 	t2.AddElement(nil, "x", model.KindEntity, model.ContainsElement)
 	ctx := NewContext(s, t2)
-	toks := ctx.DocTokens(a)
-	joined := ""
-	for _, tk := range toks {
-		joined += tk + " "
-	}
+	toks := docTermsOf(ctx, a)
 	if !contains(toks, lingo.Stem("aircraft")) || !contains(toks, lingo.Stem("boeing")) {
 		t.Errorf("domain docs not folded into attribute doc tokens: %v", toks)
 	}
@@ -242,28 +238,43 @@ func contains(xs []string, want string) bool {
 func TestContextWithoutStemming(t *testing.T) {
 	ctx := NewContext(sourceSchema(), targetSchema(), WithoutStemming())
 	fn := ctx.Source.MustElement("purchaseOrder/purchaseOrder/shipTo/firstName")
-	for _, tok := range ctx.DocTokens(fn) {
+	for _, tok := range docTermsOf(ctx, fn) {
 		if tok == "receiv" {
 			t.Error("stemming applied despite WithoutStemming")
 		}
 	}
 }
 
-func TestContextVectorCacheInvalidation(t *testing.T) {
+// TestRederiveVectorsAfterLearning checks the eager vector path Learn
+// takes: after a word weight moves and the vectors are re-derived, the
+// row's weight for that term has grown and the documentation vote moves
+// with it.
+func TestRederiveVectorsAfterLearning(t *testing.T) {
 	ctx := ctxFixture()
 	fn := ctx.Source.MustElement("purchaseOrder/purchaseOrder/shipTo/firstName")
-	v1 := ctx.DocVector(fn)
-	ctx.Corpus.AdjustWordWeight(lingo.Stem("name"), 5)
-	// Cached until invalidated.
-	v2 := ctx.DocVector(fn)
-	if &v1 == &v2 {
-		t.Log("same map returned (cached) — expected")
-	}
-	ctx.InvalidateVectors()
-	v3 := ctx.DocVector(fn)
 	stem := lingo.Stem("name")
-	if v3[stem] <= v1[stem] {
-		t.Errorf("weight change not reflected after invalidation: %g vs %g", v3[stem], v1[stem])
+	r := rowOf(ctx, fn)
+	before := termWeight(ctx, r, stem)
+	if before == 0 {
+		t.Fatalf("%s has no %q term: %v", fn.ID, stem, docTermsOf(ctx, fn))
+	}
+	voteBefore := DocVoter{}.Vote(ctx)
+
+	ctx.Corpus.AdjustWordWeight(stem, 5)
+	ctx.RederiveVectors()
+	if after := termWeight(ctx, r, stem); after <= before {
+		t.Errorf("weight of %q after re-derive = %g, want above %g", stem, after, before)
+	}
+	voteAfter := DocVoter{}.Vote(ctx)
+	i := voteAfter.SourceIndex(fn.ID)
+	moved := false
+	for j := range voteAfter.Targets {
+		if voteAfter.At(i, j) != voteBefore.At(i, j) {
+			moved = true
+		}
+	}
+	if !moved {
+		t.Error("documentation vote of the re-weighted row did not change")
 	}
 }
 

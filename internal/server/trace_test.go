@@ -159,6 +159,20 @@ func TestMatchRequestProducesConnectedTrace(t *testing.T) {
 			t.Errorf("stage span %q not parented under the route span", name)
 		}
 	}
+	// A cold match builds its engine's linguistic context exactly once,
+	// under one "context" span hanging off the route span.
+	var contexts int
+	for _, sp := range tr.Spans {
+		if sp.Name == "context" {
+			contexts++
+			if sp.Parent != root.ID {
+				t.Error("context span not parented under the route span")
+			}
+		}
+	}
+	if contexts != 1 {
+		t.Errorf("cold match has %d context spans, want 1", contexts)
+	}
 	// A voter's cache lookup hangs off its voter span, the merged
 	// lookup off the route span.
 	for _, sp := range tr.Spans {
