@@ -256,9 +256,11 @@ func BenchmarkFigure1PipelineStages(b *testing.B) {
 // BenchmarkFigure1VoterStages times each voter stage separately: on the
 // small evaluation pair, then sequentially (Parallelism 1) on registry
 // pairs of ~300 and ~1000 elements, where each size also times the
-// linguistic context build (the "context" sub-benchmark) and each voter
-// reports its cost per scored pair. A full vote allocates only its
-// matrix, so allocs/op stays flat across sizes.
+// linguistic context build (the "context" sub-benchmark), each voter
+// reports its cost per scored pair, and the stages after the panel —
+// the vote merger ("merge") and Harmony flooding ("flooding") — report
+// theirs per cell. A full vote allocates only its matrix, so allocs/op
+// stays flat across sizes.
 func BenchmarkFigure1VoterStages(b *testing.B) {
 	ps := benchPairs(1)
 	p := ps.Pairs[0]
@@ -290,6 +292,7 @@ func BenchmarkFigure1VoterStages(b *testing.B) {
 			})
 			ctx := match.NewContext(src, tgt, match.WithParallelism(1))
 			pairs := float64(src.Len() * tgt.Len())
+			var votes []match.Vote
 			for _, v := range match.DefaultVoters() {
 				v := v
 				b.Run(v.Name(), func(b *testing.B) {
@@ -299,7 +302,24 @@ func BenchmarkFigure1VoterStages(b *testing.B) {
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 				})
+				votes = append(votes, match.Vote{Voter: v.Name(), Matrix: v.Vote(ctx)})
 			}
+			merger := match.NewMerger()
+			b.Run("merge", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					merger.Merge(votes)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/cell")
+			})
+			merged := merger.Merge(votes)
+			b.Run("flooding", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					match.HarmonyFlood(merged, src, tgt, match.FloodOptions{Parallelism: 1})
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/cell")
+			})
 		})
 	}
 }

@@ -521,9 +521,23 @@ func (e *Engine) Learn() {
 	if e.snap == nil || len(e.snap.votes) == 0 || len(e.decisions) == 0 {
 		return
 	}
-	var fb []match.Feedback
-	for k, d := range e.decisions {
-		fb = append(fb, match.Feedback{SourceID: k.src, TargetID: k.tgt, Accepted: d.Accepted})
+	// One fixed order for both loops: LearnWeights sums each voter's
+	// credits, and a shared word's factors are multiplied, in decision
+	// order, and a float sum or product taken in another order can
+	// differ in the last bit.
+	keys := make([]pairKey, 0, len(e.decisions))
+	for k := range e.decisions {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		if keys[a].src != keys[b].src {
+			return keys[a].src < keys[b].src
+		}
+		return keys[a].tgt < keys[b].tgt
+	})
+	fb := make([]match.Feedback, len(keys))
+	for x, k := range keys {
+		fb[x] = match.Feedback{SourceID: k.src, TargetID: k.tgt, Accepted: e.decisions[k].Accepted}
 	}
 	e.merger.LearnWeights(e.snap.votes, fb, 0.15)
 	// Learned state is invisible to the content-addressed cache keys, so
@@ -545,14 +559,14 @@ func (e *Engine) Learn() {
 	for j, el := range tgtEls {
 		tgtRow[el.ID] = j
 	}
-	for k, d := range e.decisions {
+	for _, k := range keys {
 		i, okS := srcRow[k.src]
 		j, okT := tgtRow[k.tgt]
 		if !okS || !okT {
 			continue
 		}
 		factor := 1.15
-		if !d.Accepted {
+		if !e.decisions[k].Accepted {
 			factor = 0.9
 		}
 		for _, w := range e.ctx.SharedDocTerms(i, j) {

@@ -1,6 +1,8 @@
 package harmony
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/match"
@@ -151,6 +153,55 @@ func TestLearnAdjustsVoterWeights(t *testing.T) {
 	after := e.Merger().Weight("name")
 	if after == before {
 		t.Errorf("name voter weight unchanged after learning: %g", after)
+	}
+}
+
+// TestLearnIsDeterministic learns from two accepted and three rejected
+// pairs whose documentation all reads "order amount". Every engine must
+// learn the same bits, for every merger weight and for the word weight
+// of "order", whatever order the decision map yields: both learning
+// loops sum or multiply per decision, in one fixed order.
+func TestLearnIsDeterministic(t *testing.T) {
+	build := func(name, prefix string) *model.Schema {
+		s := model.NewSchema(name, "er")
+		ent := s.AddElement(nil, name+"Entity", model.KindEntity, model.ContainsElement)
+		for a := 0; a < 5; a++ {
+			at := s.AddElement(ent, fmt.Sprintf("%s%d", prefix, a), model.KindAttribute, model.ContainsAttribute)
+			at.Doc = "order amount"
+		}
+		return s
+	}
+	var want map[string]uint64
+	for n := 0; n < 200; n++ {
+		src, tgt := build("s", "a"), build("t", "b")
+		e := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
+		e.Run()
+		for a := 0; a < 5; a++ {
+			decide := e.Accept
+			if a >= 2 {
+				decide = e.Reject
+			}
+			if err := decide(fmt.Sprintf("s/sEntity/a%d", a), fmt.Sprintf("t/tEntity/b%d", a)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Learn()
+		got := map[string]uint64{"word order": math.Float64bits(e.ctx.Corpus.WordWeight("order"))}
+		for voter, w := range e.Merger().Weights() {
+			got[voter] = math.Float64bits(w)
+		}
+		if n == 0 {
+			if got["word order"] == math.Float64bits(1) {
+				t.Fatal("the word weight of \"order\" did not move")
+			}
+			want = got
+			continue
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Fatalf("engine %d learned %s = %v, engine 0 %v", n, k, math.Float64frombits(got[k]), math.Float64frombits(w))
+			}
+		}
 	}
 }
 

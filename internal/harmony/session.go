@@ -8,6 +8,7 @@ import (
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
 	"repro/internal/match"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/wbmgr"
 )
@@ -72,12 +73,13 @@ type Result struct {
 
 // Rematch is the session's one entry point: it pins the mapping's
 // decisions and re-runs the live engine on its cheapest valid path. It
-// re-reads the schemas only when either side's blackboard version moved
-// since they were read, and otherwise lets the engine patch in place
-// (the decision-only "pins" path when nothing else changed). dirty is
-// an advisory hint (see Engine.Rematch). Without a live engine it
-// builds one and runs it cold. The mode is also recorded as the
-// rematch_mode attribute of the span in ctx.
+// re-reads a schema only when its name or blackboard version moved since
+// it was read, keeping the engine's object for the side that did not
+// move, and otherwise lets the engine patch in place (the decision-only
+// "pins" path when nothing else changed). dirty is an advisory hint
+// (see Engine.Rematch). Without a live engine it builds one and runs it
+// cold. The mode is also recorded as the rematch_mode attribute of the
+// span in ctx.
 func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *blackboard.Mapping, dirty Dirty, threshold float64) (*Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,12 +88,16 @@ func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *bl
 		// The versions are taken before the schemas are read: a load
 		// committing in between leaves them behind the engine's graphs,
 		// so the next rematch reads again rather than trusting them.
-		src, err := bb.GetSchema(mp.SourceSchema)
-		if err != nil {
+		var src, tgt *model.Schema
+		var err error
+		if s.eng != nil && now.src == s.read.src && now.srcVer == s.read.srcVer {
+			src = s.eng.ctx.Source
+		} else if src, err = bb.GetSchema(mp.SourceSchema); err != nil {
 			return nil, err
 		}
-		tgt, err := bb.GetSchema(mp.TargetSchema)
-		if err != nil {
+		if s.eng != nil && now.tgt == s.read.tgt && now.tgtVer == s.read.tgtVer {
+			tgt = s.eng.ctx.Target
+		} else if tgt, err = bb.GetSchema(mp.TargetSchema); err != nil {
 			return nil, err
 		}
 		if err := chaos.Inject(SiteSessionSchemas); err != nil {

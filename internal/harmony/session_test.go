@@ -32,8 +32,11 @@ func sessionBoard(t *testing.T) (*blackboard.Blackboard, *blackboard.Mapping) {
 
 // renamedSource is poSource with one element renamed, its IDs derived
 // from the names as a freshly parsed file carries them.
-func renamedSource(from, to string) *model.Schema {
-	in := poSource()
+func renamedSource(from, to string) *model.Schema { return renamed(poSource(), from, to) }
+
+// renamed copies in with one element renamed, its IDs derived from the
+// names as a freshly parsed file carries them.
+func renamed(in *model.Schema, from, to string) *model.Schema {
 	out := model.NewSchema(in.Name, in.Format)
 	var walk func(src, parent *model.Element)
 	walk = func(src, parent *model.Element) {
@@ -219,4 +222,52 @@ func TestSessionConcurrentRuns(t *testing.T) {
 	}
 	wg.Wait()
 	assertColdEqual(t, table.For("m"), bb, mp)
+}
+
+// TestSessionRereadsOnlyTheMovedSchema reloads one side at a time. The
+// rematch re-reads the schema whose version moved and keeps the
+// engine's object for the other, and both the matrix and the published
+// cells stay bit-identical to a cold match.
+func TestSessionRereadsOnlyTheMovedSchema(t *testing.T) {
+	bb, mp := sessionBoard(t)
+	s := newTestSession()
+	if _, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		side string
+		next *model.Schema
+	}{
+		{"source", renamedSource("firstName", "givenName")},
+		{"target", renamed(siTarget(), "name", "recipient")},
+	} {
+		oldSrc, oldTgt := s.Engine().ctx.Source, s.Engine().ctx.Target
+		if _, err := bb.PutSchema(tc.next); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, tgt := s.Engine().ctx.Source, s.Engine().ctx.Target
+		if (src != oldSrc) != (tc.side == "source") || (tgt != oldTgt) != (tc.side == "target") {
+			t.Errorf("%s reload: source re-read %v, target re-read %v", tc.side, src != oldSrc, tgt != oldTgt)
+		}
+		assertColdEqual(t, s, bb, mp)
+		cold := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
+		cold.Run()
+		want := map[[2]string]uint64{}
+		for _, l := range cold.Matrix().Above(0.2) {
+			want[[2]string{l.Source.ID, l.Target.ID}] = math.Float64bits(l.Confidence)
+		}
+		cells := publishRun(t, bb, mp, res)
+		if len(cells) != len(want) {
+			t.Errorf("%s reload published %d cells, cold match %d", tc.side, len(cells), len(want))
+		}
+		for _, c := range cells {
+			if w, ok := want[[2]string{c.SourceID, c.TargetID}]; !ok || w != math.Float64bits(c.Confidence) {
+				t.Errorf("%s reload published %s → %s = %v; cold match %v", tc.side, c.SourceID, c.TargetID, c.Confidence, math.Float64frombits(w))
+			}
+		}
+	}
 }

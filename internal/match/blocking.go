@@ -18,9 +18,12 @@ import (
 //     synonym rename ("client" → "customer") still meets its partner,
 //   - a character q-gram index over lowercased names (lingo.NGrams), so
 //     abbreviations and typos sharing substrings stay reachable,
-//   - TF-IDF postings over documentation term IDs (the rows' vectors)
-//     that accumulate exact cosine contributions sparsely — the top-k
-//     cosine prefilter — instead of comparing every vector pair,
+//   - the context's documentation postings (term ID → target rows,
+//     with the term's TF-IDF weight), which accumulate exact cosine
+//     contributions sparsely — the top-k cosine prefilter — instead of
+//     comparing every vector pair. Every documented row has a positive
+//     norm (IDF ≥ 1, learned word weight ≥ 0.1), so the table lists
+//     exactly the rows a channel over normalized vectors would,
 //   - a hierarchical channel: children of a source element's surviving
 //     parent candidates get a bump proportional to the parent pair's
 //     score. This is what rescues the pairs no per-element evidence can
@@ -94,13 +97,8 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 	nt := len(tgts)
 	maxPost := int(opts.MaxPostingFrac*float64(nt)) + 8
 
-	type docHit struct {
-		j int32
-		w float64
-	}
 	tokPost := make([][]int32, len(ctx.strs))
 	expPost := make([][]int32, len(ctx.strs))
-	docPost := make([][]docHit, len(ctx.strs))
 	var qPost map[string][]int32
 	if opts.QGramSize > 0 {
 		qPost = make(map[string][]int32)
@@ -116,11 +114,6 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 		if qPost != nil {
 			for _, g := range gramKeys(r.lower, opts.QGramSize) {
 				qPost[g] = append(qPost[g], jj)
-			}
-		}
-		if v := &r.doc; v.Norm > 0 {
-			for k, id := range v.Terms {
-				docPost[id] = append(docPost[id], docHit{jj, v.Weights[k] / v.Norm})
 			}
 		}
 	}
@@ -187,9 +180,9 @@ func BuildCandidates(ctx *Context, opts BlockingOptions) *Pattern {
 		if v := &r.doc; v.Norm > 0 {
 			for k, id := range v.Terms {
 				w := blockDocWeight * v.Weights[k] / v.Norm
-				if p := docPost[id]; len(p) <= maxPost {
-					for _, h := range p {
-						bump(h.j, w*h.w)
+				if p, pw := ctx.postings.of(id); len(p) <= maxPost {
+					for x, j := range p {
+						bump(j, w*(pw[x]/ctx.tgtRows[j].doc.Norm))
 					}
 				}
 			}

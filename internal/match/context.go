@@ -61,6 +61,54 @@ type Context struct {
 	// for documentation terms (it refuses any documentation change).
 	ids  map[string]int32
 	strs []string
+	// postings inverts the target rows' documentation vectors; derived
+	// wherever the vectors are.
+	postings docPostings
+}
+
+// docPostings is a context's one table of documentation postings: for
+// each term ID, the target rows whose document holds the term, in
+// ascending row order, each with the term's weight there. Term t's
+// postings are rows[start[t]:start[t+1]], aligned with weights. The
+// documentation voter's unblocked sweep and blocking's documentation
+// channel both read it.
+type docPostings struct {
+	start   []int32
+	rows    []int32
+	weights []float64
+}
+
+// of returns the postings of term id: its target rows and the term's
+// weight in each. The table spans every ID interned when it was
+// derived, which includes every documentation term.
+func (p *docPostings) of(id int32) ([]int32, []float64) {
+	a, b := p.start[id], p.start[id+1]
+	return p.rows[a:b], p.weights[a:b]
+}
+
+// derivePostings rebuilds the postings table from the target rows'
+// current vectors, in O(target terms).
+func (c *Context) derivePostings() {
+	p := &c.postings
+	p.start = make([]int32, len(c.strs)+1)
+	for j := range c.tgtRows {
+		for _, id := range c.tgtRows[j].doc.Terms {
+			p.start[id+1]++
+		}
+	}
+	for id := 1; id < len(p.start); id++ {
+		p.start[id] += p.start[id-1]
+	}
+	n := p.start[len(p.start)-1]
+	p.rows, p.weights = make([]int32, n), make([]float64, n)
+	fill := slices.Clone(p.start[:len(p.start)-1])
+	for j := range c.tgtRows {
+		v := &c.tgtRows[j].doc
+		for k, id := range v.Terms {
+			p.rows[fill[id]], p.weights[fill[id]] = int32(j), v.Weights[k]
+			fill[id]++
+		}
+	}
 }
 
 // row is one element's features: everything a built-in voter reads about
@@ -138,6 +186,7 @@ func NewContext(source, target *model.Schema, opts ...ContextOption) *Context {
 	// are derived in a second pass.
 	c.srcRows = c.deriveRows(c.src, srcTexts)
 	c.tgtRows = c.deriveRows(c.tgt, tgtTexts)
+	c.derivePostings()
 	return c
 }
 
@@ -376,15 +425,16 @@ func unionChildren(rows []row, parent []int, redo []bool) {
 	}
 }
 
-// RederiveVectors re-derives every row's TF-IDF vector from the corpus.
-// Call it after adjusting word weights, between runs, so learning takes
-// effect on the next run.
+// RederiveVectors re-derives every row's TF-IDF vector, and the
+// postings over them, from the corpus. Call it after adjusting word
+// weights, between runs, so learning takes effect on the next run.
 func (c *Context) RederiveVectors() {
 	for _, rows := range [...][]row{c.srcRows, c.tgtRows} {
 		for i := range rows {
 			c.weigh(&rows[i])
 		}
 	}
+	c.derivePostings()
 }
 
 // Refresh brings the rows up to date after in-place edits to the
@@ -417,6 +467,8 @@ func (c *Context) Refresh(dirtySrc, dirtyTgt map[string]bool) bool {
 	// Corpus — and every kept row's vector — stays exact.
 	c.src, c.srcRows = src, c.commitSide(src, srcNew)
 	c.tgt, c.tgtRows = tgt, c.commitSide(tgt, tgtNew)
+	// The vectors are unchanged, but adds and drops may move target rows.
+	c.derivePostings()
 	return true
 }
 

@@ -59,10 +59,21 @@ func (g *Merger) Merge(votes []Vote) *Matrix {
 	}
 	out := NewMatrixLike(votes[0].Matrix)
 	aligned := votesAligned(votes, out.pat)
+	weights := g.panelWeights(votes)
 	for i, cols := range out.pat.Rows {
 		for k, j := range cols {
-			out.vals[i][k] = g.mergeCell(votes, aligned, i, k, int(j))
+			out.vals[i][k] = g.mergeCell(votes, weights, aligned, i, k, int(j))
 		}
+	}
+	return out
+}
+
+// panelWeights resolves each vote's performance weight, in panel order,
+// once per merge, so mergeCell looks no voter name up.
+func (g *Merger) panelWeights(votes []Vote) []float64 {
+	out := make([]float64, len(votes))
+	for x, v := range votes {
+		out[x] = g.Weight(v.Voter)
 	}
 	return out
 }
@@ -85,17 +96,18 @@ func votesAligned(votes []Vote, pat *Pattern) bool {
 // under blocking — every vote is read exactly through At. The single
 // kernel serves Merge and MergePatch so incremental re-merges are
 // bit-identical — the votes slice must present the panel in the same
-// order.
-func (g *Merger) mergeCell(votes []Vote, aligned bool, i, k, j int) float64 {
+// order. weights[x] is the performance weight of votes[x]
+// (panelWeights).
+func (g *Merger) mergeCell(votes []Vote, weights []float64, aligned bool, i, k, j int) float64 {
 	var num, den float64
-	for _, v := range votes {
+	for x, v := range votes {
 		var c float64
 		if aligned {
 			c = v.Matrix.vals[i][k]
 		} else {
 			c = v.Matrix.At(i, j)
 		}
-		w := g.Weight(v.Voter)
+		w := weights[x]
 		mag := 1.0
 		if g.MagnitudeWeighting {
 			mag = math.Abs(c)
@@ -137,15 +149,15 @@ func (g *Merger) MergePatch(votes []Vote, prev *Matrix, dirtySrc, dirtyTgt map[s
 	}
 	out := NewMatrixLike(votes[0].Matrix)
 	aligned := votesAligned(votes, out.pat)
-	oldCol := alignIndices(out.Targets, prev.TargetIndex)
-	for i, s := range out.Sources {
-		oi := prev.SourceIndex(s.ID)
-		rowClean := oi >= 0 && !dirtySrc[s.ID]
+	weights := g.panelWeights(votes)
+	oldRow := dropDirty(alignIndices(out.Sources, prev.SourceIndex), out.Sources, dirtySrc)
+	oldCol := dropDirty(alignIndices(out.Targets, prev.TargetIndex), out.Targets, dirtyTgt)
+	for i := range out.Sources {
+		oi := int(oldRow[i])
 		for k, j := range out.pat.Rows[i] {
-			t := out.Targets[j]
-			if rowClean {
-				if oj := oldCol[j]; oj >= 0 && !dirtyTgt[t.ID] {
-					if op := prev.pat.pos(oi, int32(oj)); op >= 0 {
+			if oi >= 0 {
+				if oj := oldCol[j]; oj >= 0 {
+					if op := prev.pat.pos(oi, oj); op >= 0 {
 						out.vals[i][k] = prev.vals[oi][op]
 						continue
 					}
@@ -154,7 +166,7 @@ func (g *Merger) MergePatch(votes []Vote, prev *Matrix, dirtySrc, dirtyTgt map[s
 					// merge reads votes identical to a cold run's.
 				}
 			}
-			out.vals[i][k] = g.mergeCell(votes, aligned, i, k, int(j))
+			out.vals[i][k] = g.mergeCell(votes, weights, aligned, i, k, int(j))
 		}
 	}
 	return out

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -78,4 +79,19 @@ func BenchmarkGraphClone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Clone()
 	}
+}
+
+// BenchmarkWriteNTriples writes a ~650k-triple graph, the size of the
+// blackboard perfbench onboard snapshots at its 64th op: 65k subjects
+// with 10 literal-valued predicates each.
+func BenchmarkWriteNTriples(b *testing.B) {
+	g := benchGraph(65000, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteNTriples(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(g.Len()), "triples")
 }

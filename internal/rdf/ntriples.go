@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -12,24 +13,67 @@ import (
 // export/import (our stand-in for the paper's "blackboard shared across
 // multiple workbench instances" future-work item).
 
-// WriteNTriples writes the graph in canonical (sorted) N-Triples form.
+// WriteNTriples writes the graph in canonical (sorted) N-Triples form:
+// the (subject, predicate, object) order of Triples. It walks the SPO
+// index, sorting each level's keys with compareTerm, and renders every
+// statement into one reused line buffer, so it builds no slice of every
+// triple and no string per term.
+//
+// The walk holds the graph's read lock throughout, so a writer to the
+// graph waits until the whole graph is written. Every caller already
+// excludes writers for that long — the WAL snapshot under the store
+// lock, the replica bootstrap under the workspace's TxnMu, the CLI state
+// file in its single process — and writes to a file or an in-memory
+// buffer, never to a peer that could stall the walk.
 func WriteNTriples(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range g.Triples() {
-		if _, err := bw.WriteString(t.String() + "\n"); err != nil {
-			return err
-		}
+	g.mu.RLock()
+	err := g.writeSortedLocked(bw)
+	g.mu.RUnlock()
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
+}
+
+// writeSortedLocked is WriteNTriples' walk; the caller holds g.mu.
+func (g *Graph) writeSortedLocked(w *bufio.Writer) error {
+	subjects := make([]Term, 0, len(g.spo))
+	for s := range g.spo {
+		subjects = append(subjects, s)
+	}
+	slices.SortFunc(subjects, compareTerm)
+	var preds, objs []Term
+	var line []byte
+	for _, s := range subjects {
+		level := g.spo[s]
+		preds = preds[:0]
+		for p := range level {
+			preds = append(preds, p)
+		}
+		slices.SortFunc(preds, compareTerm)
+		line = append(s.AppendTo(line[:0]), ' ')
+		subjLen := len(line)
+		for _, p := range preds {
+			line = append(p.AppendTo(line[:subjLen]), ' ')
+			predLen := len(line)
+			objs = level[p].appendTo(objs[:0])
+			slices.SortFunc(objs, compareTerm)
+			for _, o := range objs {
+				line = append(o.AppendTo(line[:predLen]), " .\n"...)
+				if _, err := w.Write(line); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // MarshalNTriples renders the graph to a canonical N-Triples string.
 func MarshalNTriples(g *Graph) string {
 	var b strings.Builder
-	for _, t := range g.Triples() {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
+	_ = WriteNTriples(&b, g) // a strings.Builder never fails
 	return b.String()
 }
 

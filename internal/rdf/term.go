@@ -126,46 +126,57 @@ func (t Term) Bool() (bool, error) {
 }
 
 // String renders the term in N-Triples syntax.
-func (t Term) String() string {
+func (t Term) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends the term's N-Triples rendering to dst and returns the
+// extended slice.
+func (t Term) AppendTo(dst []byte) []byte {
 	switch t.kind {
 	case IRIKind:
-		return "<" + escapeIRI(t.value) + ">"
+		dst = append(dst, '<')
+		dst = appendIRI(dst, t.value)
+		return append(dst, '>')
 	case BlankKind:
-		return "_:" + t.value
+		dst = append(dst, "_:"...)
+		return append(dst, t.value...)
 	case LiteralKind:
-		s := "\"" + escapeLiteral(t.value) + "\""
+		dst = append(dst, '"')
+		dst = appendLiteral(dst, t.value)
+		dst = append(dst, '"')
 		if t.datatype != "" {
-			s += "^^<" + escapeIRI(t.datatype) + ">"
+			dst = append(dst, "^^<"...)
+			dst = appendIRI(dst, t.datatype)
+			dst = append(dst, '>')
 		}
-		return s
+		return dst
 	default:
-		return "?!"
+		return append(dst, "?!"...)
 	}
 }
 
-// escapeIRI writes the IRI characters a statement cannot carry verbatim
-// as N-Triples UCHAR escapes: the space that would split the statement
-// into four terms, the '>' that would end the IRI early, and the '\'
-// that starts an escape. Every other IRI is returned unchanged, so the
-// blackboard's own IRIs (the '|' of every cell IRI included) keep their
-// WAL and snapshot bytes.
-func escapeIRI(s string) string {
+// appendIRI appends an IRI with the characters a statement cannot carry
+// verbatim written as N-Triples UCHAR escapes: the space that would
+// split the statement into four terms, the '>' that would end the IRI
+// early, and the '\' that starts an escape. Every other byte is copied
+// unchanged, so the blackboard's own IRIs (the '|' of every cell IRI
+// included) keep their WAL and snapshot bytes.
+func appendIRI(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, ` >\`) {
-		return s
+		return append(dst, s...)
 	}
-	var b strings.Builder
+	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case ' ', '>', '\\':
-			fmt.Fprintf(&b, `\u%04X`, c)
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
 		default:
-			b.WriteByte(c)
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// unescapeIRI reverses escapeIRI. It decodes any UCHAR (\uXXXX or
+// unescapeIRI reverses appendIRI. It decodes any UCHAR (\uXXXX or
 // \UXXXXXXXX) naming a valid code point and rejects every other
 // backslash.
 func unescapeIRI(s string) (string, error) {
@@ -200,29 +211,29 @@ func unescapeIRI(s string) (string, error) {
 	return b.String(), nil
 }
 
-// escapeLiteral escapes a literal lexical form per N-Triples rules.
-func escapeLiteral(s string) string {
-	var b strings.Builder
+// appendLiteral appends a literal lexical form escaped per N-Triples
+// rules. Each byte of invalid UTF-8 is written as U+FFFD.
+func appendLiteral(dst []byte, s string) []byte {
 	for _, r := range s {
 		switch r {
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// unescapeLiteral reverses escapeLiteral.
+// unescapeLiteral reverses appendLiteral.
 func unescapeLiteral(s string) (string, error) {
 	if !strings.ContainsRune(s, '\\') {
 		return s, nil
@@ -262,8 +273,17 @@ type Triple struct {
 }
 
 // String renders the triple in N-Triples syntax (without trailing newline).
-func (t Triple) String() string {
-	return t.S.String() + " " + t.P.String() + " " + t.O.String() + " ."
+func (t Triple) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends the triple's N-Triples statement (without trailing
+// newline) to dst and returns the extended slice.
+func (t Triple) AppendTo(dst []byte) []byte {
+	dst = t.S.AppendTo(dst)
+	dst = append(dst, ' ')
+	dst = t.P.AppendTo(dst)
+	dst = append(dst, ' ')
+	dst = t.O.AppendTo(dst)
+	return append(dst, " ."...)
 }
 
 // Compare orders triples lexicographically by subject, predicate, object.

@@ -107,7 +107,7 @@ func TestTermString(t *testing.T) {
 
 func TestEscapeRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		got, err := unescapeLiteral(escapeLiteral(s))
+		got, err := unescapeLiteral(string(appendLiteral(nil, s)))
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {

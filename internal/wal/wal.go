@@ -120,22 +120,27 @@ const frameOverhead = 8
 // appendFrame encodes r into buf as one framed record and returns the
 // extended buffer.
 func appendFrame(buf []byte, r Record) []byte {
-	// payload: kind byte | uvarint txn | triple bytes
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = byte(r.Kind)
-	n := 1 + binary.PutUvarint(hdr[1:], r.Txn)
-	payloadLen := n + len(r.Triple)
+	buf, start := beginFrame(buf, r.Kind, r.Txn)
+	return endFrame(append(buf, r.Triple...), start)
+}
 
-	var fixed [frameOverhead]byte
-	binary.LittleEndian.PutUint32(fixed[0:4], uint32(payloadLen))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:n])
-	crc.Write([]byte(r.Triple))
-	binary.LittleEndian.PutUint32(fixed[4:8], crc.Sum32())
+// beginFrame appends a frame's header, to be filled in by endFrame, and
+// the start of its payload: kind byte | uvarint txn. The caller appends
+// the rest of the payload (the triple bytes) straight after. start is
+// the frame's offset in buf.
+func beginFrame(buf []byte, k Kind, txn uint64) (_ []byte, start int) {
+	start = len(buf)
+	buf = append(buf, make([]byte, frameOverhead)...)
+	buf = append(buf, byte(k))
+	return binary.AppendUvarint(buf, txn), start
+}
 
-	buf = append(buf, fixed[:]...)
-	buf = append(buf, hdr[:n]...)
-	buf = append(buf, r.Triple...)
+// endFrame fills in the header of the frame at start, whose payload runs
+// to the end of buf: the payload length, and its CRC, computed in place.
+func endFrame(buf []byte, start int) []byte {
+	payload := buf[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:start+8], crc32.ChecksumIEEE(payload))
 	return buf
 }
 
@@ -195,7 +200,8 @@ func scanFrames(data []byte, fn func(Record) error) (clean int64, torn bool, err
 }
 
 // EncodeTxn frames one committed transaction (begin, ops, commit) into a
-// single buffer, ready for an atomic batch append.
+// single buffer, ready for an atomic batch append. Each triple is
+// rendered straight into its frame.
 func EncodeTxn(txn uint64, ops []rdf.ChangeOp) []byte {
 	// Rough capacity: framing + kind/txn bytes + ~64 bytes per triple.
 	buf := make([]byte, 0, (len(ops)+2)*(frameOverhead+12)+len(ops)*64)
@@ -205,7 +211,9 @@ func EncodeTxn(txn uint64, ops []rdf.ChangeOp) []byte {
 		if !op.Add {
 			k = KindDel
 		}
-		buf = appendFrame(buf, Record{Kind: k, Txn: txn, Triple: op.T.String()})
+		var start int
+		buf, start = beginFrame(buf, k, txn)
+		buf = endFrame(op.T.AppendTo(buf), start)
 	}
 	buf = appendFrame(buf, Record{Kind: KindCommit, Txn: txn})
 	return buf
