@@ -36,13 +36,13 @@ func Write(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	syncDir(filepath.Dir(path))
+	SyncDir(filepath.Dir(path))
 	return nil
 }
 
-// syncDir fsyncs a directory so a rename in it is durable (best-effort;
+// SyncDir fsyncs a directory so a rename in it is durable (best-effort;
 // some platforms refuse directory fsync).
-func syncDir(dir string) {
+func SyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()

@@ -15,9 +15,9 @@ import (
 	"repro/internal/wal"
 )
 
-// ErrSnapshotNeeded reports that the primary's ship ring no longer
-// reaches the follower's cursor (HTTP 410): the follower must bootstrap
-// from a full snapshot before tailing again.
+// ErrSnapshotNeeded reports that the primary's retained WAL segments no
+// longer reach the follower's cursor (HTTP 410): the follower must
+// bootstrap from a full snapshot before tailing again.
 var ErrSnapshotNeeded = errors.New("repl: primary log no longer reaches the cursor; snapshot bootstrap required")
 
 // FencedError reports that the remote refused the request on epoch

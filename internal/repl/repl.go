@@ -2,8 +2,11 @@
 // workbench service: a primary streams its sealed transaction frames
 // (the exact CRC-framed batches from internal/wal) to warm read
 // replicas, which replay them idempotently into a follower blackboard.
-// A replica that has fallen off the primary's ship ring bootstraps from
-// a full snapshot and converges by diff. Failover is fenced by a
+// The primary reads the frames from its WAL's log segments — the live
+// log and the one its last snapshot rotated away — so a follower resumes
+// from its cursor across a primary restart. A replica whose cursor is
+// behind the oldest retained txn bootstraps from a full snapshot and
+// converges by diff. Failover is fenced by a
 // monotonic epoch persisted in the WAL header: every replication
 // request and response carries the sender's epoch, a node that sees a
 // newer epoch than its own knows it has been deposed and seals itself,
@@ -54,7 +57,8 @@ const (
 	// MetricLagSeconds gauges seconds since the replica last heard from
 	// the primary successfully.
 	MetricLagSeconds = "repl_lag_seconds"
-	// MetricShippedTxns counts txns served from the primary's log ring.
+	// MetricShippedTxns counts txns served from the primary's WAL
+	// segments.
 	MetricShippedTxns = "repl_txns_shipped_total"
 	// MetricAppliedTxns counts txns a replica applied.
 	MetricAppliedTxns = "repl_txns_applied_total"
@@ -70,7 +74,7 @@ const (
 func DescribeMetrics(reg *obs.Registry) {
 	reg.Describe(MetricLagTxns, "Committed primary txns not yet applied by this replica.")
 	reg.Describe(MetricLagSeconds, "Seconds since this replica last heard from its primary.")
-	reg.Describe(MetricShippedTxns, "Transactions served to followers from the ship ring.")
+	reg.Describe(MetricShippedTxns, "Transactions served to followers from the WAL segments.")
 	reg.Describe(MetricAppliedTxns, "Transactions applied from the primary.")
 	reg.Describe(MetricBootstraps, "Snapshot bootstraps performed by this replica.")
 	reg.Describe(MetricSnapshotsServed, "Bootstrap snapshots served to followers.")

@@ -500,9 +500,10 @@ func (s *Server) sealLocked(newEpoch uint64) {
 // ---- handlers ----
 
 // handleReplLog serves one partition's sealed txn frames after the
-// follower's cursor, long-polling when it is caught up. 410 Gone means
-// the ship ring no longer reaches the cursor and the follower must
-// bootstrap.
+// follower's cursor, read from the WAL's log segments, long-polling when
+// it is caught up. 410 Gone means the retained segments no longer reach
+// the cursor and the follower must bootstrap; a failed segment read is a
+// 500, which the follower retries after its backoff.
 func (s *Server) handleReplLog(t *tenant, w http.ResponseWriter, r *http.Request) {
 	store, err := t.ws.Store()
 	if err != nil {
@@ -528,9 +529,13 @@ func (s *Server) handleReplLog(t *tenant, w http.ResponseWriter, r *http.Request
 		fail(w, http.StatusInternalServerError, "repl ship: %v", err)
 		return
 	}
-	data, n, last, ok := store.WaitFrames(r.Context(), after, timeout, replMaxBatch)
+	data, n, last, ok, err := store.PollFrames(r.Context(), after, timeout, replMaxBatch)
+	if err != nil {
+		fail(w, http.StatusInternalServerError, "repl log: %v", err)
+		return
+	}
 	if !ok {
-		fail(w, http.StatusGone, "txns after %d are no longer buffered; bootstrap from %s", after, repl.SnapshotPath)
+		fail(w, http.StatusGone, "txns after %d are no longer in the log; bootstrap from %s", after, repl.SnapshotPath)
 		return
 	}
 	s.reg.Counter(repl.MetricShippedTxns).Add(int64(n))

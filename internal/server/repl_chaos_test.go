@@ -12,15 +12,13 @@ package server_test
 // before driving recovery.
 
 import (
-	"net/http/httptest"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/client"
-	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/repl"
 	"repro/internal/server"
@@ -87,8 +85,8 @@ func waitReplFatal(t *testing.T, n *node) {
 // mid-write and promotes the replica. The in-flight transaction was
 // never acknowledged, so the promoted state must equal the last acked
 // state exactly — wal.append dies before anything is written,
-// wal.fsync dies after the write but before the ship-ring push, the
-// durable-but-unacknowledged window.
+// wal.fsync dies after the write but before the batch is indexed for
+// followers, the durable-but-unacknowledged window.
 func TestReplChaosPrimaryCrash(t *testing.T) {
 	sites := []struct {
 		name string
@@ -210,23 +208,21 @@ func TestReplChaosReplicaCrashAndRestart(t *testing.T) {
 // attempt contributes nothing.
 func TestReplChaosBootstrapCrash(t *testing.T) {
 	defer chaos.Reset()
-	// A ring-less primary (ReplBufferTxns < 0) answers every behind
-	// cursor with 410 Gone, forcing the snapshot path deterministically.
-	srv, err := server.New(server.Config{
-		DataDir:         t.TempDir(),
-		Metrics:         obs.NewRegistry(),
-		ReplBufferTxns:  -1,
-		ReplPollTimeout: replTestPoll,
-		ReplBackoff:     replTestBackoff,
-	})
-	if err != nil {
+	// Two snapshots with a commit between them rotate the seeded txns
+	// out of the primary's retained segments: a fresh follower's cursor
+	// is answered with 410 Gone, forcing the snapshot path
+	// deterministically.
+	pri := newNode(t, t.TempDir(), "")
+	id := seedPrimary(t, pri)
+	if err := pri.srv.Store().SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(srv.StopReplication)
-	pri := &node{c: client.New(ts.URL), srv: srv, ts: ts}
-	seedPrimary(t, pri)
+	if _, err := pri.c.Decide(id, "po/purchaseOrder", "si/shippingInfo", "accept"); err != nil {
+		t.Fatal(err)
+	}
+	if err := pri.srv.Store().SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
 
 	chaos.Enable(repl.SiteBootstrap, chaos.Rule{Kind: chaos.FaultPanic, Every: 1, Limit: 1})
 	rep := newNode(t, t.TempDir(), pri.ts.URL)
@@ -242,6 +238,41 @@ func TestReplChaosBootstrapCrash(t *testing.T) {
 	}
 	waitConverged(t, pri.ts.URL, rep.ts.URL)
 	checkReplFeedExactlyOnce(t, rep, 1) // one bootstrap txn, applied once
+}
+
+// TestReplChaosSegmentReadErrors injects errors where the primary reads
+// frames from its WAL segments: the poll fails with a 500, never with
+// frames or as caught up, and the follower backs off, retries and
+// converges exactly once, without a bootstrap.
+func TestReplChaosSegmentReadErrors(t *testing.T) {
+	defer chaos.Reset()
+	pri := newNode(t, t.TempDir(), "")
+	seedPrimary(t, pri)
+
+	chaos.Enable(wal.SiteRead, chaos.Rule{Kind: chaos.FaultError, Every: 1, Limit: 1})
+	resp, err := http.Get(pri.ts.URL + repl.LogPath + "?after=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("poll through a failed segment read = %d, want 500", resp.StatusCode)
+	}
+
+	chaos.Enable(wal.SiteRead, chaos.Rule{Kind: chaos.FaultError, Every: 1, Limit: 3})
+	rep := newNode(t, t.TempDir(), pri.ts.URL)
+	waitConverged(t, pri.ts.URL, rep.ts.URL)
+	if n := chaos.Fired(wal.SiteRead); n != 3 {
+		t.Fatalf("wal.read fired %d times, want 3", n)
+	}
+	priSt, err := pri.c.ReplStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReplFeedExactlyOnce(t, rep, priSt.LastTxn)
+	if n := rep.bootstraps(); n != 0 {
+		t.Fatalf("follower bootstrapped %v times over transient read errors", n)
+	}
 }
 
 // TestReplChaosTransientShipErrors injects plain errors (not crashes) at

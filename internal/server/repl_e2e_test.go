@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -34,11 +35,12 @@ const (
 	convergeWait    = 10 * time.Second
 )
 
-// node bundles one server with its listener and client.
+// node bundles one server with its listener, client and registry.
 type node struct {
 	c   *client.Client
 	srv *server.Server
 	ts  *httptest.Server
+	reg *obs.Registry
 }
 
 // newNode boots a full service. replicaOf != "" makes it a tailing
@@ -48,9 +50,18 @@ type node struct {
 // process never gets to do.
 func newNode(t *testing.T, dir, replicaOf string) *node {
 	t.Helper()
+	return newNodeAt(t, dir, replicaOf, "127.0.0.1:0")
+}
+
+// newNodeAt is newNode listening on addr: a restarted node takes over
+// the address its predecessor served, so its followers keep their
+// primary URL.
+func newNodeAt(t *testing.T, dir, replicaOf, addr string) *node {
+	t.Helper()
+	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
 		DataDir:         dir,
-		Metrics:         obs.NewRegistry(),
+		Metrics:         reg,
 		ReplicaOf:       replicaOf,
 		ReplPollTimeout: replTestPoll,
 		ReplBackoff:     replTestBackoff,
@@ -58,10 +69,27 @@ func newNode(t *testing.T, dir, replicaOf string) *node {
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listen %s: %v", addr, err)
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Listener.Close()
+	ts.Listener = l
+	ts.Start()
 	t.Cleanup(ts.Close)
 	t.Cleanup(srv.StopReplication)
-	return &node{c: client.New(ts.URL), srv: srv, ts: ts}
+	return &node{c: client.New(ts.URL), srv: srv, ts: ts, reg: reg}
+}
+
+// bootstraps sums the node's repl_bootstraps_total over its workspaces.
+func (n *node) bootstraps() float64 {
+	m, _ := n.reg.Find(repl.MetricBootstraps)
+	var sum float64
+	for _, se := range m.Series {
+		sum += se.Value
+	}
+	return sum
 }
 
 // kill simulates kill -9: the listener drops and the server object is
@@ -260,39 +288,62 @@ func TestReplicationDifferential(t *testing.T) {
 	}
 }
 
-func TestReplicationBootstrapAfterPrimaryRestart(t *testing.T) {
-	dir := t.TempDir()
-	pri := newNode(t, dir, "")
-	id := loadPair(t, pri.c)
-	if _, err := pri.c.Match(id, 0.2); err != nil {
-		t.Fatal(err)
-	}
+// TestReplicationResumesAcrossPrimaryRestart: a follower that falls
+// behind a primary which then restarts resumes from its cursor, served
+// from the log the restarted primary recovered (after a kill) or from
+// the segment its Close rotated (after a graceful stop), with one
+// repl-txn event per txn and no snapshot bootstrap.
+func TestReplicationResumesAcrossPrimaryRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*node)
+	}{
+		{"kill", (*node).kill},
+		{"close", func(n *node) {
+			n.kill()
+			if err := n.srv.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			pri := newNode(t, dir, "")
+			rep := newNode(t, t.TempDir(), pri.ts.URL)
+			id := loadPair(t, pri.c)
+			if _, err := pri.c.Match(id, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			waitConverged(t, pri.ts.URL, rep.ts.URL)
 
-	// Kill and restart the primary: the ship ring is in-memory, so the
-	// reborn primary cannot serve txns 1..4 to a fresh follower — it
-	// must answer 410 and the follower must take the snapshot path.
-	pri.kill()
-	pri2 := newNode(t, dir, "")
-	if pri2.srv.Store().LastTxn() == 0 {
-		t.Fatal("restarted primary lost its txn high-water mark")
-	}
-	rep := newNode(t, t.TempDir(), pri2.ts.URL)
-	waitConverged(t, pri2.ts.URL, rep.ts.URL)
-
-	// The bootstrap arrived as exactly one feed event carrying the
-	// snapshot's txn id.
-	evs := drainFeed(t, rep.c)
-	if len(evs) != 1 || evs[0].Kind != string(server.EventReplTxn) {
-		t.Fatalf("bootstrap feed = %+v, want one repl-txn event", evs)
-	}
-
-	// Tailing continues incrementally after the bootstrap.
-	if _, err := pri2.c.Decide(id, "po/purchaseOrder", "si/shippingInfo", "accept"); err != nil {
-		t.Fatal(err)
-	}
-	waitConverged(t, pri2.ts.URL, rep.ts.URL)
-	if evs := drainFeed(t, rep.c); len(evs) != 2 {
-		t.Fatalf("feed after incremental txn = %d events, want 2", len(evs))
+			// The follower falls behind, then the primary restarts on its
+			// directory and address and commits more.
+			rep.srv.StopReplication()
+			if _, err := pri.c.Decide(id, "po/purchaseOrder", "si/shippingInfo", "accept"); err != nil {
+				t.Fatal(err)
+			}
+			behind := pri.srv.Store().LastTxn()
+			tc.stop(pri)
+			pri2 := newNodeAt(t, dir, "", pri.ts.Listener.Addr().String())
+			if got := pri2.srv.Store().LastTxn(); got != behind {
+				t.Fatalf("restarted primary at txn %d, want %d", got, behind)
+			}
+			if _, err := pri2.c.Decide(id, "po/purchaseOrder", "si/shippingInfo", "reject"); err != nil {
+				t.Fatal(err)
+			}
+			if err := rep.srv.StartReplication(); err != nil {
+				t.Fatal(err)
+			}
+			waitConverged(t, pri2.ts.URL, rep.ts.URL)
+			st, err := pri2.c.ReplStatus()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkReplFeedExactlyOnce(t, rep, st.LastTxn)
+			if n := rep.bootstraps(); n != 0 {
+				t.Fatalf("follower bootstrapped %v times across the restart", n)
+			}
+		})
 	}
 }
 

@@ -90,9 +90,6 @@ type Config struct {
 	// (0 = the repl package defaults; tests shrink them).
 	ReplPollTimeout time.Duration
 	ReplBackoff     time.Duration
-	// ReplBufferTxns forwards to wal.Options: the primary's per-partition
-	// ship-ring capacity in transactions (0 = wal.DefaultReplBufferTxns).
-	ReplBufferTxns int
 	// WorkspaceIdleTTL is how long a non-default workspace's WAL store
 	// may sit idle before being folded closed (0 =
 	// workspace.DefaultIdleTTL; negative = never).
@@ -206,12 +203,11 @@ func New(cfg Config) (*Server, error) {
 		slow:   slow,
 	}
 	wsm, err := workspace.NewManager(workspace.Options{
-		Root:           cfg.DataDir,
-		ReplBufferTxns: cfg.ReplBufferTxns,
-		Metrics:        reg,
-		IdleTTL:        cfg.WorkspaceIdleTTL,
-		DefaultQuota:   workspace.Quota{MaxTriples: cfg.MaxTriples, MaxWALBytes: cfg.MaxWALBytes},
-		OnOpen:         s.attachTenant,
+		Root:         cfg.DataDir,
+		Metrics:      reg,
+		IdleTTL:      cfg.WorkspaceIdleTTL,
+		DefaultQuota: workspace.Quota{MaxTriples: cfg.MaxTriples, MaxWALBytes: cfg.MaxWALBytes},
+		OnOpen:       s.attachTenant,
 	})
 	if err != nil {
 		return nil, err

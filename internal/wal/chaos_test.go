@@ -10,15 +10,25 @@ package wal
 //	panic at wal.fsync              → crash after the write, txn durable
 //	panic at wal.snapshot           → old snapshot + intact log win
 //	error at wal.recover            → Open reports the fault
+//	panic or error at wal.rotate    → snapshot + unrotated log win, and
+//	                                  every retained frame still ships
+//	error at wal.read               → the poll fails; nothing ships
+//
+// A store that survives a wal.fsync panic (the server and the replica's
+// tail loop both recover one, and wbmgr rolls the txn back in memory)
+// must cut the unacknowledged bytes before its next append.
 //
 // The final test drives the full stack (wbmgr transaction → commit hook
 // → WAL) and checks the recovered graph is rdf.Equal to the pre-crash
 // committed state — the acceptance bar of the durable-service issue.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
@@ -201,6 +211,142 @@ func TestChaosRecoverFaultFailsOpen(t *testing.T) {
 	if _, err := Open(dir, Options{SnapshotEvery: -1}); err != nil {
 		t.Fatalf("Open after fault cleared: %v", err)
 	}
+}
+
+// TestChaosSurvivedFsyncPanicIsNotReplayed: the store outlives a panic
+// between a batch's write and its fsync, and the txn is rolled back in
+// memory (here: never mirrored onto the graph). The next commit must not
+// land after the rolled-back bytes, or the next Open replays them.
+func TestChaosSurvivedFsyncPanicIsNotReplayed(t *testing.T) {
+	s := newStore(t, Options{})
+	seedTxn(t, s, `<urn:a> <urn:p> <urn:b> .`)
+	arm(t, SiteFsync, chaos.FaultPanic)
+	crash(t, func() { s.AppendTxn(mustOps(t, `<urn:x> <urn:p> <urn:y> .`)) })
+	chaos.Reset()
+	ops2 := seedTxn(t, s, `<urn:c> <urn:p> <urn:d> .`)
+
+	g, stats := reopen(t, s.Dir())
+	if stats.CommittedTxns != 2 || stats.TornTail || !rdf.Equal(g, s.Graph()) {
+		t.Fatalf("recovered %d triples (%v), live graph %d: the rolled-back txn was replayed",
+			g.Len(), stats, s.Graph().Len())
+	}
+	// Followers are served the acknowledged txns only.
+	data, n, _, ok := s.FramesSince(1, 0)
+	if !ok || n != 1 || !bytes.Equal(data, EncodeTxn(2, ops2)) {
+		t.Fatalf("FramesSince(1) = %d txns, ok %v; want txn 2 as committed", n, ok)
+	}
+}
+
+// TestChaosSurvivedFsyncPanicKeepsLaterAcks: after a survived fsync
+// panic and an acknowledged commit, a failed fsync truncates back to the
+// durable size. That size must still end on the acknowledged txn, not
+// cut into it.
+func TestChaosSurvivedFsyncPanicKeepsLaterAcks(t *testing.T) {
+	s := newStore(t, Options{})
+	seedTxn(t, s, `<urn:a> <urn:p> <urn:b> .`)
+	arm(t, SiteFsync, chaos.FaultPanic)
+	crash(t, func() { s.AppendTxn(mustOps(t, `<urn:x> <urn:p> <urn:y> .`)) })
+	chaos.Reset()
+	seedTxn(t, s, `<urn:c> <urn:p> <urn:d> .`)
+	arm(t, SiteFsync, chaos.FaultError)
+	if err := s.AppendTxn(mustOps(t, `<urn:e> <urn:p> <urn:f> .`)); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("AppendTxn = %v, want injected fault", err)
+	}
+	chaos.Reset()
+
+	g, stats := reopen(t, s.Dir())
+	if stats.CommittedTxns != 2 || stats.TornTail || !rdf.Equal(g, s.Graph()) {
+		t.Fatalf("recovered %d triples (%v), live graph %d: an acknowledged txn was cut",
+			g.Len(), stats, s.Graph().Len())
+	}
+}
+
+// rotationFixture commits txns 1–2, rotates them into wal.prev, and
+// commits txns 3–4 into the live log, returning each txn's batch.
+func rotationFixture(t *testing.T, s *Store) map[uint64][]byte {
+	t.Helper()
+	want := map[uint64][]byte{}
+	for txn := uint64(1); txn <= 4; txn++ {
+		if txn == 3 {
+			if err := s.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops := seedTxn(t, s, fmt.Sprintf(`<urn:s%d> <urn:p> <urn:o> .`, txn))
+		want[txn] = EncodeTxn(txn, ops)
+	}
+	return want
+}
+
+func TestChaosRotatePanicLeavesServableDir(t *testing.T) {
+	s := newStore(t, Options{})
+	want := rotationFixture(t, s)
+	committed := s.Graph().Clone()
+
+	arm(t, SiteRotate, chaos.FaultPanic)
+	crash(t, func() { s.SnapshotNow() })
+	chaos.Reset()
+
+	// The snapshot and header are durable, the log never rotated: the
+	// snapshot plus an idempotent replay of the live log recover, and a
+	// follower that applied txn 1 is still served 2–4.
+	g, stats := reopen(t, s.Dir())
+	if stats.CommittedTxns != 2 || !rdf.Equal(g, committed) {
+		t.Fatalf("crash before rotation lost state: stats=%v", stats)
+	}
+	s2, err := Open(s.Dir(), Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	checkFrames(t, s2, want, 1, 4, 0)
+}
+
+func TestChaosRotateErrorKeepsServing(t *testing.T) {
+	s := newStore(t, Options{})
+	want := rotationFixture(t, s)
+
+	arm(t, SiteRotate, chaos.FaultError)
+	if err := s.SnapshotNow(); !errors.Is(err, chaos.ErrInjected) {
+		t.Fatalf("SnapshotNow = %v, want injected fault", err)
+	}
+	chaos.Reset()
+	checkFrames(t, s, want, 1, 4, 0)
+	g, _ := reopen(t, s.Dir())
+	if !rdf.Equal(g, s.Graph()) {
+		t.Fatal("failed rotation left an unrecoverable directory")
+	}
+
+	// The store keeps committing, and the next snapshot rotates.
+	ops := seedTxn(t, s, `<urn:s5> <urn:p> <urn:o> .`)
+	want[5] = EncodeTxn(5, ops)
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	checkFrames(t, s, want, 2, 5, 0)
+	checkBootstrap(t, s, 1)
+	g, stats := reopen(t, s.Dir())
+	if stats.CommittedTxns != 0 || !rdf.Equal(g, s.Graph()) {
+		t.Fatalf("after the retried rotation: stats=%v", stats)
+	}
+}
+
+// TestChaosReadErrorFailsPoll: a failed segment read is reported as an
+// error by PollFrames and as ok=false by FramesSince — never as frames
+// or as caught up — and the next poll serves everything.
+func TestChaosReadErrorFailsPoll(t *testing.T) {
+	s := newStore(t, Options{})
+	want := rotationFixture(t, s)
+
+	arm(t, SiteRead, chaos.FaultError)
+	data, n, _, ok, err := s.PollFrames(context.Background(), 0, time.Second, 0)
+	if !errors.Is(err, chaos.ErrInjected) || ok || n != 0 || data != nil {
+		t.Fatalf("PollFrames = %d txns, ok %v, err %v; want the injected fault", n, ok, err)
+	}
+	chaos.Enable(SiteRead, chaos.Rule{Kind: chaos.FaultError, Every: 1, Limit: 1})
+	checkBootstrap(t, s, 2)
+	chaos.Reset()
+	checkFrames(t, s, want, 0, 4, 0)
 }
 
 // TestKillAndReplayThroughManager is the end-to-end durability proof:

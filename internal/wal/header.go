@@ -2,7 +2,7 @@ package wal
 
 // The WAL header is a tiny sidecar file (wal.header) carrying
 // replication metadata that must survive restarts, snapshots, and log
-// truncations: the fencing epoch and the sealed flag. The epoch is a
+// rotations: the fencing epoch and the sealed flag. The epoch is a
 // monotonic counter bumped by failover promotion — every replication
 // request echoes it, and a node that sees a higher epoch than its own
 // knows a newer primary exists and must stop accepting writes. Sealed
@@ -10,12 +10,14 @@ package wal
 // primary cannot come back as a writable primary and split the brain.
 //
 // The header also carries the committed-transaction high-water mark.
-// Snapshots truncate the log — the only other place txn ids live — so
-// without it a restart would reset the id space to zero, silently
-// breaking every follower cursor (a follower "at" txn N of a reborn
-// primary that restarted counting would never receive anything again).
-// Every snapshot rewrites the header with the current mark; Open takes
-// the max of the header's mark and the log's highest id.
+// Snapshots rotate the log away from recovery, which reads only the
+// live log — the only other place it finds txn ids — so without it a
+// restart would reset the id space to zero, silently breaking every
+// follower cursor (a follower "at" txn N of a reborn primary that
+// restarted counting would never receive anything again). Every
+// snapshot rewrites the header with the current mark before it rotates
+// the log; Open takes the max of the header's mark and the log's
+// highest id.
 //
 // The file is human-readable ("ibwal v1 epoch N sealed 0|1 txn T\n")
 // and is replaced atomically (tmp + fsync + rename + dir fsync), so it
@@ -48,7 +50,8 @@ type Header struct {
 	Sealed bool
 	// LastTxn is the committed-transaction high-water mark as of the
 	// last header write; it keeps the txn id space monotonic across
-	// snapshots (which truncate the log, the ids' only other home).
+	// snapshots (which rotate the live log, the ids' only other home
+	// recovery reads, away).
 	LastTxn uint64
 }
 

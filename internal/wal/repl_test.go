@@ -2,12 +2,15 @@ package wal
 
 // Tests of the store's replication surface: the durable fencing header
 // (epoch + sealed flag), primary-id-preserving appends (AppendTxnAt),
-// the ship ring (FramesSince/WaitFrames), and the strict batch decoder
-// followers run on shipped bytes (DecodeTxnFrames).
+// frames served from the retained log segments (FramesSince/WaitFrames),
+// and the strict batch decoder followers run on shipped bytes
+// (DecodeTxnFrames).
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/rdf"
 )
 
@@ -194,30 +198,343 @@ func TestFramesSinceShipsDecodableBatches(t *testing.T) {
 	}
 }
 
-func TestFramesSinceRingEvictionForcesBootstrap(t *testing.T) {
-	s := newStore(t, Options{ReplBufferTxns: 2})
-	for i := 0; i < 4; i++ {
-		if err := s.AppendTxn(nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Txns 1 and 2 were evicted from the 2-slot ring: a cursor at 0 can
-	// no longer be served contiguously and must bootstrap.
-	if _, _, _, ok := s.FramesSince(0, 100); ok {
-		t.Fatal("evicted cursor served from the ring")
-	}
-	if _, n, _, ok := s.FramesSince(2, 100); !ok || n != 2 {
-		t.Fatalf("FramesSince(2) = n=%d ok=%v, want the 2 retained txns", n, ok)
-	}
-	// A negative buffer disables the ring entirely: every behind-cursor
-	// poll bootstraps.
-	s2 := newStore(t, Options{ReplBufferTxns: -1})
-	if err := s2.AppendTxn(nil); err != nil {
+// logTxn appends one transaction adding a triple unique to it, and
+// records under its id the batch the log must hold for it.
+func logTxn(t *testing.T, s *Store, want map[uint64][]byte) {
+	t.Helper()
+	txn := s.LastTxn() + 1
+	ops := mustOps(t, fmt.Sprintf(`<urn:s%d> <urn:p> "txn %d" .`, txn, txn))
+	if err := s.AppendTxn(ops); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, ok := s2.FramesSince(0, 100); ok {
-		t.Fatal("ring-less store served frames")
+	want[txn] = EncodeTxn(txn, ops)
+}
+
+// checkFrames requires FramesSince(after, maxTxns) to serve the recorded
+// batches of txns after+1..to, byte for byte, with last at head.
+func checkFrames(t *testing.T, s *Store, want map[uint64][]byte, after, to uint64, maxTxns int) {
+	t.Helper()
+	var exp []byte
+	for txn := after + 1; txn <= to; txn++ {
+		exp = append(exp, want[txn]...)
 	}
+	data, n, last, ok := s.FramesSince(after, maxTxns)
+	if !ok || uint64(n) != to-after || last != s.LastTxn() || !bytes.Equal(data, exp) {
+		t.Fatalf("FramesSince(%d, %d) = %d txns, %d bytes, last %d, ok %v; want txns %d..%d, %d bytes, last %d",
+			after, maxTxns, n, len(data), last, ok, after+1, to, len(exp), s.LastTxn())
+	}
+}
+
+// checkBootstrap requires FramesSince(after) to demand a bootstrap.
+func checkBootstrap(t *testing.T, s *Store, after uint64) {
+	t.Helper()
+	if data, n, _, ok := s.FramesSince(after, 0); ok || n != 0 || data != nil {
+		t.Fatalf("FramesSince(%d) = %d txns, ok %v; want a bootstrap", after, n, ok)
+	}
+}
+
+func TestFramesSinceServesRotatedSegments(t *testing.T) {
+	s := newStore(t, Options{})
+	want := map[uint64][]byte{}
+	for i := 0; i < 3; i++ {
+		logTxn(t, s, want)
+	}
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if s.LogSize() != 0 {
+		t.Fatalf("live log holds %d bytes after a snapshot", s.LogSize())
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), PrevLogFile)); err != nil {
+		t.Fatalf("previous segment: %v", err)
+	}
+	logTxn(t, s, want)
+	logTxn(t, s, want)
+	// One rotation: txns 1..3 come from wal.prev, 4..5 from wal.log.
+	checkFrames(t, s, want, 0, 5, 0)
+	checkFrames(t, s, want, 2, 5, 100)
+	checkFrames(t, s, want, 1, 4, 3)
+	checkFrames(t, s, want, 3, 5, 0)
+
+	// A second rotation drops the first segment: a cursor behind txn 4
+	// must bootstrap.
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	logTxn(t, s, want)
+	checkFrames(t, s, want, 3, 6, 0)
+	checkFrames(t, s, want, 5, 6, 0)
+	checkBootstrap(t, s, 2)
+	checkBootstrap(t, s, 0)
+
+	// A snapshot of an empty log keeps the previous segment.
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	checkFrames(t, s, want, 5, 6, 0)
+	checkBootstrap(t, s, 4)
+}
+
+// TestFramesSinceUnboundedReturnsEveryRetainedFrame: maxTxns ≤ 0 serves
+// every retained txn, however many, so a meter that reads the whole
+// stream each poll (n == last − cursor) never falls behind.
+func TestFramesSinceUnboundedReturnsEveryRetainedFrame(t *testing.T) {
+	s := newStore(t, Options{})
+	want := map[uint64][]byte{}
+	const txns = 1100
+	for i := 0; i < txns/2; i++ {
+		logTxn(t, s, want)
+	}
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	for i := txns / 2; i < txns; i++ {
+		logTxn(t, s, want)
+	}
+	checkFrames(t, s, want, 0, txns, 0)
+	checkFrames(t, s, want, 0, txns, -1)
+	checkFrames(t, s, want, 7, txns, 0)
+}
+
+func TestFramesSinceReopenedStoreServesBothSegments(t *testing.T) {
+	s := newStore(t, Options{})
+	want := map[uint64][]byte{}
+	for i := 0; i < 3; i++ {
+		logTxn(t, s, want)
+	}
+	if err := s.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	logTxn(t, s, want)
+	logTxn(t, s, want)
+
+	// A crash (the store abandoned open): the reopened store indexes
+	// wal.prev in one pass and wal.log from its recovery scan.
+	s2, err := Open(s.Dir(), Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFrames(t, s2, want, 0, 5, 0)
+	checkFrames(t, s2, want, 2, 5, 0)
+	logTxn(t, s2, want)
+	checkFrames(t, s2, want, 4, 6, 0)
+
+	// A graceful Close rotates the live log: the next Open serves it
+	// from wal.prev, and the segment before it is gone.
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(s.Dir(), Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if st := s3.Stats(); st.CommittedTxns != 0 || st.LogBytes != 0 {
+		t.Fatalf("recovery replayed the previous segment: %v", st)
+	}
+	checkFrames(t, s3, want, 3, 6, 0)
+	checkBootstrap(t, s3, 2)
+	logTxn(t, s3, want)
+	checkFrames(t, s3, want, 3, 7, 0)
+}
+
+// TestFramesSinceBootstrapsPastDiscardedTxn: a log whose tail holds a
+// txn recovery discards (complete frames, no commit record) leaves the
+// store's last txn past its newest committed one. Nothing can be served
+// for that id, so a follower behind it bootstraps until the next commit.
+func TestFramesSinceBootstrapsPastDiscardedTxn(t *testing.T) {
+	dir := t.TempDir()
+	ops1 := mustOps(t, `<urn:a> <urn:p> <urn:b> .`)
+	buf := EncodeTxn(1, ops1)
+	buf = appendFrame(buf, Record{Kind: KindBegin, Txn: 2})
+	buf = appendFrame(buf, Record{Kind: KindAdd, Txn: 2, Triple: `<urn:x> <urn:p> <urn:y> .`})
+	if err := os.WriteFile(filepath.Join(dir, LogFile), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.LastTxn() != 2 {
+		t.Fatalf("LastTxn = %d, want the discarded txn's id 2", s.LastTxn())
+	}
+	checkBootstrap(t, s, 0)
+	checkBootstrap(t, s, 1)
+	want := map[uint64][]byte{1: EncodeTxn(1, ops1)}
+	logTxn(t, s, want)
+	data, n, last, ok := s.FramesSince(0, 0)
+	if !ok || n != 2 || last != 3 || !bytes.Equal(data, append(append([]byte{}, want[1]...), want[3]...)) {
+		t.Fatalf("FramesSince(0) after txn 3 = %d txns, last %d, ok %v; want txns 1 and 3", n, last, ok)
+	}
+}
+
+// TestFramesSinceIndexRestartsAtReusedTxnID: a store that survived a
+// wal.fsync panic before the cut existed appended its next batch after
+// the rolled-back one, under the same txn id. Only the batch that reuses
+// the id was ever shipped, so the index restarts there: a follower at
+// txn 1 gets it, and one behind it bootstraps rather than receive the
+// rolled-back batch.
+func TestFramesSinceIndexRestartsAtReusedTxnID(t *testing.T) {
+	dir := t.TempDir()
+	txn1 := EncodeTxn(1, mustOps(t, `<urn:a> <urn:p> <urn:b> .`))
+	rolledBack := EncodeTxn(2, mustOps(t, `<urn:x> <urn:p> <urn:y> .`))
+	acked := EncodeTxn(2, mustOps(t, `<urn:c> <urn:p> <urn:d> .`))
+	log := append(append(append([]byte{}, txn1...), rolledBack...), acked...)
+	if err := os.WriteFile(filepath.Join(dir, LogFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	checkBootstrap(t, s, 0)
+	if data, n, _, ok := s.FramesSince(1, 0); !ok || n != 1 || !bytes.Equal(data, acked) {
+		t.Fatalf("FramesSince(1) = %d txns, ok %v; want the acknowledged txn 2", n, ok)
+	}
+}
+
+// TestFramesSinceDistrustsPrevSegment: Open serves nothing from a
+// wal.prev that tears, overlaps the live log or runs past the header's
+// mark, since txns between its last good frame and the live log could be
+// missing and a follower would skip them.
+func TestFramesSinceDistrustsPrevSegment(t *testing.T) {
+	ops := func(txn uint64) []rdf.ChangeOp {
+		return mustOps(t, fmt.Sprintf(`<urn:s%d> <urn:p> "txn %d" .`, txn, txn))
+	}
+	batches := func(from, to uint64) []byte {
+		var out []byte
+		for txn := from; txn <= to; txn++ {
+			out = append(out, EncodeTxn(txn, ops(txn))...)
+		}
+		return out
+	}
+	clean := batches(1, 3)
+	cases := []struct {
+		name       string
+		prev, live []byte
+		mark       uint64
+		served     bool
+	}{
+		{"clean", clean, batches(4, 5), 3, true},
+		{"torn", clean[:len(clean)-1], batches(4, 5), 3, false},
+		{"overlaps the live log", clean, batches(3, 5), 3, false},
+		{"past the header's mark", clean, batches(4, 5), 2, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, PrevLogFile), tc.prev, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, LogFile), tc.live, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeHeader(dir, Header{LastTxn: tc.mark}); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, Options{SnapshotEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			data, n, _, ok := s.FramesSince(1, 0)
+			if tc.served {
+				if !ok || n != 4 || !bytes.Equal(data, batches(2, 5)) {
+					t.Fatalf("FramesSince(1) = %d txns, ok %v; want txns 2..5", n, ok)
+				}
+				return
+			}
+			checkBootstrap(t, s, 1)
+			if data, n, _, ok := s.FramesSince(4, 0); !ok || n != 1 || !bytes.Equal(data, batches(5, 5)) {
+				t.Fatalf("FramesSince(4) = %d txns, ok %v; want txn 5 from the live log", n, ok)
+			}
+		})
+	}
+}
+
+// TestFramesSinceOnClosedStoreReadsNothing: a workspace's idle fold
+// closes its store while a follower's poll may still hold it. The poll
+// must not read the closed segments: it fails (PollFrames) or demands a
+// bootstrap (FramesSince), and a caught-up poll stays caught up.
+func TestFramesSinceOnClosedStoreReadsNothing(t *testing.T) {
+	s := newStore(t, Options{})
+	want := map[uint64][]byte{}
+	logTxn(t, s, want)
+	logTxn(t, s, want)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	arm(t, SiteRead, chaos.FaultPanic)
+	checkBootstrap(t, s, 0)
+	if _, n, _, ok, err := s.PollFrames(context.Background(), 1, time.Millisecond, 0); err == nil || ok || n != 0 {
+		t.Fatalf("PollFrames on a closed store = %d txns, ok %v, err %v; want an error", n, ok, err)
+	}
+	if _, n, last, ok := s.FramesSince(2, 0); !ok || n != 0 || last != 2 {
+		t.Fatalf("caught-up FramesSince on a closed store = %d txns, last %d, ok %v", n, last, ok)
+	}
+	if chaos.Fired(SiteRead) != 0 {
+		t.Fatal("a poll read a segment of the closed store")
+	}
+}
+
+// TestFramesSinceConcurrentWithRotation: followers poll while a writer
+// commits and rotates the log. Every poll serves the next txns after
+// its cursor, contiguous and byte-identical to what was appended, or
+// demands a bootstrap — then the follower resumes from the head, as
+// after a snapshot install.
+func TestFramesSinceConcurrentWithRotation(t *testing.T) {
+	s := newStore(t, Options{})
+	ops := func(txn uint64) []rdf.ChangeOp {
+		return mustOps(t, fmt.Sprintf(`<urn:s%d> <urn:p> "txn %d" .`, txn, txn))
+	}
+	const txns = 300
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cursor uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				data, n, last, ok := s.FramesSince(cursor, 0)
+				if !ok {
+					cursor = last
+					continue
+				}
+				var want []byte
+				for txn := cursor + 1; txn <= cursor+uint64(n); txn++ {
+					want = append(want, EncodeTxn(txn, ops(txn))...)
+				}
+				if !bytes.Equal(data, want) {
+					t.Errorf("FramesSince(%d) served %d txns that differ from the log", cursor, n)
+					return
+				}
+				cursor += uint64(n)
+			}
+		}()
+	}
+	for txn := uint64(1); txn <= txns; txn++ {
+		if err := s.AppendTxn(ops(txn)); err != nil {
+			t.Fatal(err)
+		}
+		if txn%7 == 0 {
+			if err := s.SnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestWaitFramesWakesOnAppend(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -25,12 +26,18 @@ var (
 	// ErrTxnApplied marks an AppendTxnAt whose txn id is not ahead of the
 	// store — the transaction is already durable here (idempotent replay).
 	ErrTxnApplied = errors.New("wal: txn already applied")
+
+	errClosed = errors.New("wal: store closed")
 )
 
 // File names inside a store directory.
 const (
 	SnapshotFile = "snapshot.nt"
 	LogFile      = "wal.log"
+	// PrevLogFile is the previous log segment: the log the last snapshot
+	// folded, kept so a follower behind that snapshot is still served
+	// frames. Recovery never reads it; the next rotation replaces it.
+	PrevLogFile = "wal.prev"
 	// snapshotTmp is the temporary file atomicfile.Write renames over
 	// the snapshot; one left by a crash is swept on recovery.
 	snapshotTmp = SnapshotFile + ".tmp"
@@ -38,16 +45,9 @@ const (
 
 // DefaultSnapshotEvery is the auto-snapshot cadence: after this many
 // committed transactions the log is folded into a fresh snapshot and
-// truncated. Chosen so a busy session compacts regularly while a mostly
+// rotated. Chosen so a busy session compacts regularly while a mostly
 // read-only one never rewrites the snapshot.
 const DefaultSnapshotEvery = 256
-
-// DefaultReplBufferTxns is the default capacity of the in-memory ship
-// ring: how many recent committed transactions a primary can serve to a
-// lagging replica before the replica must fall back to a snapshot
-// bootstrap. The ring holds encoded batches, so memory cost is
-// proportional to recent mutation volume, not graph size.
-const DefaultReplBufferTxns = 1024
 
 // Options tunes a Store. The zero value is production-ready.
 type Options struct {
@@ -55,10 +55,6 @@ type Options struct {
 	// automatic snapshots (0 = DefaultSnapshotEvery, negative = never;
 	// explicit SnapshotNow still works).
 	SnapshotEvery int
-	// ReplBufferTxns is the ship-ring capacity in transactions
-	// (0 = DefaultReplBufferTxns, negative = no ring; FramesSince then
-	// always demands a bootstrap unless the follower is fully caught up).
-	ReplBufferTxns int
 	// Metrics receives WAL instrumentation (nil = obs.Default()).
 	Metrics *obs.Registry
 }
@@ -95,31 +91,75 @@ func (s RecoveryStats) String() string {
 }
 
 // Store is a durable home for one blackboard graph: a snapshot file plus
-// an append-only log, both living in a single directory. All methods are
-// safe for concurrent use; appends are serialized internally.
+// an append-only log, both living in a single directory, and the log the
+// last snapshot folded, kept for followers. All methods are safe for
+// concurrent use; appends are serialized internally.
 type Store struct {
 	dir  string
 	opts Options
 	reg  *obs.Registry
 
-	mu               sync.Mutex
-	log              *os.File
+	mu   sync.Mutex
+	live segment // wal.log, open for appends and reads
+	prev segment // wal.prev, open for reads (f nil when absent)
+	// logSize is the durable length of the live log. unacked is set
+	// while an append is between its write and its return: a panic
+	// there (the server and the replica's tail loop both survive one)
+	// leaves bytes past logSize that the next append or rotation cuts.
 	logSize          int64
+	unacked          bool
 	g                *rdf.Graph
 	nextTxn          uint64
 	commitsSinceSnap int
 	stats            RecoveryStats
 	hdr              Header
-	ring             []shippedTxn // recent encoded batches, ascending txn
-	replWake         chan struct{}
+	replWake         chan struct{} // closed and replaced at each commit
 	closed           bool
 }
 
-// shippedTxn is one ring entry: a committed transaction's id and its
-// encoded batch, byte-identical to what sits in the log file.
-type shippedTxn struct {
-	txn  uint64
-	data []byte
+// segment is one log file and the spans of the committed transactions
+// it holds, ascending by txn id.
+type segment struct {
+	f     *os.File
+	spans []txnSpan
+}
+
+// txnSpan locates one committed transaction's batch in a segment: its
+// frames, begin record to commit record, fill the bytes [off, end).
+type txnSpan struct {
+	txn      uint64
+	off, end int64
+}
+
+// spanIndexer builds a segment's spans from its frames in file order. A
+// transaction is indexed at its commit record when its frames ran
+// contiguously from its begin record, as the writer lays every batch
+// down. A committed transaction that cannot be served as one byte range,
+// or whose id does not ascend, drops every span before it, so a follower
+// behind it bootstraps instead of skipping it.
+type spanIndexer struct {
+	spans []txnSpan
+	open  txnSpan
+	inTxn bool
+}
+
+func (x *spanIndexer) add(f frame) {
+	switch {
+	case f.kind == KindBegin:
+		x.open, x.inTxn = txnSpan{txn: f.txn, off: f.off}, true
+		return
+	case x.inTxn && f.txn == x.open.txn && (f.kind == KindAdd || f.kind == KindDel):
+		return
+	case x.inTxn && f.txn == x.open.txn && f.kind == KindCommit:
+		if n := len(x.spans); n > 0 && x.spans[n-1].txn >= f.txn {
+			x.spans = x.spans[:0]
+		}
+		x.open.end = f.end
+		x.spans = append(x.spans, x.open)
+	case f.kind == KindCommit:
+		x.spans = x.spans[:0]
+	}
+	x.inTxn = false
 }
 
 // Open recovers the store in dir (creating it if absent) and returns a
@@ -138,7 +178,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := chaos.Inject(SiteRecover); err != nil {
 		return nil, fmt.Errorf("wal: recover: %w", err)
 	}
-	g, stats, maxTxn, err := recoverDir(dir, reg)
+	g, stats, maxTxn, spans, err := recoverDir(dir, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +188,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	// The txn id space continues from whichever mark is higher: the log's
 	// highest id, or the header's high-water mark from the last snapshot
-	// (snapshots truncate the log, so the log alone under-counts).
+	// (recovery reads only the live log, which a snapshot rotates away).
 	if hdr.LastTxn > maxTxn {
 		maxTxn = hdr.LastTxn
 	}
@@ -159,9 +199,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		reg.Counter(MetricTornTails).Inc()
 	}
-	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
+	}
+	prev, err := openPrev(dir, hdr.LastTxn, spans)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
 	reg.Counter(MetricRecoveredTxns, "status", "committed").Add(int64(stats.CommittedTxns))
 	reg.Counter(MetricRecoveredTxns, "status", "discarded").Add(int64(stats.DiscardedTxns))
@@ -170,7 +215,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		opts:     opts,
 		reg:      reg,
-		log:      f,
+		live:     segment{f: f, spans: spans},
+		prev:     prev,
 		logSize:  stats.LogBytes,
 		g:        g,
 		nextTxn:  maxTxn,
@@ -178,6 +224,37 @@ func Open(dir string, opts Options) (*Store, error) {
 		hdr:      hdr,
 		replWake: make(chan struct{}),
 	}, nil
+}
+
+// openPrev opens the previous segment for reading and indexes it in one
+// pass. It serves nothing (and stays closed) unless it frames cleanly
+// and every txn in it precedes the live log's and falls under the
+// header's mark, the snapshot that folded it: otherwise transactions
+// between its last good frame and the live log could be missing, and a
+// follower must bootstrap rather than skip them.
+func openPrev(dir string, mark uint64, live []txnSpan) (segment, error) {
+	path := filepath.Join(dir, PrevLogFile)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return segment{}, nil
+	}
+	if err != nil {
+		return segment{}, fmt.Errorf("wal: %w", err)
+	}
+	var x spanIndexer
+	_, torn, _ := walkFrames(data, func(fr frame) error {
+		x.add(fr)
+		return nil
+	})
+	n := len(x.spans)
+	if torn || n == 0 || x.spans[n-1].txn > mark || (len(live) > 0 && x.spans[n-1].txn >= live[0].txn) {
+		return segment{}, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return segment{}, fmt.Errorf("wal: %w", err)
+	}
+	return segment{f: f, spans: x.spans}, nil
 }
 
 func describeMetrics(reg *obs.Registry) {
@@ -195,13 +272,14 @@ func describeMetrics(reg *obs.Registry) {
 // truncating torn tails or opening the log for writing. `workbench
 // fsck` is built on this.
 func Recover(dir string) (*rdf.Graph, RecoveryStats, error) {
-	g, stats, _, err := recoverDir(dir, obs.NewRegistry())
+	g, stats, _, _, err := recoverDir(dir, obs.NewRegistry())
 	return g, stats, err
 }
 
 // recoverDir loads snapshot + log from dir. It returns the recovered
-// graph, stats, and the highest transaction id seen in the log.
-func recoverDir(dir string, reg *obs.Registry) (*rdf.Graph, RecoveryStats, uint64, error) {
+// graph, stats, the highest transaction id seen in the log, and the
+// spans of the log's committed transactions.
+func recoverDir(dir string, reg *obs.Registry) (*rdf.Graph, RecoveryStats, uint64, []txnSpan, error) {
 	var stats RecoveryStats
 	// A leftover temp snapshot means a crash mid-snapshot: the real
 	// snapshot plus the intact log still hold the full state.
@@ -212,40 +290,43 @@ func recoverDir(dir string, reg *obs.Registry) (*rdf.Graph, RecoveryStats, uint6
 		loaded, rerr := rdf.ReadNTriples(f)
 		f.Close()
 		if rerr != nil {
-			return nil, stats, 0, fmt.Errorf("wal: snapshot: %w", rerr)
+			return nil, stats, 0, nil, fmt.Errorf("wal: snapshot: %w", rerr)
 		}
 		g = loaded
 		stats.SnapshotTriples = g.Len()
 	} else if !os.IsNotExist(err) {
-		return nil, stats, 0, fmt.Errorf("wal: %w", err)
+		return nil, stats, 0, nil, fmt.Errorf("wal: %w", err)
 	}
 
 	data, err := os.ReadFile(filepath.Join(dir, LogFile))
 	if err != nil && !os.IsNotExist(err) {
-		return nil, stats, 0, fmt.Errorf("wal: %w", err)
+		return nil, stats, 0, nil, fmt.Errorf("wal: %w", err)
 	}
 
 	// Replay: buffer each transaction's ops, apply them only at its
 	// commit record, in log order. Ops journal only effective mutations,
 	// so re-applying a transaction already folded into the snapshot
-	// (crash between snapshot rename and log truncation) is a no-op.
+	// (crash between the snapshot's rename and the log's rotation) is a
+	// no-op. The same scan indexes the committed transactions' spans.
 	pending := map[uint64][]rdf.ChangeOp{}
 	var maxTxn uint64
-	clean, torn, err := scanFrames(data, func(r Record) error {
-		if r.Txn > maxTxn {
-			maxTxn = r.Txn
+	var index spanIndexer
+	clean, torn, err := walkFrames(data, func(fr frame) error {
+		index.add(fr)
+		if fr.txn > maxTxn {
+			maxTxn = fr.txn
 		}
-		switch r.Kind {
+		switch fr.kind {
 		case KindBegin:
-			pending[r.Txn] = nil
+			pending[fr.txn] = nil
 		case KindAdd, KindDel:
-			t, perr := rdf.ParseTriple(r.Triple)
+			t, perr := rdf.ParseTriple(string(fr.triple))
 			if perr != nil {
-				return fmt.Errorf("wal: replay txn %d: %w", r.Txn, perr)
+				return fmt.Errorf("wal: replay txn %d: %w", fr.txn, perr)
 			}
-			pending[r.Txn] = append(pending[r.Txn], rdf.ChangeOp{Add: r.Kind == KindAdd, T: t})
+			pending[fr.txn] = append(pending[fr.txn], rdf.ChangeOp{Add: fr.kind == KindAdd, T: t})
 		case KindCommit:
-			for _, op := range pending[r.Txn] {
+			for _, op := range pending[fr.txn] {
 				if op.Add {
 					g.Add(op.T)
 				} else {
@@ -253,22 +334,22 @@ func recoverDir(dir string, reg *obs.Registry) (*rdf.Graph, RecoveryStats, uint6
 				}
 				stats.ReplayedOps++
 			}
-			delete(pending, r.Txn)
+			delete(pending, fr.txn)
 			stats.CommittedTxns++
 		case KindAbort:
-			delete(pending, r.Txn)
+			delete(pending, fr.txn)
 			stats.DiscardedTxns++
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, stats, 0, err
+		return nil, stats, 0, nil, err
 	}
 	stats.DiscardedTxns += len(pending)
 	stats.TornTail = torn
 	stats.TornAtOffset = clean
 	stats.LogBytes = clean
-	return g, stats, maxTxn, nil
+	return g, stats, maxTxn, index.spans, nil
 }
 
 // Graph returns the recovered (and thereafter live) graph. The caller —
@@ -326,7 +407,7 @@ func (s *Store) AppendTxnContext(ctx context.Context, ops []rdf.ChangeOp) (err e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("wal: store closed")
+		return errClosed
 	}
 	return s.appendTxnLocked(ctx, s.nextTxn+1, ops)
 }
@@ -351,7 +432,7 @@ func (s *Store) AppendTxnAt(ctx context.Context, txn uint64, ops []rdf.ChangeOp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("wal: store closed")
+		return errClosed
 	}
 	if txn <= s.nextTxn {
 		return fmt.Errorf("wal: txn %d not ahead of %d: %w", txn, s.nextTxn, ErrTxnApplied)
@@ -360,38 +441,44 @@ func (s *Store) AppendTxnAt(ctx context.Context, txn uint64, ops []rdf.ChangeOp)
 }
 
 // appendTxnLocked frames, writes, and fsyncs one transaction batch,
-// then advances the txn counter, feeds the ship ring, and runs the
-// auto-snapshot cadence. Callers hold s.mu and have validated txn.
+// then advances the txn counter, indexes the batch, wakes long-polling
+// followers, and runs the auto-snapshot cadence. Callers hold s.mu and
+// have validated txn.
 func (s *Store) appendTxnLocked(ctx context.Context, txn uint64, ops []rdf.ChangeOp) error {
 	buf := EncodeTxn(txn, ops)
 	if err := chaos.Inject(SiteAppend); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	n, err := s.log.Write(buf)
-	if err != nil {
-		// A short write leaves a torn tail in the file; truncate back so
-		// the in-process log stays frame-aligned (recovery would discard
-		// the tail anyway).
-		if n > 0 {
-			s.log.Truncate(s.logSize)
-		}
+	if err := s.cutLocked(); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	s.unacked = true
+	if _, err := s.live.f.Write(buf); err != nil {
+		// A short write leaves a torn tail in the file; cut it so the
+		// in-process log stays frame-aligned (recovery would discard
+		// the tail anyway). A cut that fails leaves unacked set, and the
+		// next append or rotation retries it.
+		_ = s.cutLocked()
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	fsp, _ := obs.StartSpan(ctx, "wal.fsync")
-	err = s.fsyncLocked()
+	err := s.fsyncLocked()
 	fsp.SetError(err)
 	fsp.End()
 	if err != nil {
 		// The bytes may or may not have reached disk. The commit is going
 		// to fail and roll back, so the record must not survive either:
-		// truncate it away and re-sync best-effort.
-		s.log.Truncate(s.logSize)
-		s.log.Sync()
+		// cut it away (or, if the cut fails, at the next append).
+		_ = s.cutLocked()
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	s.logSize += int64(len(buf))
+	s.unacked = false
+	span := txnSpan{txn: txn, off: s.logSize, end: s.logSize + int64(len(buf))}
+	s.live.spans = append(s.live.spans, span)
+	s.logSize = span.end
 	s.nextTxn = txn
-	s.ringPushLocked(txn, buf)
+	close(s.replWake)
+	s.replWake = make(chan struct{})
 	countTxnRecords(s.reg, ops)
 	s.reg.Counter(MetricBatches).Inc()
 	s.reg.Gauge(MetricSizeBytes).Set(float64(s.logSize))
@@ -428,29 +515,51 @@ func (s *Store) fsyncLocked() error {
 		return err
 	}
 	t0 := time.Now()
-	err := s.log.Sync()
+	err := s.live.f.Sync()
 	s.reg.Histogram(MetricFsync, obs.LatencyBuckets).ObserveDuration(time.Since(t0))
 	return err
 }
 
+// cutLocked truncates the live log back to logSize, durably, when an
+// append that never returned may have left bytes past it. Without the
+// cut, the next batch would land after a rolled-back one, which the next
+// Open replays and a later failed append's truncation tears.
+func (s *Store) cutLocked() error {
+	if !s.unacked {
+		return nil
+	}
+	if err := s.live.f.Truncate(s.logSize); err != nil {
+		return err
+	}
+	if err := s.live.f.Sync(); err != nil {
+		return err
+	}
+	s.unacked = false
+	return nil
+}
+
 // SnapshotNow folds the current graph into a fresh snapshot and
-// truncates the log. Safe to call at any time; concurrent appends wait.
+// rotates the log. Safe to call at any time; concurrent appends wait.
 func (s *Store) SnapshotNow() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("wal: store closed")
+		return errClosed
 	}
 	return s.snapshotLocked()
 }
 
 // snapshotLocked writes the snapshot crash-safely with atomicfile.Write
 // (temp file, failpoint, fsync, atomic rename, directory fsync), then
-// truncates the log. A
-// crash at any point leaves a recoverable directory — before the rename
-// the old snapshot + full log win; between rename and truncation the new
-// snapshot plus an idempotent replay win.
+// rotates the log. A crash at any point leaves a recoverable directory —
+// before the rename the old snapshot + full log win; between the
+// snapshot's rename and the log's rotation the new snapshot plus an
+// idempotent replay win; after it the new snapshot and an empty (or
+// absent) live log do.
 func (s *Store) snapshotLocked() error {
+	if err := s.cutLocked(); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
+	}
 	err := atomicfile.Write(filepath.Join(s.dir, SnapshotFile), func(w io.Writer) error {
 		if err := rdf.WriteNTriples(w, s.g); err != nil {
 			return err
@@ -461,24 +570,65 @@ func (s *Store) snapshotLocked() error {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	// Persist the txn high-water mark before the log (its only other
-	// home) is truncated. Ordered this way a crash in between is safe:
-	// snapshot + intact log still recover, and Open takes the max of the
-	// two marks.
+	// home recovery reads) rotates away. Ordered this way a crash in
+	// between is safe: snapshot + intact log still recover, and Open
+	// takes the max of the two marks.
 	if h := (Header{Epoch: s.hdr.Epoch, Sealed: s.hdr.Sealed, LastTxn: s.nextTxn}); h != s.hdr {
 		if err := writeHeader(s.dir, h); err != nil {
 			return err
 		}
 		s.hdr = h
 	}
-	if err := s.log.Truncate(0); err != nil {
-		return fmt.Errorf("wal: snapshot: truncating log: %w", err)
+	// A snapshot of an empty log keeps the previous segment: rotating
+	// would replace it with nothing.
+	if s.logSize > 0 {
+		if err := s.rotateLocked(); err != nil {
+			return err
+		}
 	}
-	s.log.Sync()
-	s.logSize = 0
 	s.commitsSinceSnap = 0
 	s.reg.Counter(MetricSnapshots).Inc()
 	s.reg.Gauge(MetricSizeBytes).Set(0)
 	return nil
+}
+
+// rotateLocked renames the live log over the previous segment, starts a
+// fresh live log, and fsyncs the directory. The old log's handle stays
+// open and now reads the previous segment.
+func (s *Store) rotateLocked() error {
+	if err := chaos.Inject(SiteRotate); err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	logPath := filepath.Join(s.dir, LogFile)
+	if err := os.Rename(logPath, filepath.Join(s.dir, PrevLogFile)); err != nil {
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	f, err := os.OpenFile(logPath, os.O_CREATE|os.O_EXCL|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		// The live log now sits where recovery does not read it, so an
+		// append to it would be lost at the next Open. Refuse appends
+		// instead; the directory recovers, since the snapshot holds
+		// every txn and Open creates a fresh log.
+		s.closeFilesLocked()
+		return fmt.Errorf("wal: rotate: %w", err)
+	}
+	atomicfile.SyncDir(s.dir)
+	if s.prev.f != nil {
+		s.prev.f.Close()
+	}
+	s.prev, s.live = s.live, segment{f: f}
+	s.logSize = 0
+	return nil
+}
+
+// closeFilesLocked releases both segments and marks the store closed.
+func (s *Store) closeFilesLocked() error {
+	s.closed = true
+	err := s.live.f.Close()
+	if s.prev.f != nil {
+		s.prev.f.Close()
+	}
+	return err
 }
 
 // LogSize returns the current clean log length in bytes.
@@ -495,112 +645,137 @@ func (s *Store) LastTxn() uint64 {
 	return s.nextTxn
 }
 
-// replBufferTxns resolves the configured ship-ring capacity.
-func (s *Store) replBufferTxns() int {
-	switch {
-	case s.opts.ReplBufferTxns > 0:
-		return s.opts.ReplBufferTxns
-	case s.opts.ReplBufferTxns < 0:
-		return 0
-	default:
-		return DefaultReplBufferTxns
-	}
-}
-
-// ringPushLocked records a freshly durable batch in the ship ring and
-// wakes any long-polling followers. The ring deliberately survives log
-// truncation (snapshots): a follower slightly behind a compaction can
-// still be served frames instead of being forced into a full bootstrap.
-func (s *Store) ringPushLocked(txn uint64, data []byte) {
-	limit := s.replBufferTxns()
-	if limit > 0 {
-		s.ring = append(s.ring, shippedTxn{txn: txn, data: data})
-		if excess := len(s.ring) - limit; excess > 0 {
-			s.ring = append([]shippedTxn(nil), s.ring[excess:]...)
-		}
-	}
-	close(s.replWake)
-	s.replWake = make(chan struct{})
-}
-
 // FramesSince returns the encoded batches of up to maxTxns committed
-// transactions with id > after, concatenated in log order (decodable
-// with DecodeTxnFrames), plus the store's last txn id. ok=false means
-// the ship ring no longer reaches back to after+1 — the follower must
-// bootstrap from a snapshot. A follower at or ahead of last gets an
-// empty ok=true (ahead is the caller's anomaly to surface). The ring is
-// rebuilt empty at Open, so a follower resuming across a primary
-// restart re-bootstraps by design.
+// transactions with id > after (maxTxns ≤ 0: every one retained),
+// concatenated in log order (decodable with DecodeTxnFrames), plus the
+// store's last txn id. The batches are read from the previous and the
+// live log segment, never past the live log's durable size. ok=false
+// means the segments no longer reach back to after+1 — the follower
+// must bootstrap from a snapshot — or that the read failed (PollFrames
+// tells the two apart). A follower at or ahead of last gets an empty
+// ok=true (ahead is the caller's anomaly to surface).
 func (s *Store) FramesSince(after uint64, maxTxns int) (data []byte, n int, last uint64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, n, last, ok, _ = s.framesSinceLocked(after, maxTxns)
+	data, n, last, ok, _, err := s.poll(after, maxTxns)
+	if err != nil {
+		return nil, 0, last, false
+	}
 	return data, n, last, ok
-}
-
-func (s *Store) framesSinceLocked(after uint64, maxTxns int) (data []byte, n int, last uint64, ok bool, wake <-chan struct{}) {
-	last = s.nextTxn
-	wake = s.replWake
-	if after >= last {
-		return nil, 0, last, true, wake
-	}
-	if len(s.ring) == 0 || s.ring[0].txn > after+1 {
-		return nil, 0, last, false, wake
-	}
-	if maxTxns <= 0 {
-		maxTxns = DefaultReplBufferTxns
-	}
-	for _, e := range s.ring {
-		if e.txn <= after {
-			continue
-		}
-		if n >= maxTxns {
-			break
-		}
-		data = append(data, e.data...)
-		n++
-	}
-	return data, n, last, true, wake
 }
 
 // WaitFrames is FramesSince with a long-poll: when the follower is
 // caught up it blocks until a new transaction commits, the timeout
 // elapses, or ctx is done (the latter two return empty, ok=true). A
-// bootstrap-needed condition returns immediately.
+// bootstrap-needed condition or a failed read returns ok=false at once.
 func (s *Store) WaitFrames(ctx context.Context, after uint64, timeout time.Duration, maxTxns int) (data []byte, n int, last uint64, ok bool) {
+	data, n, last, ok, err := s.PollFrames(ctx, after, timeout, maxTxns)
+	if err != nil {
+		return nil, 0, last, false
+	}
+	return data, n, last, ok
+}
+
+// PollFrames is WaitFrames reporting a failed segment read, or a store
+// closed under the poll, as err rather than as ok=false: the follower
+// should retry it, not bootstrap.
+func (s *Store) PollFrames(ctx context.Context, after uint64, timeout time.Duration, maxTxns int) (data []byte, n int, last uint64, ok bool, err error) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	for {
-		s.mu.Lock()
-		data, n, last, ok, wake := s.framesSinceLocked(after, maxTxns)
-		s.mu.Unlock()
-		if !ok || n > 0 {
-			return data, n, last, ok
+		data, n, last, ok, wake, err := s.poll(after, maxTxns)
+		if err != nil || !ok || n > 0 {
+			return data, n, last, ok, err
 		}
 		select {
 		case <-wake:
 		case <-deadline.C:
-			return nil, 0, last, true
+			return nil, 0, last, true, nil
 		case <-ctx.Done():
-			return nil, 0, last, true
+			return nil, 0, last, true, nil
 		}
 	}
 }
 
-// Close snapshots (folding the log away so the next Open starts clean)
-// and releases the log file. Further appends fail.
+// poll runs one framesSinceLocked under the lock and returns the channel
+// the next commit closes.
+func (s *Store) poll(after uint64, maxTxns int) (data []byte, n int, last uint64, ok bool, wake <-chan struct{}, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, n, last, ok, err = s.framesSinceLocked(after, maxTxns)
+	return data, n, last, ok, s.replWake, err
+}
+
+func (s *Store) framesSinceLocked(after uint64, maxTxns int) (data []byte, n int, last uint64, ok bool, err error) {
+	last = s.nextTxn
+	if after >= last {
+		return nil, 0, last, true, nil
+	}
+	if s.closed {
+		return nil, 0, last, false, errClosed
+	}
+	// Serve only a cursor the retained spans reach from after+1 through
+	// last: recovery can set last past the newest committed span (the
+	// header's mark, or ids of discarded txns), and nothing can be served
+	// for the txns in between.
+	oldest, newest := s.prev.spans, s.live.spans
+	if len(oldest) == 0 {
+		oldest = newest
+	}
+	if len(newest) == 0 {
+		newest = oldest
+	}
+	if len(oldest) == 0 || oldest[0].txn > after+1 || newest[len(newest)-1].txn != last {
+		return nil, 0, last, false, nil
+	}
+	segs := [2]*segment{&s.prev, &s.live}
+	var picks [2][]txnSpan
+	var size int64
+	for i, seg := range segs {
+		sp := seg.spans[sort.Search(len(seg.spans), func(k int) bool { return seg.spans[k].txn > after }):]
+		if maxTxns > 0 && n+len(sp) > maxTxns {
+			sp = sp[:maxTxns-n]
+		}
+		for _, t := range sp {
+			size += t.end - t.off
+		}
+		picks[i] = sp
+		n += len(sp)
+	}
+	data = make([]byte, size)
+	pos := int64(0)
+	for i, seg := range segs {
+		if len(picks[i]) == 0 {
+			continue
+		}
+		if err := chaos.Inject(SiteRead); err != nil {
+			return nil, 0, last, false, fmt.Errorf("wal: read: %w", err)
+		}
+		for _, t := range picks[i] {
+			if _, err := seg.f.ReadAt(data[pos:pos+t.end-t.off], t.off); err != nil {
+				return nil, 0, last, false, fmt.Errorf("wal: read: %w", err)
+			}
+			pos += t.end - t.off
+		}
+	}
+	return data, n, last, true, nil
+}
+
+// Close snapshots (folding the log into the snapshot and rotating it,
+// so the next Open replays nothing) and releases both segments. Further
+// appends fail, and so does a read of frames.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
-	var err error
-	if s.logSize > 0 {
+	err := s.cutLocked()
+	if err == nil && s.logSize > 0 {
 		err = s.snapshotLocked()
 	}
-	s.closed = true
-	if cerr := s.log.Close(); err == nil {
+	if s.closed { // a failed rotation closed the files
+		return err
+	}
+	if cerr := s.closeFilesLocked(); err == nil {
 		err = cerr
 	}
 	return err

@@ -7,7 +7,10 @@
 // the latest snapshot, replays the log's committed transactions in
 // order, and truncates any torn tail — so a process killed at any
 // instant restarts with exactly the committed state (rdf.Equal to the
-// pre-crash graph), never a partial transaction.
+// pre-crash graph), never a partial transaction. A snapshot rotates the
+// log into one retained previous segment (wal.prev), which recovery
+// never reads; the Store serves followers their frames from it and the
+// live log (FramesSince).
 //
 // The package is stdlib-only and depends only on internal/rdf,
 // internal/chaos and internal/obs, keeping the dependency arrow
@@ -58,6 +61,12 @@ const (
 	SiteSnapshot chaos.Site = "wal.snapshot"
 	// SiteRecover fires at the start of recovery (Open).
 	SiteRecover chaos.Site = "wal.recover"
+	// SiteRotate fires after a snapshot and its header are durable,
+	// before the live log is renamed over the previous segment.
+	SiteRotate chaos.Site = "wal.rotate"
+	// SiteRead fires before committed frames are read from a log
+	// segment for a follower.
+	SiteRead chaos.Site = "wal.read"
 )
 
 func init() {
@@ -65,6 +74,8 @@ func init() {
 	chaos.RegisterSite(SiteFsync, "before a WAL fsync")
 	chaos.RegisterSite(SiteSnapshot, "mid-snapshot, before the atomic rename")
 	chaos.RegisterSite(SiteRecover, "at the start of WAL recovery")
+	chaos.RegisterSite(SiteRotate, "after a snapshot is durable, before the log rotates")
+	chaos.RegisterSite(SiteRead, "before frames are read from a WAL segment")
 }
 
 // Kind tags one WAL record.
@@ -144,31 +155,42 @@ func endFrame(buf []byte, start int) []byte {
 	return buf
 }
 
-// decodePayload parses one record payload (already CRC-verified).
-func decodePayload(p []byte) (Record, error) {
+// decodePayload parses one record payload (already CRC-verified) into
+// its kind, txn id and triple bytes, which alias p.
+func decodePayload(p []byte) (Kind, uint64, []byte, error) {
 	if len(p) == 0 {
-		return Record{}, fmt.Errorf("wal: empty record payload")
+		return 0, 0, nil, fmt.Errorf("wal: empty record payload")
 	}
 	k := Kind(p[0])
 	switch k {
 	case KindBegin, KindAdd, KindDel, KindCommit, KindAbort:
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind 0x%02x", p[0])
+		return 0, 0, nil, fmt.Errorf("wal: unknown record kind 0x%02x", p[0])
 	}
 	txn, n := binary.Uvarint(p[1:])
 	if n <= 0 {
-		return Record{}, fmt.Errorf("wal: bad txn id varint")
+		return 0, 0, nil, fmt.Errorf("wal: bad txn id varint")
 	}
-	return Record{Kind: k, Txn: txn, Triple: string(p[1+n:])}, nil
+	return k, txn, p[1+n:], nil
 }
 
-// scanFrames walks the framed records in data, calling fn for each
+// frame is one fully framed, CRC-valid record as walkFrames finds it:
+// its kind, txn id and triple bytes (aliasing the walked data), and the
+// byte range [off, end) the frame occupies.
+type frame struct {
+	kind     Kind
+	txn      uint64
+	triple   []byte
+	off, end int64
+}
+
+// walkFrames walks the framed records in data, calling fn for each
 // fully-framed, CRC-valid record. It returns the byte offset just past
 // the last good record; torn reports whether trailing bytes had to be
 // discarded (a partial frame, a CRC mismatch, or an implausible length
 // — everything from the first bad frame on is treated as torn tail,
 // because nothing after it can be trusted).
-func scanFrames(data []byte, fn func(Record) error) (clean int64, torn bool, err error) {
+func walkFrames(data []byte, fn func(frame) error) (clean int64, torn bool, err error) {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < frameOverhead {
@@ -179,24 +201,33 @@ func scanFrames(data []byte, fn func(Record) error) (clean int64, torn bool, err
 			return int64(off), true, nil
 		}
 		wantCRC := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		payload := data[off+frameOverhead : off+frameOverhead+payloadLen]
+		end := off + frameOverhead + payloadLen
+		payload := data[off+frameOverhead : end]
 		if crc32.ChecksumIEEE(payload) != wantCRC {
 			return int64(off), true, nil
 		}
-		rec, derr := decodePayload(payload)
+		k, txn, triple, derr := decodePayload(payload)
 		if derr != nil {
 			// Framed and checksummed but undecodable: corruption that a
 			// torn write cannot explain. Stop here and report it.
 			return int64(off), true, nil
 		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return int64(off), false, err
-			}
+		if err := fn(frame{kind: k, txn: txn, triple: triple, off: int64(off), end: int64(end)}); err != nil {
+			return int64(off), false, err
 		}
-		off += frameOverhead + payloadLen
+		off = end
 	}
 	return int64(off), false, nil
+}
+
+// scanFrames is walkFrames handing fn decoded Records (fn may be nil).
+func scanFrames(data []byte, fn func(Record) error) (clean int64, torn bool, err error) {
+	return walkFrames(data, func(f frame) error {
+		if fn == nil {
+			return nil
+		}
+		return fn(Record{Kind: f.kind, Txn: f.txn, Triple: string(f.triple)})
+	})
 }
 
 // EncodeTxn frames one committed transaction (begin, ops, commit) into a
@@ -253,10 +284,11 @@ func DecodeTxnFrames(data []byte) ([]TxnFrame, error) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:off+8]) {
 			return nil, fmt.Errorf("wal: shipped batch: CRC mismatch at byte %d", off)
 		}
-		rec, err := decodePayload(payload)
+		k, txn, triple, err := decodePayload(payload)
 		if err != nil {
 			return nil, fmt.Errorf("wal: shipped batch: %w", err)
 		}
+		rec := Record{Kind: k, Txn: txn, Triple: string(triple)}
 		end := off + frameOverhead + payloadLen
 		switch rec.Kind {
 		case KindBegin:

@@ -189,7 +189,8 @@ func (w *Workspace) HighWater() uint64 {
 }
 
 // WALSize returns the partition's live log size in bytes (0 when folded
-// closed — a fold truncates the log).
+// closed — a fold rotates the live log into wal.prev, which this does
+// not count).
 func (w *Workspace) WALSize() int64 {
 	w.storeMu.Lock()
 	defer w.storeMu.Unlock()

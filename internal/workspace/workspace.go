@@ -70,9 +70,6 @@ type Options struct {
 	// Root is the service data directory; workspace partitions live
 	// under Root/ws/<name>/. Empty means every workspace is in-memory.
 	Root string
-	// ReplBufferTxns forwards to wal.Options for every partition (0 =
-	// wal.DefaultReplBufferTxns).
-	ReplBufferTxns int
 	// Metrics is the process-wide registry. Every workspace gets a
 	// WithLabels("workspace", name) view of it. nil = obs.Default().
 	Metrics *obs.Registry
@@ -198,13 +195,10 @@ func (m *Manager) openLocked(name string, q Quota) (*Workspace, error) {
 	}
 	wsReg := m.reg.WithLabels("workspace", name)
 	ws := &Workspace{
-		name:  name,
-		reg:   wsReg,
-		quota: q,
-		walOpts: wal.Options{
-			ReplBufferTxns: m.opts.ReplBufferTxns,
-			Metrics:        wsReg,
-		},
+		name:      name,
+		reg:       wsReg,
+		quota:     q,
+		walOpts:   wal.Options{Metrics: wsReg},
 		lastTouch: time.Now(),
 	}
 	if m.opts.Root != "" {
