@@ -10,6 +10,7 @@ package workbench
 // suites; benchmarks only measure.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -84,8 +85,10 @@ func BenchmarkEngineRun(b *testing.B) {
 
 // BenchmarkEngineRematch measures the incremental re-match paths against
 // the cold runs of BenchmarkEngineRun: a warm full run served from the
-// score-matrix cache, a decision-only rematch (pins fast path), and a
-// single-element rename (cross-shaped incremental recompute).
+// score-matrix cache, a decision-only rematch (pins fast path), a
+// single-element rename (cross-shaped incremental recompute), and the
+// server's path, a match session re-reading a source whose new version
+// renames and re-documents one leaf.
 func BenchmarkEngineRematch(b *testing.B) {
 	sizes := []struct {
 		name                        string
@@ -144,6 +147,44 @@ func BenchmarkEngineRematch(b *testing.B) {
 			}
 			b.StopTimer()
 			leaf.Name = base
+		})
+
+		b.Run(sz.name+"/rematch-reload", func(b *testing.B) {
+			reg := obs.NewRegistry()
+			bb := blackboard.New()
+			bb.SetMetrics(reg)
+			for _, s := range []*model.Schema{src, tgt} {
+				if _, err := bb.PutSchema(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			mp, err := bb.NewMapping("m", src.Name, tgt.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess := harmony.NewSession(harmony.Options{Flooding: true, Metrics: reg})
+			if _, err := sess.Rematch(context.Background(), bb, mp, harmony.Dirty{}, 0.5); err != nil {
+				b.Fatal(err)
+			}
+			// Two source versions, one with a leaf renamed and
+			// re-documented; each put moves the source's version, so the
+			// session hands the engine a new schema object every time.
+			edited := src.Clone()
+			leaf := edited.Elements()[len(edited.Elements())-1]
+			leaf.Name += "Edited"
+			leaf.Doc += " revised wording"
+			versions := []*model.Schema{edited, src.Clone()}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := bb.PutSchema(versions[i%2]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := sess.Rematch(context.Background(), bb, mp, harmony.Dirty{}, 0.5); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

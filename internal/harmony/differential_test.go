@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -221,9 +222,12 @@ func TestDifferentialRematchEqualsColdRunBlocking(t *testing.T) {
 	runDifferentialScript(t, match.BlockingOptions{Enabled: true, PerSourceK: 8})
 }
 
-// TestRematchWithReplacedSchemas proves the server path: the engine
-// re-aligns against brand-new schema objects by element ID and still
-// matches a cold run, reusing unchanged rows.
+// TestRematchWithReplacedSchemas proves the server path: a session hands
+// the engine brand-new schema objects, and the engine re-aligns them by
+// element ID and still matches a cold run, also when a new word and a
+// dropped document move the corpus. That the context keeps clean rows
+// across new objects is checked in internal/match
+// (TestRefreshMatchesFreshContext).
 func TestRematchWithReplacedSchemas(t *testing.T) {
 	src, tgt := diffPair(7, 8, 40, 60)
 	live := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
@@ -233,7 +237,7 @@ func TestRematchWithReplacedSchemas(t *testing.T) {
 	tgt2 := tgt.Clone()
 	renamed := src2.Elements()[3]
 	renamed.Name = renamed.Name + "Replaced"
-	live.RematchWith(src2, tgt2, Dirty{})
+	live.rematch(context.Background(), src2, tgt2, Dirty{})
 	if live.LastRematchMode() != RematchIncremental {
 		t.Fatalf("mode = %s; want incremental", live.LastRematchMode())
 	}
@@ -247,10 +251,34 @@ func TestRematchWithReplacedSchemas(t *testing.T) {
 	// the engine must treat that as a drop + add and still agree with a
 	// cold run over the replacement objects.
 	srcCopy, tgtCopy := src2.Clone(), tgt2.Clone()
-	live.RematchWith(srcCopy, tgtCopy, Dirty{})
+	live.rematch(context.Background(), srcCopy, tgtCopy, Dirty{})
 	cold2 := NewEngine(srcCopy, tgtCopy, Options{Flooding: true, Metrics: obs.NewRegistry()})
 	cold2.Run()
 	assertBitIdentical(t, "re-replacement", cold2.Matrix(), live.Matrix())
+
+	// A documentation edit that brings a word neither schema has used,
+	// plus a documented element dropped: every IDF weight moves.
+	src3, tgt3 := srcCopy.Clone(), tgtCopy.Clone()
+	els := src3.Elements()
+	els[len(els)-1].Doc += " zeppelin mooring"
+	var dropped string
+	for _, e := range tgt3.Elements() {
+		if e.Doc != "" && e.IsLeaf() {
+			dropped = e.ID
+			break
+		}
+	}
+	if dropped == "" {
+		t.Fatal("target has no documented leaf to drop")
+	}
+	tgt3.RemoveElement(dropped)
+	live.rematch(context.Background(), src3, tgt3, Dirty{})
+	if live.LastRematchMode() != RematchCorpus {
+		t.Fatalf("documentation edit: mode = %s; want corpus", live.LastRematchMode())
+	}
+	cold3 := NewEngine(src3, tgt3, Options{Flooding: true, Metrics: obs.NewRegistry()})
+	cold3.Run()
+	assertBitIdentical(t, "documentation edit", cold3.Matrix(), live.Matrix())
 }
 
 // TestRematchAfterLearnFallsBack ensures learned state forces the full

@@ -87,8 +87,8 @@ type Engine struct {
 	metrics     *obs.Registry
 	parallelism int
 
-	// ctxOpts replays the caller's context options when Rematch rebuilds
-	// the linguistic context after a schema edit.
+	// ctxOpts replays the caller's context options when Rematch builds a
+	// fresh linguistic context (cold, or the full-run fallback).
 	ctxOpts []match.ContextOption
 	cache   *matchcache.Cache
 	// holder names the engine in the cache index. It is an allocation of

@@ -1,6 +1,7 @@
 package harmony
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -13,7 +14,9 @@ import (
 
 // FuzzRematchEquivalence interprets the fuzz input as an edit script
 // over a small schema pair: each byte picks an operation and its
-// operand. After every step the incrementally re-matched matrix must be
+// operand. Every other step edits a Clone of the side it touches, as a
+// server hands the engine a new object for a schema whose version moved.
+// After every step the incrementally re-matched matrix must be
 // bit-identical to a cold full run — the same oracle as the seeded
 // differential suite, but with adversarial scripts.
 func FuzzRematchEquivalence(f *testing.F) {
@@ -42,6 +45,14 @@ func FuzzRematchEquivalence(f *testing.F) {
 			side, sch := "src", src
 			if b&0x08 != 0 {
 				side, sch = "tgt", tgt
+			}
+			if step%2 == 1 {
+				sch = sch.Clone()
+				if side == "src" {
+					src = sch
+				} else {
+					tgt = sch
+				}
 			}
 			els := sch.Elements()
 			if len(els) == 0 {
@@ -80,7 +91,7 @@ func FuzzRematchEquivalence(f *testing.F) {
 			default:
 				e.Required = !e.Required
 			}
-			live.Rematch(Dirty{})
+			live.rematch(context.Background(), src, tgt, Dirty{})
 
 			cold := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
 			replayDecisions(live, cold)

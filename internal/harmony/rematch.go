@@ -99,17 +99,11 @@ func (e *Engine) Rematch(dirty Dirty) []StageTiming {
 	return e.rematch(context.Background(), e.ctx.Source, e.ctx.Target, dirty)
 }
 
-// RematchWith is Rematch for callers that replace schema objects rather
-// than editing them in place (the server reloads schemas from the
-// blackboard): the engine re-aligns everything by element ID, so the
-// previous run is still reused for unchanged elements.
-func (e *Engine) RematchWith(source, target *model.Schema, dirty Dirty) []StageTiming {
-	return e.rematch(context.Background(), source, target, dirty)
-}
-
-// rematch is RematchWith with request-trace propagation (see run). It
-// picks the mode and what the pipeline may reuse; the pipeline itself is
-// the one every run takes.
+// rematch is Rematch over source and target, which may be the engine's
+// schemas or new objects for them (a session re-reads a schema whose
+// version moved): everything is aligned by element ID. It propagates the
+// request trace (see run) and picks the mode and what the pipeline may
+// reuse; the pipeline itself is the one every run takes.
 func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirty Dirty) []StageTiming {
 	replaced := source != e.ctx.Source || target != e.ctx.Target
 	mode := RematchFull
@@ -118,9 +112,8 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		e.metrics.Counter(MetricRematchTotal, "mode", mode).Inc()
 	}()
 
-	// The context's rows follow its element order as of construction,
-	// so a never-run engine whose schemas were edited in place needs a
-	// fresh one too.
+	// A never-run engine has no signatures to vouch for any row, so it
+	// builds its context afresh.
 	if e.snap == nil {
 		mode = RematchCold
 		e.ctx = match.NewContext(source, target, e.ctxOpts...)
@@ -145,10 +138,10 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		// Learned state (whose effects signatures cannot see) or a voter
 		// without VotePatch leaves nothing safely reusable: the pipeline
 		// runs with no previous run. A plain run on the existing context
-		// keeps the learned corpus (rebuilding would reset it), matching
-		// the documented Learn-then-Run workflow. With schema edits on
-		// top, the context must be rebuilt for correct tokens, which
-		// resets word-weight learning — merger weights persist either way.
+		// keeps the learned corpus, matching the documented Learn-then-Run
+		// workflow. With schema edits on top, the context is built afresh,
+		// which resets word-weight learning — merger weights persist
+		// either way.
 		if replaced || len(dirtySrc) > 0 || len(dirtyTgt) > 0 {
 			e.ctx = match.NewContext(source, target, e.ctxOpts...)
 		}
@@ -166,17 +159,12 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 		return e.timings(col.Spans(), MetricRematchStageDuration)
 	}
 
-	// The context's rows are aligned with its element pointers, so every
-	// edit needs fresh linguistic state for the touched elements.
-	// In-place edits that provably leave the documentation corpus alone
-	// re-derive just those rows and reuse the rest; anything else —
-	// replaced schema objects, doc edits, added/removed documents —
-	// rebuilds the whole context (O(elements), still far below the
-	// O(|S1|·|S2|) matrix work the stages below save).
+	// The signature diff vouches for every element it did not mark, so
+	// the context keeps their rows, aligned by element ID, and
+	// preprocesses only the dirty and added ones; a moved document
+	// re-weighs the vectors without re-tokenizing anything.
 	sp, _ = col.Start("context")
-	if replaced || !e.ctx.Refresh(dirtySrc, dirtyTgt) {
-		e.ctx = match.NewContext(source, target, e.ctxOpts...)
-	}
+	e.ctx.Refresh(source, target, dirtySrc, dirtyTgt)
 	snap.corpusSig = e.ctx.CorpusSignature()
 	sp.End()
 

@@ -106,7 +106,7 @@ func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *bl
 		if s.eng == nil {
 			// The new engine's linguistic context (its feature rows) is
 			// the cold run's set-up; the trace books it as "context", like
-			// a rematch's rebuild. A trace-only span: the run's stage
+			// a rematch's refresh. A trace-only span: the run's stage
 			// timings start with the run.
 			sp, _ := obs.StartSpan(ctx, "context")
 			s.eng = NewEngine(src, tgt, s.opts)

@@ -41,6 +41,23 @@ func (c *Corpus) AddDocument(tokens []string) {
 	}
 }
 
+// RemoveDocument takes back one document AddDocument recorded, given its
+// tokens (its distinct tokens suffice). Frequencies are integers, so the
+// corpus then equals one that never saw the document; a token whose
+// frequency reaches zero is forgotten.
+func (c *Corpus) RemoveDocument(tokens []string) {
+	c.docCount--
+	seen := make(map[string]bool, len(tokens))
+	for _, t := range tokens {
+		if !seen[t] {
+			seen[t] = true
+			if c.docFreq[t]--; c.docFreq[t] <= 0 {
+				delete(c.docFreq, t)
+			}
+		}
+	}
+}
+
 // DocCount returns the number of documents added.
 func (c *Corpus) DocCount() int { return c.docCount }
 

@@ -1,7 +1,9 @@
 package lingo
 
 import (
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -23,6 +25,44 @@ func TestCorpusIDF(t *testing.T) {
 	// Unknown words get the highest IDF.
 	if c.IDF("zzz") <= c.IDF("runway") {
 		t.Error("unseen word should have highest IDF")
+	}
+}
+
+// TestCorpusRemoveDocumentMatchesFreshCorpus adds and removes seeded
+// documents and checks the corpus after every step against one built
+// from the documents left: the same frequency map (so no token is left
+// at frequency zero) and bit-identical IDF for every token.
+func TestCorpusRemoveDocumentMatchesFreshCorpus(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vocab := []string{"code", "airport", "runway", "order", "total", "amount", "zzz"}
+	var live [][]string
+	c := NewCorpus()
+	for step := 0; step < 300; step++ {
+		if len(live) > 0 && rng.Intn(5) < 2 {
+			k := rng.Intn(len(live))
+			c.RemoveDocument(live[k])
+			live = append(live[:k], live[k+1:]...)
+		} else {
+			doc := make([]string, 1+rng.Intn(5))
+			for i := range doc {
+				doc[i] = vocab[rng.Intn(len(vocab)-1)]
+			}
+			c.AddDocument(doc)
+			live = append(live, doc)
+		}
+		fresh := NewCorpus()
+		for _, doc := range live {
+			fresh.AddDocument(doc)
+		}
+		if c.DocCount() != fresh.DocCount() || !maps.Equal(c.docFreq, fresh.docFreq) {
+			t.Fatalf("step %d: %d docs %v, fresh corpus %d docs %v",
+				step, c.DocCount(), c.docFreq, fresh.DocCount(), fresh.docFreq)
+		}
+		for _, tok := range vocab {
+			if a, b := c.IDF(tok), fresh.IDF(tok); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("step %d: IDF(%q) = %v, fresh corpus %v", step, tok, a, b)
+			}
+		}
 	}
 }
 

@@ -16,13 +16,13 @@ import (
 // element is reduced, once, to a feature row, and a voter scores pair
 // (i, j) from source row i and target row j.
 //
-// Rows are stored in the schemata's pre-order as of construction (or the
-// last Refresh), which is the element order of every matrix NewMatrix
-// allocates, so a matrix's i and j are row indices. Name tokens, domain
-// codes and documentation terms are interned per context into int32 IDs,
-// assigned in sorted string order at construction: the kernels merge
-// sorted ID lists instead of hashing strings, and a cosine over term IDs
-// adds its products in the order a cosine over the strings would.
+// Rows are stored in the schemata's pre-order as of the last Refresh
+// (NewContext is one), which is the element order of every matrix
+// NewMatrix allocates, so a matrix's i and j are row indices. Name
+// tokens, domain codes and documentation terms are interned per context
+// into int32 IDs that sort like their strings: the kernels merge sorted
+// ID lists instead of hashing strings, and a cosine over term IDs adds
+// its products in the order a cosine over the strings would.
 //
 // A Context does not change while a voter panel runs, so any number of
 // goroutines may read it without a lock. Refresh, RederiveVectors,
@@ -56,9 +56,9 @@ type Context struct {
 	src, tgt         []*model.Element
 	srcRows, tgtRows []row
 	// ids interns every name token, domain code and documentation term;
-	// strs[id] is the string back. IDs assigned at construction sort like
-	// their strings; Refresh appends IDs for new name tokens only, never
-	// for documentation terms (it refuses any documentation change).
+	// strs[id] is the string back, in sorted order: Refresh renumbers the
+	// table when new strings arrive. A string no row uses any more keeps
+	// its ID; it sorts like the rest and has empty postings.
 	ids  map[string]int32
 	strs []string
 	// postings inverts the target rows' documentation vectors; derived
@@ -165,42 +165,20 @@ type elemTexts struct {
 // NewContext preprocesses both schemata: element names and documentation
 // are tokenized, stop-word filtered and stemmed, the documentation corpus
 // is built, and every element's feature row — interned tokens, thesaurus
-// expansion, TF-IDF vector — is derived, in O(elements).
+// expansion, TF-IDF vector — is derived, in O(elements). It is Refresh
+// on an empty context, which holds no row to keep.
 func NewContext(source, target *model.Schema, opts ...ContextOption) *Context {
 	c := &Context{
-		Source:    source,
-		Target:    target,
 		Thesaurus: lingo.DefaultThesaurus(),
 		Corpus:    lingo.NewCorpus(),
 		Stem:      true,
+		ids:       make(map[string]int32),
 	}
 	for _, o := range opts {
 		o(c)
 	}
-	c.src, c.tgt = source.Elements(), target.Elements()
-	stems := stemmer{}
-	srcTexts := c.preprocess(source, c.src, stems)
-	tgtTexts := c.preprocess(target, c.tgt, stems)
-	c.intern(srcTexts, tgtTexts)
-	// Vectors need the complete corpus (IDF spans both schemata), so rows
-	// are derived in a second pass.
-	c.srcRows = c.deriveRows(c.src, srcTexts)
-	c.tgtRows = c.deriveRows(c.tgt, tgtTexts)
-	c.derivePostings()
+	c.Refresh(source, target, nil, nil)
 	return c
-}
-
-// preprocess runs the linguistic pipeline over every element and adds
-// each non-empty document to the corpus.
-func (c *Context) preprocess(s *model.Schema, els []*model.Element, stems stemmer) []elemTexts {
-	out := make([]elemTexts, len(els))
-	for i, e := range els {
-		out[i] = c.textsOf(s, e, stems)
-		if len(out[i].doc) > 0 {
-			c.Corpus.AddDocument(out[i].doc)
-		}
-	}
-	return out
 }
 
 // textsOf preprocesses one element, as lingo.Preprocess would (or
@@ -247,39 +225,46 @@ func (m stemmer) stem(toks []string) []string {
 	return toks
 }
 
-// intern assigns every string of every element an ID, in sorted string
-// order.
-func (c *Context) intern(sides ...[]elemTexts) {
-	c.ids = make(map[string]int32)
-	for _, side := range sides {
-		for i := range side {
-			t := &side[i]
+// intern assigns an ID to every string of the sides' texts that has
+// none, renumbering the table so that IDs still sort like their strings.
+// It returns the old-to-new ID map when it renumbered, nil when no
+// string was new.
+func (c *Context) intern(sides []*carried) []int32 {
+	var added []string
+	for _, sd := range sides {
+		for k := range sd.texts {
+			t := &sd.texts[k]
 			for _, list := range [...][]string{t.name, t.expanded, t.doc, t.codes} {
 				for _, s := range list {
-					c.ids[s] = 0
+					if _, ok := c.ids[s]; !ok {
+						c.ids[s] = 0
+						added = append(added, s)
+					}
 				}
 			}
 		}
 	}
-	c.strs = make([]string, 0, len(c.ids))
-	for s := range c.ids {
-		c.strs = append(c.strs, s)
+	if len(added) == 0 {
+		return nil
 	}
-	sort.Strings(c.strs)
+	sort.Strings(added)
+	old := c.strs
+	c.strs = make([]string, 0, len(old)+len(added))
+	remap := make([]int32, len(old))
+	for i, j := 0, 0; i < len(old) || j < len(added); {
+		if j == len(added) || i < len(old) && old[i] < added[j] {
+			remap[i] = int32(len(c.strs))
+			c.strs = append(c.strs, old[i])
+			i++
+		} else {
+			c.strs = append(c.strs, added[j])
+			j++
+		}
+	}
 	for id, s := range c.strs {
 		c.ids[s] = int32(id)
 	}
-}
-
-// id returns the ID of s, appending a new one for a string never seen.
-func (c *Context) id(s string) int32 {
-	if id, ok := c.ids[s]; ok {
-		return id
-	}
-	id := int32(len(c.strs))
-	c.ids[s] = id
-	c.strs = append(c.strs, s)
-	return id
+	return remap
 }
 
 // idSet interns a token list into sorted, duplicate-free IDs.
@@ -289,7 +274,7 @@ func (c *Context) idSet(toks []string) []int32 {
 	}
 	out := make([]int32, len(toks))
 	for i, s := range toks {
-		out[i] = c.id(s)
+		out[i] = c.ids[s]
 	}
 	return sortedSet(out)
 }
@@ -301,19 +286,14 @@ func sortedSet(ids []int32) []int32 {
 }
 
 // docBag returns the sorted term IDs of a document with each term's
-// count. ok is false when a term has no ID yet; such a document differs
-// from every document the context holds.
-func (c *Context) docBag(doc []string) (terms, counts []int32, ok bool) {
+// count.
+func (c *Context) docBag(doc []string) (terms, counts []int32) {
 	if len(doc) == 0 {
-		return nil, nil, true
+		return nil, nil
 	}
 	ids := make([]int32, len(doc))
 	for i, s := range doc {
-		id, known := c.ids[s]
-		if !known {
-			return nil, nil, false
-		}
-		ids[i] = id
+		ids[i] = c.ids[s]
 	}
 	slices.Sort(ids)
 	distinct := 1
@@ -331,23 +311,11 @@ func (c *Context) docBag(doc []string) (terms, counts []int32, ok bool) {
 		terms = append(terms, id)
 		counts = append(counts, 1)
 	}
-	return terms, counts, true
-}
-
-// deriveRows derives the rows of one side from its preprocessed texts.
-func (c *Context) deriveRows(els []*model.Element, ts []elemTexts) []row {
-	rows := make([]row, len(els))
-	for i, e := range els {
-		rows[i] = c.deriveRow(e, ts[i])
-		rows[i].doc.Terms, rows[i].docCounts, _ = c.docBag(ts[i].doc)
-		c.weigh(&rows[i])
-	}
-	unionChildren(rows, parentRows(els), nil)
-	return rows
+	return terms, counts
 }
 
 // deriveRow derives every feature of one element except its children's
-// token union (unionChildren) and its documentation vector.
+// token union (unionChildren) and its documentation weights (weigh).
 func (c *Context) deriveRow(e *model.Element, t elemTexts) row {
 	low := lower(e.Name)
 	r := row{
@@ -363,6 +331,7 @@ func (c *Context) deriveRow(e *model.Element, t elemTexts) row {
 	if e.Kind == model.KindAttribute {
 		r.typeGroup = typeGroups[lower(e.DataType)]
 	}
+	r.doc.Terms, r.docCounts = c.docBag(t.doc)
 	return r
 }
 
@@ -405,26 +374,6 @@ func parentRows(els []*model.Element) []int {
 	return parent
 }
 
-// unionChildren sets the children field of every row with redo[i] set
-// (every row when redo is nil) to the union of its children's name IDs.
-func unionChildren(rows []row, parent []int, redo []bool) {
-	for i := range rows {
-		if redo == nil || redo[i] {
-			rows[i].children = nil
-		}
-	}
-	for i, p := range parent {
-		if p >= 0 && (redo == nil || redo[p]) {
-			rows[p].children = append(rows[p].children, rows[i].name...)
-		}
-	}
-	for i := range rows {
-		if redo == nil || redo[i] {
-			rows[i].children = sortedSet(rows[i].children)
-		}
-	}
-}
-
 // RederiveVectors re-derives every row's TF-IDF vector, and the
 // postings over them, from the corpus. Call it after adjusting word
 // weights, between runs, so learning takes effect on the next run.
@@ -437,117 +386,165 @@ func (c *Context) RederiveVectors() {
 	c.derivePostings()
 }
 
-// Refresh brings the rows up to date after in-place edits to the
-// context's schemas, keeping the corpus and every untouched element's
-// row. dirtySrc/dirtyTgt name the elements (by ID) whose content may
-// have changed; added and removed elements are found on its own.
-// Refresh succeeds only when the documentation corpus is provably
-// unchanged — every dirty, added or removed element must contribute the
-// same document terms, with the same counts, as before (typically: edits
-// that didn't touch documentation). When that doesn't hold it returns
-// false without changing anything and the caller must rebuild with
-// NewContext; IDF is global, so a changed document moves every vector.
-//
-// On success it re-derives dirty and added rows, reuses clean ones,
-// rebuilds the row order after adds and drops, and re-derives the
-// children's token union of every element whose children changed. Every
-// voter then scores the rows bit-identically to a freshly built
-// context's (only IDs first seen here differ, appended after the rest).
-func (c *Context) Refresh(dirtySrc, dirtyTgt map[string]bool) bool {
-	src, tgt := c.Source.Elements(), c.Target.Elements()
-	srcNew, ok := c.refreshSide(c.Source, src, c.src, c.srcRows, dirtySrc)
-	if !ok {
-		return false
+// Refresh brings the context up to date with source and target: the
+// schemas it holds, edited in place, or new objects for them. It keeps
+// the row of every element whose ID it holds a row for and that
+// dirtySrc/dirtyTgt do not name — the caller vouches that such an
+// element's own content is unchanged, as the engine's signature diff
+// proves — and preprocesses every other element. The documents of the
+// rows it drops leave the corpus and those of the rows it derives enter
+// it; document frequencies are integers, so the corpus equals one built
+// from scratch. New strings renumber the ID table, so IDs keep sorting
+// like their strings. Every vector is re-weighed when a document bag
+// moved (IDF is global), only the derived ones otherwise, and the
+// children's token union of every element whose children changed is
+// re-derived. Every voter then scores the rows bit-identically to a
+// context built fresh over the schemas.
+func (c *Context) Refresh(source, target *model.Schema, dirtySrc, dirtyTgt map[string]bool) {
+	stems := stemmer{}
+	src := c.carry(source, c.src, c.srcRows, dirtySrc, stems)
+	tgt := c.carry(target, c.tgt, c.tgtRows, dirtyTgt, stems)
+	sides := [...]*carried{src, tgt}
+	if remap := c.intern(sides[:]); remap != nil {
+		for _, sd := range sides {
+			sd.remap(remap)
+		}
 	}
-	tgtNew, ok := c.refreshSide(c.Target, tgt, c.tgt, c.tgtRows, dirtyTgt)
-	if !ok {
-		return false
+	moved := src.docLeft || tgt.docLeft
+	for _, sd := range sides {
+		for k, i := range sd.fresh {
+			prev := &sd.rows[i]
+			r := c.deriveRow(sd.els[i], sd.texts[k])
+			moved = moved || !slices.Equal(r.doc.Terms, prev.doc.Terms) || !slices.Equal(r.docCounts, prev.docCounts)
+			*prev = r
+		}
 	}
-	// Commit. No corpus change is possible past this point, so the kept
-	// Corpus — and every kept row's vector — stays exact.
-	c.src, c.srcRows = src, c.commitSide(src, srcNew)
-	c.tgt, c.tgtRows = tgt, c.commitSide(tgt, tgtNew)
-	// The vectors are unchanged, but adds and drops may move target rows.
+	for _, sd := range sides {
+		if moved {
+			for i := range sd.rows {
+				c.weigh(&sd.rows[i])
+			}
+		} else {
+			for _, i := range sd.fresh {
+				c.weigh(&sd.rows[i])
+			}
+		}
+		sd.unionChildren()
+	}
+	c.Source, c.src, c.srcRows = source, src.els, src.rows
+	c.Target, c.tgt, c.tgtRows = target, tgt.els, tgt.rows
 	c.derivePostings()
+}
+
+// carried is one side of a Refresh: the schema's elements in pre-order
+// and their rows, each carried over from the previous table by ID or,
+// when listed in fresh, still to be derived from its texts.
+type carried struct {
+	els  []*model.Element
+	rows []row
+	// fresh lists the rows to derive, ascending; texts holds their
+	// preprocessed strings, aligned with fresh.
+	fresh []int
+	texts []elemTexts
+	// docLeft reports a dropped element that held a document.
+	docLeft bool
+}
+
+// carry lines one side's previous rows up with s's elements by ID. Each
+// element it holds a row for gets that row; each element dirty names or
+// it holds no row for is preprocessed, its previous document (if any)
+// leaving the corpus and its new one entering it. The documents of
+// elements that left s leave the corpus too.
+func (c *Context) carry(s *model.Schema, oldEls []*model.Element, oldRows []row, dirty map[string]bool, stems stemmer) *carried {
+	old := make(map[string]int, len(oldEls))
+	for i, e := range oldEls {
+		old[e.ID] = i
+	}
+	els := s.Elements()
+	// Room for every element on a first build, for the edit's after.
+	n := min(max(len(els)-len(oldEls), 0)+len(dirty), len(els))
+	sd := &carried{els: els, rows: make([]row, len(els)), fresh: make([]int, 0, n), texts: make([]elemTexts, 0, n)}
+	for i, e := range els {
+		if oi, ok := old[e.ID]; ok {
+			sd.rows[i] = oldRows[oi]
+			if !dirty[e.ID] {
+				continue
+			}
+			c.dropDocument(&oldRows[oi])
+		}
+		t := c.textsOf(s, e, stems)
+		if len(t.doc) > 0 {
+			c.Corpus.AddDocument(t.doc)
+		}
+		sd.fresh = append(sd.fresh, i)
+		sd.texts = append(sd.texts, t)
+	}
+	for i, e := range oldEls {
+		if s.Element(e.ID) == nil && c.dropDocument(&oldRows[i]) {
+			sd.docLeft = true
+		}
+	}
+	return sd
+}
+
+// dropDocument takes r's document, if it has one, out of the corpus.
+func (c *Context) dropDocument(r *row) bool {
+	if len(r.doc.Terms) == 0 {
+		return false
+	}
+	terms := make([]string, len(r.doc.Terms))
+	for k, id := range r.doc.Terms {
+		terms[k] = c.strs[id]
+	}
+	c.Corpus.RemoveDocument(terms)
 	return true
 }
 
-// refreshed is one element's state in a pending Refresh: its kept row,
-// or, when fresh, its re-preprocessed texts.
-type refreshed struct {
-	old   *row
-	fresh bool
-	texts elemTexts
-}
-
-// refreshSide checks one side of a Refresh without changing anything:
-// it pairs every current element with its previous row and
-// re-preprocesses the dirty and added ones. ok is false when a dirty,
-// added or removed element changes the documentation corpus.
-func (c *Context) refreshSide(s *model.Schema, els, oldEls []*model.Element, oldRows []row, dirty map[string]bool) ([]refreshed, bool) {
-	old := make(map[*model.Element]*row, len(oldEls))
-	for i, e := range oldEls {
-		old[e] = &oldRows[i]
-	}
-	out := make([]refreshed, len(els))
-	stems := stemmer{}
-	for i, e := range els {
-		r := old[e]
-		out[i].old = r
-		if r != nil && !dirty[e.ID] {
-			continue
-		}
-		t := c.textsOf(s, e, stems)
-		terms, counts, known := c.docBag(t.doc)
-		var prevTerms, prevCounts []int32
-		if r != nil {
-			prevTerms, prevCounts = r.doc.Terms, r.docCounts
-		}
-		if !known || !slices.Equal(terms, prevTerms) || !slices.Equal(counts, prevCounts) {
-			return nil, false
-		}
-		out[i].fresh, out[i].texts = true, t
-	}
-	// Elements that left the schema may only leave if they never
-	// contributed a document.
-	for i, e := range oldEls {
-		if s.Element(e.ID) != e && len(oldRows[i].doc.Terms) > 0 {
-			return nil, false
-		}
-	}
-	return out, true
-}
-
-// commitSide builds one side's new row table from a checked Refresh.
-func (c *Context) commitSide(els []*model.Element, pending []refreshed) []row {
-	rows := make([]row, len(els))
-	redo := make([]bool, len(els))
-	parent := parentRows(els)
-	for i, e := range els {
-		p := pending[i]
-		switch {
-		case p.fresh:
-			rows[i] = c.deriveRow(e, p.texts)
-			if p.old != nil {
-				// Same document terms and counts, same corpus: the
-				// previous vector is exact.
-				rows[i].doc, rows[i].docCounts = p.old.doc, p.old.docCounts
-			}
-			redo[i] = true
-		default:
-			rows[i] = *p.old
-			if rows[i].kids != len(e.Children()) {
-				// A child was dropped (an added child is fresh itself).
-				rows[i].kids = len(e.Children())
-				redo[i] = true
+// remap renumbers the IDs of every carried row after intern renumbered
+// the table. The map is monotone, so every ID list stays sorted.
+func (sd *carried) remap(to []int32) {
+	for i := range sd.rows {
+		r := &sd.rows[i]
+		for _, ids := range [...][]int32{r.name, r.expanded, r.children, r.codes, r.doc.Terms} {
+			for k, id := range ids {
+				ids[k] = to[id]
 			}
 		}
-		if p.fresh && parent[i] >= 0 {
+	}
+}
+
+// unionChildren re-derives the children's token union of every row
+// whose children changed: a derived child, or a count that moved (a
+// dropped child), which it also brings up to date.
+func (sd *carried) unionChildren() {
+	parent := parentRows(sd.els)
+	redo := make([]bool, len(sd.rows))
+	for _, i := range sd.fresh {
+		redo[i] = true
+		if parent[i] >= 0 {
 			redo[parent[i]] = true
 		}
 	}
-	unionChildren(rows, parent, redo)
-	return rows
+	for i, e := range sd.els {
+		if kids := len(e.Children()); sd.rows[i].kids != kids {
+			sd.rows[i].kids, redo[i] = kids, true
+		}
+	}
+	for i := range sd.rows {
+		if redo[i] {
+			sd.rows[i].children = nil
+		}
+	}
+	for i, p := range parent {
+		if p >= 0 && redo[p] {
+			sd.rows[p].children = append(sd.rows[p].children, sd.rows[i].name...)
+		}
+	}
+	for i := range sd.rows {
+		if redo[i] {
+			sd.rows[i].children = sortedSet(sd.rows[i].children)
+		}
+	}
 }
 
 // SetCandidates installs (or, with nil, clears) the blocking pattern

@@ -249,12 +249,14 @@ func TestVoterKernelsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestRefreshMatchesFreshContext edits schemas in place without touching
-// documentation — a rename, an added undocumented attribute, a dropped
-// undocumented attribute, a data-type change — and checks that Refresh
-// succeeds and every built-in voter then votes bit-identically to a
-// context built fresh over the edited schemas. A documentation edit must
-// make Refresh refuse without changing the context.
+// TestRefreshMatchesFreshContext refreshes a context through three
+// steps and checks after each that every built-in voter votes
+// bit-identically to a context built fresh over the edited schemas: in
+// place without touching documentation (a rename, an added and a
+// dropped attribute, a data-type change), in place with documentation (a
+// new word, and a documented attribute dropped), and on replaced schema
+// objects with both kinds of edit, where a clean element's row must be
+// carried over rather than derived again.
 func TestRefreshMatchesFreshContext(t *testing.T) {
 	build := func(name string) *model.Schema {
 		s := model.NewSchema(name, "er")
@@ -273,6 +275,16 @@ func TestRefreshMatchesFreshContext(t *testing.T) {
 	}
 	src, tgt := build("s"), build("t")
 	ctx := NewContext(src, tgt, WithParallelism(1))
+	check := func(step string) {
+		t.Helper()
+		fresh := NewContext(ctx.Source, ctx.Target, WithParallelism(1))
+		if ctx.CorpusSignature() != fresh.CorpusSignature() {
+			t.Errorf("%s: refreshed corpus signature differs from a fresh context's", step)
+		}
+		for _, v := range DefaultVoters() {
+			matricesBitIdentical(t, step+" "+v.Name(), v.Vote(fresh), v.Vote(ctx))
+		}
+	}
 
 	renamed := src.MustElement("s/Order0/lineTotal1")
 	renamed.Name = "netAmount"
@@ -280,28 +292,39 @@ func TestRefreshMatchesFreshContext(t *testing.T) {
 	retyped.DataType = "string"
 	added := src.AddElement(src.MustElement("s/Order2"), "shipVia", model.KindAttribute, model.ContainsAttribute)
 	tgt.RemoveElement("t/Order2/lineTotal0")
-	dirtySrc := map[string]bool{renamed.ID: true}
-	dirtyTgt := map[string]bool{retyped.ID: true, "t/Order2/lineTotal0": true}
-	if !ctx.Refresh(dirtySrc, dirtyTgt) {
-		t.Fatal("Refresh refused edits that leave the corpus unchanged")
-	}
+	ctx.Refresh(src, tgt, map[string]bool{renamed.ID: true}, map[string]bool{retyped.ID: true, "t/Order2/lineTotal0": true})
 	if rowOf(ctx, added) == nil {
 		t.Fatal("added element has no row")
 	}
-	fresh := NewContext(src, tgt, WithParallelism(1))
-	if ctx.CorpusSignature() != fresh.CorpusSignature() {
-		t.Error("refreshed corpus signature differs from a fresh context's")
-	}
-	for _, v := range DefaultVoters() {
-		matricesBitIdentical(t, "refreshed "+v.Name(), v.Vote(fresh), v.Vote(ctx))
-	}
+	check("in place")
 
-	src.MustElement("s/Order1").Doc = "a different document"
 	sig := ctx.CorpusSignature()
-	if ctx.Refresh(map[string]bool{"s/Order1": true}, nil) {
-		t.Fatal("Refresh accepted a documentation edit")
+	src.MustElement("s/Order1").Doc = "a different document about zeppelins"
+	tgt.RemoveElement("t/Order0/lineTotal1")
+	ctx.Refresh(src, tgt, map[string]bool{"s/Order1": true}, map[string]bool{"t/Order0/lineTotal1": true})
+	if ctx.CorpusSignature() == sig {
+		t.Error("a documentation edit left the corpus signature unchanged")
 	}
-	if ctx.CorpusSignature() != sig {
-		t.Error("a refused Refresh changed the context")
+	check("documentation")
+
+	// Clone derives IDs from names, so the renamed attribute comes back
+	// under a new ID: a drop and an add. A clean element keeps its row,
+	// backing arrays and all, though new words renumber the ID table.
+	clean := rowOf(ctx, src.MustElement("s/Order0/lineTotal0"))
+	runes, name, strs := &clean.runes[0], &clean.name[0], len(ctx.strs)
+	src, tgt = src.Clone(), tgt.Clone()
+	src.MustElement("s/Order2/lineTotal2").Doc = "the quayside charge"
+	src.MustElement("s/Order2/shipVia").Name = "carrier"
+	tgt.RemoveElement("t/Order1/lineTotal1")
+	tgt.AddElement(tgt.MustElement("t/Order1"), "dueDate", model.KindAttribute, model.ContainsAttribute).Doc = "when the order falls due"
+	ctx.Refresh(src, tgt,
+		map[string]bool{"s/Order2/lineTotal2": true, "s/Order2/shipVia": true},
+		map[string]bool{"t/Order1/lineTotal1": true})
+	if len(ctx.strs) == strs {
+		t.Fatal("no new word renumbered the ID table")
 	}
+	if kept := rowOf(ctx, src.MustElement("s/Order0/lineTotal0")); &kept.runes[0] != runes || &kept.name[0] != name {
+		t.Error("a clean element's row was derived again, not carried over")
+	}
+	check("replaced")
 }

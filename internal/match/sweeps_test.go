@@ -87,8 +87,9 @@ func assertDocVoteMatchesPairKernel(t *testing.T, label string, ctx *Context) {
 
 // TestDocVotePostingsMatchPairKernel covers the postings table's three
 // derivations — NewContext, RederiveVectors after learned word weights,
-// and a successful Refresh that moves target rows — at Parallelism 1, 0
-// and 1000, which is more workers than any of these pairs has rows.
+// and a Refresh over a replaced target that moves target rows and a
+// document — at Parallelism 1, 0 and 1000, which is more workers than
+// any of these pairs has rows.
 func TestDocVotePostingsMatchPairKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for n := 0; n < 12; n++ {
@@ -113,12 +114,15 @@ func TestDocVotePostingsMatchPairKernel(t *testing.T) {
 			ctx.RederiveVectors()
 			assertDocVoteMatchesPairKernel(t, label+", learned", ctx)
 
-			// An undocumented target attribute added under the first
-			// entity shifts every later target row; dropping an
-			// undocumented one shifts them back past it.
+			// A new target object: an undocumented attribute added under
+			// the first entity shifts every later target row, dropping an
+			// undocumented one shifts them back past it, and a new word in
+			// the first entity's document moves every IDF weight.
+			tgt = tgt.Clone()
 			first := tgt.Root().Children()[0]
+			first.Doc += " zeppelin"
 			added := tgt.AddElement(first, "late", model.KindAttribute, model.ContainsAttribute)
-			dirtyTgt := map[string]bool{added.ID: true}
+			dirtyTgt := map[string]bool{first.ID: true, added.ID: true}
 			for _, e := range tgt.Elements() {
 				if e.Kind == model.KindAttribute && e.Doc == "" && e != added && e.Parent() != first {
 					tgt.RemoveElement(e.ID)
@@ -126,9 +130,7 @@ func TestDocVotePostingsMatchPairKernel(t *testing.T) {
 					break
 				}
 			}
-			if !ctx.Refresh(nil, dirtyTgt) {
-				t.Fatalf("%s: Refresh refused edits that leave the corpus unchanged", label)
-			}
+			ctx.Refresh(src, tgt, nil, dirtyTgt)
 			assertDocVoteMatchesPairKernel(t, label+", refreshed", ctx)
 		}
 	}

@@ -538,7 +538,7 @@ func (s *Server) handleReplLog(t *tenant, w http.ResponseWriter, r *http.Request
 		fail(w, http.StatusGone, "txns after %d are no longer in the log; bootstrap from %s", after, repl.SnapshotPath)
 		return
 	}
-	s.reg.Counter(repl.MetricShippedTxns).Add(int64(n))
+	t.reg.Counter(repl.MetricShippedTxns).Add(int64(n))
 	w.Header().Set(repl.EpochHeader, strconv.FormatUint(s.epoch(), 10))
 	w.Header().Set(repl.LastTxnHeader, strconv.FormatUint(last, 10))
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -566,7 +566,7 @@ func (s *Server) handleReplSnapshot(t *tenant, w http.ResponseWriter, r *http.Re
 		fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.reg.Counter(repl.MetricSnapshotsServed).Inc()
+	t.reg.Counter(repl.MetricSnapshotsServed).Inc()
 	w.Header().Set(repl.EpochHeader, strconv.FormatUint(s.epoch(), 10))
 	w.Header().Set(repl.SnapshotTxnHeader, strconv.FormatUint(txn, 10))
 	w.Header().Set("Content-Type", "application/n-triples")

@@ -8,6 +8,9 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +111,58 @@ func TestReplicationMirrorsWorkspaces(t *testing.T) {
 		}
 		if _, err := cl.LoadSchema("post-"+ws, "sql", "CREATE TABLE p (id INT);"); err != nil {
 			t.Fatalf("post-promotion write in %s: %v", ws, err)
+		}
+	}
+}
+
+// TestReplShippedTxnsCountPerWorkspace checks that a primary books the
+// txns it ships, and the snapshots it serves, under the workspace they
+// belong to: two workspaces with different txn counts are tailed by one
+// replica, and the primary's /metrics shows each workspace's
+// repl_txns_shipped_total equal to its txns.
+func TestReplShippedTxnsCountPerWorkspace(t *testing.T) {
+	pri := newNode(t, t.TempDir(), "")
+	if _, err := pri.c.CreateWorkspace("team-a", 0, 0); err != nil {
+		t.Fatalf("CreateWorkspace: %v", err)
+	}
+	if _, err := pri.c.LoadSchema("d0", "sql", "CREATE TABLE d (id INT);"); err != nil {
+		t.Fatalf("default load: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := pri.c.ForWorkspace("team-a").LoadSchema(fmt.Sprintf("a%d", i), "sql", "CREATE TABLE a (id INT);"); err != nil {
+			t.Fatalf("team-a load %d: %v", i, err)
+		}
+	}
+	rep := newNode(t, t.TempDir(), pri.ts.URL)
+	txns := map[string]uint64{}
+	for _, ws := range []string{"default", "team-a"} {
+		waitWsConverged(t, pri.ts.URL, rep.ts.URL, ws)
+		_, txn, err := fetchWsSnap(pri.ts.URL, ws)
+		if err != nil {
+			t.Fatalf("%s snapshot: %v", ws, err)
+		}
+		txns[ws] = txn
+	}
+	if txns["default"] == txns["team-a"] {
+		t.Fatalf("both workspaces at txn %d: the counts cannot tell them apart", txns["default"])
+	}
+	resp, err := http.Get(pri.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(body), "\n")
+	for ws, txn := range txns {
+		if want := fmt.Sprintf("%s{workspace=%q} %d", repl.MetricShippedTxns, ws, txn); !slices.Contains(lines, want) {
+			t.Errorf("primary /metrics has no line %q", want)
+		}
+		served := fmt.Sprintf("%s{workspace=%q} ", repl.MetricSnapshotsServed, ws)
+		if !slices.ContainsFunc(lines, func(l string) bool { return strings.HasPrefix(l, served) }) {
+			t.Errorf("primary /metrics has no line starting %q", served)
 		}
 	}
 }

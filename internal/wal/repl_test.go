@@ -2,7 +2,7 @@ package wal
 
 // Tests of the store's replication surface: the durable fencing header
 // (epoch + sealed flag), primary-id-preserving appends (AppendTxnAt),
-// frames served from the retained log segments (FramesSince/WaitFrames),
+// frames served from the retained log segments (FramesSince/PollFrames),
 // and the strict batch decoder followers run on shipped bytes
 // (DecodeTxnFrames).
 
@@ -544,9 +544,9 @@ func TestWaitFramesWakesOnAppend(t *testing.T) {
 	}
 	// A caught-up poll with a tiny timeout returns empty, not an error.
 	start := time.Now()
-	_, n, last, ok := s.WaitFrames(context.Background(), 1, 20*time.Millisecond, 100)
-	if !ok || n != 0 || last != 1 {
-		t.Fatalf("idle WaitFrames = n=%d last=%d ok=%v", n, last, ok)
+	_, n, last, ok, err := s.PollFrames(context.Background(), 1, 20*time.Millisecond, 100)
+	if err != nil || !ok || n != 0 || last != 1 {
+		t.Fatalf("idle PollFrames = n=%d last=%d ok=%v err=%v", n, last, ok, err)
 	}
 	if time.Since(start) < 20*time.Millisecond {
 		t.Fatal("idle poll returned before its timeout")
@@ -557,28 +557,33 @@ func TestWaitFramesWakesOnAppend(t *testing.T) {
 	wg.Add(1)
 	var gotN int
 	var gotOK bool
+	var gotErr error
 	go func() {
 		defer wg.Done()
-		_, gotN, _, gotOK = s.WaitFrames(context.Background(), 1, 5*time.Second, 100)
+		_, gotN, _, gotOK, gotErr = s.PollFrames(context.Background(), 1, 5*time.Second, 100)
 	}()
 	time.Sleep(10 * time.Millisecond)
 	if err := s.AppendTxn(mustOps(t, `<urn:a> <urn:p> <urn:b> .`)); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if !gotOK || gotN != 1 {
-		t.Fatalf("woken WaitFrames = n=%d ok=%v", gotN, gotOK)
+	if gotErr != nil || !gotOK || gotN != 1 {
+		t.Fatalf("woken PollFrames = n=%d ok=%v err=%v", gotN, gotOK, gotErr)
 	}
 
 	// Context cancellation unparks immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	wg.Add(1)
+	var cancelErr error
 	go func() {
 		defer wg.Done()
-		_, _, _, _ = s.WaitFrames(ctx, 2, time.Minute, 100)
+		_, _, _, _, cancelErr = s.PollFrames(ctx, 2, time.Minute, 100)
 	}()
 	cancel()
 	wg.Wait()
+	if cancelErr != nil {
+		t.Fatalf("cancelled PollFrames err = %v", cancelErr)
+	}
 }
 
 func TestDecodeTxnFramesRejectsMalformedStreams(t *testing.T) {

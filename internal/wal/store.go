@@ -662,21 +662,12 @@ func (s *Store) FramesSince(after uint64, maxTxns int) (data []byte, n int, last
 	return data, n, last, ok
 }
 
-// WaitFrames is FramesSince with a long-poll: when the follower is
+// PollFrames is FramesSince with a long-poll: when the follower is
 // caught up it blocks until a new transaction commits, the timeout
 // elapses, or ctx is done (the latter two return empty, ok=true). A
-// bootstrap-needed condition or a failed read returns ok=false at once.
-func (s *Store) WaitFrames(ctx context.Context, after uint64, timeout time.Duration, maxTxns int) (data []byte, n int, last uint64, ok bool) {
-	data, n, last, ok, err := s.PollFrames(ctx, after, timeout, maxTxns)
-	if err != nil {
-		return nil, 0, last, false
-	}
-	return data, n, last, ok
-}
-
-// PollFrames is WaitFrames reporting a failed segment read, or a store
-// closed under the poll, as err rather than as ok=false: the follower
-// should retry it, not bootstrap.
+// bootstrap-needed condition returns ok=false at once. A failed segment
+// read, or a store closed under the poll, returns err at once instead:
+// the follower should retry it, not bootstrap.
 func (s *Store) PollFrames(ctx context.Context, after uint64, timeout time.Duration, maxTxns int) (data []byte, n int, last uint64, ok bool, err error) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
