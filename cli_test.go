@@ -47,6 +47,22 @@ func buildCLIs(t *testing.T) string {
 	return buildDir
 }
 
+// TestPerfbenchCompiles vets the perfbench module. It builds against
+// server.Config and internal/client but is a module of its own, so no
+// root build or test compiles it: without this, an API change could
+// break the benchmark unnoticed.
+func TestPerfbenchCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go vet on the perfbench module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "perfbench"
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in perfbench: %v\n%s", err, out)
+	}
+}
+
 // run executes a built binary and returns stdout+stderr.
 func run(t *testing.T, dir, tool string, args ...string) string {
 	t.Helper()

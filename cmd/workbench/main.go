@@ -267,9 +267,8 @@ func runServe(o opts, rest []string) error {
 	fs.StringVar(&o.replicaOf, "replica-of", o.replicaOf, "tail the primary at this URL as a read-only replica")
 	maxTriples := fs.Int("max-triples", 0, "default per-workspace triple quota (0 = unlimited)")
 	maxWALBytes := fs.Int64("max-wal-bytes", 0, "default per-workspace WAL byte quota (0 = unlimited)")
-	idleTTL := fs.Duration("ws-idle-ttl", 0, "fold idle workspace WALs closed after this long (0 = default, negative = never)")
 	if err := fs.Parse(rest); err != nil {
-		return usageError{"serve [-addr host:port] [-data-dir dir] [-pprof] [-replica-of url] [-max-triples n] [-max-wal-bytes n] [-ws-idle-ttl d]"}
+		return usageError{"serve [-addr host:port] [-data-dir dir] [-pprof] [-replica-of url] [-max-triples n] [-max-wal-bytes n]"}
 	}
 	if fs.NArg() > 0 {
 		return usageError{fmt.Sprintf("serve: unexpected argument %q", fs.Arg(0))}
@@ -279,10 +278,9 @@ func runServe(o opts, rest []string) error {
 	}
 	srv, err := server.New(server.Config{
 		DataDir: o.dataDir, Metrics: obs.Default(), EnablePprof: o.pprof,
-		ReplicaOf:        o.replicaOf,
-		MaxTriples:       *maxTriples,
-		MaxWALBytes:      *maxWALBytes,
-		WorkspaceIdleTTL: *idleTTL,
+		ReplicaOf:   o.replicaOf,
+		MaxTriples:  *maxTriples,
+		MaxWALBytes: *maxWALBytes,
 	})
 	if err != nil {
 		return err
@@ -1088,7 +1086,7 @@ func runSim(seed int64, spec string, rest []string) int {
 func usage(w *os.File) {
 	fmt.Fprintln(w, `usage: workbench [-state file] [-remote addr] [-workspace ws] [-chaos-seed n] [-chaos-sites spec] <command> ...
 commands: load, schemas, map, match, accept, reject, cells, code, gen, dot, query, metrics, sim, registry-match, plan, apply, serve, fsck, events, snapshot, promote, repl-status, trace, loadgen, workspace
-serve flags: -addr host:port -data-dir dir -pprof -replica-of url -max-triples n -max-wal-bytes n -ws-idle-ttl d
+serve flags: -addr host:port -data-dir dir -pprof -replica-of url -max-triples n -max-wal-bytes n
 plan/apply flags: -config file -lock file -set name -yes -dry-run -threshold f (local or -remote)
 workspace subcommands: create <name> [-max-triples n] [-max-wal-bytes n] | list | rm <name> (requires -remote)
 loadgen flags: -workers n -duration d -seed n -threshold f -replica addr -workspaces n -out file (requires -remote)

@@ -281,6 +281,47 @@ func TestRematchWithReplacedSchemas(t *testing.T) {
 	assertBitIdentical(t, "documentation edit", cold3.Matrix(), live.Matrix())
 }
 
+// TestUndocumentedEditStaysIncremental: the corpus counts only
+// documented elements as documents, so adding or dropping an element
+// with no documentation moves no IDF weight. Each rematch must stay
+// incremental and still equal a cold run.
+func TestUndocumentedEditStaysIncremental(t *testing.T) {
+	src, tgt := diffPair(7, 8, 40, 60)
+	live := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
+	live.Run()
+
+	var parent *model.Element
+	for _, e := range src.Elements() {
+		if e.Kind == model.KindEntity {
+			parent = e
+			break
+		}
+	}
+	if parent == nil {
+		t.Fatal("source has no entity")
+	}
+	var added *model.Element
+	for _, step := range []struct {
+		desc string
+		edit func()
+	}{
+		{"add undocumented attribute", func() {
+			added = src.AddElement(parent, "undocumentedExtra", model.KindAttribute, model.ContainsAttribute)
+			added.DataType = "string"
+		}},
+		{"drop undocumented attribute", func() { src.RemoveElement(added.ID) }},
+	} {
+		step.edit()
+		live.Rematch(Dirty{})
+		if mode := live.LastRematchMode(); mode != RematchIncremental {
+			t.Fatalf("%s: mode = %s; want incremental", step.desc, mode)
+		}
+		cold := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
+		cold.Run()
+		assertBitIdentical(t, step.desc, cold.Matrix(), live.Matrix())
+	}
+}
+
 // TestRematchAfterLearnFallsBack ensures learned state forces the full
 // pipeline (signatures cannot see corpus word weights), and the result
 // still matches what Run would produce on the same engine.

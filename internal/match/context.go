@@ -602,17 +602,24 @@ func (c *Context) SharedDocTerms(i, j int) []string {
 	return out
 }
 
-// CorpusSignature hashes both sides' documentation bags — each row's
-// terms, as strings, with their counts — in row order. TF-IDF depends on
-// nothing else, so two contexts with equal signatures hold the same
-// corpus and the same vectors; any difference means every IDF weight may
-// have moved. It hashes strings, not IDs: IDs belong to one context.
+// CorpusSignature hashes both sides' documentation bags — each
+// documented row's terms, as strings, with their counts — in row order.
+// The corpus counts only documented elements as documents, so a row
+// with no terms adds nothing: adding or dropping an undocumented
+// element leaves the signature, and every IDF weight, where it was.
+// TF-IDF depends on nothing else, so two contexts with equal signatures
+// hold the same corpus and the same vectors; any difference means every
+// IDF weight may have moved. It hashes strings, not IDs: IDs belong to
+// one context.
 func (c *Context) CorpusSignature() uint64 {
 	h := fnv.New64a()
 	var buf [5]byte
 	for _, rows := range [...][]row{c.srcRows, c.tgtRows} {
 		for i := range rows {
 			r := &rows[i]
+			if len(r.doc.Terms) == 0 {
+				continue
+			}
 			for k, id := range r.doc.Terms {
 				h.Write([]byte(c.strs[id]))
 				n := r.docCounts[k]

@@ -356,19 +356,16 @@ type WorkspaceInfo struct {
 	Schemas  int    `json:"schemas"`
 	Mappings int    `json:"mappings"`
 	Sessions int    `json:"sessions"`
-	// WALBytes is the partition's live log size (0 when the partition is
-	// folded closed or the server is in-memory).
+	// WALBytes is the partition's live log size: what it logged since its
+	// last snapshot (0 when the server is in-memory).
 	WALBytes int64 `json:"wal_bytes"`
 	// LastTxn is the partition's committed-transaction high-water mark.
 	LastTxn uint64 `json:"last_txn"`
 	// FeedSeq is the highest sequence number the workspace's event log
 	// has assigned.
-	FeedSeq uint64 `json:"feed_seq"`
-	// StoreOpen reports whether the WAL partition is currently open
-	// (false after the idle sweeper folded it closed).
-	StoreOpen   bool  `json:"store_open"`
-	MaxTriples  int   `json:"max_triples,omitempty"`
-	MaxWALBytes int64 `json:"max_wal_bytes,omitempty"`
+	FeedSeq     uint64 `json:"feed_seq"`
+	MaxTriples  int    `json:"max_triples,omitempty"`
+	MaxWALBytes int64  `json:"max_wal_bytes,omitempty"`
 }
 
 // DeleteWorkspaceResponse acknowledges a workspace deletion.

@@ -9,11 +9,11 @@ package server
 // and per-workspace transaction locks.
 //
 // Role and epoch are node-level: one promotion covers every workspace
-// (the epoch is persisted in the default workspace's WAL header, which
-// is never idle-closed). Tail loops are per-workspace — each partition
-// has its own cursor — and a replica-side supervisor polls the
-// primary's workspace list so tenants created on the primary appear,
-// and start tailing, on the replica without a restart.
+// (the epoch is persisted in the default workspace's WAL header, whose
+// store stays open for the server's life). Tail loops are per-workspace
+// — each partition has its own cursor — and a replica-side supervisor
+// polls the primary's workspace list so tenants created on the primary
+// appear, and start tailing, on the replica without a restart.
 
 import (
 	"bytes"
@@ -80,9 +80,9 @@ func (s *Server) currentRole() replRole { return replRole(s.role.Load()) }
 
 // epochStore returns the default workspace's WAL store, the node's
 // durable epoch authority (nil on an in-memory node). The default
-// partition is exempt from idle-close, so the handle is stable.
+// workspace cannot be deleted, so its store is open until Close.
 func (s *Server) epochStore() *wal.Store {
-	return s.wsm.Default().StoreIfOpen()
+	return s.wsm.Default().Store()
 }
 
 // epoch reads the fencing epoch: durable in the default partition's WAL
@@ -101,15 +101,6 @@ func (s *Server) setEpoch(e uint64, sealed bool) error {
 	}
 	s.memEpoch.Store(e)
 	return nil
-}
-
-// lastTxn is one tenant's replication cursor: the partition's highest
-// txn, or the in-memory applied counter on a storeless replica.
-func (t *tenant) lastTxn() uint64 {
-	if t.ws.Durable() {
-		return t.ws.HighWater()
-	}
-	return t.applied.Load()
 }
 
 // initReplication establishes the node's role at startup. A ReplicaOf
@@ -321,7 +312,7 @@ type replApplier struct {
 }
 
 // LastApplied implements repl.Applier.
-func (a replApplier) LastApplied() uint64 { return a.t.lastTxn() }
+func (a replApplier) LastApplied() uint64 { return a.t.ws.HighWater() }
 
 // ApplyTxn implements repl.Applier: idempotent, durability-first replay
 // of one shipped transaction under the workspace's write lock.
@@ -332,24 +323,22 @@ func (a replApplier) ApplyTxn(txn uint64, ops []rdf.ChangeOp) error {
 	if s.currentRole() != roleReplica {
 		return fmt.Errorf("server: not a replica (role %s)", s.currentRole())
 	}
-	if txn <= t.lastTxn() {
+	if txn <= t.ws.HighWater() {
 		return nil // already applied: a retried batch replays as a no-op
 	}
-	if t.ws.Durable() {
-		if err := t.ws.AppendTxnAt(context.Background(), txn, ops); err != nil {
-			if errors.Is(err, wal.ErrTxnApplied) {
-				return nil
-			}
-			return err
+	if err := t.ws.AppendTxnAt(context.Background(), txn, ops); err != nil {
+		if errors.Is(err, wal.ErrTxnApplied) {
+			return nil
 		}
+		return err
 	}
-	a.applyOpsLocked(txn, ops)
+	a.applyOpsLocked(ops)
 	t.mgr().Publish(wbmgr.Event{Kind: EventReplTxn, Tool: replTool, Subject: strconv.FormatUint(txn, 10)})
 	return nil
 }
 
 // applyOpsLocked mutates the follower graph and refreshes derived state.
-func (a replApplier) applyOpsLocked(txn uint64, ops []rdf.ChangeOp) {
+func (a replApplier) applyOpsLocked(ops []rdf.ChangeOp) {
 	g := a.t.bb().Graph()
 	for _, op := range ops {
 		if op.Add {
@@ -359,7 +348,6 @@ func (a replApplier) applyOpsLocked(txn uint64, ops []rdf.ChangeOp) {
 		}
 	}
 	a.t.bb().SyncMetrics()
-	a.t.applied.Store(txn)
 }
 
 // Bootstrap implements repl.Applier: converge the local graph onto a
@@ -375,7 +363,7 @@ func (a replApplier) Bootstrap(g *rdf.Graph, txn uint64) error {
 	if s.currentRole() != roleReplica {
 		return fmt.Errorf("server: not a replica (role %s)", s.currentRole())
 	}
-	last := t.lastTxn()
+	last := t.ws.HighWater()
 	if txn < last {
 		return fmt.Errorf("server: local txn %d ahead of primary snapshot txn %d (diverged history; wipe the data dir to rejoin)", last, txn)
 	}
@@ -393,12 +381,10 @@ func (a replApplier) Bootstrap(g *rdf.Graph, txn uint64) error {
 	for _, tr := range added {
 		ops = append(ops, rdf.ChangeOp{Add: true, T: tr})
 	}
-	if t.ws.Durable() {
-		if err := t.ws.AppendTxnAt(context.Background(), txn, ops); err != nil {
-			return err
-		}
+	if err := t.ws.AppendTxnAt(context.Background(), txn, ops); err != nil {
+		return err
 	}
-	a.applyOpsLocked(txn, ops)
+	a.applyOpsLocked(ops)
 	if t.ws.Durable() {
 		// Fold the (potentially huge) bootstrap txn straight into a local
 		// snapshot; failure is harmless — the log replays fine.
@@ -505,11 +491,7 @@ func (s *Server) sealLocked(newEpoch uint64) {
 // the cursor and the follower must bootstrap; a failed segment read is a
 // 500, which the follower retries after its backoff.
 func (s *Server) handleReplLog(t *tenant, w http.ResponseWriter, r *http.Request) {
-	store, err := t.ws.Store()
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
+	store := t.ws.Store()
 	if store == nil {
 		fail(w, http.StatusConflict, "replication requires a data dir on the primary")
 		return
@@ -558,7 +540,7 @@ func (s *Server) handleReplSnapshot(t *tenant, w http.ResponseWriter, r *http.Re
 		return
 	}
 	t.ws.TxnMu.Lock()
-	txn := t.lastTxn()
+	txn := t.ws.HighWater()
 	var buf bytes.Buffer
 	err := rdf.WriteNTriples(&buf, t.bb().Graph())
 	t.ws.TxnMu.Unlock()
@@ -583,7 +565,7 @@ func (s *Server) replStatus() repl.Status {
 	st := repl.Status{
 		Role:    s.currentRole().String(),
 		Epoch:   s.epoch(),
-		LastTxn: dt.lastTxn(),
+		LastTxn: dt.ws.HighWater(),
 		Healthy: true,
 	}
 	switch s.currentRole() {

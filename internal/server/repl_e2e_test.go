@@ -347,6 +347,35 @@ func TestReplicationResumesAcrossPrimaryRestart(t *testing.T) {
 	}
 }
 
+// TestInMemoryReplicaReportsAppliedTxn: an in-memory replica of a
+// durable primary keeps one replication cursor, so its workspace list
+// reports the txn it applied, as its replication status and the
+// primary's workspace list do.
+func TestInMemoryReplicaReportsAppliedTxn(t *testing.T) {
+	pri := newNode(t, t.TempDir(), "")
+	rep := newNode(t, "", pri.ts.URL)
+	if _, err := pri.c.LoadSchema("po", "xsd", schemaText(t, "purchaseOrder.xsd")); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, pri.ts.URL, rep.ts.URL)
+	priWss, err := pri.c.Workspaces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	repWss, err := rep.c.Workspaces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rep.c.ReplStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := priWss[0].LastTxn; want == 0 || st.LastTxn != want || repWss[0].LastTxn != want {
+		t.Fatalf("last_txn: replica workspace %d, replica repl status %d, primary workspace %d",
+			repWss[0].LastTxn, st.LastTxn, want)
+	}
+}
+
 func TestFailoverPromoteCarriesStateAndEpoch(t *testing.T) {
 	pri := newNode(t, t.TempDir(), "")
 	rep := newNode(t, t.TempDir(), pri.ts.URL)

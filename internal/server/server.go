@@ -90,10 +90,6 @@ type Config struct {
 	// (0 = the repl package defaults; tests shrink them).
 	ReplPollTimeout time.Duration
 	ReplBackoff     time.Duration
-	// WorkspaceIdleTTL is how long a non-default workspace's WAL store
-	// may sit idle before being folded closed (0 =
-	// workspace.DefaultIdleTTL; negative = never).
-	WorkspaceIdleTTL time.Duration
 	// MaxTriples and MaxWALBytes are the default per-workspace quotas
 	// (0 = unlimited); a create request can override them per tenant.
 	MaxTriples  int
@@ -133,10 +129,6 @@ type tenant struct {
 	// so a mapping that runs cold over a pair another mapping already
 	// matched shares its matrices. It lives and dies with matches.
 	cache *matchcache.Cache
-
-	// applied is the in-memory replication cursor for a storeless
-	// replica tenant.
-	applied atomic.Uint64
 
 	tailMu     sync.Mutex
 	tailer     *repl.Tailer
@@ -205,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 	wsm, err := workspace.NewManager(workspace.Options{
 		Root:         cfg.DataDir,
 		Metrics:      reg,
-		IdleTTL:      cfg.WorkspaceIdleTTL,
 		DefaultQuota: workspace.Quota{MaxTriples: cfg.MaxTriples, MaxWALBytes: cfg.MaxWALBytes},
 		OnOpen:       s.attachTenant,
 	})
@@ -276,8 +267,8 @@ func (s *Server) tenants() []*tenant {
 func (s *Server) Manager() *wbmgr.Manager { return s.wsm.Default().Manager() }
 
 // Store exposes the default workspace's WAL store (nil when in-memory).
-// The default partition is never idle-closed, so the handle is stable.
-func (s *Server) Store() *wal.Store { return s.wsm.Default().StoreIfOpen() }
+// The handle stays open until Close.
+func (s *Server) Store() *wal.Store { return s.wsm.Default().Store() }
 
 // Workspaces exposes the workspace manager (tests, embedding).
 func (s *Server) Workspaces() *workspace.Manager { return s.wsm }
@@ -431,7 +422,6 @@ func (s *Server) middleware(name string, traced, scoped bool, h tenantHandler) h
 		if !scoped {
 			h(nil, rec, r)
 		} else if t, ok := s.tenantOf(wsName); ok {
-			t.ws.Touch()
 			h(t, rec, r)
 		} else {
 			fail(rec, http.StatusNotFound, "workspace %q not found", wsName)

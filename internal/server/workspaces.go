@@ -30,7 +30,6 @@ func (s *Server) workspaceInfo(t *tenant) WorkspaceInfo {
 		WALBytes:    t.ws.WALSize(),
 		LastTxn:     t.ws.HighWater(),
 		FeedSeq:     t.mgr().EventHead(),
-		StoreOpen:   t.ws.StoreOpen(),
 		MaxTriples:  q.MaxTriples,
 		MaxWALBytes: q.MaxWALBytes,
 	}

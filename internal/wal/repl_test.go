@@ -457,8 +457,8 @@ func TestFramesSinceDistrustsPrevSegment(t *testing.T) {
 	}
 }
 
-// TestFramesSinceOnClosedStoreReadsNothing: a workspace's idle fold
-// closes its store while a follower's poll may still hold it. The poll
+// TestFramesSinceOnClosedStoreReadsNothing: deleting a workspace closes
+// its store while a follower's poll may still hold it. The poll
 // must not read the closed segments: it fails (PollFrames) or demands a
 // bootstrap (FramesSince), and a caught-up poll stays caught up.
 func TestFramesSinceOnClosedStoreReadsNothing(t *testing.T) {

@@ -357,18 +357,6 @@ func recoverDir(dir string, reg *obs.Registry) (*rdf.Graph, RecoveryStats, uint6
 // reads it during snapshots.
 func (s *Store) Graph() *rdf.Graph { return s.g }
 
-// SetGraph rebinds the graph the store snapshots from. A workspace that
-// idle-closed its store (folding the log into a snapshot) reopens it
-// later and points the fresh store at the still-live blackboard graph,
-// instead of adopting the store's recovered copy — the contents are
-// equal (Close folded every committed txn), but object identity must
-// stay with the blackboard so feeds and match sessions keep working.
-func (s *Store) SetGraph(g *rdf.Graph) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.g = g
-}
-
 // Stats returns what recovery found when the store was opened.
 func (s *Store) Stats() RecoveryStats {
 	s.mu.Lock()

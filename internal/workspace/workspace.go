@@ -1,12 +1,12 @@
 // Package workspace partitions one workbench service into isolated
 // tenants. Each workspace owns a full engine bundle — blackboard,
 // workbench manager, and (when durable) a private WAL partition under
-// <data-dir>/ws/<name>/ — while process-wide resources (the match
-// cache, whose keys are content-addressed, and the metrics registry,
-// which gains a `workspace` label per tenant) stay shared. The manager
-// recovers every partition on boot, adopts a pre-workspace data dir as
-// the `default` tenant, lazily reopens idle-closed stores on first
-// touch, and folds idle partitions back into snapshots after a TTL.
+// <data-dir>/ws/<name>/; the server hangs each tenant's match sessions
+// and their match cache off it too. Only the metrics registry is
+// process-wide, and it gains a `workspace` label per tenant. The
+// manager recovers every partition on boot and adopts a pre-workspace
+// data dir as the `default` tenant. A partition's WAL store stays open
+// from the workspace's open to its deletion or the manager's close.
 package workspace
 
 import (
@@ -17,7 +17,6 @@ import (
 	"regexp"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/blackboard"
 	"repro/internal/obs"
@@ -29,10 +28,6 @@ import (
 // DefaultName is the tenant behind every bare (un-prefixed) API route
 // and every pre-workspace on-disk layout.
 const DefaultName = "default"
-
-// DefaultIdleTTL is how long a non-default workspace's WAL store stays
-// open without traffic before the sweeper folds and closes it.
-const DefaultIdleTTL = 15 * time.Minute
 
 // nameRe bounds workspace names to path- and label-safe tokens. The
 // leading class keeps ".." (and hidden dirs) impossible.
@@ -73,10 +68,6 @@ type Options struct {
 	// Metrics is the process-wide registry. Every workspace gets a
 	// WithLabels("workspace", name) view of it. nil = obs.Default().
 	Metrics *obs.Registry
-	// IdleTTL is how long a non-default workspace's store may sit idle
-	// before being folded closed (0 = DefaultIdleTTL, negative =
-	// never close).
-	IdleTTL time.Duration
 	// DefaultQuota applies to workspaces created without an explicit
 	// quota (including recovered and default ones).
 	DefaultQuota Quota
@@ -95,9 +86,6 @@ type Manager struct {
 	mu     sync.Mutex
 	wss    map[string]*Workspace
 	closed bool
-
-	sweepStop chan struct{}
-	sweepDone chan struct{}
 }
 
 // NewManager scans Root/ws/* (adopting a legacy flat layout as the
@@ -138,15 +126,6 @@ func NewManager(opts Options) (*Manager, error) {
 			m.closeLocked()
 			return nil, err
 		}
-	}
-	ttl := opts.IdleTTL
-	if ttl == 0 {
-		ttl = DefaultIdleTTL
-	}
-	if opts.Root != "" && ttl > 0 {
-		m.sweepStop = make(chan struct{})
-		m.sweepDone = make(chan struct{})
-		go m.sweepLoop(ttl)
 	}
 	return m, nil
 }
@@ -194,26 +173,19 @@ func (m *Manager) openLocked(name string, q Quota) (*Workspace, error) {
 		return nil, fmt.Errorf("workspace %q already exists", name)
 	}
 	wsReg := m.reg.WithLabels("workspace", name)
-	ws := &Workspace{
-		name:      name,
-		reg:       wsReg,
-		quota:     q,
-		walOpts:   wal.Options{Metrics: wsReg},
-		lastTouch: time.Now(),
-	}
+	ws := &Workspace{name: name, reg: wsReg, quota: q}
 	if m.opts.Root != "" {
 		ws.dir = filepath.Join(m.opts.Root, "ws", name)
 		if err := os.MkdirAll(ws.dir, 0o755); err != nil {
 			return nil, err
 		}
-		store, err := wal.Open(ws.dir, ws.walOpts)
+		store, err := wal.Open(ws.dir, wal.Options{Metrics: wsReg})
 		if err != nil {
 			return nil, err
 		}
 		ws.store = store
 		ws.recovery = store.Stats().String()
 		ws.openHighWater = store.LastTxn()
-		ws.lastTxn = store.LastTxn()
 		ws.bb = blackboard.NewFromGraph(store.Graph())
 	} else {
 		ws.bb = blackboard.New()
@@ -286,9 +258,9 @@ func (m *Manager) Ensure(name string, q Quota) (*Workspace, error) {
 	return ws, nil
 }
 
-// Delete removes a workspace and its partition from disk. The default
-// workspace is load-bearing (it backs every bare /v1 route) and cannot
-// be deleted.
+// Delete removes a workspace, closes its store, and removes its
+// partition from disk. The default workspace is load-bearing (it backs
+// every bare /v1 route) and cannot be deleted.
 func (m *Manager) Delete(name string) error {
 	if name == DefaultName {
 		return fmt.Errorf("workspace %q cannot be deleted", DefaultName)
@@ -302,13 +274,9 @@ func (m *Manager) Delete(name string) error {
 	if !ok {
 		return fmt.Errorf("workspace %q not found", name)
 	}
-	ws.storeMu.Lock()
 	if ws.store != nil {
 		ws.store.Close()
-		ws.store = nil
 	}
-	ws.deleted = true
-	ws.storeMu.Unlock()
 	if ws.dir != "" {
 		return os.RemoveAll(ws.dir)
 	}
@@ -337,65 +305,24 @@ func (m *Manager) Names() []string {
 	return out
 }
 
-func (m *Manager) sweepLoop(ttl time.Duration) {
-	defer close(m.sweepDone)
-	tick := ttl / 4
-	if tick < time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.sweepStop:
-			return
-		case <-t.C:
-			m.SweepIdle(time.Now(), ttl)
-		}
-	}
-}
-
-// SweepIdle folds and closes the store of every non-default workspace
-// untouched for at least ttl, returning how many it closed. The default
-// workspace stays open: it carries the node's replication epoch header
-// and every bare-route client. Exported so tests can drive the sweep
-// deterministically.
-func (m *Manager) SweepIdle(now time.Time, ttl time.Duration) int {
-	closed := 0
-	for _, ws := range m.List() {
-		if ws.name == DefaultName {
-			continue
-		}
-		if ws.closeIfIdle(now, ttl) {
-			closed++
-		}
-	}
-	return closed
-}
-
-// Close stops the sweeper and folds every open store.
+// Close folds and closes every workspace's store.
 func (m *Manager) Close() error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil
 	}
 	m.closed = true
-	stop, done := m.sweepStop, m.sweepDone
-	m.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.closeLocked()
 }
 
 func (m *Manager) closeLocked() error {
 	var first error
 	for _, ws := range m.wss {
-		if err := ws.CloseStore(); err != nil && first == nil {
+		if ws.store == nil {
+			continue
+		}
+		if err := ws.store.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rdf"
@@ -95,63 +94,8 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-func TestIdleSweepFoldsAndLazilyReopens(t *testing.T) {
-	m, err := NewManager(Options{
-		Root:    t.TempDir(),
-		Metrics: obs.NewRegistry(),
-		IdleTTL: -1, // no background sweeper; driven explicitly below
-	})
-	if err != nil {
-		t.Fatalf("NewManager: %v", err)
-	}
-	defer m.Close()
-
-	ws, err := m.Create("idle", Quota{})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	commit(t, ws, `<urn:s> <urn:p> "kept"`)
-	commit(t, m.Default(), `<urn:s> <urn:p> "busy"`)
-	if !ws.StoreOpen() || ws.WALSize() == 0 {
-		t.Fatalf("freshly written partition: open=%v size=%d", ws.StoreOpen(), ws.WALSize())
-	}
-
-	// Everything is stale an hour from now — but only the non-default
-	// tenant folds; the default partition holds node-wide epoch state.
-	n := m.SweepIdle(time.Now().Add(time.Hour), time.Minute)
-	if n != 1 {
-		t.Fatalf("SweepIdle closed %d stores, want 1", n)
-	}
-	if ws.StoreOpen() {
-		t.Fatal("idle workspace still open after sweep")
-	}
-	if !m.Default().StoreOpen() {
-		t.Fatal("sweep folded the default workspace")
-	}
-
-	// Folded state still answers reads: the high-water mark is cached
-	// and the blackboard graph stays live.
-	if ws.HighWater() != 1 {
-		t.Fatalf("folded HighWater = %d, want 1", ws.HighWater())
-	}
-	if ws.Blackboard().Graph().Len() != 1 {
-		t.Fatal("fold lost the blackboard graph")
-	}
-
-	// The next write reopens the partition and binds the recovered store
-	// back to the live graph; history continues from the fold.
-	commit(t, ws, `<urn:s> <urn:p> "after"`)
-	if !ws.StoreOpen() || ws.HighWater() != 2 {
-		t.Fatalf("after reopen: open=%v hw=%d", ws.StoreOpen(), ws.HighWater())
-	}
-	st, err := ws.Store()
-	if err != nil || st.Graph() != ws.Blackboard().Graph() {
-		t.Fatalf("reopened store not bound to the live graph (err=%v)", err)
-	}
-}
-
 func TestQuotaErrors(t *testing.T) {
-	m, err := NewManager(Options{Root: t.TempDir(), Metrics: obs.NewRegistry(), IdleTTL: -1})
+	m, err := NewManager(Options{Root: t.TempDir(), Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -194,7 +138,7 @@ func TestQuotaErrors(t *testing.T) {
 
 func TestOpenHighWaterSurvivesReboot(t *testing.T) {
 	root := t.TempDir()
-	m1, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry(), IdleTTL: -1})
+	m1, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -210,7 +154,7 @@ func TestOpenHighWaterSurvivesReboot(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	m2, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry(), IdleTTL: -1})
+	m2, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatalf("NewManager (reboot): %v", err)
 	}
@@ -229,7 +173,7 @@ func TestOpenHighWaterSurvivesReboot(t *testing.T) {
 
 func TestDeleteRemovesPartitionDir(t *testing.T) {
 	root := t.TempDir()
-	m, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry(), IdleTTL: -1})
+	m, err := NewManager(Options{Root: root, Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatalf("NewManager: %v", err)
 	}
@@ -246,8 +190,8 @@ func TestDeleteRemovesPartitionDir(t *testing.T) {
 	if err := m.Delete("doomed"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := ws.Store(); err == nil {
-		t.Fatal("deleted workspace reopened its store")
+	if err := ws.AppendTxn(context.Background(), []rdf.ChangeOp{{Add: true, T: mustTriple(t, `<urn:s> <urn:p> "late"`)}}); err == nil {
+		t.Fatal("deleted workspace accepted an append")
 	}
 	if _, statErr := os.Stat(dir); statErr == nil {
 		t.Fatalf("partition dir %q survives deletion", dir)
