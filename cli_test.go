@@ -47,19 +47,23 @@ func buildCLIs(t *testing.T) string {
 	return buildDir
 }
 
-// TestPerfbenchCompiles vets the perfbench module. It builds against
-// server.Config and internal/client but is a module of its own, so no
-// root build or test compiles it: without this, an API change could
-// break the benchmark unnoticed.
-func TestPerfbenchCompiles(t *testing.T) {
+// TestPerfbenchModule vets and tests the perfbench module. It builds
+// against server.Config and internal/client but is a module of its
+// own, so no root build or test compiles it: without this, an API
+// change could break the benchmark unnoticed. Its smoke test runs every
+// workload at tiny size with the output checks, which read match and
+// rematch responses, so a wire change that breaks them fails here too.
+func TestPerfbenchModule(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs go vet on the perfbench module")
+		t.Skip("runs go vet and go test on the perfbench module")
 	}
-	cmd := exec.Command("go", "vet", "./...")
-	cmd.Dir = "perfbench"
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet in perfbench: %v\n%s", err, out)
+	for _, args := range [][]string{{"vet", "./..."}, {"test", "./..."}} {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = "perfbench"
+		cmd.Env = append(os.Environ(), "GOWORK=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s in perfbench: %v\n%s", strings.Join(args, " "), err, out)
+		}
 	}
 }
 

@@ -523,7 +523,7 @@ func runCommand(c *client.Client, cmd string, rest []string) error {
 		for _, cell := range resp.Cells {
 			fmt.Printf("  %s ↔ %s (%+.2f)\n", cell.Source, cell.Target, cell.Confidence)
 		}
-		fmt.Printf("published %d cells at threshold %.2f\n", resp.Published, resp.Threshold)
+		fmt.Printf("published %d cells at threshold %.2f (%d written)\n", resp.Published, resp.Threshold, len(resp.Cells))
 	case "accept", "reject":
 		if err := need(rest, 3, cmd+" <id> <srcElem> <tgtElem>"); err != nil {
 			return err

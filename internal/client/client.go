@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -166,7 +167,9 @@ func (c *Client) Mappings() ([]server.MappingInfo, error) {
 }
 
 // Match runs Harmony server-side and publishes every correspondence at
-// or above threshold (the CLI default is server.DefaultThreshold).
+// or above threshold (the CLI default is server.DefaultThreshold). The
+// response carries the cells the publish wrote and the revision after
+// them (see CellsSince).
 func (c *Client) Match(id string, threshold float64) (server.MatchResponse, error) {
 	var out server.MatchResponse
 	err := c.do("POST", "/v1/mappings/"+url.PathEscape(id)+"/match",
@@ -177,7 +180,8 @@ func (c *Client) Match(id string, threshold float64) (server.MatchResponse, erro
 // Rematch incrementally recomputes a mapping's matrix server-side. The
 // dirty ID lists are optional hints naming elements the caller knows
 // changed; the server unions them with its own change detection. The
-// response's Mode reports which recompute path ran.
+// response's Mode reports which recompute path ran; like Match's, it
+// carries only the cells the publish wrote.
 func (c *Client) Rematch(id string, threshold float64, dirtySource, dirtyTarget []string) (server.RematchResponse, error) {
 	var out server.RematchResponse
 	err := c.do("POST", "/v1/mappings/"+url.PathEscape(id)+"/rematch",
@@ -208,6 +212,14 @@ func (c *Client) Decide(id, source, target, verdict string) (server.CellInfo, er
 func (c *Client) Cells(id string) ([]server.CellInfo, error) {
 	var out []server.CellInfo
 	return out, c.do("GET", "/v1/mappings/"+url.PathEscape(id)+"/cells", nil, &out)
+}
+
+// CellsSince fetches the mapping's cells written after blackboard
+// revision since — a match, rematch or decide response's revision, or
+// a cell's — ordered like Cells.
+func (c *Client) CellsSince(id string, since int) ([]server.CellInfo, error) {
+	var out []server.CellInfo
+	return out, c.do("GET", "/v1/mappings/"+url.PathEscape(id)+"/cells?since="+strconv.Itoa(since), nil, &out)
 }
 
 // Query runs a §5.2 ad hoc basic-graph-pattern query.

@@ -86,8 +86,8 @@ func (s *IntegrationSession) Engine() (*harmony.Engine, error) {
 // Match runs the session's Harmony engine — cold the first time, then an
 // incremental rematch that pins the engineer's decisions — and publishes
 // its links at or above the threshold in one transaction (task 3). It
-// returns the number of stored cells at or above the threshold;
-// decisions are never overwritten.
+// returns the number of those links, whether or not the publish had to
+// rewrite their cells; decisions are never overwritten.
 func (s *IntegrationSession) Match(threshold float64) (int, error) {
 	mp, err := s.Mapping()
 	if err != nil {
@@ -97,13 +97,11 @@ func (s *IntegrationSession) Match(threshold float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var cells []blackboard.Cell
 	err = s.Manager.Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
-		var perr error
-		cells, perr = res.Publish(txn, mp)
+		_, perr := res.Publish(txn, mp)
 		return perr
 	})
-	return len(cells), err
+	return len(res.Links), err
 }
 
 // Accept records an engineer decision as a user-defined cell

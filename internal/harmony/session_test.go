@@ -58,11 +58,12 @@ func newTestSession() *Session {
 	return NewSession(Options{Flooding: true, Metrics: obs.NewRegistry()})
 }
 
-// publishRun publishes a session result in one transaction.
-func publishRun(t *testing.T, bb *blackboard.Blackboard, mp *blackboard.Mapping, res *Result) []blackboard.Cell {
+// publishRun publishes a session result in one transaction on mgr and
+// returns the cells it wrote.
+func publishRun(t *testing.T, mgr *wbmgr.Manager, mp *blackboard.Mapping, res *Result) []blackboard.Cell {
 	t.Helper()
 	var cells []blackboard.Cell
-	err := wbmgr.NewWith(bb).Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
+	err := mgr.Do(context.Background(), "harmony", func(txn *wbmgr.Txn) error {
 		var err error
 		cells, err = res.Publish(txn, mp)
 		return err
@@ -71,6 +72,77 @@ func publishRun(t *testing.T, bb *blackboard.Blackboard, mp *blackboard.Mapping,
 		t.Fatal(err)
 	}
 	return cells
+}
+
+// publishChecked publishes res like publishRun and checks the publish
+// against the mapping's cells before it and a cold run after it. It
+// must write exactly the links whose cell was absent or held another
+// machine score. Afterwards each cold link's cell holds the cold score
+// bit for bit, or a decision it left as it was, and every other cell
+// on the schemas' current elements scores below the threshold cold and
+// was left as it was.
+func publishChecked(t *testing.T, mgr *wbmgr.Manager, mp *blackboard.Mapping, res *Result, threshold float64) []blackboard.Cell {
+	t.Helper()
+	before := map[pairKey]blackboard.Cell{}
+	for _, c := range mp.Cells() {
+		before[pairKey{c.SourceID, c.TargetID}] = c
+	}
+	written := publishRun(t, mgr, mp, res)
+
+	bb := mgr.Blackboard()
+	src, err := bb.GetSchema(mp.SourceSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := bb.GetSchema(mp.TargetSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
+	cold.LoadFrom(mp)
+	links := map[pairKey]float64{}
+	want := map[pairKey]bool{}
+	for _, l := range cold.Matrix().Above(threshold) {
+		k := pairKey{l.Source.ID, l.Target.ID}
+		links[k] = l.Confidence
+		if c, ok := before[k]; !ok || !c.UserDefined && (c.SetBy != "harmony" || c.Confidence != l.Confidence) {
+			want[k] = true
+		}
+	}
+	for _, c := range written {
+		k := pairKey{c.SourceID, c.TargetID}
+		if !want[k] || c.UserDefined || c.SetBy != "harmony" || math.Float64bits(c.Confidence) != math.Float64bits(links[k]) {
+			t.Errorf("publish wrote %+v; want written %v, cold link %v", c, want[k], links[k])
+		}
+		delete(want, k)
+	}
+	for k := range want {
+		t.Errorf("publish did not write %s → %s (cold %v, before %+v)", k.src, k.tgt, links[k], before[k])
+	}
+
+	live := func(sch *model.Schema, id string) bool { return sch.Element(id) != nil }
+	for _, c := range mp.Cells() {
+		k := pairKey{c.SourceID, c.TargetID}
+		if !live(src, k.src) || !live(tgt, k.tgt) {
+			continue
+		}
+		conf, isLink := links[k]
+		switch {
+		case isLink && !c.UserDefined:
+			if math.Float64bits(c.Confidence) != math.Float64bits(conf) {
+				t.Errorf("cell %s → %s = %v; cold link %v", k.src, k.tgt, c.Confidence, conf)
+			}
+		case c != before[k]:
+			t.Errorf("publish rewrote %+v (before %+v, a link %v)", c, before[k], isLink)
+		case !isLink && cold.Matrix().Get(k.src, k.tgt) >= threshold:
+			t.Errorf("cell %s → %s is no link but scores %v cold", k.src, k.tgt, cold.Matrix().Get(k.src, k.tgt))
+		}
+		delete(links, k)
+	}
+	for k, conf := range links {
+		t.Errorf("cold link %s → %s (%v) has no cell", k.src, k.tgt, conf)
+	}
+	return written
 }
 
 // assertColdEqual checks the session's matrix bit for bit against a
@@ -157,51 +229,65 @@ func TestSessionRetriesPinsAfterSchemaSwap(t *testing.T) {
 	assertColdEqual(t, s, bb, mp)
 }
 
+// TestSessionIdenticalRematchWritesNothing: the first publish writes
+// every link, and an identical rematch, publishing through the same
+// manager on the session's baseline, writes nothing and leaves every
+// cell as the cold run scores it.
 func TestSessionIdenticalRematchWritesNothing(t *testing.T) {
 	bb, mp := sessionBoard(t)
+	mgr := wbmgr.NewWith(bb)
 	s := newTestSession()
 	res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := publishRun(t, bb, mp, res)
-	if len(first) == 0 {
-		t.Fatal("run published nothing")
+	first := publishChecked(t, mgr, mp, res, 0.1)
+	if len(first) == 0 || len(first) != len(res.Links) {
+		t.Fatalf("first publish wrote %d cells of %d links", len(first), len(res.Links))
 	}
 	rev := bb.Revision()
 	res, err = s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := publishRun(t, bb, mp, res)
-	if got := bb.Revision(); got != rev {
-		t.Errorf("identical rematch wrote %d cells", got-rev)
+	if again := publishChecked(t, mgr, mp, res, 0.1); len(again) != 0 {
+		t.Errorf("identical rematch wrote %d cells", len(again))
 	}
-	if len(again) != len(first) {
-		t.Errorf("identical rematch returned %d cells, run %d", len(again), len(first))
+	if got := bb.Revision(); got != rev {
+		t.Errorf("identical rematch moved the revision by %d", got-rev)
 	}
 }
 
 func TestSessionNeverOverwritesMidRangeDecision(t *testing.T) {
 	bb, mp := sessionBoard(t)
+	mgr := wbmgr.NewWith(bb)
 	s := newTestSession()
 	if err := mp.SetCell(subtotalID, totalID, 0.5, true, "analyst"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var returned bool
-	for _, c := range publishRun(t, bb, mp, res) {
-		returned = returned || c.SourceID == subtotalID && c.TargetID == totalID
-	}
-	if !returned {
-		t.Error("the decided pair's stored cell was not returned")
-	}
-	c, _ := mp.GetCell(subtotalID, totalID)
-	if c.Confidence != 0.5 || !c.UserDefined || c.SetBy != "analyst" {
-		t.Errorf("mid-range decision overwritten: %+v", c)
+	// Twice: the first publish reads every link, the second publishes on
+	// the first's baseline.
+	for round := 0; round < 2; round++ {
+		res, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var linked bool
+		for _, l := range res.Links {
+			linked = linked || l.Source.ID == subtotalID && l.Target.ID == totalID
+		}
+		if !linked {
+			t.Fatalf("round %d: the decided pair is no link", round)
+		}
+		for _, c := range publishChecked(t, mgr, mp, res, 0.1) {
+			if c.SourceID == subtotalID && c.TargetID == totalID {
+				t.Errorf("round %d: publish wrote the decided pair: %+v", round, c)
+			}
+		}
+		c, _ := mp.GetCell(subtotalID, totalID)
+		if c.Confidence != 0.5 || !c.UserDefined || c.SetBy != "analyst" {
+			t.Errorf("round %d: mid-range decision overwritten: %+v", round, c)
+		}
 	}
 }
 
@@ -226,10 +312,12 @@ func TestSessionConcurrentRuns(t *testing.T) {
 
 // TestSessionRereadsOnlyTheMovedSchema reloads one side at a time. The
 // rematch re-reads the schema whose version moved and keeps the
-// engine's object for the other, and both the matrix and the published
-// cells stay bit-identical to a cold match.
+// engine's object for the other, the matrix stays bit-identical to a
+// cold match, and each publish writes exactly the links that moved and
+// leaves the mapping's cells as the cold match scores them.
 func TestSessionRereadsOnlyTheMovedSchema(t *testing.T) {
 	bb, mp := sessionBoard(t)
+	mgr := wbmgr.NewWith(bb)
 	s := newTestSession()
 	if _, err := s.Rematch(context.Background(), bb, mp, Dirty{}, 0.2); err != nil {
 		t.Fatal(err)
@@ -254,20 +342,6 @@ func TestSessionRereadsOnlyTheMovedSchema(t *testing.T) {
 			t.Errorf("%s reload: source re-read %v, target re-read %v", tc.side, src != oldSrc, tgt != oldTgt)
 		}
 		assertColdEqual(t, s, bb, mp)
-		cold := NewEngine(src, tgt, Options{Flooding: true, Metrics: obs.NewRegistry()})
-		cold.Run()
-		want := map[[2]string]uint64{}
-		for _, l := range cold.Matrix().Above(0.2) {
-			want[[2]string{l.Source.ID, l.Target.ID}] = math.Float64bits(l.Confidence)
-		}
-		cells := publishRun(t, bb, mp, res)
-		if len(cells) != len(want) {
-			t.Errorf("%s reload published %d cells, cold match %d", tc.side, len(cells), len(want))
-		}
-		for _, c := range cells {
-			if w, ok := want[[2]string{c.SourceID, c.TargetID}]; !ok || w != math.Float64bits(c.Confidence) {
-				t.Errorf("%s reload published %s → %s = %v; cold match %v", tc.side, c.SourceID, c.TargetID, c.Confidence, math.Float64frombits(w))
-			}
-		}
+		publishChecked(t, mgr, mp, res, 0.2)
 	}
 }

@@ -138,9 +138,30 @@ type worker struct {
 	// serialized commit path the benchmark is measuring.
 	decideHeavy bool
 
-	// cells is the last published matrix, the pool decide ops draw from.
+	// cells is the pool decide ops draw from: one cell per pair any
+	// response carried, its latest copy; at indexes it by pair.
 	cells   []server.CellInfo
+	at      map[[2]string]int
 	samples []sample
+}
+
+// merge folds cells into the decide pool by pair. A match or rematch
+// response carries only the cells its publish wrote, so replacing the
+// pool with it would leave decides nothing to draw from after a rematch
+// that wrote nothing.
+func (w *worker) merge(cells []server.CellInfo) {
+	if w.at == nil {
+		w.at = map[[2]string]int{}
+	}
+	for _, c := range cells {
+		k := [2]string{c.Source, c.Target}
+		if i, ok := w.at[k]; ok {
+			w.cells[i] = c
+			continue
+		}
+		w.at[k] = len(w.cells)
+		w.cells = append(w.cells, c)
+	}
 }
 
 // Run executes one load run against the service at cfg.Addr. The run is
@@ -204,7 +225,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: cold match %s: %w", w.mapping, err)
 		}
-		w.cells = resp.Cells
+		w.merge(resp.Cells)
 		workers[i] = w
 	}
 
@@ -300,10 +321,10 @@ func seedAndRun(cfg Config, wsNames []string) ([]*worker, time.Duration, error) 
 		if err != nil {
 			return nil, 0, fmt.Errorf("loadgen: cold match %s (%s): %w", w.mapping, ws, err)
 		}
-		if len(resp.Cells) == 0 {
-			return nil, 0, fmt.Errorf("loadgen: self-match %s published no cells; decide mix would be empty", w.mapping)
+		w.merge(resp.Cells)
+		if len(w.cells) == 0 {
+			return nil, 0, fmt.Errorf("loadgen: self-match %s wrote no cells; decide mix would be empty", w.mapping)
 		}
-		w.cells = resp.Cells
 		workers[i] = w
 	}
 	start := time.Now()
@@ -417,8 +438,8 @@ func (w *worker) step() {
 		// Multi-tenant contrast mix: pure decides — small transactions
 		// whose cost is the serialized commit + WAL fsync path, exactly
 		// what the 1-vs-N workspace contrast measures. No rematches: a
-		// rematch would replace the decide pool with its incremental
-		// (often empty) cell set and silently turn the mix CPU-bound.
+		// rematch recomputes the matrix, CPU work that would hide the
+		// commit path the contrast is after.
 		w.decideOp()
 		return
 	}
@@ -442,10 +463,7 @@ func (w *worker) readStep() {
 	switch p := w.rng.Intn(100); {
 	case p < 50:
 		w.record("cells.get", func() error {
-			cells, err := w.rd.Cells(w.mapping)
-			if err == nil {
-				w.cells = cells
-			}
+			_, err := w.rd.Cells(w.mapping)
 			return err
 		})
 	case p < 70:
@@ -490,9 +508,7 @@ func (w *worker) loadOp() {
 func (w *worker) matchOp() {
 	w.record("match.run", func() error {
 		resp, err := w.cl.Match(w.mapping, w.thresh)
-		if err == nil {
-			w.cells = resp.Cells
-		}
+		w.merge(resp.Cells)
 		return err
 	})
 }
@@ -500,29 +516,44 @@ func (w *worker) matchOp() {
 func (w *worker) rematchOp() {
 	w.record("match.rematch", func() error {
 		resp, err := w.cl.Rematch(w.mapping, w.thresh, nil, nil)
-		if err == nil {
-			w.cells = resp.Cells
-		}
+		w.merge(resp.Cells)
 		return err
 	})
 }
 
-// decideOp accepts or rejects a random cell from the worker's last
-// published matrix (skipped silently while the matrix is empty).
+// decideOp accepts or rejects a random cell from the worker's pool
+// (a rematch instead while the pool is empty).
 func (w *worker) decideOp() {
 	if len(w.cells) == 0 {
 		w.rematchOp()
 		return
 	}
-	c := w.cells[w.rng.Intn(len(w.cells))]
+	i := w.rng.Intn(len(w.cells))
+	c := w.cells[i]
 	verdict := "accept"
 	if w.rng.Intn(2) == 0 {
 		verdict = "reject"
 	}
 	w.record("cells.decide", func() error {
 		_, err := w.cl.Decide(w.mapping, c.Source, c.Target, verdict)
+		if err != nil {
+			// Most likely a schema re-load dropped an element of the pair:
+			// it leaves the pool until a response carries it again.
+			w.drop(i)
+		}
 		return err
 	})
+}
+
+// drop removes the pool's i-th cell.
+func (w *worker) drop(i int) {
+	last := len(w.cells) - 1
+	delete(w.at, [2]string{w.cells[i].Source, w.cells[i].Target})
+	if i != last {
+		w.cells[i] = w.cells[last]
+		w.at[[2]string{w.cells[i].Source, w.cells[i].Target}] = i
+	}
+	w.cells = w.cells[:last]
 }
 
 // assemble folds every worker's samples into the report.

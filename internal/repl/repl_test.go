@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/rdf"
 	"repro/internal/wal"
 )
 
@@ -172,5 +174,47 @@ func TestFetcherSendsEpochClaim(t *testing.T) {
 	}
 	if e, err := strconv.ParseUint(got, 10, 64); err != nil || e != 0 {
 		t.Fatalf("nil epoch func sent %q", got)
+	}
+}
+
+// healthProbe is an Applier that records what Tailer.Healthy reports
+// while a shipped transaction is being applied.
+type healthProbe struct {
+	tail    *Tailer
+	applied uint64
+	healthy []bool
+}
+
+func (p *healthProbe) LastApplied() uint64 { return p.applied }
+func (p *healthProbe) ApplyTxn(txn uint64, _ []rdf.ChangeOp) error {
+	p.healthy = append(p.healthy, p.tail.Healthy())
+	p.applied = txn
+	return nil
+}
+func (p *healthProbe) Bootstrap(*rdf.Graph, uint64) error { return nil }
+func (p *healthProbe) ObserveEpoch(uint64) error          { return nil }
+
+// TestTailerHealthyWhileApplying: a freshly started tail reports
+// healthy as soon as the primary has answered, not only once the batch
+// it answered with is applied.
+func TestTailerHealthyWhileApplying(t *testing.T) {
+	ts := httptest.NewServer(replHandler(http.StatusOK, string(wal.EncodeTxn(1, nil)), map[string]string{
+		EpochHeader:   "0",
+		LastTxnHeader: "1",
+	}))
+	defer ts.Close()
+	probe := &healthProbe{}
+	probe.tail = NewTailer(Config{Primary: ts.URL, Apply: probe, Metrics: obs.NewRegistry(), PollTimeout: time.Second})
+	if probe.tail.Healthy() {
+		t.Fatal("healthy before any contact")
+	}
+	if err := probe.tail.step(context.Background()); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if len(probe.healthy) != 1 || !probe.healthy[0] {
+		t.Fatalf("Healthy during the apply = %v; want [true]", probe.healthy)
+	}
+	if !probe.tail.Healthy() {
+		t.Error("unhealthy after a clean round")
 	}
 }

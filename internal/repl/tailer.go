@@ -158,6 +158,10 @@ func (t *Tailer) step(ctx context.Context) (err error) {
 	if err := t.observeEpoch(batch.Epoch); err != nil {
 		return err
 	}
+	// The primary answered: that is contact, whatever the apply makes
+	// of the batch (an apply error still lands in noteError).
+	t.noteContact(batch.Last)
+	defer t.updateLagGauges()
 	for _, fr := range batch.Frames {
 		if err := chaos.Inject(SiteApply); err != nil {
 			return fmt.Errorf("repl: apply: %w", err)
@@ -167,7 +171,6 @@ func (t *Tailer) step(ctx context.Context) (err error) {
 		}
 		t.reg.Counter(MetricAppliedTxns).Inc()
 	}
-	t.noteContact(batch.Last)
 	return nil
 }
 
@@ -181,6 +184,8 @@ func (t *Tailer) bootstrap(ctx context.Context) error {
 	if err := t.observeEpoch(epoch); err != nil {
 		return err
 	}
+	t.noteContact(txn)
+	defer t.updateLagGauges()
 	if err := chaos.Inject(SiteBootstrap); err != nil {
 		return fmt.Errorf("repl: bootstrap: %w", err)
 	}
@@ -189,7 +194,6 @@ func (t *Tailer) bootstrap(ctx context.Context) error {
 	}
 	t.reg.Counter(MetricBootstraps).Inc()
 	t.log.Info(ctx, "bootstrapped from snapshot", "primary", t.fetcher.BaseURL(), "txn", txn)
-	t.noteContact(txn)
 	return nil
 }
 
@@ -202,7 +206,8 @@ func (t *Tailer) observeEpoch(epoch uint64) error {
 	return nil
 }
 
-// noteContact records a successful round and refreshes the lag gauges.
+// noteContact records an answer from the primary, clearing the last
+// error, and refreshes the lag gauges.
 func (t *Tailer) noteContact(primaryLast uint64) {
 	t.mu.Lock()
 	t.lastContact = time.Now()

@@ -65,8 +65,8 @@ type Rematch struct {
 	// match, else the engine's self-classified rematch mode
 	// ("pins"/"incremental"/"corpus"/"full").
 	Mode string
-	// Published counts the mapping's stored cells at or above the
-	// threshold after the publish.
+	// Published counts the re-match's links at or above the threshold,
+	// whether or not the publish had to rewrite their cells.
 	Published int
 	// Duration is the wall-clock cost of this re-match: pin sync, the
 	// engine run, and the publish transaction — everything the version
@@ -189,10 +189,8 @@ func (a *Applier) ApplyWith(ctx context.Context, p *Plan, threshold float64, inT
 		if err != nil {
 			return res, err
 		}
-		var cells []blackboard.Cell
 		err = inTxn(func(txn *wbmgr.Txn) error {
-			var perr error
-			cells, perr = run.Publish(txn, mp)
+			_, perr := run.Publish(txn, mp)
 			txn.Emit(wbmgr.EventMappingMatrix, id)
 			return perr
 		})
@@ -201,7 +199,7 @@ func (a *Applier) ApplyWith(ctx context.Context, p *Plan, threshold float64, inT
 		}
 		res.Txns++
 		res.Rematches = append(res.Rematches, Rematch{
-			Mapping: id, Mode: run.Mode, Published: len(cells), Duration: time.Since(start),
+			Mapping: id, Mode: run.Mode, Published: len(run.Links), Duration: time.Since(start),
 		})
 	}
 	return res, nil

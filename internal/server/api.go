@@ -20,6 +20,7 @@ import (
 //	GET  /v1/mappings                     list mappings         → []MappingInfo
 //	GET  /v1/mappings/{id}                one mapping           → MappingInfo
 //	GET  /v1/mappings/{id}/cells          the mapping matrix    → []CellInfo
+//	GET  /v1/mappings/{id}/cells?since=R  cells written after revision R → []CellInfo
 //	POST /v1/mappings/{id}/match          run Harmony           → MatchResponse
 //	POST /v1/mappings/{id}/rematch        incremental re-match  → RematchResponse
 //	POST /v1/mappings/{id}/decide         accept/reject a cell  → CellInfo
@@ -61,6 +62,11 @@ import (
 // without one they run as the "remote" tool. The workbench CLI opens no
 // session, in -remote and in local mode alike (local mode is a client of
 // an in-process service), so every CLI decision is set by "remote".
+//
+// A match or rematch answers with the cells its publish wrote, not the
+// whole matrix, and the blackboard revision after them: a client that
+// keeps a copy of the matrix merges the written cells into it by pair,
+// or catches up with GET cells?since=<revision it last saw>.
 //
 // A decide names a source and a target element; unless each is a
 // non-root element of the mapping's current source or target schema,
@@ -167,11 +173,16 @@ type MatchRequest struct {
 	Threshold *float64 `json:"threshold,omitempty"`
 }
 
-// MatchResponse reports the cells a match run published.
+// MatchResponse reports a match run's publish: Published counts the
+// correspondences at or above the threshold, Cells holds the ones the
+// publish wrote (a cell already holding its score, or a decision, is
+// not rewritten), and Revision is the blackboard revision after the
+// publish.
 type MatchResponse struct {
 	Threshold float64    `json:"threshold"`
 	Published int        `json:"published"`
 	Cells     []CellInfo `json:"cells"`
+	Revision  int        `json:"revision"`
 }
 
 // RematchRequest tunes an incremental re-match over a mapping whose
@@ -200,13 +211,16 @@ type CacheStats struct {
 }
 
 // RematchResponse reports an incremental re-match: which recompute path
-// ran ("cold", "pins", "incremental", "corpus" or "full"), the cells it
-// republished, and the state of the matrix cache.
+// ran ("cold", "pins", "incremental", "corpus" or "full"), its publish
+// as in MatchResponse — the count of correspondences at or above the
+// threshold, the cells it wrote and the revision after them — and the
+// state of the matrix cache.
 type RematchResponse struct {
 	Mode      string     `json:"mode"`
 	Threshold float64    `json:"threshold"`
 	Published int        `json:"published"`
 	Cells     []CellInfo `json:"cells"`
+	Revision  int        `json:"revision"`
 	Cache     CacheStats `json:"cache"`
 }
 

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -10,9 +9,10 @@ import (
 
 // TestMatchRouteRematchesLiveEngine re-posts the match route after a
 // decision and a schema reload: the route runs through the mapping's
-// live engine, which re-matches in place rather than starting over, and
-// publishes exactly what a cold match of a fresh mapping over the same
-// schemas publishes, with the analyst's decision untouched.
+// live engine, which re-matches in place rather than starting over,
+// writes exactly the links that moved, and leaves the mapping's cells
+// as a cold match of a fresh mapping over the same schemas scores
+// them, with the analyst's decision untouched.
 func TestMatchRouteRematchesLiveEngine(t *testing.T) {
 	c, _ := startServer(t, "", false)
 	id := loadPair(t, c)
@@ -39,6 +39,10 @@ func TestMatchRouteRematchesLiveEngine(t *testing.T) {
 		t.Fatalf("LoadSchema v2: %v", err)
 	}
 
+	before, err := c.Cells(id)
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
 	again, err := c.Match(id, 0.2)
 	if err != nil {
 		t.Fatalf("second Match: %v", err)
@@ -53,45 +57,15 @@ func TestMatchRouteRematchesLiveEngine(t *testing.T) {
 	default:
 		t.Errorf("match route span rematch_mode = %q; want incremental or corpus", mode)
 	}
-
-	if _, err := c.NewMapping("fresh", "po", "si"); err != nil {
-		t.Fatalf("NewMapping: %v", err)
+	if len(again.Cells) == 0 {
+		t.Error("the reload's rematch wrote nothing")
 	}
-	cold, err := c.Match("fresh", 0.2)
-	if err != nil {
-		t.Fatalf("cold Match: %v", err)
-	}
-	want := map[[2]string]uint64{}
-	for _, cell := range cold.Cells {
-		if pair := [2]string{cell.Source, cell.Target}; pair != decided {
-			want[pair] = math.Float64bits(cell.Confidence)
-		}
-	}
-	got := 0
-	for _, cell := range again.Cells {
-		pair := [2]string{cell.Source, cell.Target}
-		if pair == decided {
-			if cell != dec {
-				t.Errorf("decided cell changed: %+v, decided %+v", cell, dec)
-			}
-			continue
-		}
-		got++
-		if bits, ok := want[pair]; !ok || bits != math.Float64bits(cell.Confidence) {
-			t.Errorf("cell %s → %s = %v; cold match has %v (present=%v)",
-				cell.Source, cell.Target, cell.Confidence, math.Float64frombits(bits), ok)
-		}
-	}
-	if got != len(want) {
-		t.Errorf("match published %d machine cells, cold match %d", got, len(want))
-	}
+	checkPublishedLikeCold(t, c, id, "po", "si", 0.2, before, again.Cells, again.Published)
 	cells, err := c.Cells(id)
 	if err != nil {
 		t.Fatalf("Cells: %v", err)
 	}
-	for _, cell := range cells {
-		if [2]string{cell.Source, cell.Target} == decided && cell != dec {
-			t.Errorf("stored decided cell changed: %+v, decided %+v", cell, dec)
-		}
+	if got := byPair(cells)[decided]; got != dec {
+		t.Errorf("stored decided cell changed: %+v, decided %+v", got, dec)
 	}
 }

@@ -8,7 +8,6 @@ package server_test
 // the rest of the server suite.
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +211,10 @@ func TestSchemaLoadDuringMatchKeepsStaleMark(t *testing.T) {
 	}
 	chaos.Reset()
 
+	before, err := c.Cells(id)
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
 	re, err := c.Rematch(id, 0.2, nil, nil)
 	if err != nil {
 		t.Fatalf("Rematch: %v", err)
@@ -219,24 +222,8 @@ func TestSchemaLoadDuringMatchKeepsStaleMark(t *testing.T) {
 	if re.Mode == harmony.RematchPins {
 		t.Fatalf("rematch mode = %q: the stale mark of the load was lost", re.Mode)
 	}
-	if _, err := c.NewMapping("cold", "po", "si"); err != nil {
-		t.Fatalf("NewMapping: %v", err)
+	if len(re.Cells) == 0 {
+		t.Error("the reload's rematch wrote nothing")
 	}
-	cold, err := c.Match("cold", 0.2)
-	if err != nil {
-		t.Fatalf("cold Match: %v", err)
-	}
-	want := map[[2]string]uint64{}
-	for _, cell := range cold.Cells {
-		want[[2]string{cell.Source, cell.Target}] = math.Float64bits(cell.Confidence)
-	}
-	if len(re.Cells) != len(want) {
-		t.Fatalf("rematch returned %d cells, cold match %d", len(re.Cells), len(want))
-	}
-	for _, cell := range re.Cells {
-		if bits, ok := want[[2]string{cell.Source, cell.Target}]; !ok || bits != math.Float64bits(cell.Confidence) {
-			t.Errorf("cell %s → %s = %v; cold run has %v (present=%v)",
-				cell.Source, cell.Target, cell.Confidence, math.Float64frombits(bits), ok)
-		}
-	}
+	checkPublishedLikeCold(t, c, id, "po", "si", 0.2, before, re.Cells, re.Published)
 }

@@ -705,38 +705,55 @@ func cellInfo(c blackboard.Cell) CellInfo {
 	}
 }
 
+// handleCells serves the mapping matrix, or with ?since=<revision> the
+// cells written after that blackboard revision, in the same order.
 func (s *Server) handleCells(t *tenant, w http.ResponseWriter, r *http.Request) {
+	since := -1 // every cell, a revision-less one too
+	if v := r.URL.Query().Get("since"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			fail(w, http.StatusBadRequest, "since: %v", err)
+			return
+		}
+		since = n
+	}
 	mp, err := t.bb().GetMapping(r.PathValue("id"))
 	if err != nil {
 		fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	out := []CellInfo{}
-	for _, c := range mp.Cells() {
-		out = append(out, cellInfo(c))
+	cells := mp.Cells()
+	out := make([]CellInfo, 0, len(cells))
+	for _, c := range cells {
+		if c.Revision > since {
+			out = append(out, cellInfo(c))
+		}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 // publish writes a match session's links into the mapping as one
 // transaction (Result.Publish) announced by a mapping-matrix event, and
-// returns the stored cells.
-func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res *harmony.Result) ([]CellInfo, error) {
-	var stored []blackboard.Cell
+// returns the cells it wrote and the blackboard revision after them,
+// both read inside the transaction.
+func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res *harmony.Result) ([]CellInfo, int, error) {
+	var written []blackboard.Cell
+	var rev int
 	err := s.inTxn(t, r, func(txn *wbmgr.Txn) error {
 		var perr error
-		stored, perr = res.Publish(txn, mp)
+		written, perr = res.Publish(txn, mp)
 		txn.Emit(wbmgr.EventMappingMatrix, mp.ID)
+		rev = t.bb().Revision()
 		return perr
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	cells := make([]CellInfo, len(stored))
-	for i, c := range stored {
+	cells := make([]CellInfo, len(written))
+	for i, c := range written {
 		cells[i] = cellInfo(c)
 	}
-	return cells, nil
+	return cells, rev, nil
 }
 
 // cacheStats converts the workspace's cache index counters to their
@@ -755,8 +772,9 @@ func (t *tenant) cacheStats() CacheStats {
 // one's blackboard version moved and recomputes only what its change
 // signatures (plus a rematch request's optional dirty hints) require.
 // Every correspondence above the threshold is published in one
-// transaction. The routes differ only in their response: a rematch
-// also reports the mode that ran and the matrix cache.
+// transaction, and the response carries the cells that publish wrote.
+// The routes differ only in their response: a rematch also reports the
+// mode that ran and the matrix cache.
 func (s *Server) handleMatch(rematch bool) tenantHandler {
 	return func(t *tenant, w http.ResponseWriter, r *http.Request) {
 		if s.rejectReadOnly(w) {
@@ -795,20 +813,20 @@ func (s *Server) handleMatch(rematch bool) tenantHandler {
 			fail(w, status, "%v", err)
 			return
 		}
-		cells, err := s.publish(t, r, mp, res)
+		cells, rev, err := s.publish(t, r, mp, res)
 		if err != nil {
 			failTxn(w, err, http.StatusInternalServerError)
 			return
 		}
 		if !rematch {
 			writeJSON(w, http.StatusOK, MatchResponse{
-				Threshold: threshold, Published: len(cells), Cells: cells,
+				Threshold: threshold, Published: len(res.Links), Cells: cells, Revision: rev,
 			})
 			return
 		}
 		writeJSON(w, http.StatusOK, RematchResponse{
-			Mode: res.Mode, Threshold: threshold, Published: len(cells),
-			Cells: cells, Cache: t.cacheStats(),
+			Mode: res.Mode, Threshold: threshold, Published: len(res.Links),
+			Cells: cells, Revision: rev, Cache: t.cacheStats(),
 		})
 	}
 }

@@ -639,3 +639,39 @@ func BenchmarkPublishFullLog(b *testing.B) {
 		})
 	}
 }
+
+// TestBeginRacingFinish: goroutines that retry Begin on ErrTxnActive
+// with no lock of their own must never see a transaction's finish
+// trip over the next one's savepoint — the slot frees only once the
+// finished transaction's savepoint is closed. Run with -race.
+func TestBeginRacingFinish(t *testing.T) {
+	m := New()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				txn, err := m.Begin(fmt.Sprintf("tool%d", g))
+				for errors.Is(err, ErrTxnActive) {
+					txn, err = m.Begin(fmt.Sprintf("tool%d", g))
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m.Blackboard().SetFocus(fmt.Sprintf("s%d", g), fmt.Sprintf("e%d", i))
+				if i%3 == 0 {
+					err = txn.Abort()
+				} else {
+					err = txn.Commit()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
