@@ -13,15 +13,23 @@ import (
 // path+".tmp", which is fsynced, closed and renamed over path; an fsync
 // of the directory then makes the rename durable. Until the rename,
 // path keeps its previous content, so a crash or an error at any step —
-// write's own included — never leaves it truncated or torn. On error
-// the temporary file is removed; one a crash leaves behind is the
-// caller's to ignore or sweep (the WAL removes its own on recovery).
+// write's own included — never leaves it truncated or torn. On error,
+// or when write panics, the temporary file is closed and removed; one a
+// crash leaves behind is the caller's to ignore or sweep (the WAL
+// removes its own on recovery).
 func Write(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
+	renamed := false
+	defer func() {
+		if !renamed {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	err = write(f)
 	if err == nil {
 		err = f.Sync()
@@ -33,9 +41,9 @@ func Write(path string, write func(io.Writer) error) error {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
 		return err
 	}
+	renamed = true
 	SyncDir(filepath.Dir(path))
 	return nil
 }

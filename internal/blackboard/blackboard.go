@@ -134,13 +134,19 @@ func (b *Blackboard) SetMetrics(reg *obs.Registry) {
 // Graph exposes the underlying RDF graph for queries and snapshots.
 func (b *Blackboard) Graph() *rdf.Graph { return b.g }
 
-// nextRevision advances and returns the provenance counter, refreshing
-// the triple-count gauge as every mutation path funnels through here.
-func (b *Blackboard) nextRevision() int {
-	rev := b.revision.Add(1)
+// nextRevision advances the provenance counter and refreshes the
+// triple-count gauge, after the last write of every mutation path.
+func (b *Blackboard) nextRevision() {
+	b.revision.Add(1)
 	b.revs.Inc()
 	b.triples.Set(float64(b.g.Len()))
-	return int(rev)
+}
+
+// stamp writes the next revision onto node as a mutation's last write
+// (mutators are serialized), so the gauge counts the triple it adds.
+func (b *Blackboard) stamp(node rdf.Term) {
+	b.g.SetOne(node, predRevision, rdf.IntLiteral(b.Revision()+1))
+	b.nextRevision()
 }
 
 // Revision returns the current mutation counter. Safe for concurrent
@@ -310,7 +316,8 @@ func (b *Blackboard) GetSchema(name string) (*model.Schema, error) {
 
 // archivedSchema rebuilds the archived version stored at node: the
 // head's triples with the inverse patch of every later put applied,
-// newest first, read under the archived name as the version was put.
+// newest first, read under the archived name as the version was put,
+// its element IDs re-derived under that name (see model.Schema.Clone).
 func (b *Blackboard) archivedSchema(node rdf.Term, name string) (*model.Schema, error) {
 	heads := b.g.Subjects(predArchivedAs, node)
 	if len(heads) != 1 {
@@ -346,11 +353,8 @@ func (b *Blackboard) archivedSchema(node rdf.Term, name string) (*model.Schema, 
 	if err != nil {
 		return nil, err
 	}
-	archived := *old
-	archived.Name = name
-	out := rdf.NewGraph()
-	model.ToRDF(out, &archived)
-	return model.FromRDF(out, name)
+	old.Name = name
+	return old.Clone(), nil
 }
 
 // SchemaVersion returns the current version of a schema (0 if absent).
@@ -512,7 +516,7 @@ func (m *Mapping) SetCell(srcID, tgtID string, confidence float64, userDefined b
 		}
 		m.b.g.SetOne(c, predUserDefined, rdf.BoolLiteral(userDefined))
 		m.b.g.SetOne(c, predSetBy, rdf.Literal(tool))
-		m.b.g.SetOne(c, predRevision, rdf.IntLiteral(m.b.nextRevision()))
+		m.b.stamp(c)
 		return nil
 	})
 }
@@ -675,7 +679,7 @@ func (m *Mapping) SetColumnCode(tgtID, code, tool string) {
 	c := m.colNode(tgtID, true)
 	m.b.g.SetOne(c, predCode, rdf.Literal(code))
 	m.b.g.SetOne(c, predSetBy, rdf.Literal(tool))
-	m.b.g.SetOne(c, predRevision, rdf.IntLiteral(m.b.nextRevision()))
+	m.b.stamp(c)
 }
 
 // ColumnCode returns the column's code annotation.
@@ -726,7 +730,7 @@ func (m *Mapping) ColumnComplete(tgtID string) bool {
 func (m *Mapping) SetCode(code, tool string) {
 	m.b.g.SetOne(m.node, predCode, rdf.Literal(code))
 	m.b.g.SetOne(m.node, predSetBy, rdf.Literal(tool))
-	m.b.g.SetOne(m.node, predRevision, rdf.IntLiteral(m.b.nextRevision()))
+	m.b.stamp(m.node)
 }
 
 // Code returns the whole-matrix code annotation.

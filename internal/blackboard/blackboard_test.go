@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 )
 
@@ -533,4 +534,90 @@ func TestSnapshotRestoreEscapedIRIs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSchema(t, "restored", got, s)
+}
+
+// TestTriplesGaugeCountsNewRevisionTriples creates a cell, a column code
+// and a matrix code, each of which adds its node's revision triple as
+// its last write, and after each compares the triple-count gauge with
+// the graph's size.
+func TestTriplesGaugeCountsNewRevisionTriples(t *testing.T) {
+	b := boardWithSchemata(t)
+	reg := obs.NewRegistry()
+	b.SetMetrics(reg)
+	m, err := b.NewMapping("m", "purchaseOrder", "shippingInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const row, col = "purchaseOrder/purchaseOrder/shipTo/firstName", "shippingInfo/shippingInfo/name"
+	for _, step := range []struct {
+		name  string
+		write func() error
+	}{
+		{"new cell", func() error { return m.SetCell(row, col, 0.5, false, "harmony") }},
+		{"rewritten cell", func() error { return m.SetCell(row, col, 1, true, "analyst") }},
+		{"new column code", func() error { m.SetColumnCode(col, "data($x)", "mapper"); return nil }},
+		{"new matrix code", func() error { m.SetCode("let $x := ...", "codegen"); return nil }},
+	} {
+		if err := step.write(); err != nil {
+			t.Fatal(err)
+		}
+		g, ok := reg.Find(MetricTriples)
+		if !ok || len(g.Series) != 1 {
+			t.Fatalf("%s: %s not in the registry", step.name, MetricTriples)
+		}
+		if got, want := g.Series[0].Value, float64(b.Graph().Len()); got != want {
+			t.Errorf("%s: %s = %v, want the graph's %v triples", step.name, MetricTriples, got, want)
+		}
+	}
+}
+
+// TestGetSchemaKeepsIDsAfterInPlaceRename renames an element in place
+// (its ID kept) and re-puts the schema: GetSchema returns the IDs the
+// puts stored, under the new name, and CheckPair accepts them. The
+// archived version still reads under its own name, IDs re-derived.
+func TestGetSchemaKeepsIDsAfterInPlaceRename(t *testing.T) {
+	s := model.NewSchema("s", "sql")
+	top := s.AddElement(nil, "top", model.KindEntity, model.ContainsTable)
+	s.AddElement(top, "a", model.KindAttribute, model.ContainsAttribute).DataType = "int"
+	b := New()
+	for _, sch := range []*model.Schema{s, siSchema()} {
+		if _, err := b.PutSchema(sch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	top.Name = "topRev"
+	if v, err := b.PutSchema(s); err != nil || v != 2 {
+		t.Fatalf("re-put = v%d, %v", v, err)
+	}
+
+	got, err := b.GetSchema("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(sch *model.Schema) (out []string) {
+		for _, e := range sch.Elements() {
+			out = append(out, e.ID+"="+e.Name)
+		}
+		return out
+	}
+	if want := []string{"s/top=topRev", "s/top/a=a"}; !reflect.DeepEqual(ids(got), want) {
+		t.Fatalf("GetSchema read back %v, want %v", ids(got), want)
+	}
+	m, err := b.NewMapping("m", "s", "shippingInfo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range got.Elements() {
+		if err := m.CheckPair(e.ID, "shippingInfo/shippingInfo/name"); err != nil {
+			t.Errorf("CheckPair refused read-back ID %q: %v", e.ID, err)
+		}
+	}
+
+	v1, err := b.GetSchema("s@v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"s@v1/top=top", "s@v1/top/a=a"}; !reflect.DeepEqual(ids(v1), want) {
+		t.Fatalf("GetSchema(s@v1) read back %v, want %v", ids(v1), want)
+	}
 }

@@ -28,19 +28,23 @@ type pairKey struct{ src, tgt string }
 // confidence score of +1").
 type Decision struct {
 	Accepted bool
-	// Time-ordering sequence, for provenance.
-	Seq int
+}
+
+// pinScore is the confidence a decision pins.
+func pinScore(accepted bool) float64 {
+	if accepted {
+		return 1
+	}
+	return -1
 }
 
 // Options configures an Engine.
 type Options struct {
 	// Voters is the match panel; nil means match.DefaultVoters().
 	Voters []match.Voter
-	// Flooding enables the structural adjustment stage (on by default
-	// via NewEngine).
+	// Flooding enables the structural adjustment stage with the default
+	// schedule (match.FloodOptions's zero value).
 	Flooding bool
-	// FloodOptions tunes the flooding stage.
-	FloodOptions match.FloodOptions
 	// ContextOptions customize linguistic preprocessing.
 	ContextOptions []match.ContextOption
 	// Metrics receives engine instrumentation (stage histograms, run
@@ -82,7 +86,6 @@ type Engine struct {
 	voters      []match.Voter
 	merger      *match.Merger
 	flooding    bool
-	floodOpt    match.FloodOptions
 	blocking    match.BlockingOptions
 	metrics     *obs.Registry
 	parallelism int
@@ -106,11 +109,11 @@ type Engine struct {
 	// lastRematchMode records how the most recent Rematch resolved.
 	lastRematchMode string
 
-	// merged is the current confidence matrix including pinned decisions.
+	// merged is the current confidence matrix including pinned decisions,
+	// the last run's one clone of snap.prepin.
 	merged *match.Matrix
 	// decisions holds user accept/reject pins.
 	decisions map[pairKey]Decision
-	decSeq    int
 	// complete marks source elements whose matching is finished (§4.3).
 	complete map[string]bool
 }
@@ -135,14 +138,11 @@ func NewEngine(source, target *model.Schema, opts Options) *Engine {
 	// after the user's ContextOptions.
 	ctxOpts := append(append([]match.ContextOption(nil), opts.ContextOptions...),
 		match.WithParallelism(opts.Parallelism))
-	floodOpt := opts.FloodOptions
-	floodOpt.Parallelism = opts.Parallelism
 	return &Engine{
 		ctx:         match.NewContext(source, target, ctxOpts...),
 		voters:      voters,
 		merger:      match.NewMerger(),
 		flooding:    opts.Flooding,
-		floodOpt:    floodOpt,
 		blocking:    opts.Blocking,
 		metrics:     metrics,
 		parallelism: opts.Parallelism,
@@ -184,7 +184,7 @@ type StageTiming struct {
 func (e *Engine) Workers() int { return match.ResolveWorkers(e.parallelism) }
 
 // Run executes the full match pipeline (Figure 1): every voter votes, the
-// merger combines, flooding adjusts, and user decisions are re-applied as
+// merger combines, flooding adjusts, and user decisions are applied as
 // pinned ±1 scores. It returns per-stage timings.
 //
 // Every stage is one obs span, opened through a per-run collector, and
@@ -292,8 +292,8 @@ func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *r
 	if lookup {
 		hit, _ = e.cache.Get(ctx, mergedKey)
 	}
-	if me, ok := hit.(*mergedEntry); ok {
-		snap.premerge, snap.flood, snap.prepin = me.premerge, me.flood, me.prepin
+	if me, ok := hit.(mergedEntry); ok {
+		snap.mergedEntry = me
 		// Keep the span sequence identical on the cache-hit path so
 		// -timings always lists the same stages.
 		sp, _ := col.Start("merge")
@@ -309,25 +309,32 @@ func (e *Engine) pipeline(ctx context.Context, col *obs.Collector, snap, prev *r
 		snap.prepin = snap.premerge
 		if e.flooding {
 			sp, _ = col.Start("flooding")
-			out, st, ok := match.HarmonyFloodPatch(prevFlood, snap.premerge, e.ctx.Source, e.ctx.Target, dirtySrc, dirtyTgt, e.floodOpt)
+			fo := match.FloodOptions{Parallelism: e.parallelism}
+			out, st, ok := match.HarmonyFloodPatch(prevFlood, snap.premerge, e.ctx.Source, e.ctx.Target, dirtySrc, dirtyTgt, fo)
 			if !ok {
-				out, st = match.HarmonyFloodState(snap.premerge, e.ctx.Source, e.ctx.Target, e.floodOpt)
+				out, st = match.HarmonyFloodState(snap.premerge, e.ctx.Source, e.ctx.Target, fo)
 			}
 			snap.prepin, snap.flood = out, st
 			sp.End()
 		}
 	}
 
-	// Re-apply pinned user decisions: "once a link has been accepted or
-	// rejected, the engine will not try to modify that link" (§4.3).
-	// Pins land on a clone — snap.prepin stays pristine (and possibly
-	// shared through the index) for incremental reuse.
-	e.pinDecisions(col, snap.prepin)
-	e.snap = snap
+	// Pin the user decisions: "once a link has been accepted or rejected,
+	// the engine will not try to modify that link" (§4.3). Pins land on
+	// the run's one clone of prepin (which the index may share); later
+	// decisions reach the clone through decide and Unpin.
+	sp, _ := col.Start("pin-decisions")
+	merged := snap.prepin.Clone()
+	for k, d := range e.decisions {
+		merged.Set(k.src, k.tgt, pinScore(d.Accepted))
+	}
+	sp.End()
+	e.merged, e.snap = merged, snap
+	e.metrics.Counter(MetricRuns).Inc()
 	if e.cache != nil {
 		var held map[string]any
 		if useCache {
-			held = map[string]any{mergedKey: &mergedEntry{premerge: snap.premerge, flood: snap.flood, prepin: snap.prepin}}
+			held = map[string]any{mergedKey: snap.mergedEntry}
 			for _, v := range votes {
 				held[voterCacheKey(snap.srcHash, snap.tgtHash, fp, v.Voter)] = v.Matrix
 			}
@@ -374,18 +381,6 @@ func (e *Engine) votePanel(col *obs.Collector, score func(context.Context, match
 	return votes
 }
 
-// pinDecisions is the pipeline's last stage: it pins every user
-// decision onto a clone of prepin and installs the result as the
-// engine's matrix.
-func (e *Engine) pinDecisions(col *obs.Collector, prepin *match.Matrix) {
-	sp, _ := col.Start("pin-decisions")
-	merged := prepin.Clone()
-	e.applyPins(merged)
-	sp.End()
-	e.merged = merged
-	e.metrics.Counter(MetricRuns).Inc()
-}
-
 // installCandidates builds (or fetches from the cache index) the
 // blocking pattern over the engine's current context, installs it, so
 // ctx.NewMatrix() allocates over it, and returns it. No-op returning nil
@@ -409,17 +404,6 @@ func (e *Engine) installCandidates(col *obs.Collector, srcHash, tgtHash, fp stri
 	}
 	e.ctx.SetCandidates(pat)
 	return pat
-}
-
-// applyPins writes every user decision into m as a pinned ±1.
-func (e *Engine) applyPins(m *match.Matrix) {
-	for k, d := range e.decisions {
-		v := -1.0
-		if d.Accepted {
-			v = 1.0
-		}
-		m.Set(k.src, k.tgt, v)
-	}
 }
 
 // timings observes one run's collected stage spans into metric's
@@ -479,22 +463,21 @@ func (e *Engine) decide(srcID, tgtID string, accepted bool) error {
 	if el := e.ctx.Target.Element(tgtID); el == nil || el == e.ctx.Target.Root() {
 		return fmt.Errorf("harmony: unknown target element %q", tgtID)
 	}
-	e.decSeq++
-	e.decisions[pairKey{srcID, tgtID}] = Decision{Accepted: accepted, Seq: e.decSeq}
+	e.decisions[pairKey{srcID, tgtID}] = Decision{Accepted: accepted}
 	if e.merged != nil {
-		v := -1.0
-		if accepted {
-			v = 1.0
-		}
-		e.merged.Set(srcID, tgtID, v)
+		e.merged.Set(srcID, tgtID, pinScore(accepted))
 	}
 	return nil
 }
 
-// Unpin removes a user decision, letting the engine re-score the pair on
-// the next Run.
+// Unpin removes a user decision and restores the pair's machine score
+// in the merged matrix at once, from the last run's pre-pin matrix (a
+// pair outside a blocking pattern goes back to no stored cell).
 func (e *Engine) Unpin(srcID, tgtID string) {
 	delete(e.decisions, pairKey{srcID, tgtID})
+	if e.merged != nil {
+		e.merged.Set(srcID, tgtID, e.snap.prepin.Get(srcID, tgtID))
+	}
 }
 
 // IsUserDefined reports whether the pair carries a user decision — the

@@ -18,11 +18,7 @@ import (
 // (see Result.Publish).
 func (e *Engine) SaveTo(mp *blackboard.Mapping, tool string) error {
 	for pair, d := range e.Decisions() {
-		conf := -1.0
-		if d.Accepted {
-			conf = 1.0
-		}
-		if err := mp.SetCell(pair[0], pair[1], conf, true, tool); err != nil {
+		if err := mp.SetCell(pair[0], pair[1], pinScore(d.Accepted), true, tool); err != nil {
 			return err
 		}
 	}

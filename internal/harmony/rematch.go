@@ -72,18 +72,16 @@ type runSnapshot struct {
 	mergerSig            uint64
 	learnGen             int
 
-	votes    []match.Vote
+	votes []match.Vote
+	mergedEntry
+}
+
+// mergedEntry is a run's merge+flood unit, which an engine holds in the
+// cache index as one value.
+type mergedEntry struct {
 	premerge *match.Matrix     // merge output, pre-flood
 	flood    *match.FloodState // nil when flooding is off
 	prepin   *match.Matrix     // pipeline output before decision pinning
-}
-
-// mergedEntry is the merge+flood unit an engine holds in the cache
-// index.
-type mergedEntry struct {
-	premerge *match.Matrix
-	flood    *match.FloodState
-	prepin   *match.Matrix
 }
 
 // LastRematchMode reports how the most recent Rematch resolved ("" before
@@ -152,10 +150,9 @@ func (e *Engine) rematch(ctx context.Context, source, target *model.Schema, dirt
 	}
 
 	if len(dirtySrc) == 0 && len(dirtyTgt) == 0 && !replaced && snap.mergerSig == e.snap.mergerSig {
-		// Only decisions changed: the pipeline output is still valid,
-		// re-pin onto a fresh clone of it.
+		// Only decisions changed, and decide and Unpin already wrote them
+		// into the merged matrix: the last run stands as it is.
 		mode = RematchPins
-		e.pinDecisions(col, e.snap.prepin)
 		return e.timings(col.Spans(), MetricRematchStageDuration)
 	}
 
@@ -315,18 +312,17 @@ func mergerSignature(g *match.Merger) uint64 {
 }
 
 // cacheFingerprint identifies every engine option that shapes matrix
-// content: panel composition, flooding schedule, stemming, blocking and
-// the thesaurus's content. Parallelism is excluded — results are
-// bit-identical at any worker count, so sequential and parallel engines
-// share entries.
+// content: panel composition, flooding (on or off; the schedule is
+// fixed), stemming, blocking and the thesaurus's content. Parallelism is
+// excluded — results are bit-identical at any worker count, so
+// sequential and parallel engines share entries.
 func (e *Engine) cacheFingerprint() string {
 	h := fnv.New64a()
 	for _, v := range e.voters {
 		h.Write([]byte(v.Name()))
 		h.Write([]byte{0})
 	}
-	fmt.Fprintf(h, "flood=%t,%d,%x,%x;stem=%t;", e.flooding,
-		e.floodOpt.Iterations, e.floodOpt.UpWeight, e.floodOpt.DownWeight, e.ctx.Stem)
+	fmt.Fprintf(h, "flood=%t;stem=%t;", e.flooding, e.ctx.Stem)
 	if e.blocking.Enabled {
 		fmt.Fprintf(h, "blk=%d,%d,%x,%t;", e.blocking.PerSourceK,
 			e.blocking.QGramSize, e.blocking.MaxPostingFrac, e.blocking.NoParentClosure)

@@ -31,7 +31,7 @@ func TestStageSequenceGolden(t *testing.T) {
 	}{
 		{"cold run", "", pipeline, live.Run},
 		{"cache hit", "", pipeline, func() []StageTiming { return NewEngine(src, tgt, opts).Run() }},
-		{"pins", RematchPins, "signatures pin-decisions", func() []StageTiming {
+		{"pins", RematchPins, "signatures", func() []StageTiming {
 			if err := live.Accept(firstID, nameID); err != nil {
 				t.Fatal(err)
 			}
@@ -72,12 +72,13 @@ func TestStageSequenceGolden(t *testing.T) {
 
 	// Four runs (cold, cache hit, the post-Learn fallback, blocking) and
 	// four rematches (pins, rename, doc edit, and the signature diff of
-	// the Learn rematch before it falls back).
+	// the Learn rematch before it falls back). A pins rematch runs no
+	// stage after signatures: Accept already pinned the live matrix.
 	want := map[string]uint64{
 		MetricStageDuration + "|blocking":             1,
 		MetricRematchStageDuration + "|signatures":    4,
 		MetricRematchStageDuration + "|context":       2,
-		MetricRematchStageDuration + "|pin-decisions": 3,
+		MetricRematchStageDuration + "|pin-decisions": 2,
 		MetricRematchStageDuration + "|merge":         2,
 		MetricRematchStageDuration + "|flooding":      2,
 		MetricStageDuration + "|merge":                4,

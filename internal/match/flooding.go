@@ -61,8 +61,8 @@ func (o *FloodOptions) defaults() {
 	}
 }
 
-// HarmonyFlood applies the Harmony flooding variant to a merged matrix,
-// in place, and returns it.
+// HarmonyFlood applies the Harmony flooding variant to a merged matrix
+// and returns the result; m itself is never written.
 //
 // Up-propagation: for each (sourceEntity, targetEntity) pair, the mean of
 // the positive best-per-child correspondences among their children raises
@@ -70,17 +70,19 @@ func (o *FloodOptions) defaults() {
 // pair whose parents score negatively, the parents' negativity drags the
 // pair down.
 func HarmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions) *Matrix {
-	out, _ := harmonyFlood(m, source, target, opts, false)
+	out, _ := HarmonyFloodState(m, source, target, opts)
 	return out
 }
 
-// FloodState records the matrix after every flooding round (Rounds[0] is
-// the pre-flood input, Rounds[k] the output of round k), so a later
-// incremental pass can copy unaffected cells round by round. The
-// resolved option values are kept for a validity check: a state warm-
-// starts a patch only under the exact same propagation schedule.
-// Parallelism is deliberately not recorded — results are bit-identical
-// at any worker count.
+// FloodState records the matrix of every flooding round by reference
+// (Rounds[0] is the pre-flood input, Rounds[k] the matrix round k
+// produced, the last one the result), so a later incremental pass can
+// copy unaffected cells round by round. Recorded rounds are immutable,
+// like every snapshot matrix a cache index shares. The resolved option
+// values are kept for a validity check: a state warm-starts a patch
+// only under the exact same propagation schedule. Parallelism is
+// deliberately not recorded — results are bit-identical at any worker
+// count.
 type FloodState struct {
 	Rounds     []*Matrix
 	Iterations int
@@ -88,24 +90,12 @@ type FloodState struct {
 	DownWeight float64
 }
 
-// HarmonyFloodState is HarmonyFlood plus a recorded FloodState for
+// HarmonyFloodState is HarmonyFlood plus the recorded FloodState, for
 // warm-starting HarmonyFloodPatch later.
 func HarmonyFloodState(m *Matrix, source, target *model.Schema, opts FloodOptions) (*Matrix, *FloodState) {
-	return harmonyFlood(m, source, target, opts, true)
-}
-
-func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, record bool) (*Matrix, *FloodState) {
 	opts.defaults()
 	workers := ResolveWorkers(opts.Parallelism)
-	var st *FloodState
-	if record {
-		st = &FloodState{
-			Rounds:     []*Matrix{m.Clone()},
-			Iterations: opts.Iterations,
-			UpWeight:   opts.UpWeight,
-			DownWeight: opts.DownWeight,
-		}
-	}
+	st := newFloodState(m, opts)
 	tree := newFloodTree(m)
 	for it := 0; it < opts.Iterations; it++ {
 		// Only stored cells propagate. floodCell reads only the frozen
@@ -122,11 +112,15 @@ func harmonyFlood(m *Matrix, source, target *model.Schema, opts FloodOptions, re
 			}
 		})
 		m = next
-		if record {
-			st.Rounds = append(st.Rounds, next.Clone())
-		}
+		st.Rounds = append(st.Rounds, next)
 	}
 	return m, st
+}
+
+// newFloodState starts the state of a flood of m under the resolved
+// opts.
+func newFloodState(m *Matrix, opts FloodOptions) *FloodState {
+	return &FloodState{Rounds: []*Matrix{m}, Iterations: opts.Iterations, UpWeight: opts.UpWeight, DownWeight: opts.DownWeight}
 }
 
 // floodTree is the element tree of a matrix's two sides by row and

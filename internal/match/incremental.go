@@ -138,7 +138,8 @@ func ExpandDirty(sch *model.Schema, dirty map[string]bool) map[string]bool {
 // the parent pair (dirty parent ⇒ child pairs dirty next round). The
 // cross shape is closed under that expansion, so every recomputed cell
 // reads a round-start matrix equal to the cold run's, and floodCell
-// makes the recomputation itself bit-identical.
+// makes the recomputation itself bit-identical. Like HarmonyFloodState,
+// the returned state records merged and each round by reference.
 //
 // ok is false when prev cannot warm-start this schedule (nil, different
 // resolved options, wrong round count, or different blocking); callers
@@ -180,12 +181,7 @@ func HarmonyFloodPatch(prev *FloodState, merged *Matrix, source, target *model.S
 			C[e.ID] = true
 		}
 	}
-	st := &FloodState{
-		Rounds:     []*Matrix{merged.Clone()},
-		Iterations: opts.Iterations,
-		UpWeight:   opts.UpWeight,
-		DownWeight: opts.DownWeight,
-	}
+	st := newFloodState(merged, opts)
 	tree := newFloodTree(merged)
 	m := merged
 	for it := 0; it < opts.Iterations; it++ {
@@ -214,7 +210,7 @@ func HarmonyFloodPatch(prev *FloodState, merged *Matrix, source, target *model.S
 			}
 		})
 		m = next
-		st.Rounds = append(st.Rounds, next.Clone())
+		st.Rounds = append(st.Rounds, next)
 	}
 	return m, st, true
 }

@@ -557,3 +557,40 @@ func TestBuildCandidatesPostingsMatchOldDocChannel(t *testing.T) {
 		check(fmt.Sprintf("pair %d, learned", n), ctx)
 	}
 }
+
+// TestFloodStatesRecordByReference checks that a recorded state holds
+// the matrices themselves: its first round is the input and its last
+// the returned matrix, for a cold flood and a warm-started patch alike,
+// and a zero-round flood returns its input. Neither call writes its
+// input.
+func TestFloodStatesRecordByReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	src, tgt := sweepSchema(rng, "s", 6), sweepSchema(rng, "t", 6)
+	schedules := append([]FloodOptions{{Iterations: DisableFlood}}, floodSchedules...)
+	for _, blocked := range []bool{false, true} {
+		for si, opts := range schedules {
+			label := fmt.Sprintf("blocked %v, schedule %d", blocked, si)
+			m := floodInput(rng, src, tgt, blocked)
+			before := m.Clone()
+			out, st := HarmonyFloodState(m, src, tgt, opts)
+			if st.Rounds[0] != m || st.Rounds[len(st.Rounds)-1] != out {
+				t.Fatalf("%s: HarmonyFloodState's rounds are not its input and result", label)
+			}
+			matricesBitIdentical(t, label+": input after the flood", before, m)
+
+			next := m.Clone()
+			dirty := map[string]bool{next.Sources[0].ID: true}
+			for k := range next.vals[0] {
+				next.vals[0][k] = 2*rng.Float64() - 1
+			}
+			out, pst, ok := HarmonyFloodPatch(st, next, src, tgt, dirty, map[string]bool{}, opts)
+			if !ok {
+				t.Fatalf("%s: HarmonyFloodPatch refused its own state", label)
+			}
+			if pst.Rounds[0] != next || pst.Rounds[len(pst.Rounds)-1] != out {
+				t.Fatalf("%s: HarmonyFloodPatch's rounds are not its input and result", label)
+			}
+			matricesBitIdentical(t, label+": previous state after the patch", before, st.Rounds[0])
+		}
+	}
+}

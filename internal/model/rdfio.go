@@ -159,6 +159,9 @@ func sortedDomainNames(s *Schema) []string {
 }
 
 // FromRDF reconstructs a schema from the blackboard graph given its name.
+// Each element keeps the ID its IRI stores, so one renamed in place
+// reads back under the ID it was put with; a schema whose root is stored
+// under another name (a full copy kept as "name@v<n>") re-derives them.
 func FromRDF(g *rdf.Graph, name string) (*Schema, error) {
 	sNode := SchemaIRI(name)
 	if rdf.TypeOf(g, sNode) != ClassSchemaT {
@@ -171,6 +174,7 @@ func FromRDF(g *rdf.Graph, name string) (*Schema, error) {
 	if rootNode.IsZero() {
 		return nil, fmt.Errorf("model: schema %q has no root node", name)
 	}
+	keepIDs, idPrefix := rootNode == ElementIRI(name, name), sNode.Value()+"#"
 
 	var readChildren func(node rdf.Term, parent *Element) error
 	readChildren = func(node rdf.Term, parent *Element) error {
@@ -191,7 +195,11 @@ func FromRDF(g *rdf.Graph, name string) (*Schema, error) {
 		}
 		sort.Slice(kids, func(i, j int) bool { return kids[i].order < kids[j].order })
 		for _, k := range kids {
-			e := s.AddElement(parent, g.One(k.node, PredName).Value(), Kind(g.One(k.node, PredKind).Value()), k.edge)
+			id, stored := strings.CutPrefix(k.node.Value(), idPrefix)
+			if !stored || !keepIDs || s.byID[id] != nil {
+				id = ""
+			}
+			e := s.addElement(parent, id, g.One(k.node, PredName).Value(), Kind(g.One(k.node, PredKind).Value()), k.edge)
 			e.DataType = g.One(k.node, PredDataType).Value()
 			e.Doc = g.One(k.node, PredDoc).Value()
 			if v, err := g.One(k.node, PredKey).Bool(); err == nil && v {

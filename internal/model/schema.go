@@ -208,16 +208,23 @@ func (s *Schema) Root() *Element { return s.root }
 // element ID is parent.ID + "/" + name, suffixed with #n on collision so
 // that IDs stay unique. A nil parent means the root.
 func (s *Schema) AddElement(parent *Element, name string, kind Kind, edge EdgeLabel) *Element {
+	return s.addElement(parent, "", name, kind, edge)
+}
+
+// addElement is AddElement under a given, unused ID; "" derives one.
+func (s *Schema) addElement(parent *Element, id, name string, kind Kind, edge EdgeLabel) *Element {
 	if parent == nil {
 		parent = s.root
 	}
-	id := parent.ID + "/" + name
-	if _, taken := s.byID[id]; taken {
-		for n := 2; ; n++ {
-			candidate := fmt.Sprintf("%s#%d", id, n)
-			if _, taken := s.byID[candidate]; !taken {
-				id = candidate
-				break
+	if id == "" {
+		id = parent.ID + "/" + name
+		if _, taken := s.byID[id]; taken {
+			for n := 2; ; n++ {
+				candidate := fmt.Sprintf("%s#%d", id, n)
+				if _, taken := s.byID[candidate]; !taken {
+					id = candidate
+					break
+				}
 			}
 		}
 	}

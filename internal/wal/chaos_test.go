@@ -27,11 +27,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/blackboard"
 	"repro/internal/chaos"
+	"repro/internal/obs"
 	"repro/internal/rdf"
 	"repro/internal/wbmgr"
 )
@@ -418,5 +421,81 @@ func TestKillAndReplayThroughManager(t *testing.T) {
 	}
 	if st := s2.Stats(); st.CommittedTxns != 3 || st.TornTail {
 		t.Fatalf("recovery stats = %v", st)
+	}
+}
+
+// TestAutoSnapshotPanicKeepsDurableCommit drives commits through a
+// manager whose commit hook appends to a store that snapshots every two
+// commits, and arms a one-shot panic at each auto-snapshot site for the
+// second commit. That commit is durable before its snapshot starts, so
+// it must return nil and stay committed everywhere: in the live graph,
+// in what recovery reads, and in the frames a follower is served. The
+// third commit retries the snapshot.
+func TestAutoSnapshotPanicKeepsDurableCommit(t *testing.T) {
+	for _, site := range []chaos.Site{SiteSnapshot, SiteRotate} {
+		t.Run(string(site), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, Options{SnapshotEvery: 2, Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			bb := blackboard.NewFromGraph(s.Graph())
+			m := wbmgr.NewWith(bb)
+			m.SetCommitHook(func(ctx context.Context, _ string, ops []rdf.ChangeOp) error {
+				return s.AppendTxnContext(ctx, ops)
+			})
+			commit := func(line string) (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("commit panicked: %v", r)
+					}
+				}()
+				txn, err := m.Begin("loader")
+				if err != nil {
+					return err
+				}
+				bb.Graph().Add(mustOps(t, line)[0].T)
+				return txn.Commit()
+			}
+			lines := []string{`<urn:s1> <urn:p> "one" .`, `<urn:s2> <urn:p> "two" .`, `<urn:s3> <urn:p> "three" .`}
+			if err := commit(lines[0]); err != nil {
+				t.Fatal(err)
+			}
+			arm(t, site, chaos.FaultPanic)
+			if err := commit(lines[1]); err != nil {
+				t.Fatalf("second commit = %v; want nil, the txn is durable", err)
+			}
+			chaos.Reset()
+			for _, line := range lines[:2] {
+				if tr := mustOps(t, line)[0].T; !bb.Graph().Has(tr) {
+					t.Fatalf("live graph lost %v", tr)
+				}
+			}
+			got, _, err := Recover(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rdf.Equal(got, bb.Graph()) {
+				t.Fatalf("recovered graph differs from the live one:\n%s\nwant:\n%s", rdf.MarshalNTriples(got), rdf.MarshalNTriples(bb.Graph()))
+			}
+			if _, n, last, ok := s.FramesSince(0, 0); !ok || n != 2 || last != 2 {
+				t.Fatalf("FramesSince(0) = %d txns up to %d, ok %v; want both", n, last, ok)
+			}
+			if _, err := os.Stat(filepath.Join(dir, SnapshotFile+".tmp")); !os.IsNotExist(err) {
+				t.Fatalf("the panicking snapshot left its temporary file: %v", err)
+			}
+
+			if err := commit(lines[2]); err != nil {
+				t.Fatal(err)
+			}
+			if s.LogSize() != 0 {
+				t.Fatalf("log holds %d bytes after the third commit; want the retried snapshot to rotate it", s.LogSize())
+			}
+			got, _, err = Recover(dir)
+			if err != nil || !rdf.Equal(got, bb.Graph()) {
+				t.Fatalf("after the retried snapshot recovery differs from the live graph (%v)", err)
+			}
+		})
 	}
 }

@@ -473,16 +473,24 @@ func (s *Store) appendTxnLocked(ctx context.Context, txn uint64, ops []rdf.Chang
 
 	if every := s.snapshotEvery(); every > 0 {
 		s.commitsSinceSnap++
-		if s.commitsSinceSnap >= every {
-			// The transaction is already durable in the log; a failed
-			// snapshot must not fail the commit. Leave the log as is and
-			// retry at the next commit.
-			if err := s.snapshotLocked(); err != nil {
-				s.commitsSinceSnap = every // retry next commit
-			}
+		if s.commitsSinceSnap >= every && s.autoSnapshotLocked() != nil {
+			s.commitsSinceSnap = every // retry next commit
 		}
 	}
 	return nil
+}
+
+// autoSnapshotLocked is snapshotLocked for the commit cadence. Its
+// commit is already durable, so a failed or panicking snapshot (a
+// failpoint at wal.snapshot or wal.rotate) returns an error, leaves the
+// log as it is and the commit standing, and the next commit retries.
+func (s *Store) autoSnapshotLocked() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("wal: snapshot: panic: %v", r)
+		}
+	}()
+	return s.snapshotLocked()
 }
 
 func (s *Store) snapshotEvery() int {
