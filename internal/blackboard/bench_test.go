@@ -52,15 +52,31 @@ func reviewMapping(tb testing.TB) (*Mapping, [][2]string) {
 	return m, pairs
 }
 
-// BenchmarkMappingCells reads the whole matrix, as a view request does.
+// BenchmarkMappingCells reads the whole matrix, as a view request does:
+// exact copies the table a first read kept, stale makes a raw triple
+// write before each read, so every read re-reads the triples.
 func BenchmarkMappingCells(b *testing.B) {
 	m, _ := reviewMapping(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := len(m.Cells()); got != reviewCells {
-			b.Fatalf("Cells = %d, want %d", got, reviewCells)
+	g := m.b.Graph()
+	pad := rdf.IRI(wbNS + "pad")
+	for _, stale := range []bool{false, true} {
+		name := "exact"
+		if stale {
+			name = "stale"
 		}
+		b.Run(name, func(b *testing.B) {
+			m.Cells()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if stale {
+					g.SetOne(pad, predConfidence, rdf.IntLiteral(i))
+				}
+				if got := len(m.Cells()); got != reviewCells {
+					b.Fatalf("Cells = %d, want %d", got, reviewCells)
+				}
+			}
+		})
 	}
 }
 
@@ -79,16 +95,81 @@ func BenchmarkMappingGetCell(b *testing.B) {
 }
 
 // BenchmarkMappingSetCell overwrites one existing cell with a new score,
-// as a publish or a decide does.
+// as a publish or a decide does, on an unviewed mapping (no table) and
+// on a viewed one, whose exact table every write carries.
 func BenchmarkMappingSetCell(b *testing.B) {
-	m, pairs := reviewMapping(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if err := m.SetCell(p[0], p[1], float64(i%200)/200, false, "harmony"); err != nil {
-			b.Fatal(err)
+	for _, viewed := range []bool{false, true} {
+		name := "table=none"
+		if viewed {
+			name = "table=exact"
 		}
+		b.Run(name, func(b *testing.B) {
+			m, pairs := reviewMapping(b)
+			if viewed {
+				m.Cells()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if err := m.SetCell(p[0], p[1], float64(i%200)/200, false, "harmony"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if viewed && len(m.b.tables.m) != 1 {
+				b.Fatal("the writes dropped the table")
+			}
+		})
+	}
+}
+
+// BenchmarkMappingAddCells publishes 30,000 new cells into a mapping and
+// then views it once, with the mapping viewed before the publish (its
+// table takes every new cell) and unviewed. Adding a cell never shifts
+// the table, so both stay linear in the cells written.
+func BenchmarkMappingAddCells(b *testing.B) {
+	const adds = 30_000
+	m, _ := reviewMapping(b)
+	bb := m.b
+	src, _ := bb.GetSchema(m.SourceSchema)
+	tgt, _ := bb.GetSchema(m.TargetSchema)
+	srcEls, tgtEls := src.Elements(), tgt.Elements()
+	for _, viewed := range []bool{false, true} {
+		name := "unviewed"
+		if viewed {
+			name = "viewed"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				add, err := bb.NewMapping("add", m.SourceSchema, m.TargetSchema)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if viewed {
+					add.Cells()
+				}
+				b.StartTimer()
+				for k := 0; k < adds; k++ {
+					s, t := srcEls[k%len(srcEls)], tgtEls[(k/len(srcEls)+k)%len(tgtEls)]
+					if err := add.SetCell(s.ID, t.ID, 0.5, false, "harmony"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if viewed && bb.tables.m["add"] == nil {
+					b.Fatal("the publish dropped the table")
+				}
+				if got := len(add.Cells()); got != adds {
+					b.Fatalf("Cells = %d, want %d", got, adds)
+				}
+				b.StopTimer()
+				if err := bb.DeleteMapping("add"); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

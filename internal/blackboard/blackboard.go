@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -97,6 +96,8 @@ type Blackboard struct {
 	// so the per-mutation cost is one gauge store, not a map lookup).
 	triples *obs.Gauge
 	revs    *obs.Counter
+	// tables holds the mappings' cell tables (table.go).
+	tables cellTables
 }
 
 // New returns an empty blackboard instrumented on obs.Default().
@@ -178,12 +179,13 @@ func (b *Blackboard) ResumeRevision() {
 // back, since rollback bypasses the blackboard's mutation paths.
 func (b *Blackboard) SyncMetrics() { b.triples.Set(float64(b.g.Len())) }
 
-// atomically runs op inside a graph savepoint: if op returns an error or
-// panics, every triple it touched is rolled back before the failure
-// propagates, so a fault mid-write can never leave a partial mutation
-// visible. Concurrent mutators must be serialized by the caller (the
-// workbench manager's single-transaction rule does this).
-func (b *Blackboard) atomically(op func() error) (err error) {
+// atomically runs op inside a graph savepoint, which it passes to op:
+// if op returns an error or panics, every triple it touched is rolled
+// back before the failure propagates, so a fault mid-write can never
+// leave a partial mutation visible. Concurrent mutators must be
+// serialized by the caller (the workbench manager's single-transaction
+// rule does this).
+func (b *Blackboard) atomically(op func(sp rdf.Savepoint) error) (err error) {
 	sp := b.g.Savepoint()
 	defer func() {
 		if r := recover(); r != nil {
@@ -198,7 +200,7 @@ func (b *Blackboard) atomically(op func() error) (err error) {
 			b.g.Release(sp)
 		}
 	}()
-	return op()
+	return op(sp)
 }
 
 // ---- Schemata ----
@@ -228,7 +230,7 @@ func (b *Blackboard) PutSchema(s *model.Schema) (int, error) {
 	}
 	node := model.SchemaIRI(s.Name)
 	version := 1
-	err := b.atomically(func() error {
+	err := b.atomically(func(rdf.Savepoint) error {
 		if rdf.TypeOf(b.g, node).IsZero() {
 			if err := chaos.Inject(SitePutSchema); err != nil {
 				return err
@@ -447,11 +449,12 @@ func (b *Blackboard) Mappings() []string {
 	return out
 }
 
-// DeleteMapping removes a mapping and its cells/rows/columns. On error
-// (injected fault) nothing is deleted.
+// DeleteMapping removes a mapping and its cells/rows/columns, and drops
+// its cell table. On error (injected fault) nothing is deleted.
 func (b *Blackboard) DeleteMapping(id string) error {
 	node := mappingIRI(id)
-	return b.atomically(func() error {
+	defer b.tables.drop(id)
+	return b.atomically(func(rdf.Savepoint) error {
 		for _, p := range []rdf.Term{predHasCell, predHasRow, predHasColumn} {
 			for _, child := range b.g.Objects(node, p) {
 				b.g.RemoveMatching(child, rdf.Wild, rdf.Wild)
@@ -505,8 +508,9 @@ func (m *Mapping) cellNode(srcID, tgtID string, create bool) rdf.Term {
 // SetCell writes a correspondence: confidence in [-1,1] and whether it is
 // user-defined. tool is recorded as provenance. On error (injected
 // fault) the cell — including a freshly created node — is rolled back.
+// A write that succeeds carries the exact cell tables across itself.
 func (m *Mapping) SetCell(srcID, tgtID string, confidence float64, userDefined bool, tool string) error {
-	return m.b.atomically(func() error {
+	return m.b.atomically(func(sp rdf.Savepoint) error {
 		c := m.cellNode(srcID, tgtID, true)
 		m.b.g.SetOne(c, predConfidence, rdf.FloatLiteral(confidence))
 		// Failpoint mid-write: the node exists and the confidence is set
@@ -517,6 +521,7 @@ func (m *Mapping) SetCell(srcID, tgtID string, confidence float64, userDefined b
 		m.b.g.SetOne(c, predUserDefined, rdf.BoolLiteral(userDefined))
 		m.b.g.SetOne(c, predSetBy, rdf.Literal(tool))
 		m.b.stamp(c)
+		m.carry(c, sp)
 		return nil
 	})
 }
@@ -545,6 +550,8 @@ func (m *Mapping) CheckPair(srcID, tgtID string) error {
 }
 
 // GetCell reads a cell; ok is false when the pair has never been scored.
+// It reads the graph, never the cell table: cell IRIs join the IDs with
+// "|", so the cell it finds by IRI may hold another pair.
 func (m *Mapping) GetCell(srcID, tgtID string) (Cell, bool) {
 	c := m.cellNode(srcID, tgtID, false)
 	if c.IsZero() {
@@ -575,20 +582,33 @@ func (m *Mapping) readCell(c rdf.Term) Cell {
 	}
 }
 
-// Cells returns every scored cell, ordered by (SourceID, TargetID).
+// Cells returns every scored cell, ordered by (SourceID, TargetID), in
+// a slice the caller owns. It copies the mapping's cell table when that
+// is exact at the graph's generation; otherwise it reads the triples
+// and keeps them as the table.
 func (m *Mapping) Cells() []Cell {
-	var nodes []rdf.Term
-	m.b.g.Visit(m.node, predHasCell, rdf.Wild, func(t rdf.Triple) bool {
-		nodes = append(nodes, t.O)
-		return true
-	})
-	return m.readCells(nodes)
+	if out, ok := m.b.tables.read(m, false); ok {
+		return out
+	}
+	gen := m.b.g.Generation()
+	t := m.readTable()
+	out := t.sorted(false)
+	m.b.tables.keep(m, t, gen)
+	return out
 }
 
+// Len returns the number of scored cells, counting the mapping's
+// has-cell edges without reading a cell.
+func (m *Mapping) Len() int { return m.b.g.CountObjects(m.node, predHasCell) }
+
 // UserCells returns the cells an analyst decided (is-user-defined true),
-// ordered like Cells. It reads through the is-user-defined index, so it
-// costs the decided cells of every mapping, not this mapping's matrix.
+// ordered like Cells. It filters the mapping's cell table when that is
+// exact; otherwise it reads through the is-user-defined index, which
+// costs the decided cells of every mapping, and builds no table.
 func (m *Mapping) UserCells() []Cell {
+	if out, ok := m.b.tables.read(m, true); ok {
+		return out
+	}
 	var nodes []rdf.Term
 	m.b.g.Visit(rdf.Wild, predUserDefined, rdf.BoolLiteral(true), func(t rdf.Triple) bool {
 		if strings.HasPrefix(t.S.Value(), m.cellPrefix) {
@@ -598,28 +618,14 @@ func (m *Mapping) UserCells() []Cell {
 	})
 	// The prefix admits the cells of a mapping whose ID extends this
 	// one's with "/cell/"; ownership is the has-cell edge.
-	owned := nodes[:0]
+	owned := &cellTable{}
 	for _, c := range nodes {
 		if m.b.g.Has(rdf.Triple{S: m.node, P: predHasCell, O: c}) {
-			owned = append(owned, c)
+			owned.cells = append(owned.cells, m.readCell(c))
+			owned.nodes = append(owned.nodes, c)
 		}
 	}
-	return m.readCells(owned)
-}
-
-// readCells reads the given cell nodes, ordered by (SourceID, TargetID).
-func (m *Mapping) readCells(nodes []rdf.Term) []Cell {
-	out := make([]Cell, len(nodes))
-	for i, c := range nodes {
-		out[i] = m.readCell(c)
-	}
-	slices.SortFunc(out, func(a, b Cell) int {
-		if c := strings.Compare(a.SourceID, b.SourceID); c != 0 {
-			return c
-		}
-		return strings.Compare(a.TargetID, b.TargetID)
-	})
-	return out
+	return owned.sorted(false)
 }
 
 // ---- Rows and columns ----

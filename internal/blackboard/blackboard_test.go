@@ -190,7 +190,9 @@ func TestMappingCellsSortedAndReopened(t *testing.T) {
 }
 
 // referenceCells reads a mapping's cells the long way, one Graph.Match
-// per annotation, ordered by (SourceID, TargetID).
+// per annotation, ordered by (SourceID, TargetID) and, for one pair
+// read from two cell nodes (mapping IDs sharing an IRI prefix make
+// that possible), by node.
 func referenceCells(b *Blackboard, id string) []Cell {
 	g := b.Graph()
 	one := func(s, p rdf.Term) rdf.Term {
@@ -202,7 +204,11 @@ func referenceCells(b *Blackboard, id string) []Cell {
 	}
 	m, _ := b.GetMapping(id)
 	var out []Cell
-	for _, edge := range g.Match(mappingIRI(id), predHasCell, rdf.Wild) {
+	// Nodes in IRI order, so the stable sort below leaves one pair's
+	// cells in node order.
+	edges := g.Match(mappingIRI(id), predHasCell, rdf.Wild)
+	sort.Slice(edges, func(i, j int) bool { return edges[i].O.Value() < edges[j].O.Value() })
+	for _, edge := range edges {
 		c := edge.O
 		conf, _ := one(c, predConfidence).Float()
 		ud, _ := one(c, predUserDefined).Bool()
@@ -216,7 +222,7 @@ func referenceCells(b *Blackboard, id string) []Cell {
 			Revision:    rev,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].SourceID != out[j].SourceID {
 			return out[i].SourceID < out[j].SourceID
 		}

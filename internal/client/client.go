@@ -118,6 +118,11 @@ func (c *Client) do(method, path string, in, out any) error {
 	if out == nil {
 		return nil
 	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		// A type with a wire form of its own (server.CellList) reads the
+		// body in one pass; encoding/json would scan it first.
+		return u.UnmarshalJSON(data)
+	}
 	return json.Unmarshal(data, out)
 }
 
@@ -210,7 +215,7 @@ func (c *Client) Decide(id, source, target, verdict string) (server.CellInfo, er
 
 // Cells fetches the mapping matrix.
 func (c *Client) Cells(id string) ([]server.CellInfo, error) {
-	var out []server.CellInfo
+	var out server.CellList
 	return out, c.do("GET", "/v1/mappings/"+url.PathEscape(id)+"/cells", nil, &out)
 }
 
@@ -218,7 +223,7 @@ func (c *Client) Cells(id string) ([]server.CellInfo, error) {
 // revision since — a match, rematch or decide response's revision, or
 // a cell's — ordered like Cells.
 func (c *Client) CellsSince(id string, since int) ([]server.CellInfo, error) {
-	var out []server.CellInfo
+	var out server.CellList
 	return out, c.do("GET", "/v1/mappings/"+url.PathEscape(id)+"/cells?since="+strconv.Itoa(since), nil, &out)
 }
 

@@ -151,7 +151,7 @@ func RunFigure3() (*Figure3Result, error) {
 	}
 	total, _ := out.Records[0].Get("total").(float64)
 	return &Figure3Result{
-		Cells:         len(mp.Cells()),
+		Cells:         mp.Len(),
 		GeneratedCode: code,
 		Name:          out.Records[0].GetString("name"),
 		Total:         total,

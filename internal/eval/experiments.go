@@ -512,7 +512,7 @@ func RunMappingReuse(projects int, pcfg registry.PerturbConfig) []ReuseRound {
 		cells := 0
 		for _, id := range bb.Mappings() {
 			if mp, err := bb.GetMapping(id); err == nil {
-				cells += len(mp.Cells())
+				cells += mp.Len()
 			}
 		}
 		rounds = append(rounds, ReuseRound{Project: k, WithoutF1: woF1, WithF1: wF1, LibraryCells: cells})

@@ -269,14 +269,32 @@ func (c Correspondence) String() string {
 
 // Above returns all pairs with confidence >= threshold, row-major order.
 // Only stored cells participate: a pair that blocking pruned is "no
-// evidence", never a link (even when threshold <= 0).
+// evidence", never a link (even when threshold <= 0). It scans each
+// row's stored values in place and merges the row's overflow cells in
+// column order, as RowWalker does.
 func (m *Matrix) Above(threshold float64) []Correspondence {
 	var out []Correspondence
-	m.Each(func(i, j int, v float64) {
-		if v >= threshold {
-			out = append(out, Correspondence{m.Sources[i], m.Targets[j], v})
+	ex := m.Walker().extra
+	for i, cols := range m.pat.Rows {
+		vals := m.vals[i][:len(cols)]
+		k := 0
+		for ; len(ex) > 0 && ex[0]>>32 == int64(i); ex = ex[1:] {
+			j := int32(uint32(ex[0]))
+			for ; k < len(cols) && cols[k] < j; k++ {
+				if vals[k] >= threshold {
+					out = append(out, Correspondence{m.Sources[i], m.Targets[cols[k]], vals[k]})
+				}
+			}
+			if v := m.extra[ex[0]]; v >= threshold {
+				out = append(out, Correspondence{m.Sources[i], m.Targets[j], v})
+			}
 		}
-	})
+		for ; k < len(cols); k++ {
+			if vals[k] >= threshold {
+				out = append(out, Correspondence{m.Sources[i], m.Targets[cols[k]], vals[k]})
+			}
+		}
+	}
 	return out
 }
 

@@ -208,3 +208,92 @@ func TestFullPattern(t *testing.T) {
 		t.Error("blocked matrix does not report its blocking pattern")
 	}
 }
+
+// aboveReference is Above as it was written over Each: one closure
+// call per stored cell, row-major.
+func aboveReference(m *Matrix, threshold float64) []Correspondence {
+	var out []Correspondence
+	m.Each(func(i, j int, v float64) {
+		if v >= threshold {
+			out = append(out, Correspondence{m.Sources[i], m.Targets[j], v})
+		}
+	})
+	return out
+}
+
+// TestPropertyAboveMatchesEach compares Above with the Each-based
+// reference, bit for bit and in order, on dense, blocked and blocked
+// matrices with overflow cells, at thresholds down to below every score
+// (a pruned pair must still never be a link).
+func TestPropertyAboveMatchesEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		nr, nc := 1+rng.Intn(12), 1+rng.Intn(12)
+		srcs, tgts, pat := randomPatternPair(rng, nr, nc)
+		var m *Matrix
+		kind := trial % 3
+		if kind == 0 {
+			m = NewMatrix(srcs, tgts)
+		} else {
+			m = NewSparseMatrix(srcs, tgts, pat)
+		}
+		for w := 0; w < nr*nc; w++ {
+			i, j := rng.Intn(nr), rng.Intn(nc)
+			if kind == 1 && !pat.Contains(i, j) {
+				continue // blocked without overflow
+			}
+			v := rng.Float64()*2 - 1
+			if rng.Intn(8) == 0 {
+				v = float64(2*rng.Intn(2) - 1) // a pin
+			}
+			m.SetAt(i, j, v)
+		}
+		if kind == 2 && len(m.extra) == 0 {
+			m.SetAt(rng.Intn(nr), rng.Intn(nc), 1)
+		}
+		for _, th := range []float64{-2, -1, 0, 0.25, 0.5, 1} {
+			got, want := m.Above(th), aboveReference(m, th)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d (kind %d) threshold %v: %d links, reference %d", trial, kind, th, len(got), len(want))
+			}
+			for k := range got {
+				g, w := got[k], want[k]
+				if g.Source != w.Source || g.Target != w.Target || math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) {
+					t.Fatalf("trial %d (kind %d) threshold %v: link %d = %v, reference %v", trial, kind, th, k, g, w)
+				}
+			}
+		}
+		if kind != 0 && len(m.Above(-2)) != m.NNZ() {
+			t.Fatalf("trial %d: Above(-2) = %d links, %d stored cells", trial, len(m.Above(-2)), m.NNZ())
+		}
+	}
+}
+
+// BenchmarkMatrixAbove walks a 1000×1000 matrix for its links, as every
+// rematch does, next to the Each-based reference.
+func BenchmarkMatrixAbove(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	srcs, tgts, _ := randomPatternPair(rng, 1000, 1000)
+	m := NewMatrix(srcs, tgts)
+	for i := range srcs {
+		for j := range tgts {
+			m.SetAt(i, j, rng.Float64()*0.3)
+		}
+		m.SetAt(i, rng.Intn(len(tgts)), 0.3+rng.Float64()*0.7) // ~3 links per row
+		m.SetAt(i, rng.Intn(len(tgts)), 0.3+rng.Float64()*0.7)
+		m.SetAt(i, rng.Intn(len(tgts)), 0.3+rng.Float64()*0.7)
+	}
+	for _, bc := range []struct {
+		name  string
+		above func(*Matrix, float64) []Correspondence
+	}{{"scan", (*Matrix).Above}, {"each", aboveReference}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(bc.above(m, 0.3)) == 0 {
+					b.Fatal("no links")
+				}
+			}
+		})
+	}
+}

@@ -85,6 +85,14 @@ func (s termSet) each(fn func(Term) bool) bool {
 	return true
 }
 
+// len returns the number of members.
+func (s termSet) len() int {
+	if s.many == nil {
+		return 1
+	}
+	return len(s.many)
+}
+
 // appendTo appends every member to dst.
 func (s termSet) appendTo(dst []Term) []Term {
 	if s.many == nil {
@@ -338,6 +346,17 @@ func (g *Graph) Ones(s Term, ps, out []Term) {
 	for i, p := range ps {
 		out[i] = l2[p].first()
 	}
+}
+
+// CountObjects returns the number of objects of (s, p, ?) without
+// reading them.
+func (g *Graph) CountObjects(s, p Term) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if set, ok := g.spo[s][p]; ok {
+		return set.len()
+	}
+	return 0
 }
 
 // Objects returns all objects of (s, p, ?) in deterministic order.

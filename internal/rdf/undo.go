@@ -17,10 +17,12 @@ type undoOp struct {
 	t   Triple
 }
 
-// Savepoint marks a position in the graph's undo journal.
+// Savepoint marks a position in the graph's undo journal, and the
+// graph's generation when it opened.
 type Savepoint struct {
 	mark  int
 	depth int
+	gen   uint64
 }
 
 // Savepoint opens a new savepoint, enabling journaling if this is the
@@ -30,8 +32,11 @@ func (g *Graph) Savepoint() Savepoint {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.journalDepth++
-	return Savepoint{mark: len(g.journal), depth: g.journalDepth}
+	return Savepoint{mark: len(g.journal), depth: g.journalDepth, gen: g.gen}
 }
+
+// Gen returns the graph's generation when the savepoint opened.
+func (sp Savepoint) Gen() uint64 { return sp.gen }
 
 // Release closes a savepoint, keeping its changes. Journaling stops (and
 // the journal is freed) when the outermost savepoint closes.
@@ -111,6 +116,30 @@ func (g *Graph) ChangesSince(sp Savepoint) []ChangeOp {
 		out = append(out, ChangeOp{Add: op.add, T: op.t})
 	}
 	return out
+}
+
+// SoleChanges reports whether the mutations journaled since sp opened
+// are all that moved the graph since, and each satisfies keep: the
+// generation advanced by exactly their number, which a rollback inside
+// sp breaks (it moves the generation and journals nothing). It returns
+// the generation now. The savepoint must still be open; keep runs under
+// the graph's lock and must not touch the graph.
+func (g *Graph) SoleChanges(sp Savepoint, keep func(ChangeOp) bool) (gen uint64, ok bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	if g.journalDepth < sp.depth {
+		panic(fmt.Sprintf("rdf: SoleChanges on closed savepoint (depth %d, open %d)", sp.depth, g.journalDepth))
+	}
+	ops := g.journal[sp.mark:]
+	if g.gen-sp.gen != uint64(len(ops)) {
+		return g.gen, false
+	}
+	for _, op := range ops {
+		if !keep(ChangeOp{Add: op.add, T: op.t}) {
+			return g.gen, false
+		}
+	}
+	return g.gen, true
 }
 
 // ---- Snapshot / diff helpers ----

@@ -19,8 +19,8 @@ import (
 //	POST /v1/mappings                     create a mapping      → MappingInfo
 //	GET  /v1/mappings                     list mappings         → []MappingInfo
 //	GET  /v1/mappings/{id}                one mapping           → MappingInfo
-//	GET  /v1/mappings/{id}/cells          the mapping matrix    → []CellInfo
-//	GET  /v1/mappings/{id}/cells?since=R  cells written after revision R → []CellInfo
+//	GET  /v1/mappings/{id}/cells          the mapping matrix    → CellList
+//	GET  /v1/mappings/{id}/cells?since=R  cells written after revision R → CellList
 //	POST /v1/mappings/{id}/match          run Harmony           → MatchResponse
 //	POST /v1/mappings/{id}/rematch        incremental re-match  → RematchResponse
 //	POST /v1/mappings/{id}/decide         accept/reject a cell  → CellInfo
@@ -66,7 +66,9 @@ import (
 // A match or rematch answers with the cells its publish wrote, not the
 // whole matrix, and the blackboard revision after them: a client that
 // keeps a copy of the matrix merges the written cells into it by pair,
-// or catches up with GET cells?since=<revision it last saw>.
+// or catches up with GET cells?since=<revision it last saw>. Every list
+// of cells travels as one CellList table (celllist.go): each distinct
+// source, target and tool once, then one column per field.
 //
 // A decide names a source and a target element; unless each is a
 // non-root element of the mapping's current source or target schema,
@@ -179,10 +181,10 @@ type MatchRequest struct {
 // not rewritten), and Revision is the blackboard revision after the
 // publish.
 type MatchResponse struct {
-	Threshold float64    `json:"threshold"`
-	Published int        `json:"published"`
-	Cells     []CellInfo `json:"cells"`
-	Revision  int        `json:"revision"`
+	Threshold float64  `json:"threshold"`
+	Published int      `json:"published"`
+	Cells     CellList `json:"cells"`
+	Revision  int      `json:"revision"`
 }
 
 // RematchRequest tunes an incremental re-match over a mapping whose
@@ -219,7 +221,7 @@ type RematchResponse struct {
 	Mode      string     `json:"mode"`
 	Threshold float64    `json:"threshold"`
 	Published int        `json:"published"`
-	Cells     []CellInfo `json:"cells"`
+	Cells     CellList   `json:"cells"`
 	Revision  int        `json:"revision"`
 	Cache     CacheStats `json:"cache"`
 }

@@ -138,3 +138,96 @@ func TestTwoClientsRacingDecisions(t *testing.T) {
 		}
 	}
 }
+
+// TestViewsRaceDecidesAndPublishes runs full views (GET cells) against
+// two deciding clients and a rematching one (each rematch publishes),
+// so views copy cell tables that decides and publishes carry. Every
+// view must succeed and be sorted; once the writers stop, a view must
+// hold exactly the stored cells. Run it under -race.
+func TestViewsRaceDecidesAndPublishes(t *testing.T) {
+	c, srv := startServer(t, "", false)
+	id := loadPair(t, c)
+	match, err := c.Match(id, 0.1)
+	if err != nil || len(match.Cells) < 4 {
+		t.Fatalf("Match: %d cells, %v", len(match.Cells), err)
+	}
+	var writers, viewers sync.WaitGroup
+	errs := make(chan error, 64)
+	done := make(chan struct{})
+	for w, verdict := range []string{"accept", "reject"} {
+		writers.Add(1)
+		go func(c *client.Client, w int, verdict string) {
+			defer writers.Done()
+			for k := 0; k < 40; k++ {
+				cell := match.Cells[(k*3+w)%len(match.Cells)]
+				if _, err := c.Decide(id, cell.Source, cell.Target, verdict); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(clientFor(c), w, verdict)
+	}
+	writers.Add(1)
+	go func(c *client.Client) {
+		defer writers.Done()
+		for k := 0; k < 8; k++ {
+			if _, err := c.Rematch(id, 0.05+0.02*float64(k), nil, nil); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}(clientFor(c))
+	for v := 0; v < 2; v++ {
+		viewers.Add(1)
+		go func(c *client.Client) {
+			defer viewers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				cells, err := c.Cells(id)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := 1; i < len(cells); i++ {
+					a, b := cells[i-1], cells[i]
+					if a.Source > b.Source || a.Source == b.Source && a.Target > b.Target {
+						errs <- fmt.Errorf("view not sorted at %d: %+v before %+v", i, a, b)
+						return
+					}
+				}
+			}
+		}(clientFor(c))
+	}
+	writers.Wait()
+	close(done)
+	viewers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	// Quiet again: the view must hold exactly the stored cells, which
+	// GetCell reads from the triples.
+	view, err := c.Cells(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _ := srv.Workspaces().Get("default")
+	mp, err := ws.Blackboard().GetMapping(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mp.Len() != len(view) {
+		t.Fatalf("view has %d cells, the mapping %d", len(view), mp.Len())
+	}
+	for _, cell := range view {
+		c, ok := mp.GetCell(cell.Source, cell.Target)
+		if !ok || c.Confidence != cell.Confidence || c.UserDefined != cell.UserDefined || c.SetBy != cell.SetBy || c.Revision != cell.Revision {
+			t.Fatalf("view holds %+v, the triples %+v (ok %v)", cell, c, ok)
+		}
+	}
+}

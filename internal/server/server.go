@@ -454,10 +454,18 @@ func (s *Server) middleware(name string, traced, scoped bool, h tenantHandler) h
 	}
 }
 
-// writeJSON sends v with the given status.
+// writeJSON sends v with the given status. A value with a wire form of
+// its own (CellList) is written as it encodes itself: encoding/json
+// would scan its output once more.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if m, ok := v.(json.Marshaler); ok {
+		if data, err := m.MarshalJSON(); err == nil {
+			_, _ = w.Write(append(data, '\n'))
+		}
+		return
+	}
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
@@ -527,7 +535,9 @@ func (s *Server) inTxnAs(ctx context.Context, t *tenant, tool string, fn func(tx
 	if err := t.ws.PreTxnQuota(); err != nil {
 		return err
 	}
+	sp, _ := obs.StartSpan(ctx, "txnmu.wait")
 	t.ws.TxnMu.Lock()
+	sp.End()
 	defer t.ws.TxnMu.Unlock()
 	return t.mgr().Do(ctx, tool, func(txn *wbmgr.Txn) error {
 		if err := fn(txn); err != nil {
@@ -673,7 +683,7 @@ func (t *tenant) mappingInfo(id string) (MappingInfo, error) {
 	}
 	return MappingInfo{
 		ID: id, Source: mp.SourceSchema, Target: mp.TargetSchema,
-		Cells: len(mp.Cells()),
+		Cells: mp.Len(),
 	}, nil
 }
 
@@ -722,8 +732,10 @@ func (s *Server) handleCells(t *tenant, w http.ResponseWriter, r *http.Request) 
 		fail(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	sp, _ := obs.StartSpan(r.Context(), "blackboard.cells")
 	cells := mp.Cells()
-	out := make([]CellInfo, 0, len(cells))
+	sp.End()
+	out := make(CellList, 0, len(cells))
 	for _, c := range cells {
 		if c.Revision > since {
 			out = append(out, cellInfo(c))
@@ -736,7 +748,7 @@ func (s *Server) handleCells(t *tenant, w http.ResponseWriter, r *http.Request) 
 // transaction (Result.Publish) announced by a mapping-matrix event, and
 // returns the cells it wrote and the blackboard revision after them,
 // both read inside the transaction.
-func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res *harmony.Result) ([]CellInfo, int, error) {
+func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res *harmony.Result) (CellList, int, error) {
 	var written []blackboard.Cell
 	var rev int
 	err := s.inTxn(t, r, func(txn *wbmgr.Txn) error {
@@ -749,7 +761,7 @@ func (s *Server) publish(t *tenant, r *http.Request, mp *blackboard.Mapping, res
 	if err != nil {
 		return nil, 0, err
 	}
-	cells := make([]CellInfo, len(written))
+	cells := make(CellList, len(written))
 	for i, c := range written {
 		cells[i] = cellInfo(c)
 	}

@@ -323,3 +323,61 @@ func TestConcurrentTracedRequests(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestTxnMuWaitAndCellReadSpans reads the two layers a decide and a view
+// used to hide in their route span's self time: the workspace TxnMu wait
+// (txnmu.wait, under the decide's route span and before its wbmgr.txn)
+// and the mapping's cell read (blackboard.cells, under the view's route
+// span). Under a TxnMu the test holds, the wait span covers the hold.
+func TestTxnMuWaitAndCellReadSpans(t *testing.T) {
+	c, srv := startServer(t, "", false)
+	id := loadPair(t, c)
+	match, err := c.Match(id, 0.1)
+	if err != nil || len(match.Cells) == 0 {
+		t.Fatalf("Match: %d cells, %v", len(match.Cells), err)
+	}
+
+	if _, err := c.Cells(id); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace(c.LastTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := indexTrace(t, tr)
+	if read := ix.find("blackboard.cells"); read.Parent != ix.find("cells.list").ID {
+		t.Errorf("blackboard.cells not under the cells.list route span: %v", spanNames(tr))
+	}
+
+	ws, _ := srv.Workspaces().Get("default")
+	const hold = 60 * time.Millisecond
+	ws.TxnMu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Decide(id, match.Cells[0].Source, match.Cells[0].Target, "accept")
+		done <- err
+	}()
+	time.Sleep(hold)
+	unlocked := time.Now()
+	ws.TxnMu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	tr, err = c.Trace(c.LastTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix = indexTrace(t, tr)
+	wait, txn := ix.find("txnmu.wait"), ix.find("wbmgr.txn")
+	if root := ix.find("cells.decide"); wait.Parent != root.ID || txn.Parent != root.ID {
+		t.Errorf("txnmu.wait and wbmgr.txn not both under the decide route span: %+v", tr.Spans)
+	}
+	// The request waited from its arrival to the unlock: the span must
+	// end at the unlock or later (microsecond rounding aside).
+	if end := tr.Start.Add(time.Duration(wait.StartUS+wait.DurationUS+1) * time.Microsecond); end.Before(unlocked) {
+		t.Errorf("txnmu.wait (%dµs) ends %v before the held TxnMu was released", wait.DurationUS, unlocked.Sub(end))
+	}
+	if wait.StartUS+wait.DurationUS > txn.StartUS {
+		t.Errorf("txnmu.wait ends at %dµs, after wbmgr.txn starts at %dµs", wait.StartUS+wait.DurationUS, txn.StartUS)
+	}
+}
