@@ -2,6 +2,7 @@ package blackboard
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -206,4 +207,73 @@ func BenchmarkPutSchemaRePut(b *testing.B) {
 			b.ReportMetric(float64(ops)/float64(b.N), "ops/put")
 		})
 	}
+}
+
+// onboardModel generates a registry model of about n schema elements
+// in the proportions perfbench onboard uses (100 elements, 900
+// attributes, 1200 codes per 1000), renamed so models never collide.
+func onboardModel(seed int64, n int, name string) *model.Schema {
+	return copySchema(versionSchema(seed, n/10, n-n/10, n*6/5), name)
+}
+
+// BenchmarkPutSchema puts a 400-element schema, the largest onboard
+// loads, into a blackboard already holding 20 onboard-sized pairs
+// (100 to 400 elements, each pair with a mapping of one cell per source
+// element), inside a savepoint as a load transaction runs it; the put
+// is rolled back off the clock. It reports the time and allocation per
+// triple put, and the live heap per triple of the graph holding it.
+func BenchmarkPutSchema(b *testing.B) {
+	bb := New()
+	for k := 0; k < 20; k++ {
+		n := 100 + 300*k/19
+		src := onboardModel(int64(2*k+1), n, fmt.Sprintf("onboard-%02d-src", k))
+		tgt, _ := registry.Perturb(src, registry.DefaultPerturb())
+		tgt = copySchema(tgt, fmt.Sprintf("onboard-%02d-tgt", k))
+		for _, s := range []*model.Schema{src, tgt} {
+			if _, err := bb.PutSchema(s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		m, err := bb.NewMapping(fmt.Sprintf("onboard-%02d", k), src.Name, tgt.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcEls, tgtEls := src.Elements(), tgt.Elements()
+		for i, e := range srcEls {
+			if err := m.SetCell(e.ID, tgtEls[i*7%len(tgtEls)].ID, 0.25+float64(i%70)/100, false, "harmony"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	s := onboardModel(99, 400, "onboard-new")
+	g := bb.Graph()
+	before := g.Len()
+	var m0, m1 runtime.MemStats
+	var alloc uint64
+	triples, heap := 0, 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.ReadMemStats(&m0)
+		sp := g.Savepoint()
+		b.StartTimer()
+		if _, err := bb.PutSchema(s); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		alloc += m1.TotalAlloc - m0.TotalAlloc
+		triples = g.Len() - before
+		if i == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			heap = float64(m1.HeapAlloc) / float64(g.Len())
+		}
+		g.Rollback(sp)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*triples), "ns/triple")
+	b.ReportMetric(float64(alloc)/float64(b.N*triples), "B/triple")
+	b.ReportMetric(heap, "live-B/triple")
+	b.ReportMetric(float64(triples), "triples/put")
 }

@@ -609,15 +609,14 @@ func (m *Mapping) UserCells() []Cell {
 	if out, ok := m.b.tables.read(m, true); ok {
 		return out
 	}
+	// Ownership is the has-cell edge alone, as in Cells: a decided cell
+	// node under another mapping's IRI prefix is this mapping's cell
+	// when this mapping has the edge to it.
 	var nodes []rdf.Term
 	m.b.g.Visit(rdf.Wild, predUserDefined, rdf.BoolLiteral(true), func(t rdf.Triple) bool {
-		if strings.HasPrefix(t.S.Value(), m.cellPrefix) {
-			nodes = append(nodes, t.S)
-		}
+		nodes = append(nodes, t.S)
 		return true
 	})
-	// The prefix admits the cells of a mapping whose ID extends this
-	// one's with "/cell/"; ownership is the has-cell edge.
 	owned := &cellTable{}
 	for _, c := range nodes {
 		if m.b.g.Has(rdf.Triple{S: m.node, P: predHasCell, O: c}) {

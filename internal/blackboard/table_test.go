@@ -135,10 +135,8 @@ func TestCellTablesMatchReference(t *testing.T) {
 			g.Remove(rdf.Triple{S: mnode, P: predHasCell, O: c})
 		case rng.Intn(3) == 0:
 			// An edge to another mapping's cell, or back to an orphaned
-			// one, from a mapping whose prefix the node's IRI extends:
-			// the only nodes SetCell ever makes, and the only ones
-			// UserCells' index walk admits.
-			if m := pick(); m != nil && strings.HasPrefix(c.Value(), m.cellPrefix) {
+			// one.
+			if m := pick(); m != nil {
 				g.Add(rdf.Triple{S: m.node, P: predHasCell, O: c})
 			}
 		case rng.Intn(2) == 0:
@@ -277,6 +275,34 @@ func TestMappingLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after DeleteMapping", 0)
+}
+
+// TestUserCellsFollowHasCellEdges: a has-cell edge from m10 to a
+// decided cell node of m1, whose IRI m10's prefix does not admit, makes
+// the cell m10's in UserCells as it does in Cells, with and without an
+// exact cell table.
+func TestUserCellsFollowHasCellEdges(t *testing.T) {
+	b := boardWithSchemata(t)
+	m1, _ := b.NewMapping("m1", "purchaseOrder", "shippingInfo")
+	m10, _ := b.NewMapping("m10", "purchaseOrder", "shippingInfo")
+	if err := m1.SetCell("purchaseOrder/purchaseOrder/shipTo", "shippingInfo/shippingInfo/name", 1, true, "engineer"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m10.SetCell("purchaseOrder/purchaseOrder/shipTo", "shippingInfo/shippingInfo/total", 0.4, false, "harmony"); err != nil {
+		t.Fatal(err)
+	}
+	c := b.Graph().Objects(m1.node, predHasCell)[0]
+	b.Graph().Add(rdf.Triple{S: m10.node, P: predHasCell, O: c})
+	want := []Cell{referenceCells(b, "m1")[0]}
+	if got := m10.UserCells(); !slices.Equal(got, want) {
+		t.Fatalf("UserCells without a table = %+v, want %+v", got, want)
+	}
+	if n := len(m10.Cells()); n != 2 {
+		t.Fatalf("m10 has %d cells, want 2", n)
+	}
+	if got := m10.UserCells(); !slices.Equal(got, want) {
+		t.Fatalf("UserCells from the table = %+v, want %+v", got, want)
+	}
 }
 
 // TestCellTablesConcurrentViews runs views (Cells, UserCells, Len)

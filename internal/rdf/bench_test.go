@@ -19,12 +19,25 @@ func benchGraph(subjects, preds int) *Graph {
 	return g
 }
 
+// BenchmarkGraphAdd adds fresh triples to a growing graph (new), and
+// churns the dictionary (churn): SetOne of a fresh confidence literal
+// on one cell, so each op interns one term and frees another.
 func BenchmarkGraphAdd(b *testing.B) {
-	g := NewGraph()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Add(Triple{IRI(fmt.Sprintf("urn:s%d", i%1000)), IRI("urn:p"), IntLiteral(i)})
-	}
+	b.Run("new", func(b *testing.B) {
+		g := NewGraph()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.Add(Triple{IRI(fmt.Sprintf("urn:s%d", i%1000)), IRI("urn:p"), IntLiteral(i)})
+		}
+	})
+	b.Run("churn", func(b *testing.B) {
+		g := benchGraph(1000, 10)
+		cell, conf := IRI("urn:m1/cell/a|b"), IRI("urn:confidence-score")
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g.SetOne(cell, conf, FloatLiteral(float64(i)))
+		}
+	})
 }
 
 func BenchmarkGraphMatchSP(b *testing.B) {

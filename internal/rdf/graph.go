@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -10,11 +11,17 @@ import (
 // so that every triple pattern with at least one bound position is
 // answered from an index.
 //
+// The graph is dictionary-encoded: each distinct term is stored once, in
+// the dictionary, under a small integer ID, and the indexes hold IDs
+// only. A term leaves the dictionary with the last triple that names
+// it, and its ID is reused.
+//
 // Graph is safe for concurrent use. The workbench manager wraps mutations
 // in transactions (see Txn), but the graph itself is also independently
 // usable.
 type Graph struct {
-	mu  sync.RWMutex
+	mu sync.RWMutex
+	dict
 	spo index
 	pos index
 	osp index
@@ -31,54 +38,126 @@ type Graph struct {
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{spo: index{}, pos: index{}, osp: index{}}
+	return &Graph{dict: newDict()}
 }
 
-// index is one of the graph's three-level triple indexes: first term →
-// second term → the set of third terms. SPO keys subject, predicate,
-// object; POS predicate, object, subject; OSP object, subject, predicate.
-type index map[Term]map[Term]termSet
+// id names a term in a graph's dictionary. ID 0 names no term and is
+// never stored in an index, so a lookup of a term the graph has never
+// seen reads as 0 and finds nothing.
+type id uint32
 
-// termSet is an index's innermost level: the non-empty set of terms
+// dict is a graph's term dictionary. ids and terms map each live term
+// to its ID and back; refs counts the triple positions each ID fills.
+// An ID whose count falls to zero leaves the dictionary and goes on
+// free, from which intern reuses it. terms[0] is the zero Term, so
+// reading ID 0 reads "no term".
+type dict struct {
+	ids   map[Term]id
+	terms []Term
+	refs  []uint32
+	free  []id
+}
+
+func newDict() dict {
+	return dict{ids: map[Term]id{}, terms: []Term{{}}, refs: []uint32{0}}
+}
+
+// lookup returns t's ID, or 0 if t is not in the dictionary. It never
+// interns, so every read can run under the read lock.
+func (d *dict) lookup(t Term) id { return d.ids[t] }
+
+// intern returns t's ID, adding t with no references when absent. The
+// caller must hold a reference to the ID before anything can release
+// one (see hold).
+func (d *dict) intern(t Term) id {
+	if x, ok := d.ids[t]; ok {
+		return x
+	}
+	var x id
+	if n := len(d.free); n > 0 {
+		x = d.free[n-1]
+		d.free = d.free[:n-1]
+		d.terms[x] = t
+	} else {
+		x = id(len(d.terms))
+		d.terms = append(d.terms, t)
+		d.refs = append(d.refs, 0)
+	}
+	d.ids[t] = x
+	return x
+}
+
+func (d *dict) hold(x id) { d.refs[x]++ }
+
+// release drops one reference, freeing the ID with its last.
+func (d *dict) release(x id) {
+	if d.refs[x]--; d.refs[x] == 0 {
+		delete(d.ids, d.terms[x])
+		d.terms[x] = Term{}
+		d.free = append(d.free, x)
+	}
+}
+
+// triple returns the terms an ID triple names.
+func (d *dict) triple(s, p, o id) Triple {
+	return Triple{d.terms[s], d.terms[p], d.terms[o]}
+}
+
+func (d *dict) clone() dict {
+	return dict{
+		ids: maps.Clone(d.ids), terms: slices.Clone(d.terms),
+		refs: slices.Clone(d.refs), free: slices.Clone(d.free),
+	}
+}
+
+// index is one of the graph's three-level triple indexes: first ID →
+// second ID → the set of third IDs. SPO keys subject, predicate,
+// object; POS predicate, object, subject; OSP object, subject, predicate.
+// The first level is a slice indexed by ID, nil where the ID keys
+// nothing; an emptied second level is set back to nil.
+type index []map[id]idSet
+
+// idSet is an index's innermost level: the non-empty set of IDs
 // completing a (first, second) key. Almost every (subject, predicate)
 // pair of a blackboard holds one object — the functional annotations —
 // so a one-member set keeps its member inline in one, with many nil,
 // and costs nothing beyond its slot in the parent map. From the second
 // member on, many holds every member and one is unused. A set shrinking
 // back to one member moves it inline again; an emptied set is deleted
-// from its parent, so a zero termSet only ever means "absent".
-type termSet struct {
-	one  Term
-	many map[Term]struct{}
+// from its parent, so a zero idSet only ever means "absent", and its
+// first member reads as ID 0, no term.
+type idSet struct {
+	one  id
+	many map[id]struct{}
 }
 
-func (s termSet) has(t Term) bool {
+func (s idSet) has(x id) bool {
 	if s.many == nil {
-		return s.one == t
+		return s.one == x
 	}
-	_, ok := s.many[t]
+	_, ok := s.many[x]
 	return ok
 }
 
 // first returns one member: the inline one, or an arbitrary map key.
-func (s termSet) first() Term {
+func (s idSet) first() id {
 	if s.many == nil {
 		return s.one
 	}
-	for t := range s.many {
-		return t
+	for x := range s.many {
+		return x
 	}
-	return Term{}
+	return 0
 }
 
 // each calls fn on every member until fn returns false, and reports
 // whether it visited them all.
-func (s termSet) each(fn func(Term) bool) bool {
+func (s idSet) each(fn func(id) bool) bool {
 	if s.many == nil {
 		return fn(s.one)
 	}
-	for t := range s.many {
-		if !fn(t) {
+	for x := range s.many {
+		if !fn(x) {
 			return false
 		}
 	}
@@ -86,7 +165,7 @@ func (s termSet) each(fn func(Term) bool) bool {
 }
 
 // len returns the number of members.
-func (s termSet) len() int {
+func (s idSet) len() int {
 	if s.many == nil {
 		return 1
 	}
@@ -94,32 +173,43 @@ func (s termSet) len() int {
 }
 
 // appendTo appends every member to dst.
-func (s termSet) appendTo(dst []Term) []Term {
+func (s idSet) appendTo(dst []id) []id {
 	if s.many == nil {
 		return append(dst, s.one)
 	}
-	for t := range s.many {
-		dst = append(dst, t)
+	for x := range s.many {
+		dst = append(dst, x)
 	}
 	return dst
 }
 
+// at returns the second level under a, nil when a keys nothing.
+func (idx index) at(a id) map[id]idSet {
+	if int(a) < len(idx) {
+		return idx[a]
+	}
+	return nil
+}
+
 // add inserts (a, b, c), reporting whether the entry was new.
-func (idx index) add(a, b, c Term) bool {
-	l2 := idx[a]
+func (idx *index) add(a, b, c id) bool {
+	for int(a) >= len(*idx) {
+		*idx = append(*idx, nil)
+	}
+	l2 := (*idx)[a]
 	if l2 == nil {
-		l2 = make(map[Term]termSet)
-		idx[a] = l2
+		l2 = make(map[id]idSet)
+		(*idx)[a] = l2
 	}
 	set, ok := l2[b]
 	switch {
 	case !ok:
-		l2[b] = termSet{one: c}
+		l2[b] = idSet{one: c}
 	case set.many == nil:
 		if set.one == c {
 			return false
 		}
-		l2[b] = termSet{many: map[Term]struct{}{set.one: {}, c: {}}}
+		l2[b] = idSet{many: map[id]struct{}{set.one: {}, c: {}}}
 	default:
 		if _, dup := set.many[c]; dup {
 			return false
@@ -130,8 +220,8 @@ func (idx index) add(a, b, c Term) bool {
 }
 
 // remove deletes (a, b, c), reporting whether the entry was present.
-func (idx index) remove(a, b, c Term) bool {
-	l2 := idx[a]
+func (idx index) remove(a, b, c id) bool {
+	l2 := idx.at(a)
 	set, ok := l2[b]
 	if !ok || !set.has(c) {
 		return false
@@ -139,13 +229,13 @@ func (idx index) remove(a, b, c Term) bool {
 	if set.many == nil {
 		delete(l2, b)
 		if len(l2) == 0 {
-			delete(idx, a)
+			idx[a] = nil
 		}
 		return true
 	}
 	delete(set.many, c)
 	if len(set.many) == 1 {
-		l2[b] = termSet{one: set.first()}
+		l2[b] = idSet{one: set.first()}
 	}
 	return true
 }
@@ -208,15 +298,24 @@ func (g *Graph) AddAll(ts []Triple) int {
 	return added
 }
 
+// addLocked interns t's terms and inserts it. A term interned here is
+// new, so the triple is too, and addIDs takes its references at once.
 func (g *Graph) addLocked(t Triple) bool {
-	if !g.spo.add(t.S, t.P, t.O) {
+	return g.addIDs(g.intern(t.S), g.intern(t.P), g.intern(t.O))
+}
+
+func (g *Graph) addIDs(s, p, o id) bool {
+	if !g.spo.add(s, p, o) {
 		return false
 	}
-	g.pos.add(t.P, t.O, t.S)
-	g.osp.add(t.O, t.S, t.P)
+	g.pos.add(p, o, s)
+	g.osp.add(o, s, p)
+	g.hold(s)
+	g.hold(p)
+	g.hold(o)
 	g.n++
 	g.gen++
-	g.journalLocked(true, t)
+	g.journalLocked(true, s, p, o)
 	return true
 }
 
@@ -228,14 +327,23 @@ func (g *Graph) Remove(t Triple) bool {
 }
 
 func (g *Graph) removeLocked(t Triple) bool {
-	if !g.spo.remove(t.S, t.P, t.O) {
+	return g.removeIDs(g.lookup(t.S), g.lookup(t.P), g.lookup(t.O))
+}
+
+// removeIDs deletes (s, p, o), journals it, and then releases its
+// references.
+func (g *Graph) removeIDs(s, p, o id) bool {
+	if !g.spo.remove(s, p, o) {
 		return false
 	}
-	g.pos.remove(t.P, t.O, t.S)
-	g.osp.remove(t.O, t.S, t.P)
+	g.pos.remove(p, o, s)
+	g.osp.remove(o, s, p)
 	g.n--
 	g.gen++
-	g.journalLocked(false, t)
+	g.journalLocked(false, s, p, o)
+	g.release(s)
+	g.release(p)
+	g.release(o)
 	return true
 }
 
@@ -243,8 +351,8 @@ func (g *Graph) removeLocked(t Triple) bool {
 func (g *Graph) Has(t Triple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	set, ok := g.spo[t.S][t.P]
-	return ok && set.has(t.O)
+	set, ok := g.spo.at(g.lookup(t.S))[g.lookup(t.P)]
+	return ok && set.has(g.lookup(t.O))
 }
 
 // Wild is the zero Term; in Match patterns it matches any term.
@@ -280,46 +388,62 @@ func (g *Graph) Visit(s, p, o Term, fn func(Triple) bool) {
 }
 
 func (g *Graph) matchLocked(s, p, o Term, fn func(Triple) bool) {
+	g.matchIDs(s, p, o, func(si, pi, oi id) bool { return fn(g.triple(si, pi, oi)) })
+}
+
+// matchIDs is matchLocked on IDs: it looks each bound term up once,
+// and a bound term the dictionary lacks (ID 0) matches nothing.
+func (g *Graph) matchIDs(s, p, o Term, fn func(s, p, o id) bool) {
 	sw, pw, ow := s.IsZero(), p.IsZero(), o.IsZero()
+	var si, pi, oi id
+	if !sw {
+		si = g.lookup(s)
+	}
+	if !pw {
+		pi = g.lookup(p)
+	}
+	if !ow {
+		oi = g.lookup(o)
+	}
 	switch {
 	case !sw && !pw && !ow:
-		if set, ok := g.spo[s][p]; ok && set.has(o) {
-			fn(Triple{s, p, o})
+		if set, ok := g.spo.at(si)[pi]; ok && set.has(oi) {
+			fn(si, pi, oi)
 		}
 	case !sw && !pw: // S P ?
-		if set, ok := g.spo[s][p]; ok {
-			set.each(func(obj Term) bool { return fn(Triple{s, p, obj}) })
+		if set, ok := g.spo.at(si)[pi]; ok {
+			set.each(func(obj id) bool { return fn(si, pi, obj) })
 		}
 	case !sw && !ow: // S ? O
-		if set, ok := g.osp[o][s]; ok {
-			set.each(func(pred Term) bool { return fn(Triple{s, pred, o}) })
+		if set, ok := g.osp.at(oi)[si]; ok {
+			set.each(func(pred id) bool { return fn(si, pred, oi) })
 		}
 	case !pw && !ow: // ? P O
-		if set, ok := g.pos[p][o]; ok {
-			set.each(func(sub Term) bool { return fn(Triple{sub, p, o}) })
+		if set, ok := g.pos.at(pi)[oi]; ok {
+			set.each(func(sub id) bool { return fn(sub, pi, oi) })
 		}
 	case !sw: // S ? ?
-		for pred, set := range g.spo[s] {
-			if !set.each(func(obj Term) bool { return fn(Triple{s, pred, obj}) }) {
+		for pred, set := range g.spo.at(si) {
+			if !set.each(func(obj id) bool { return fn(si, pred, obj) }) {
 				return
 			}
 		}
 	case !pw: // ? P ?
-		for obj, set := range g.pos[p] {
-			if !set.each(func(sub Term) bool { return fn(Triple{sub, p, obj}) }) {
+		for obj, set := range g.pos.at(pi) {
+			if !set.each(func(sub id) bool { return fn(sub, pi, obj) }) {
 				return
 			}
 		}
 	case !ow: // ? ? O
-		for sub, set := range g.osp[o] {
-			if !set.each(func(pred Term) bool { return fn(Triple{sub, pred, o}) }) {
+		for sub, set := range g.osp.at(oi) {
+			if !set.each(func(pred id) bool { return fn(sub, pred, oi) }) {
 				return
 			}
 		}
 	default: // ? ? ?
 		for sub, l2 := range g.spo {
 			for pred, set := range l2 {
-				if !set.each(func(obj Term) bool { return fn(Triple{sub, pred, obj}) }) {
+				if !set.each(func(obj id) bool { return fn(id(sub), pred, obj) }) {
 					return
 				}
 			}
@@ -333,7 +457,7 @@ func (g *Graph) matchLocked(s, p, o Term, fn func(Triple) bool) {
 func (g *Graph) One(s, p Term) Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.spo[s][p].first()
+	return g.terms[g.spo.at(g.lookup(s))[g.lookup(p)].first()]
 }
 
 // Ones reads several functional annotations of one subject at the cost
@@ -342,9 +466,9 @@ func (g *Graph) One(s, p Term) Term {
 func (g *Graph) Ones(s Term, ps, out []Term) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l2 := g.spo[s]
+	l2 := g.spo.at(g.lookup(s))
 	for i, p := range ps {
-		out[i] = l2[p].first()
+		out[i] = g.terms[l2[g.lookup(p)].first()]
 	}
 }
 
@@ -353,7 +477,7 @@ func (g *Graph) Ones(s Term, ps, out []Term) {
 func (g *Graph) CountObjects(s, p Term) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if set, ok := g.spo[s][p]; ok {
+	if set, ok := g.spo.at(g.lookup(s))[g.lookup(p)]; ok {
 		return set.len()
 	}
 	return 0
@@ -363,23 +487,29 @@ func (g *Graph) CountObjects(s, p Term) int {
 func (g *Graph) Objects(s, p Term) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []Term
-	if set, ok := g.spo[s][p]; ok {
-		out = set.appendTo(out)
-	}
-	sort.Slice(out, func(i, j int) bool { return compareTerm(out[i], out[j]) < 0 })
-	return out
+	set, ok := g.spo.at(g.lookup(s))[g.lookup(p)]
+	return g.sortedTerms(set, ok)
 }
 
 // Subjects returns all subjects of (?, p, o) in deterministic order.
 func (g *Graph) Subjects(p, o Term) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []Term
-	if set, ok := g.pos[p][o]; ok {
-		out = set.appendTo(out)
+	set, ok := g.pos.at(g.lookup(p))[g.lookup(o)]
+	return g.sortedTerms(set, ok)
+}
+
+// sortedTerms returns the terms of set, present when ok, sorted.
+func (g *Graph) sortedTerms(set idSet, ok bool) []Term {
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return compareTerm(out[i], out[j]) < 0 })
+	out := make([]Term, 0, set.len())
+	set.each(func(x id) bool {
+		out = append(out, g.terms[x])
+		return true
+	})
+	slices.SortFunc(out, compareTerm)
 	return out
 }
 
@@ -390,16 +520,25 @@ func (g *Graph) Subjects(p, o Term) []Term {
 func (g *Graph) SetOne(s, p, o Term) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if set, ok := g.spo[s][p]; ok {
-		// Copy the members first: removeLocked mutates the set.
-		var buf [1]Term
+	si, pi, oi := g.intern(s), g.intern(p), g.intern(o)
+	// Hold the three IDs while the old objects go: removing the last
+	// triple naming s, p or o would otherwise free an ID still in use.
+	g.hold(si)
+	g.hold(pi)
+	g.hold(oi)
+	if set, ok := g.spo.at(si)[pi]; ok {
+		// Copy the members first: removeIDs mutates the set.
+		var buf [1]id
 		for _, old := range set.appendTo(buf[:0]) {
-			if old != o {
-				g.removeLocked(Triple{s, p, old})
+			if old != oi {
+				g.removeIDs(si, pi, old)
 			}
 		}
 	}
-	g.addLocked(Triple{s, p, o})
+	g.addIDs(si, pi, oi)
+	g.release(si)
+	g.release(pi)
+	g.release(oi)
 }
 
 // RemoveMatching deletes every triple matching the pattern and returns the
@@ -407,15 +546,23 @@ func (g *Graph) SetOne(s, p, o Term) {
 func (g *Graph) RemoveMatching(s, p, o Term) []Triple {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var victims []Triple
-	g.matchLocked(s, p, o, func(t Triple) bool {
-		victims = append(victims, t)
+	return g.removeMatchingLocked(s, p, o)
+}
+
+func (g *Graph) removeMatchingLocked(s, p, o Term) []Triple {
+	var victims [][3]id
+	g.matchIDs(s, p, o, func(s, p, o id) bool {
+		victims = append(victims, [3]id{s, p, o})
 		return true
 	})
-	for _, t := range victims {
-		g.removeLocked(t)
+	out := make([]Triple, len(victims))
+	for i, v := range victims {
+		// A victim's IDs stay live until its own removal: the triple
+		// holds them.
+		out[i] = g.triple(v[0], v[1], v[2])
+		g.removeIDs(v[0], v[1], v[2])
 	}
-	return victims
+	return out
 }
 
 // Triples returns every triple in deterministic order.
@@ -425,21 +572,14 @@ func (g *Graph) Triples() []Triple {
 
 // ReplaceWith atomically replaces g's contents with other's (deep copy of
 // other's state). With an open savepoint the replacement is journaled
-// triple-by-triple so it can be rolled back; otherwise the index maps are
-// swapped wholesale.
+// triple-by-triple so it can be rolled back; otherwise the dictionary
+// and index are swapped wholesale.
 func (g *Graph) ReplaceWith(other *Graph) {
 	snap := other.Clone()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.journalDepth > 0 {
-		var olds []Triple
-		g.matchLocked(Wild, Wild, Wild, func(t Triple) bool {
-			olds = append(olds, t)
-			return true
-		})
-		for _, t := range olds {
-			g.removeLocked(t)
-		}
+		g.removeMatchingLocked(Wild, Wild, Wild)
 		snap.matchLocked(Wild, Wild, Wild, func(t Triple) bool {
 			g.addLocked(t)
 			return true
@@ -449,6 +589,7 @@ func (g *Graph) ReplaceWith(other *Graph) {
 		}
 		return
 	}
+	g.dict = snap.dict
 	g.spo, g.pos, g.osp = snap.spo, snap.pos, snap.osp
 	g.n = snap.n
 	g.blankSeq = snap.blankSeq
@@ -460,7 +601,8 @@ func (g *Graph) Clone() *Graph {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return &Graph{
-		spo: g.spo.clone(), pos: g.pos.clone(), osp: g.osp.clone(),
+		dict: g.dict.clone(),
+		spo:  g.spo.clone(), pos: g.pos.clone(), osp: g.osp.clone(),
 		n: g.n, blankSeq: g.blankSeq,
 	}
 }
@@ -470,7 +612,10 @@ func (g *Graph) Clone() *Graph {
 func (idx index) clone() index {
 	out := make(index, len(idx))
 	for a, l2 := range idx {
-		c2 := make(map[Term]termSet, len(l2))
+		if l2 == nil {
+			continue
+		}
+		c2 := make(map[id]idSet, len(l2))
 		for b, set := range l2 {
 			if set.many != nil {
 				set.many = maps.Clone(set.many)

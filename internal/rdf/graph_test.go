@@ -477,21 +477,26 @@ func checkAgainstModel(t *testing.T, g *Graph, model map[Triple]bool, subs, pred
 	} {
 		var held []Triple
 		for a, l2 := range idx.idx {
+			if l2 == nil {
+				continue
+			}
 			if len(l2) == 0 {
-				t.Errorf("%s: empty second level under %v", name, a)
+				t.Errorf("%s: empty second level under %v", name, g.terms[a])
 			}
 			for b, set := range l2 {
 				if set.many != nil && len(set.many) < 2 {
-					t.Errorf("%s: set under (%v, %v) has %d members in its map", name, a, b, len(set.many))
+					t.Errorf("%s: set under (%v, %v) has %d members in its map", name, g.terms[a], g.terms[b], len(set.many))
 				}
-				set.each(func(c Term) bool {
-					held = append(held, idx.perm(a, b, c))
+				set.each(func(c id) bool {
+					held = append(held, idx.perm(g.terms[a], g.terms[b], g.terms[c]))
 					return true
 				})
 			}
 		}
 		sameTriples(t, "index "+name, held, model, Wild, Wild, Wild)
 	}
+	checkDict(t, g)
+	checkDict(t, c)
 }
 
 func TestItoa(t *testing.T) {

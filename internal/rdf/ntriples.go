@@ -15,9 +15,9 @@ import (
 
 // WriteNTriples writes the graph in canonical (sorted) N-Triples form:
 // the (subject, predicate, object) order of Triples. It walks the SPO
-// index, sorting each level's keys with compareTerm, and renders every
-// statement into one reused line buffer, so it builds no slice of every
-// triple and no string per term.
+// index, sorting each level's IDs by the terms they name with
+// compareTerm, and renders every statement into one reused line buffer,
+// so it builds no slice of every triple and no string per term.
 //
 // The walk holds the graph's read lock throughout, so a writer to the
 // graph waits until the whole graph is written. Every caller already
@@ -38,12 +38,15 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 
 // writeSortedLocked is WriteNTriples' walk; the caller holds g.mu.
 func (g *Graph) writeSortedLocked(w *bufio.Writer) error {
-	subjects := make([]Term, 0, len(g.spo))
-	for s := range g.spo {
-		subjects = append(subjects, s)
+	byTerm := func(a, b id) int { return compareTerm(g.terms[a], g.terms[b]) }
+	var subjects []id
+	for s, level := range g.spo {
+		if level != nil {
+			subjects = append(subjects, id(s))
+		}
 	}
-	slices.SortFunc(subjects, compareTerm)
-	var preds, objs []Term
+	slices.SortFunc(subjects, byTerm)
+	var preds, objs []id
 	var line []byte
 	for _, s := range subjects {
 		level := g.spo[s]
@@ -51,16 +54,16 @@ func (g *Graph) writeSortedLocked(w *bufio.Writer) error {
 		for p := range level {
 			preds = append(preds, p)
 		}
-		slices.SortFunc(preds, compareTerm)
-		line = append(s.AppendTo(line[:0]), ' ')
+		slices.SortFunc(preds, byTerm)
+		line = append(g.terms[s].AppendTo(line[:0]), ' ')
 		subjLen := len(line)
 		for _, p := range preds {
-			line = append(p.AppendTo(line[:subjLen]), ' ')
+			line = append(g.terms[p].AppendTo(line[:subjLen]), ' ')
 			predLen := len(line)
 			objs = level[p].appendTo(objs[:0])
-			slices.SortFunc(objs, compareTerm)
+			slices.SortFunc(objs, byTerm)
 			for _, o := range objs {
-				line = append(o.AppendTo(line[:predLen]), " .\n"...)
+				line = append(g.terms[o].AppendTo(line[:predLen]), " .\n"...)
 				if _, err := w.Write(line); err != nil {
 					return err
 				}

@@ -11,7 +11,10 @@ import "fmt"
 // per-operation savepoints nested inside.
 
 // undoOp is one journaled mutation: add=true records an insertion (undo
-// is removal), add=false a deletion (undo is re-insertion).
+// is removal), add=false a deletion (undo is re-insertion). It keeps the
+// triple's terms, not their IDs: a term whose last triple a savepoint
+// removes leaves the dictionary, and its ID may name another term by
+// the time the op is replayed.
 type undoOp struct {
 	add bool
 	t   Triple
@@ -84,10 +87,11 @@ func (g *Graph) closeLocked(sp Savepoint) {
 }
 
 // journalLocked records an op when journaling is active. Called from
-// addLocked/removeLocked after a successful mutation; caller holds g.mu.
-func (g *Graph) journalLocked(add bool, t Triple) {
+// addIDs/removeIDs after a successful mutation, while the triple's IDs
+// still name its terms; caller holds g.mu.
+func (g *Graph) journalLocked(add bool, s, p, o id) {
 	if g.journalDepth > 0 {
-		g.journal = append(g.journal, undoOp{add: add, t: t})
+		g.journal = append(g.journal, undoOp{add: add, t: g.triple(s, p, o)})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 )
 
 // CellList is a list of cells on the wire, the one type of every
@@ -351,8 +352,9 @@ func (d *cellDecoder) ints() ([]int, error) {
 	})
 }
 
-// str reads a string. One without escapes is its bytes; encoding/json
-// decodes one with escapes.
+// str reads a string. One without escapes that is valid UTF-8 is its
+// bytes; encoding/json decodes any other, turning invalid UTF-8 into
+// U+FFFD.
 func (d *cellDecoder) str() (string, error) {
 	d.ws()
 	if d.i >= len(d.data) || d.data[d.i] != '"' {
@@ -363,8 +365,8 @@ func (d *cellDecoder) str() (string, error) {
 		switch c := d.data[j]; {
 		case c == '"':
 			d.i = j + 1
-			if !escaped {
-				return string(d.data[start+1 : j]), nil
+			if raw := d.data[start+1 : j]; !escaped && utf8.Valid(raw) {
+				return string(raw), nil
 			}
 			var s string
 			if err := json.Unmarshal(d.data[start:d.i], &s); err != nil {

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -112,9 +113,10 @@ func TestCellListDecodeErrors(t *testing.T) {
 	}
 }
 
-// FuzzCellList: arbitrary bytes never panic the decoder, and a list
-// built from them — valid UTF-8 strings, finite confidences — round-trips
-// bit for bit.
+// FuzzCellList: arbitrary bytes never panic the decoder, whatever it
+// decodes encodes to bytes that decode and encode back to themselves,
+// and a list built from them — valid UTF-8 strings, finite confidences —
+// round-trips bit for bit.
 func FuzzCellList(f *testing.F) {
 	f.Add([]byte(`{"sources":["a"],"targets":["x"],"tools":["h"],"source":[0],"target":[0],"tool":[0],"confidence":[0.5],"userDefined":[false],"revision":[3]}`))
 	f.Add([]byte(`[{"source":"a"}]`))
@@ -122,7 +124,20 @@ func FuzzCellList(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l server.CellList
 		_ = json.Unmarshal(data, &l)
-		_ = l.UnmarshalJSON(data)
+		var decoded server.CellList
+		if decoded.UnmarshalJSON(data) == nil {
+			enc, err := decoded.MarshalJSON()
+			if err != nil {
+				t.Fatalf("encoding %+v: %v", decoded, err)
+			}
+			var back server.CellList
+			if err := back.UnmarshalJSON(enc); err != nil {
+				t.Fatalf("re-decoding %s: %v", enc, err)
+			}
+			if again, _ := back.MarshalJSON(); !bytes.Equal(again, enc) {
+				t.Fatalf("round trip changed %s to %s", enc, again)
+			}
+		}
 
 		in := cellsFrom(data)
 		out, err := json.Marshal(in)

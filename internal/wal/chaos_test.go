@@ -499,3 +499,82 @@ func TestAutoSnapshotPanicKeepsDurableCommit(t *testing.T) {
 		})
 	}
 }
+
+// TestAutoSnapshotSpan: the commit that reaches SnapshotEvery records a
+// wal.snapshot span under its wal.append, carrying the graph's triple
+// count; the commits before and after it record none. A snapshot that
+// fails or panics sets the span's error, and the next commit's retry
+// records a clean one.
+func TestAutoSnapshotSpan(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{SnapshotEvery: 3, Metrics: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := obs.NewTraceStore(0)
+	n := 0
+	// commit adds one triple in a traced commit and returns the
+	// commit's wal.snapshot span, if it has one.
+	commit := func() (obs.SpanRecord, bool) {
+		t.Helper()
+		n++
+		root, ctx := ts.StartRoot(context.Background(), "commit", obs.SpanContext{})
+		tr := rdf.Triple{S: rdf.IRI(fmt.Sprintf("urn:s%d", n)), P: rdf.IRI("urn:p"), O: rdf.IntLiteral(n)}
+		s.Graph().Add(tr)
+		if err := s.AppendTxnContext(ctx, []rdf.ChangeOp{{Add: true, T: tr}}); err != nil {
+			t.Fatalf("commit %d: %v", n, err)
+		}
+		root.End()
+		trace, _ := ts.Get(root.Context().Trace)
+		var appendID obs.SpanID
+		var snap *obs.SpanRecord
+		for i, sp := range trace.Spans {
+			switch sp.Name {
+			case "wal.append":
+				appendID = sp.ID
+			case "wal.snapshot":
+				snap = &trace.Spans[i]
+			}
+		}
+		if snap == nil {
+			return obs.SpanRecord{}, false
+		}
+		if snap.Parent != appendID || appendID == 0 {
+			t.Fatalf("commit %d: wal.snapshot's parent is %v, not the wal.append span %v", n, snap.Parent, appendID)
+		}
+		return *snap, true
+	}
+	attr := func(sp obs.SpanRecord, key string) string {
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	for _, want := range []bool{false, false, true, false, false, true} {
+		sp, ok := commit()
+		if ok != want {
+			t.Fatalf("commit %d: wal.snapshot span present = %v, want %v", n, ok, want)
+		}
+		if ok && (attr(sp, "triples") != fmt.Sprint(n) || sp.Err != "") {
+			t.Fatalf("commit %d: wal.snapshot span triples=%q err=%q, want %d and none", n, attr(sp, "triples"), sp.Err, n)
+		}
+	}
+	for _, kind := range []chaos.FaultKind{chaos.FaultError, chaos.FaultPanic} {
+		for i := 0; i < 2; i++ {
+			if _, ok := commit(); ok {
+				t.Fatalf("commit %d: a wal.snapshot span before the cadence", n)
+			}
+		}
+		arm(t, SiteSnapshot, kind)
+		sp, ok := commit()
+		if !ok || sp.Err == "" {
+			t.Fatalf("%v: failed snapshot's span present = %v with err %q, want an error", kind, ok, sp.Err)
+		}
+		chaos.Reset()
+		if sp, ok := commit(); !ok || sp.Err != "" {
+			t.Fatalf("%v: the retry's span present = %v with err %q, want a clean one", kind, ok, sp.Err)
+		}
+	}
+}

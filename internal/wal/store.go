@@ -473,7 +473,7 @@ func (s *Store) appendTxnLocked(ctx context.Context, txn uint64, ops []rdf.Chang
 
 	if every := s.snapshotEvery(); every > 0 {
 		s.commitsSinceSnap++
-		if s.commitsSinceSnap >= every && s.autoSnapshotLocked() != nil {
+		if s.commitsSinceSnap >= every && s.autoSnapshotLocked(ctx) != nil {
 			s.commitsSinceSnap = every // retry next commit
 		}
 	}
@@ -484,11 +484,19 @@ func (s *Store) appendTxnLocked(ctx context.Context, txn uint64, ops []rdf.Chang
 // commit is already durable, so a failed or panicking snapshot (a
 // failpoint at wal.snapshot or wal.rotate) returns an error, leaves the
 // log as it is and the commit standing, and the next commit retries.
-func (s *Store) autoSnapshotLocked() (err error) {
+// It records a "wal.snapshot" span under the commit's "wal.append",
+// carrying the triple count and any error.
+func (s *Store) autoSnapshotLocked(ctx context.Context) (err error) {
+	sp, _ := obs.StartSpan(ctx, "wal.snapshot")
+	if sp.Recording() {
+		sp.SetAttr("triples", strconv.Itoa(s.g.Len()))
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("wal: snapshot: panic: %v", r)
 		}
+		sp.SetError(err)
+		sp.End()
 	}()
 	return s.snapshotLocked()
 }
