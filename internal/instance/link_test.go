@@ -1,6 +1,8 @@
 package instance
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -195,4 +197,73 @@ func linkBenchRecords(n int) []*Record {
 			string(rune('a'+i%26))+"-person-"+FormatValue(i))
 	}
 	return out
+}
+
+// longRecordPairs are record pairs whose string fields run past one
+// 64-rune mask word: addresses and descriptions of 65 to 200 runes,
+// accented and CJK text, a long value against a short one, and a rune
+// repeated across a word boundary.
+func longRecordPairs() [][2]*Record {
+	addr := "1600 Pennsylvania Avenue Northwest, Washington, District of Columbia 20500"
+	desc := strings.Repeat("scheduled departure facility identifier code; ", 4)
+	accented := "Société Générale des Chemins de Fer Économiques, 12 rue de l'Hôpital, Besançon"
+	cjk := strings.Repeat("国際航空運送協会の出発施設識別コード", 4)
+	return [][2]*Record{
+		{
+			NewRecord("site").Set("address", addr).Set("city", "Washington"),
+			NewRecord("site").Set("address", strings.Replace(addr, "Northwest", "NW", 1)).Set("city", "washington"),
+		},
+		{
+			NewRecord("site").Set("address", addr).Set("note", desc),
+			NewRecord("site").Set("address", strings.ToUpper(addr[:40])+addr[40:]).Set("note", strings.Replace(desc, "facility", "facilty", 3)),
+		},
+		{
+			NewRecord("org").Set("name", accented).Set("note", cjk),
+			NewRecord("org").Set("name", strings.Replace(accented, "Économiques", "Economiques", 1)).Set("note", cjk[:len(cjk)-9]),
+		},
+		{
+			NewRecord("org").Set("name", desc+desc),
+			NewRecord("org").Set("name", "scheduled departure"),
+		},
+		{
+			NewRecord("org").Set("name", "departure"),
+			NewRecord("org").Set("name", accented+" "+addr),
+		},
+		{
+			NewRecord("run").Set("a", strings.Repeat("a", 64)).Set("b", strings.Repeat("ab", 33)),
+			NewRecord("run").Set("a", strings.Repeat("a", 65)).Set("b", strings.Repeat("ba", 33)+"a"),
+		},
+		{
+			NewRecord("run").Set("a", strings.Repeat("x", 63)+strings.Repeat("y", 70)),
+			NewRecord("run").Set("a", strings.Repeat("y", 70)+strings.Repeat("x", 63)),
+		},
+	}
+}
+
+// TestRecordSimilarityLongValuesPinned pins the linkage score of record
+// pairs with string fields over 64 runes, both ways round, bit for bit,
+// at the values the scalar Jaro-Winkler loop gave before the mask kernel
+// replaced it.
+func TestRecordSimilarityLongValuesPinned(t *testing.T) {
+	want := [][2]uint64{
+		{0x3fef0754fd363724, 0x3fef0754fd363724}, // 0.9696450181524807
+		{0x3feeacc61c0447ae, 0x3feeacc61c0447ae}, // 0.9585905596925295
+		{0x3fef0eae0225f3d4, 0x3fef0eae0225f3d4}, // 0.9705419580419581
+		{0x3fe9ee30f9525d7e, 0x3fe9ee30f9525d7e}, // 0.8103260869565216
+		{0x3fe0a0a0a0a0a0a1, 0x3fe0a0a0a0a0a0a1}, // 0.5196078431372549
+		{0x3fed345a264d91ef, 0x3fed345a264d91ef}, // 0.9126406429391504
+		{0x3fea5d5a77569dd5, 0x3fea5d5a77569dd5}, // 0.8238956766917293
+	}
+	for k, p := range longRecordPairs() {
+		got := [2]float64{recordSimilarity(p[0], p[1], nil), recordSimilarity(p[1], p[0], nil)}
+		if k >= len(want) {
+			t.Errorf("pair %d has no pinned score", k)
+			continue
+		}
+		for d, g := range got {
+			if math.Float64bits(g) != want[k][d] {
+				t.Errorf("pair %d, direction %d: recordSimilarity = %v (0x%016x), pinned 0x%016x", k, d, g, math.Float64bits(g), want[k][d])
+			}
+		}
+	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // kernelWords is the vocabulary the kernel property tests draw from:
-// ASCII, accented and CJK words, and one longer than jaro's stack
-// buffers.
+// ASCII, accented and CJK words, and two longer than one 64-rune mask
+// word.
 var kernelWords = []string{
 	"order", "orders", "ship", "to", "total", "subtotal", "qty", "quantity",
 	"école", "ÉCOLE", "Ü", "straße", "価格", "価格コード", "データベース",
@@ -71,7 +71,9 @@ func (ids interned) vector(v SortedVector) IDVector {
 }
 
 // jaroWinklerRef is the string Jaro-Winkler as written before the rune
-// kernel: both strings converted per call, heap-allocated match flags.
+// and mask kernels: both strings converted per call, a scan of the
+// match window with heap-allocated match flags. It is the scalar
+// reference the mask kernel must reproduce bit for bit.
 func jaroWinklerRef(a, b string) float64 {
 	ra, rb := []rune(a), []rune(b)
 	la, lb := len(ra), len(rb)
@@ -126,6 +128,61 @@ func jaroWinklerRef(a, b string) float64 {
 	return j + float64(l)*0.1*(1-j)
 }
 
+// FuzzJaroWinkler requires the mask kernel to reproduce the scalar
+// reference bit for bit on any two strings, through JaroWinkler,
+// JaroWinklerRunes, and JaroWinklerMasks over codes the way a match
+// context assigns them: one alphabet over both names and more, with
+// codes for runes the target lacks.
+func FuzzJaroWinkler(f *testing.F) {
+	long := strings.Repeat("departureFacility", 9)
+	for _, seed := range [][2]string{
+		{"martha", "marhta"},
+		{"dixon", "dicksonx"},
+		{"", ""},
+		{"a", ""},
+		{strings.Repeat("ab", 31) + "c", strings.Repeat("ba", 31) + "cd"},            // 64-rune target
+		{strings.Repeat("ab", 32), strings.Repeat("ba", 32) + "a"},                   // 65-rune target
+		{strings.Repeat("facility", 19), "facility"},                                 // long source, short target
+		{long[:130], long[3:144]},                                                    // both over 128 runes
+		{"société générale", "SOCIÉTÉ générale des chemins"},                         // accented
+		{"データベース管理", "管理データベース"},                                                     // CJK
+		{"\xffab\xc3", "ab\xfe\xc3"},                                                 // invalid UTF-8
+		{strings.Repeat("a", 70), strings.Repeat("b", 60) + strings.Repeat("a", 10)}, // a rune across the word boundary
+		{strings.Repeat("é", 70), strings.Repeat("ß", 60) + strings.Repeat("é", 10)}, // the same, not ASCII
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		want := math.Float64bits(jaroWinklerRef(a, b))
+		if got := JaroWinkler(a, b); math.Float64bits(got) != want {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, reference %v", a, b, got, math.Float64frombits(want))
+		}
+		ra, rb := []rune(a), []rune(b)
+		if got := JaroWinklerRunes(ra, rb); math.Float64bits(got) != want {
+			t.Fatalf("JaroWinklerRunes(%q, %q) = %v, reference %v", a, b, got, math.Float64frombits(want))
+		}
+		codes := map[rune]int32{'#': 0}
+		code := func(rs []rune) []int32 {
+			out := make([]int32, len(rs))
+			for p, r := range rs {
+				c, ok := codes[r]
+				if !ok {
+					c = int32(len(codes))
+					codes[r] = c
+				}
+				out[p] = c
+			}
+			return out
+		}
+		ca, cb := code(ra), code(rb)
+		masks := make([]uint64, (len(codes)+1)*MaskWords(len(rb)))
+		SetPositionMasks(masks, cb)
+		if got := JaroWinklerMasks(ca, masks, len(rb)); math.Float64bits(got) != want {
+			t.Fatalf("JaroWinklerMasks(%q, %q) = %v, reference %v", a, b, got, math.Float64frombits(want))
+		}
+	})
+}
+
 // TestIDKernelsMatchStringForms checks every ID and rune kernel against
 // its string form, bit for bit, on random token lists and names.
 func TestIDKernelsMatchStringForms(t *testing.T) {
@@ -171,7 +228,7 @@ func TestIDKernelsMatchStringForms(t *testing.T) {
 var kernelSink float64
 
 // TestIDKernelsAllocateNothing pins the ID and rune kernels at zero
-// allocations for names within jaro's stack buffers.
+// allocations for names of up to 64 runes.
 func TestIDKernelsAllocateNothing(t *testing.T) {
 	a, b := []int32{1, 3, 5, 9}, []int32{2, 3, 9, 11}
 	va := IDVector{Terms: a, Weights: []float64{1, 2, 3, 4}, Norm: 5}

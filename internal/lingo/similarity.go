@@ -1,6 +1,10 @@
 package lingo
 
-import "unicode/utf8"
+import (
+	"math/bits"
+	"slices"
+	"unicode/utf8"
+)
 
 // String-similarity primitives used by the name-based match voters.
 
@@ -67,91 +71,152 @@ func JaroWinkler(a, b string) float64 {
 	return JaroWinklerRunes([]rune(a), []rune(b))
 }
 
-// JaroWinklerRunes is JaroWinkler over rune slices, for callers that keep
-// names as runes (the match voters' feature rows). It allocates nothing
-// for names of up to jaroStackRunes runes.
+// maskRunes is the name length one mask word covers; names up to it
+// score without allocating.
+const maskRunes = 64
+
+// JaroWinklerRunes is JaroWinkler over rune slices, for callers without a
+// match context, such as record linkage. It codes each rune by its first
+// position in b, or len(b) for a rune b lacks, sets b's position masks
+// under those codes, and scores with JaroWinklerMasks. The masks take
+// (len(b)+1) × MaskWords(len(b)) words: on the stack up to 64 runes, so
+// two such names allocate nothing, and 128 KB at 1,000 runes. An ASCII
+// rune finds its first position in a table, any other rune by a search
+// of b.
 func JaroWinklerRunes(ra, rb []rune) float64 {
-	j := jaro(ra, rb)
-	if j == 0 {
-		return 0
+	lb := len(rb)
+	w := MaskWords(lb)
+	var maskBuf [maskRunes + 1]uint64
+	masks := maskBuf[:]
+	if n := (lb + 1) * w; n > len(masks) {
+		masks = make([]uint64, n)
 	}
-	// Common prefix length, up to 4.
-	l := 0
-	for l < len(ra) && l < len(rb) && l < 4 && ra[l] == rb[l] {
-		l++
+	// first holds 1 + the first position in b of each ASCII rune b holds.
+	var first [utf8.RuneSelf]int32
+	for p, r := range rb {
+		q := p
+		if uint32(r) < utf8.RuneSelf {
+			if f := first[r]; f > 0 {
+				q = int(f) - 1
+			} else {
+				first[r] = int32(p) + 1
+			}
+		} else if i := slices.Index(rb[:p], r); i >= 0 {
+			q = i
+		}
+		masks[q*w+p/maskRunes] |= 1 << (uint(p) % maskRunes)
 	}
-	const p = 0.1
-	return j + float64(l)*p*(1-j)
+	var codeBuf [maskRunes]int32
+	codes := codeBuf[:0]
+	for _, r := range ra {
+		q := lb
+		if uint32(r) < utf8.RuneSelf {
+			if f := first[r]; f > 0 {
+				q = int(f) - 1
+			}
+		} else if i := slices.Index(rb, r); i >= 0 {
+			q = i
+		}
+		codes = append(codes, int32(q))
+	}
+	return JaroWinklerMasks(codes, masks, lb)
 }
 
-// jaroStackRunes bounds the name length whose match flags jaro keeps on
-// the stack; longer names allocate theirs.
-const jaroStackRunes = 64
+// MaskWords is the number of uint64 words one position mask of a name of
+// n runes takes.
+func MaskWords(n int) int { return (n + maskRunes - 1) / maskRunes }
 
-func jaro(ra, rb []rune) float64 {
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
+// SetPositionMasks sets, for each position p of a name given as rune
+// codes, bit p%64 of word p/64 of code codes[p]'s mask: code c's mask is
+// masks[c*w : c*w+w], with w = MaskWords(len(codes)). masks must be zero
+// and hold a mask for every code.
+func SetPositionMasks(masks []uint64, codes []int32) {
+	w := MaskWords(len(codes))
+	for p, c := range codes {
+		masks[int(c)*w+int(uint(p)/maskRunes)] |= 1 << (uint(p) % maskRunes)
 	}
+}
+
+// JaroWinklerMasks is JaroWinkler of names a and b, with a given as rune
+// codes and b, of lb runes, as the position masks SetPositionMasks sets
+// for b under the same codes: every code of a must have a mask, zero for
+// a rune b lacks. It returns JaroWinkler of the names bit for bit.
+//
+// Jaro matches each rune of a, in order, to the first unmatched equal
+// rune of b within the match window. Here that position is the lowest
+// set bit of the rune's mask, the window and the complement of b's
+// matched positions, a few word operations per rune of a instead of a
+// scan of the window. Names over 64 runes take one word per 64 positions,
+// and the match masks of a and b are allocated only when they need more
+// than four words together. The k-th matched rune of a and the k-th
+// matched position of b, walked together from the two match masks, are a
+// transposition when the rune's mask lacks the position, and the Winkler
+// prefix is the run of leading positions p whose rune's mask holds p.
+func JaroWinklerMasks(a []int32, masks []uint64, lb int) float64 {
+	la := len(a)
 	if la == 0 || lb == 0 {
+		if la == lb {
+			return 1
+		}
 		return 0
 	}
-	window := la
-	if lb > window {
-		window = lb
+	w := MaskWords(lb)
+	window := max(max(la, lb)/2-1, 0)
+	// taken holds b's matched positions and hits a's.
+	var buf [4]uint64
+	words := buf[:]
+	if n := w + MaskWords(la); n > len(buf) {
+		words = make([]uint64, n)
 	}
-	window = window/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	var bufA, bufB [jaroStackRunes]bool
-	matchA, matchB := bufA[:], bufB[:]
-	if la > jaroStackRunes {
-		matchA = make([]bool, la)
-	}
-	if lb > jaroStackRunes {
-		matchB = make([]bool, lb)
-	}
+	taken, hits := words[:w], words[w:]
 	matches := 0
-	for i := 0; i < la; i++ {
-		lo := i - window
-		if lo < 0 {
-			lo = 0
+	for i, c := range a {
+		if i-window >= lb {
+			break // every later window lies past b's end too
 		}
-		hi := i + window + 1
-		if hi > lb {
-			hi = lb
+		lo, hi := uint(max(i-window, 0)), uint(min(i+window, lb-1))
+		eq := masks[int(c)*w : int(c)*w+w]
+		k, last := lo/maskRunes, hi/maskRunes
+		m := eq[k] &^ taken[k] & (^uint64(0) << (lo % maskRunes))
+		for k < last && m == 0 {
+			k++
+			m = eq[k] &^ taken[k]
 		}
-		for j := lo; j < hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i] = true
-			matchB[j] = true
-			matches++
-			break
+		if k == last {
+			m &= ^uint64(0) >> (maskRunes - 1 - hi%maskRunes)
 		}
+		// Without a branch: hit is 1 when m holds a match, 0 otherwise.
+		hit := (m | -m) >> (maskRunes - 1)
+		taken[k] |= m & -m
+		hits[uint(i)/maskRunes] |= hit << (uint(i) % maskRunes)
+		matches += int(hit)
 	}
 	if matches == 0 {
 		return 0
 	}
-	// Transpositions.
 	trans := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
+	kb, tw := 0, taken[0]
+	for ka, hw := range hits {
+		for ; hw != 0; hw &= hw - 1 {
+			c := a[ka*maskRunes+bits.TrailingZeros64(hw)]
+			for tw == 0 {
+				kb++
+				tw = taken[kb]
+			}
+			if masks[int(c)*w+kb]>>bits.TrailingZeros64(tw)&1 == 0 {
+				trans++
+			}
+			tw &= tw - 1
 		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			trans++
-		}
-		j++
+	}
+	l := 0
+	for l < min(la, lb, 4) && masks[int(a[l])*w]>>l&1 != 0 {
+		l++
 	}
 	m := float64(matches)
-	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+	j := (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+	const p = 0.1
+	return j + float64(l)*p*(1-j)
 }
 
 // NGrams returns the multiset of character n-grams of s as a frequency

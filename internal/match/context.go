@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unicode/utf8"
 
 	"repro/internal/lingo"
 	"repro/internal/model"
@@ -64,6 +65,57 @@ type Context struct {
 	// postings inverts the target rows' documentation vectors; derived
 	// wherever the vectors are.
 	postings docPostings
+	// alphabet codes every rune of the rows' lowercased names, densely,
+	// in the order Refresh met them. Codes are never renumbered, so a
+	// carried row keeps its codes; a rune no row uses any more keeps its
+	// code and has empty masks.
+	alphabet map[rune]int32
+	// masks holds the target names' position masks over the alphabet;
+	// rebuilt by every Refresh.
+	masks nameMasks
+}
+
+// nameMasks is a context's table of the target names' position masks,
+// which the name voter's Jaro-Winkler reads: target row j's block is
+// words[start[j]:start[j+1]], one mask of lingo.MaskWords(name length)
+// words for every code of the alphabet, each holding the positions of
+// row j's name that carry that rune (lingo.SetPositionMasks). With names
+// of up to 64 runes that is one word per row and code.
+type nameMasks struct {
+	start []int32
+	words []uint64
+}
+
+// of returns target row j's masks.
+func (m *nameMasks) of(j int) []uint64 { return m.words[m.start[j]:m.start[j+1]] }
+
+// deriveMasks rebuilds the mask table from the target rows' rune codes,
+// in O(target rows × alphabet).
+func (c *Context) deriveMasks() {
+	m := &c.masks
+	m.start = make([]int32, len(c.tgtRows)+1)
+	for j := range c.tgtRows {
+		m.start[j+1] = m.start[j] + int32(len(c.alphabet)*lingo.MaskWords(len(c.tgtRows[j].runeCodes)))
+	}
+	m.words = make([]uint64, m.start[len(c.tgtRows)])
+	for j := range c.tgtRows {
+		lingo.SetPositionMasks(m.of(j), c.tgtRows[j].runeCodes)
+	}
+}
+
+// codeRunes codes a name's runes in the alphabet, giving each rune it has
+// not met the next code.
+func (c *Context) codeRunes(name string) []int32 {
+	codes := make([]int32, 0, utf8.RuneCountInString(name))
+	for _, r := range name {
+		code, ok := c.alphabet[r]
+		if !ok {
+			code = int32(len(c.alphabet))
+			c.alphabet[r] = code
+		}
+		codes = append(codes, code)
+	}
+	return codes
 }
 
 // docPostings is a context's one table of documentation postings: for
@@ -117,10 +169,10 @@ type row struct {
 	kind model.Kind
 	// kids counts the element's children (0: a leaf).
 	kids int
-	// lower is the lowercased name and runes its runes (Jaro-Winkler and
-	// containment in NameVoter).
-	lower string
-	runes []rune
+	// lower is the lowercased name and runeCodes its runes, coded in the
+	// context's alphabet (Jaro-Winkler and containment in NameVoter).
+	lower     string
+	runeCodes []int32
 	// name holds the stemmed name token IDs, expanded the unstemmed name
 	// token IDs expanded through the thesaurus, and children the union of
 	// the children's name IDs; each sorted and duplicate-free.
@@ -173,6 +225,7 @@ func NewContext(source, target *model.Schema, opts ...ContextOption) *Context {
 		Corpus:    lingo.NewCorpus(),
 		Stem:      true,
 		ids:       make(map[string]int32),
+		alphabet:  make(map[rune]int32),
 	}
 	for _, o := range opts {
 		o(c)
@@ -322,7 +375,7 @@ func (c *Context) deriveRow(e *model.Element, t elemTexts) row {
 		kind:      e.Kind,
 		kids:      len(e.Children()),
 		lower:     low,
-		runes:     []rune(low),
+		runeCodes: c.codeRunes(low),
 		name:      c.idSet(t.name),
 		expanded:  c.idSet(t.expanded),
 		hasDomain: t.hasDomain,
@@ -434,6 +487,7 @@ func (c *Context) Refresh(source, target *model.Schema, dirtySrc, dirtyTgt map[s
 	c.Source, c.src, c.srcRows = source, src.els, src.rows
 	c.Target, c.tgt, c.tgtRows = target, tgt.els, tgt.rows
 	c.derivePostings()
+	c.deriveMasks()
 }
 
 // carried is one side of a Refresh: the schema's elements in pre-order

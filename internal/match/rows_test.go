@@ -77,7 +77,7 @@ func refPair(ctx *Context, voter string, s, t *model.Element) float64 {
 	switch voter {
 	case "name":
 		sim := 0.6*lingo.Jaccard(lingo.Preprocess(s.Name), lingo.Preprocess(t.Name)) +
-			0.4*lingo.JaroWinkler(lower(s.Name), lower(t.Name))
+			0.4*scalarJaroWinkler(lower(s.Name), lower(t.Name))
 		if c := containmentSim(lower(s.Name), lower(t.Name)); c > sim {
 			sim = c
 		}
@@ -118,14 +118,72 @@ func refPair(ctx *Context, voter string, s, t *model.Element) float64 {
 	panic("no reference for voter " + voter)
 }
 
+// scalarJaroWinkler is Jaro-Winkler as the scalar window scan computed
+// it before the mask kernel: the name reference keeps its own loop, so
+// it shares no code with the kernel under test.
+func scalarJaroWinkler(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	la, lb := len(ra), len(rb)
+	if la == 0 || lb == 0 {
+		if la == lb {
+			return 1
+		}
+		return 0
+	}
+	window := max(la, lb)/2 - 1
+	if window < 0 {
+		window = 0
+	}
+	matchA, matchB := make([]bool, la), make([]bool, lb)
+	matches := 0
+	for i := 0; i < la; i++ {
+		for j := max(0, i-window); j < min(lb, i+window+1); j++ {
+			if matchB[j] || ra[i] != rb[j] {
+				continue
+			}
+			matchA[i], matchB[j] = true, true
+			matches++
+			break
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	trans, j := 0, 0
+	for i := 0; i < la; i++ {
+		if !matchA[i] {
+			continue
+		}
+		for !matchB[j] {
+			j++
+		}
+		if ra[i] != rb[j] {
+			trans++
+		}
+		j++
+	}
+	m := float64(matches)
+	jaro := (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
+	l := 0
+	for l < la && l < lb && l < 4 && ra[l] == rb[l] {
+		l++
+	}
+	const p = 0.1
+	return jaro + float64(l)*p*(1-jaro)
+}
+
 // kernelNames mixes ASCII, accented, CJK and over-long names, with
-// case variants and shared affixes.
+// case variants and shared affixes: names of exactly 64 and 65 runes,
+// one of 130 that takes three mask words, and one whose runes no other
+// name has, so a pair holds it on one side only.
 var kernelNames = []string{
 	"order", "Order", "orderTotal", "subtotal", "total", "shipTo", "ship_to",
 	"qty", "quantity", "ÉCOLE", "école", "straße", "STRASSE", "価格",
 	"価格コード", "データベース", "データベース管理", "customerName", "client",
 	"deptCode", "dept", "XMLSchema", "address2", "a",
 	strings.Repeat("departureFacility", 5), strings.Repeat("departureFacilities", 5),
+	strings.Repeat("shipmentLine", 5) + "Code", strings.Repeat("shipmentLine", 5) + "Codes",
+	strings.Repeat("orderLine", 14) + "Code", "Ωψζ",
 }
 
 var kernelDocs = []string{
@@ -249,14 +307,15 @@ func TestVoterKernelsAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestRefreshMatchesFreshContext refreshes a context through three
+// TestRefreshMatchesFreshContext refreshes a context through four
 // steps and checks after each that every built-in voter votes
 // bit-identically to a context built fresh over the edited schemas: in
 // place without touching documentation (a rename, an added and a
-// dropped attribute, a data-type change), in place with documentation (a
-// new word, and a documented attribute dropped), and on replaced schema
-// objects with both kinds of edit, where a clean element's row must be
-// carried over rather than derived again.
+// dropped attribute, a data-type change), renames to runes the context
+// has not met, in place with documentation (a new word, and a
+// documented attribute dropped), and on replaced schema objects with
+// both kinds of edit, where a clean element's row must be carried over
+// rather than derived again.
 func TestRefreshMatchesFreshContext(t *testing.T) {
 	build := func(name string) *model.Schema {
 		s := model.NewSchema(name, "er")
@@ -298,6 +357,18 @@ func TestRefreshMatchesFreshContext(t *testing.T) {
 	}
 	check("in place")
 
+	// Runes the context has not met: the source rename takes codes that
+	// every target row's masks must hold as empty, the target rename
+	// codes of its own, and the carried rows keep theirs.
+	src.MustElement("s/Order1/lineTotal0").Name = "Ωμέγα"
+	tgt.MustElement("t/Order0/lineTotal2").Name = "kwjz価格"
+	alphabet := len(ctx.alphabet)
+	ctx.Refresh(src, tgt, map[string]bool{"s/Order1/lineTotal0": true}, map[string]bool{"t/Order0/lineTotal2": true})
+	if len(ctx.alphabet) == alphabet {
+		t.Fatal("the renames added no rune to the alphabet")
+	}
+	check("new runes")
+
 	sig := ctx.CorpusSignature()
 	src.MustElement("s/Order1").Doc = "a different document about zeppelins"
 	tgt.RemoveElement("t/Order0/lineTotal1")
@@ -311,7 +382,7 @@ func TestRefreshMatchesFreshContext(t *testing.T) {
 	// under a new ID: a drop and an add. A clean element keeps its row,
 	// backing arrays and all, though new words renumber the ID table.
 	clean := rowOf(ctx, src.MustElement("s/Order0/lineTotal0"))
-	runes, name, strs := &clean.runes[0], &clean.name[0], len(ctx.strs)
+	codes, name, strs := &clean.runeCodes[0], &clean.name[0], len(ctx.strs)
 	src, tgt = src.Clone(), tgt.Clone()
 	src.MustElement("s/Order2/lineTotal2").Doc = "the quayside charge"
 	src.MustElement("s/Order2/shipVia").Name = "carrier"
@@ -323,7 +394,7 @@ func TestRefreshMatchesFreshContext(t *testing.T) {
 	if len(ctx.strs) == strs {
 		t.Fatal("no new word renumbered the ID table")
 	}
-	if kept := rowOf(ctx, src.MustElement("s/Order0/lineTotal0")); &kept.runes[0] != runes || &kept.name[0] != name {
+	if kept := rowOf(ctx, src.MustElement("s/Order0/lineTotal0")); &kept.runeCodes[0] != codes || &kept.name[0] != name {
 		t.Error("a clean element's row was derived again, not carried over")
 	}
 	check("replaced")

@@ -92,15 +92,15 @@ func (v NameVoter) VotePatch(ctx *Context, prev *Matrix, dirtySrc, dirtyTgt map[
 }
 
 func (NameVoter) scorer(ctx *Context) scoreFunc {
-	src, tgt := ctx.srcRows, ctx.tgtRows
+	src, tgt, masks := ctx.srcRows, ctx.tgtRows, &ctx.masks
 	return func(i, j int) float64 {
 		s, t := &src[i], &tgt[j]
 		jac := lingo.JaccardIDs(s.name, t.name)
-		jw := lingo.JaroWinklerRunes(s.runes, t.runes)
+		jw := lingo.JaroWinklerMasks(s.runeCodes, masks.of(j), len(t.runeCodes))
 		sim := 0.6*jac + 0.4*jw
 		// Affix containment: "subtotal" contains "total", "deptCode"
 		// contains "dept" — strong evidence for abbreviation-heavy names.
-		if c := containment(s.lower, len(s.runes), t.lower, len(t.runes)); c > sim {
+		if c := containment(s.lower, len(s.runeCodes), t.lower, len(t.runeCodes)); c > sim {
 			sim = c
 		}
 		return calibrate(sim, 0.45, 0.9, 0.3)
