@@ -82,16 +82,29 @@ func BenchmarkMappingCells(b *testing.B) {
 }
 
 // BenchmarkMappingGetCell reads one cell, as the publish loop's
-// skip-unchanged test does for every link.
+// skip-unchanged test does for every link, from a viewed mapping's exact
+// table and from the graph of an unviewed one.
 func BenchmarkMappingGetCell(b *testing.B) {
 	m, pairs := reviewMapping(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		if _, ok := m.GetCell(p[0], p[1]); !ok {
-			b.Fatalf("cell %v missing", p)
+	for _, viewed := range []bool{false, true} {
+		name := "table=none"
+		if viewed {
+			name = "table=exact"
+			m.Cells()
 		}
+		b.Run(name, func(b *testing.B) {
+			if m.TableExact() != viewed {
+				b.Fatalf("table exact %v, want %v", !viewed, viewed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				if _, ok := m.GetCell(p[0], p[1]); !ok {
+					b.Fatalf("cell %v missing", p)
+				}
+			}
+		})
 	}
 }
 

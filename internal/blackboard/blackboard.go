@@ -550,9 +550,14 @@ func (m *Mapping) CheckPair(srcID, tgtID string) error {
 }
 
 // GetCell reads a cell; ok is false when the pair has never been scored.
-// It reads the graph, never the cell table: cell IRIs join the IDs with
-// "|", so the cell it finds by IRI may hold another pair.
+// It finds the cell by its node, whose IRI joins the IDs with "|", so the
+// cell it finds may hold another pair. It reads the node from the
+// mapping's cell table when that is exact at the graph's generation, and
+// from the graph otherwise; it never builds a table.
 func (m *Mapping) GetCell(srcID, tgtID string) (Cell, bool) {
+	if cell, ok, exact := m.b.tables.get(m, srcID, tgtID); exact {
+		return cell, ok
+	}
 	c := m.cellNode(srcID, tgtID, false)
 	if c.IsZero() {
 		return Cell{}, false

@@ -194,33 +194,14 @@ func TestMappingCellsSortedAndReopened(t *testing.T) {
 // read from two cell nodes (mapping IDs sharing an IRI prefix make
 // that possible), by node.
 func referenceCells(b *Blackboard, id string) []Cell {
-	g := b.Graph()
-	one := func(s, p rdf.Term) rdf.Term {
-		ts := g.Match(s, p, rdf.Wild)
-		if len(ts) != 1 {
-			return rdf.Term{}
-		}
-		return ts[0].O
-	}
 	m, _ := b.GetMapping(id)
 	var out []Cell
 	// Nodes in IRI order, so the stable sort below leaves one pair's
 	// cells in node order.
-	edges := g.Match(mappingIRI(id), predHasCell, rdf.Wild)
+	edges := b.Graph().Match(mappingIRI(id), predHasCell, rdf.Wild)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].O.Value() < edges[j].O.Value() })
 	for _, edge := range edges {
-		c := edge.O
-		conf, _ := one(c, predConfidence).Float()
-		ud, _ := one(c, predUserDefined).Bool()
-		rev, _ := one(c, predRevision).Int()
-		out = append(out, Cell{
-			SourceID:    strings.TrimPrefix(one(c, predCellRow).Value(), model.SchemaIRI(m.SourceSchema).Value()+"#"),
-			TargetID:    strings.TrimPrefix(one(c, predCellCol).Value(), model.SchemaIRI(m.TargetSchema).Value()+"#"),
-			Confidence:  conf,
-			UserDefined: ud,
-			SetBy:       one(c, predSetBy).Value(),
-			Revision:    rev,
-		})
+		out = append(out, referenceCellAt(b, m, edge.O))
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].SourceID != out[j].SourceID {
@@ -229,6 +210,40 @@ func referenceCells(b *Blackboard, id string) []Cell {
 		return out[i].TargetID < out[j].TargetID
 	})
 	return out
+}
+
+// referenceCell reads the cell at mapping id's cell IRI for (src, tgt)
+// one Match per annotation, as referenceCells does: ok when the mapping
+// has the has-cell edge to that node.
+func referenceCell(b *Blackboard, id, src, tgt string) (Cell, bool) {
+	m, _ := b.GetMapping(id)
+	c := rdf.IRI(mappingIRI(id).Value() + "/cell/" + src + "|" + tgt)
+	if len(b.Graph().Match(mappingIRI(id), predHasCell, c)) == 0 {
+		return Cell{}, false
+	}
+	return referenceCellAt(b, m, c), true
+}
+
+// referenceCellAt reads cell node c of m one Match per annotation.
+func referenceCellAt(b *Blackboard, m *Mapping, c rdf.Term) Cell {
+	one := func(p rdf.Term) rdf.Term {
+		ts := b.Graph().Match(c, p, rdf.Wild)
+		if len(ts) != 1 {
+			return rdf.Term{}
+		}
+		return ts[0].O
+	}
+	conf, _ := one(predConfidence).Float()
+	ud, _ := one(predUserDefined).Bool()
+	rev, _ := one(predRevision).Int()
+	return Cell{
+		SourceID:    strings.TrimPrefix(one(predCellRow).Value(), model.SchemaIRI(m.SourceSchema).Value()+"#"),
+		TargetID:    strings.TrimPrefix(one(predCellCol).Value(), model.SchemaIRI(m.TargetSchema).Value()+"#"),
+		Confidence:  conf,
+		UserDefined: ud,
+		SetBy:       one(predSetBy).Value(),
+		Revision:    rev,
+	}
 }
 
 // TestMappingReadsMatchGraph checks Cells, GetCell and UserCells against

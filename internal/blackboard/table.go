@@ -13,9 +13,10 @@ import (
 // them all. So Cells keeps what it read as the mapping's table, exact
 // at one graph generation: at that generation the mapping's has-cell
 // edges and its cells' annotations read exactly as the table holds
-// them. A read at that generation copies the table; a read at any other
-// re-reads the triples and keeps the result when the generation did not
-// move meanwhile. SetCell, the only writer on the refinement loop,
+// them. A read at that generation copies the table, and GetCell reads
+// its one cell there; a read at any other goes to the triples, and
+// Cells keeps what it read when the generation did not move meanwhile.
+// SetCell, the only writer on the refinement loop,
 // carries exact tables across its own write (carry). Anything else that
 // moves the graph — a rollback, a schema put, a replicated txn, Restore,
 // a raw triple write — leaves every table behind, to be re-read by the
@@ -28,13 +29,14 @@ type cellTable struct {
 	// table; a handle with other prefixes reads other IDs.
 	srcPrefix, tgtPrefix string
 	// cells and nodes hold each cell and its node by slot, in the order
-	// they joined the table, and slot finds a node's slot. order lists
-	// the slots in Cells order; slots past its length joined since the
-	// last read, which merges them in, so adding a cell never shifts
-	// the table.
+	// they joined the table, and slot finds an IRI node's slot by its
+	// IRI: the nodes SetCell and GetCell name are IRIs, and a string key
+	// lets GetCell look one up without allocating. order lists the slots
+	// in Cells order; slots past its length joined since the last read,
+	// which merges them in, so adding a cell never shifts the table.
 	cells []Cell
 	nodes []rdf.Term
-	slot  map[rdf.Term]int
+	slot  map[string]int
 	order []int
 }
 
@@ -102,11 +104,11 @@ func (t *cellTable) sorted(userOnly bool) []Cell {
 // the mapping's has-cell edge, so a cell the table holds keeps its
 // place in order.
 func (t *cellTable) put(c rdf.Term, cell Cell) {
-	if s, ok := t.slot[c]; ok {
+	if s, ok := t.slot[c.Value()]; ok {
 		t.cells[s] = cell
 		return
 	}
-	t.slot[c] = len(t.cells)
+	t.slot[c.Value()] = len(t.cells)
 	t.cells = append(t.cells, cell)
 	t.nodes = append(t.nodes, c)
 }
@@ -123,16 +125,45 @@ type cellTables struct {
 	m  map[string]*cellTable
 }
 
+// exactLocked returns m's table when it is exact at the graph's
+// generation, else nil. The caller holds ts.mu.
+func (ts *cellTables) exactLocked(m *Mapping) *cellTable {
+	t := ts.m[m.ID]
+	if t == nil || !t.readBy(m) || t.gen != m.b.g.Generation() {
+		return nil
+	}
+	return t
+}
+
 // read returns a copy of m's table (its user-defined cells when
 // userOnly is set) when the table is exact at the graph's generation.
 func (ts *cellTables) read(m *Mapping, userOnly bool) ([]Cell, bool) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	t := ts.m[m.ID]
-	if t == nil || !t.readBy(m) || t.gen != m.b.g.Generation() {
+	t := ts.exactLocked(m)
+	if t == nil {
 		return nil, false
 	}
 	return t.sorted(userOnly), true
+}
+
+// get reads the cell at m's cell IRI for (srcID, tgtID) from m's table.
+// exact is false, and the table unread, unless the table is exact at
+// the graph's generation.
+func (ts *cellTables) get(m *Mapping, srcID, tgtID string) (cell Cell, ok, exact bool) {
+	var buf [256]byte
+	iri := append(append(append(append(buf[:0], m.cellPrefix...), srcID...), '|'), tgtID...)
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	t := ts.exactLocked(m)
+	if t == nil {
+		return Cell{}, false, false
+	}
+	s, ok := t.slot[string(iri)]
+	if !ok {
+		return Cell{}, false, true
+	}
+	return t.cells[s], true, true
 }
 
 // keep stores t as m's table, exact at gen, unless the graph moved
@@ -157,6 +188,16 @@ func (ts *cellTables) drop(id string) {
 	delete(ts.m, id)
 }
 
+// TableExact reports whether the mapping's cell table is exact at the
+// graph's generation, so that GetCell, Cells and UserCells read it
+// rather than the triples.
+func (m *Mapping) TableExact() bool {
+	ts := &m.b.tables
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.exactLocked(m) != nil
+}
+
 // readTable reads m's cells from the triples, in Cells order.
 func (m *Mapping) readTable() *cellTable {
 	var nodes []rdf.Term
@@ -167,11 +208,13 @@ func (m *Mapping) readTable() *cellTable {
 	t := &cellTable{
 		srcPrefix: m.srcPrefix, tgtPrefix: m.tgtPrefix,
 		cells: make([]Cell, len(nodes)), nodes: nodes,
-		slot: make(map[rdf.Term]int, len(nodes)),
+		slot: make(map[string]int, len(nodes)),
 	}
 	for i, c := range nodes {
 		t.cells[i] = m.readCell(c)
-		t.slot[c] = i
+		if c.Kind() == rdf.IRIKind {
+			t.slot[c.Value()] = i
+		}
 	}
 	t.merge()
 	return t
@@ -213,7 +256,7 @@ func (m *Mapping) carry(c rdf.Term, sp rdf.Savepoint) {
 				t.gen = gen
 			}
 		default:
-			if _, holds := t.slot[c]; holds {
+			if _, holds := t.slot[c.Value()]; holds {
 				delete(ts.m, id)
 			} else {
 				t.gen = gen

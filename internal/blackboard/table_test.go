@@ -48,6 +48,27 @@ func readsMismatch(rng *rand.Rand, b *Blackboard, id string) error {
 	return nil
 }
 
+// getCellMismatch compares GetCell of every pair in srcs × tgts on
+// mapping id with referenceCell, ok included, and reports whether the
+// mapping's table was exact, so that GetCell read it.
+func getCellMismatch(b *Blackboard, id string, srcs, tgts []string) (exact bool, err error) {
+	m, err := b.GetMapping(id)
+	if err != nil {
+		return false, err
+	}
+	exact = m.TableExact()
+	for _, src := range srcs {
+		for _, tgt := range tgts {
+			want, wantOK := referenceCell(b, id, src, tgt)
+			if got, ok := m.GetCell(src, tgt); ok != wantOK || got != want {
+				return exact, fmt.Errorf("%s GetCell(%s, %s) = %+v, %v with exact table %v; want %+v, %v",
+					id, src, tgt, got, ok, exact, want, wantOK)
+			}
+		}
+	}
+	return exact, nil
+}
+
 func checkReads(t *testing.T, rng *rand.Rand, b *Blackboard, id, when string) {
 	t.Helper()
 	if err := readsMismatch(rng, b, id); err != nil {
@@ -57,13 +78,15 @@ func checkReads(t *testing.T, rng *rand.Rand, b *Blackboard, id, when string) {
 
 // TestCellTablesMatchReference runs thousands of random steps on three
 // mappings and compares every mapping's Cells, UserCells and Len with
-// referenceCells after each. The mapping IDs share prefixes (one extends
-// m1's cell IRI prefix) and the element IDs include "|" and "/cell/", so
-// two mappings can own one cell node and one mapping can hold two cells
-// of one pair. The steps: SetCell on new and existing cells, SetCell
-// faulted mid-write, nested savepoints rolled back or released (with
-// views inside), raw triple writes, DeleteMapping and NewMapping, and
-// Restore of an earlier snapshot.
+// referenceCells after each, and GetCell of every pair with
+// referenceCell, before the views rebuild a stale table and after. The
+// mapping IDs share prefixes (one extends m1's cell IRI prefix) and the
+// element IDs include "|" and "/cell/", so two mappings can own one cell
+// node and one mapping can hold two cells of one pair. The steps:
+// SetCell on new and existing cells, SetCell faulted mid-write, nested
+// savepoints rolled back or released (with views inside), raw triple
+// writes, DeleteMapping and NewMapping, and Restore of an earlier
+// snapshot.
 func TestCellTablesMatchReference(t *testing.T) {
 	defer chaos.Reset()
 	b := boardWithSchemata(t)
@@ -160,6 +183,23 @@ func TestCellTablesMatchReference(t *testing.T) {
 			rawWrite()
 		}
 	}
+	// checkGetCell compares GetCell on every live mapping and counts the
+	// checks that read an exact table.
+	var exactReads, graphReads int
+	checkGetCell := func(when string) {
+		t.Helper()
+		for _, id := range live() {
+			exact, err := getCellMismatch(b, id, srcs, tgts)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if exact {
+				exactReads++
+			} else {
+				graphReads++
+			}
+		}
+	}
 	var snaps [][]byte
 	const steps = 4000
 	for step := 0; step < steps; step++ {
@@ -244,9 +284,14 @@ func TestCellTablesMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		checkGetCell(fmt.Sprintf("step %d (%s), before the views", step, when))
 		for _, id := range live() {
 			checkReads(t, rng, b, id, fmt.Sprintf("step %d (%s)", step, when))
 		}
+		checkGetCell(fmt.Sprintf("step %d (%s), after the views", step, when))
+	}
+	if exactReads == 0 || graphReads == 0 {
+		t.Errorf("GetCell checks: %d read an exact table, %d the graph", exactReads, graphReads)
 	}
 }
 

@@ -123,15 +123,6 @@ type EvalPair struct {
 	Truth          *registry.GroundTruth
 }
 
-// BuildPairSet derives n evaluation pairs from the synthetic registry at
-// the given scale and perturbation. At scale 1 each model matches the
-// real registry's density (~49 elements and ~618 attributes per model),
-// which is benchmark-weight; tests use BuildPairSetSized.
-func BuildPairSet(scale float64, n int, pcfg registry.PerturbConfig) PairSet {
-	reg := registry.Generate(registry.DefaultConfig().Scaled(scale))
-	return pairsFrom(reg, n, pcfg)
-}
-
 // BuildPairSetSized derives n pairs from purpose-built models with the
 // given per-model element/attribute/domain-value counts.
 func BuildPairSetSized(n, elementsPer, attrsPer, valuesPer int, pcfg registry.PerturbConfig) PairSet {

@@ -20,10 +20,12 @@ import (
 )
 
 // Publish differential: seeded random sequences run through a session
-// that publishes on its baseline (board a), and every step is mirrored
-// on a reference board b, where a session-less Result.Publish of the
-// same links reads every link. After every publish the two graphs must
-// be rdf.Equal and the written cells identical, revisions included.
+// on board a, which is viewed (Mapping.Cells) before every publish, so
+// the publish reads its cells from the mapping's exact cell table. Every
+// step is mirrored on board b, which is never viewed, so the same links'
+// publish there reads every cell from the graph. After every publish the
+// two graphs must be rdf.Equal and the written cells identical,
+// revisions included.
 
 // pubBoard is one side of the differential: a blackboard holding the
 // purchase-order pair, its manager and its mapping.
@@ -146,104 +148,90 @@ func runPublishDiff(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	a, b := newPubBoard(t), newPubBoard(t)
 	both := func(fn func(pubBoard)) { fn(a); fn(b) }
-	inTxn := func(p pubBoard, fn func(*wbmgr.Txn) error) {
+	inTxn := func(mgr *wbmgr.Manager, fn func(*wbmgr.Txn) error) {
 		t.Helper()
-		if err := p.mgr.Do(context.Background(), "analyst", fn); err != nil {
+		if err := mgr.Do(context.Background(), "analyst", fn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := newTestSession()
-	var mustFull bool // an op since the last publish leaves the baseline unusable
-	var diffs, fulls, narrowed int
-	lowCap := false
+	var publishes, writes, skips int
 
-	// machineWrite writes a machine score as another tool would,
-	// naming the cell in a mapping-cell event.
-	machineWrite := func(src, tgt string, conf float64) {
+	// machineWrite writes a machine score as another tool would, naming
+	// the cell in a mapping-cell event on the board's manager, or on a
+	// second manager over the same blackboard when viaOther is set.
+	machineWrite := func(src, tgt string, conf float64, viaOther bool) {
 		both(func(p pubBoard) {
-			inTxn(p, func(txn *wbmgr.Txn) error {
+			mgr := p.mgr
+			if viaOther {
+				mgr = wbmgr.NewWith(p.bb)
+			}
+			inTxn(mgr, func(txn *wbmgr.Txn) error {
 				txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", p.mp.ID, src, tgt))
 				return p.mp.SetCell(src, tgt, conf, false, "other-matcher")
 			})
 		})
+	}
+	// publish publishes res on both boards through their own managers,
+	// viewing a first, and compares what the two wrote; alsoA and alsoB
+	// run inside the transactions after the publish.
+	publish := func(step int, res *Result, matrixEvent bool, alsoA, alsoB func() error) string {
+		t.Helper()
+		a.mp.Cells()
+		got, err, attrs := publishSpan(a.mgr, a.mp, res, matrixEvent, alsoA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err, battrs := publishSpan(b.mgr, b.mp, res, matrixEvent, alsoB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		desc := fmt.Sprintf("publish of %d links: %v", len(res.Links), attrs)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d, %s: wrote %d cells from the table, %d from the graph:\n%+v\n%+v", step, desc, len(got), len(want), got, want)
+		}
+		if attrs["publish_read_from"] != "table" || battrs["publish_read_from"] != "graph" {
+			t.Fatalf("step %d, %s: read from %q and %q, want table and graph", step, desc, attrs["publish_read_from"], battrs["publish_read_from"])
+		}
+		if want := fmt.Sprint(len(res.Links)); attrs["publish_links"] != want {
+			t.Fatalf("step %d, %s: publish_links %q, want %s", step, desc, attrs["publish_links"], want)
+		}
+		publishes++
+		if len(got) > 0 {
+			writes++
+		}
+		if len(got) < len(res.Links) {
+			skips++
+		}
+		return desc
+	}
+	rematch := func(threshold float64) *Result {
+		t.Helper()
+		res, err := s.Rematch(context.Background(), a.bb, a.mp, Dirty{}, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 
 	const steps = 60
 	for step := 0; step < steps; step++ {
 		// Publish on every third step at least, so each op is followed
 		// by one before the next op of its kind piles up.
-		op := rng.Intn(14)
+		op := rng.Intn(13)
 		if step%3 == 2 {
 			op = 0
 		}
 		var desc string
 		switch op {
-		case 0, 1, 2, 10: // publish, usually through a's own manager
+		case 0, 1, 2: // publish at a threshold that may move
 			threshold := []float64{0.1, 0.2, 0.35}[rng.Intn(3)]
-			matrixEvent := rng.Intn(2) == 0
-			if op == 10 {
-				// The publish must write (a link another tool moved) and
-				// end on its own mapping-cell event.
-				threshold, matrixEvent = 0.1, false
-				src, tgt := linkPair(t, rng, s, a)
-				machineWrite(src, tgt, 0.03)
-			}
-			res, err := s.Rematch(context.Background(), a.bb, a.mp, Dirty{}, threshold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mgr, other := a.mgr, op != 10 && rng.Intn(6) == 0
-			if other {
-				mgr = wbmgr.NewWith(a.bb)
-			}
-			// op 10: a replicated transaction lands on a link while the
-			// publish is open, after it read the event log.
-			var alsoA, alsoB func() error
-			if op == 10 {
-				src, tgt := linkPair(t, rng, s, a)
-				alsoA = func() error {
-					a.mgr.Publish(wbmgr.Event{Kind: "repl-txn", Tool: "repl", Subject: fmt.Sprint(step)})
-					return a.mp.SetCell(src, tgt, 0.61, false, "primary-matcher")
-				}
-				alsoB = func() error { return b.mp.SetCell(src, tgt, 0.61, false, "primary-matcher") }
-			}
-			got, err, attrs := publishSpan(mgr, a.mp, res, matrixEvent, alsoA)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err, _ := publishSpan(b.mgr, b.mp, &Result{Links: res.Links}, matrixEvent, alsoB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			desc = fmt.Sprintf("publish %d at %v (other manager %v): %v", op, threshold, other, attrs)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d, %s: wrote %d cells, the full scan %d:\n%+v\n%+v", step, desc, len(got), len(want), got, want)
-			}
-			if want := fmt.Sprint(len(res.Links)); attrs["publish_links"] != want {
-				t.Fatalf("step %d, %s: publish_links %q, want %s", step, desc, attrs["publish_links"], want)
-			}
-			switch attrs["publish_scan"] {
-			case "diff":
-				if mustFull {
-					t.Fatalf("step %d, %s: diff scan on an unusable baseline", step, desc)
-				}
-				diffs++
-				if attrs["publish_read"] != attrs["publish_links"] {
-					narrowed++
-				}
-			case "full":
-				fulls++
-			default:
-				t.Fatalf("step %d, %s: no publish_scan", step, desc)
-			}
-			// Through another manager the baseline stays there; past a
-			// foreign event inside the transaction there is none.
-			mustFull = other || op == 10
+			desc = publish(step, rematch(threshold), rng.Intn(2) == 0, nil, nil)
 		case 3: // a decision with its mapping-cell event
 			src, tgt := livePair(t, rng, a)
 			conf := []float64{-1, 1}[rng.Intn(2)]
 			both(func(p pubBoard) {
-				inTxn(p, func(txn *wbmgr.Txn) error {
+				inTxn(p.mgr, func(txn *wbmgr.Txn) error {
 					txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", p.mp.ID, src, tgt))
 					return p.mp.SetCell(src, tgt, conf, true, "analyst")
 				})
@@ -286,25 +274,19 @@ func runPublishDiff(t *testing.T, seed int64) {
 				src, tgt = linkPair(t, rng, s, a)
 			}
 			conf := float64(rng.Intn(100)) / 100
-			machineWrite(src, tgt, conf)
+			machineWrite(src, tgt, conf, false)
 			desc = fmt.Sprintf("machine write %s → %s %v", src, tgt, conf)
 		case 6, 7: // a publish that rolls back: an abort or a commit fault
-			res, err := s.Rematch(context.Background(), a.bb, a.mp, Dirty{}, 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := s.base
+			res := rematch(0.2)
 			abort := op == 6
-			for _, side := range []struct {
-				p   pubBoard
-				res *Result
-			}{{a, res}, {b, &Result{Links: res.Links}}} {
+			a.mp.Cells()
+			for _, p := range []pubBoard{a, b} {
 				if abort {
-					txn, err := side.p.mgr.Begin("harmony")
+					txn, err := p.mgr.Begin("harmony")
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := side.res.Publish(txn, side.p.mp); err != nil {
+					if _, err := res.Publish(txn, p.mp); err != nil {
 						t.Fatal(err)
 					}
 					if err := txn.Abort(); err != nil {
@@ -313,43 +295,47 @@ func runPublishDiff(t *testing.T, seed int64) {
 					continue
 				}
 				chaos.Enable(wbmgr.SiteCommit, chaos.Rule{Kind: chaos.FaultError, Every: 1, Limit: 1})
-				if _, err, _ := publishSpan(side.p.mgr, side.p.mp, side.res, true, nil); err == nil {
+				if _, err, _ := publishSpan(p.mgr, p.mp, res, true, nil); err == nil {
 					t.Fatal("commit fault did not fail the publish")
 				}
 				chaos.Reset()
 			}
-			if s.base != before {
-				t.Fatalf("step %d: a rolled-back publish (abort %v) moved the baseline", step, abort)
-			}
 			desc = fmt.Sprintf("rolled-back publish (abort %v)", abort)
-		case 8: // machine writes overrun the event log past the baseline's head
-			if lowCap {
-				a.mgr.SetEventLogCapacity(0)
-				lowCap = false
-				desc = "event log back to its default capacity"
-				break
-			}
-			a.mgr.SetEventLogCapacity(4)
-			lowCap = true
-			for i := 0; i < 5; i++ {
-				src, tgt := linkPair(t, rng, s, a)
-				machineWrite(src, tgt, 0.05*float64(i+1))
-			}
-			mustFull = true
-			desc = "event log overrun"
-		case 9: // a replicated transaction moves a cell without naming it
+		case 8: // a replicated transaction moves a cell as raw triples
 			src, tgt := linkPair(t, rng, s, a)
-			both(func(p pubBoard) {
-				if err := p.mp.SetCell(src, tgt, 0.77, false, "primary-matcher"); err != nil {
-					t.Fatal(err)
+			g := b.bb.Graph()
+			sp := g.Savepoint()
+			if err := b.mp.SetCell(src, tgt, 0.77, false, "primary-matcher"); err != nil {
+				t.Fatal(err)
+			}
+			ops := g.ChangesSince(sp)
+			g.Release(sp)
+			for _, o := range ops {
+				if o.Add {
+					a.bb.Graph().Add(o.T)
+				} else {
+					a.bb.Graph().Remove(o.T)
 				}
-			})
+			}
+			a.bb.ResumeRevision()
 			a.mgr.Publish(wbmgr.Event{Kind: "repl-txn", Tool: "repl", Subject: fmt.Sprint(step)})
-			mustFull = true
 			desc = fmt.Sprintf("replicated write %s → %s", src, tgt)
+		case 9: // another tool moves a link, and a write lands inside the publish
+			src, tgt := linkPair(t, rng, s, a)
+			machineWrite(src, tgt, 0.03, false)
+			res := rematch(0.1)
+			src, tgt = linkPair(t, rng, s, a)
+			alsoA := func() error { return a.mp.SetCell(src, tgt, 0.61, false, "primary-matcher") }
+			alsoB := func() error { return b.mp.SetCell(src, tgt, 0.61, false, "primary-matcher") }
+			desc = "write inside the publish; " + publish(step, res, false, alsoA, alsoB)
+		case 10: // a current link's machine write through a second manager
+			res := rematch(0.1)
+			src, tgt := linkPair(t, rng, s, a)
+			machineWrite(src, tgt, 0.03, true)
+			desc = fmt.Sprintf("second manager writes %s → %s; ", src, tgt) + publish(step, res, false, nil, nil)
 		case 11: // the mapping is deleted and created again under its ID
 			both(func(p pubBoard) {
-				inTxn(p, func(txn *wbmgr.Txn) error {
+				inTxn(p.mgr, func(txn *wbmgr.Txn) error {
 					txn.Emit(wbmgr.EventMappingMatrix, p.mp.ID)
 					if err := p.bb.DeleteMapping(p.mp.ID); err != nil {
 						return err
@@ -358,7 +344,6 @@ func runPublishDiff(t *testing.T, seed int64) {
 					return err
 				})
 			})
-			mustFull = true
 			desc = "mapping re-created"
 		default: // an in-place schema edit
 			name := a.mp.SourceSchema
@@ -367,7 +352,7 @@ func runPublishDiff(t *testing.T, seed int64) {
 			}
 			sch := editSchema(t, rng, a.bb, name, step)
 			both(func(p pubBoard) {
-				inTxn(p, func(txn *wbmgr.Txn) error {
+				inTxn(p.mgr, func(txn *wbmgr.Txn) error {
 					txn.Emit(wbmgr.EventSchemaGraph, name)
 					_, err := p.bb.PutSchema(sch)
 					return err
@@ -375,21 +360,23 @@ func runPublishDiff(t *testing.T, seed int64) {
 			})
 			desc = "edit schema " + name
 		}
+		if b.mp.TableExact() {
+			t.Fatalf("step %d, %s: board b holds a cell table", step, desc)
+		}
 		if !rdf.Equal(a.bb.Graph(), b.bb.Graph()) {
 			add, del := a.bb.Graph().Diff(b.bb.Graph())
 			t.Fatalf("step %d, %s: graphs differ: +%d -%d, e.g. %v %v", step, desc, len(add), len(del), add, del)
 		}
 	}
-	if diffs == 0 || narrowed == 0 || fulls < 2 {
-		t.Errorf("%d diff publishes (%d read fewer cells than links), %d full scans: the sequence exercised too little", diffs, narrowed, fulls)
+	if writes == 0 || skips == 0 {
+		t.Errorf("%d publishes, %d wrote and %d skipped a link: the sequence exercised too little", publishes, writes, skips)
 	}
 }
 
 // TestSessionConcurrentPublishes publishes one session's results from
 // several goroutines on one manager with no lock of their own (run
-// with -race): a commit advances the baseline after it leaves the
-// manager's transaction slot, while the next publish may already read
-// it. Every cell must end at its link's score.
+// with -race), while the next run may already hold the session. Every
+// cell must end at its link's score.
 func TestSessionConcurrentPublishes(t *testing.T) {
 	bb, mp := sessionBoard(t)
 	mgr := wbmgr.NewWith(bb)

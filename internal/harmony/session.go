@@ -3,9 +3,7 @@ package harmony
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/blackboard"
@@ -44,30 +42,6 @@ type Session struct {
 	// read names the schemas the engine holds and the blackboard
 	// versions they were read at.
 	read schemaVersions
-
-	// base is what the session's committed publishes left (nil before
-	// one, or after one the event log cannot account for). baseMu, not
-	// mu, guards it and its map: a publish runs after its run returned,
-	// while the next run may hold mu.
-	baseMu sync.Mutex
-	base   *baseline
-}
-
-// baseline is what committed publishes left in their mapping: the
-// confidence bits of each link they published, by pair, as of the
-// event-log head just after the last one's own events, less the pairs
-// events named since. Until an event names one of those cells, each
-// still holds its link's score or a decision — and a decision written
-// with no event always moves its link (pinned to exactly ±1, or
-// dropped below the threshold) — so a later publish whose link carries
-// the same bits would leave the cell as it is.
-type baseline struct {
-	// mgr owns the blackboard the cells live on and the event log head
-	// indexes.
-	mgr     *wbmgr.Manager
-	mapping string
-	head    uint64
-	conf    map[pairKey]uint64
 }
 
 // schemaVersions names a mapping's two schemas at their blackboard
@@ -96,10 +70,6 @@ type Result struct {
 	// Links are the correspondences at or above the run's threshold, in
 	// matrix order.
 	Links []match.Correspondence
-
-	// sess keeps the publish baseline (nil: every publish reads every
-	// link and leaves no baseline).
-	sess *Session
 }
 
 // Rematch is the session's one entry point: it pins the mapping's
@@ -163,7 +133,7 @@ func (s *Session) Rematch(ctx context.Context, bb *blackboard.Blackboard, mp *bl
 	if sp := obs.SpanFromContext(ctx); sp != nil {
 		sp.SetAttr("rematch_mode", mode)
 	}
-	return &Result{Mode: mode, Links: s.eng.Matrix().Above(threshold), sess: s}, nil
+	return &Result{Mode: mode, Links: s.eng.Matrix().Above(threshold)}, nil
 }
 
 // Engine returns the session's live engine (nil before its first run).
@@ -211,160 +181,34 @@ func pin(e *Engine, c blackboard.Cell) error {
 // run time or decided since), and it skips machine cells whose
 // confidence is bit-identical, so an incremental rematch writes — and
 // logs — only what changed. Each written cell emits a mapping-cell
-// event.
-//
-// It reads a link's cell only when the session's publish baseline
-// cannot vouch for it: a new link, moved bits, or a mapping-cell event
-// naming the pair since the baseline's head. Without a usable baseline
-// it reads every link. Once txn commits, the links update the
-// baseline; a transaction that rolls back leaves it as it was. The
-// transaction must write the mapping's cells only through this one
-// Publish, and a mapping's writers must be serialized (the server's
-// workspace TxnMu), so a commit's events are in the log before the
-// next transaction reads it. The wbmgr.txn span in txn's context records
-// what the publish read.
+// event. It reads each link's cell through Mapping.GetCell: from the
+// mapping's cell table when a view left it exact, else from the graph.
+// The wbmgr.txn span in txn's context records which.
 func (r *Result) Publish(txn *wbmgr.Txn, mp *blackboard.Mapping) ([]blackboard.Cell, error) {
-	s, mgr := r.sess, txn.Manager()
-	var sc scan
-	if s != nil {
-		// Held across the scan: a commit patches the baseline in place.
-		s.baseMu.Lock()
-		defer s.baseMu.Unlock()
-		sc = s.scanLocked(mgr, mp.ID)
+	from := "graph"
+	if mp.TableExact() {
+		from = "table"
 	}
-	var vouched map[pairKey]uint64
-	if sc.base != nil {
-		vouched = sc.base.conf
-	}
-	var read []int // indexes of the links whose cells were read
 	var written []blackboard.Cell
-	for i, l := range r.Links {
-		k := pairKey{l.Source.ID, l.Target.ID}
-		if b, ok := vouched[k]; ok && b == math.Float64bits(l.Confidence) && !sc.named[k] {
-			continue
-		}
-		read = append(read, i)
-		c, ok := mp.GetCell(k.src, k.tgt)
+	for _, l := range r.Links {
+		src, tgt := l.Source.ID, l.Target.ID
+		c, ok := mp.GetCell(src, tgt)
 		if ok && (c.UserDefined || c.SetBy == "harmony" && c.Confidence == l.Confidence) {
 			continue
 		}
-		if err := mp.SetCell(k.src, k.tgt, l.Confidence, false, "harmony"); err != nil {
+		if err := mp.SetCell(src, tgt, l.Confidence, false, "harmony"); err != nil {
 			return nil, err
 		}
-		txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", mp.ID, k.src, k.tgt))
-		c, _ = mp.GetCell(k.src, k.tgt)
+		txn.Emit(wbmgr.EventMappingCell, fmt.Sprintf("%s|%s|%s", mp.ID, src, tgt))
+		c, _ = mp.GetCell(src, tgt)
 		written = append(written, c)
 	}
-	if s != nil {
-		txn.OnCommit(func(evs []wbmgr.Event) { s.advance(mgr, mp.ID, sc, evs, r.Links, read) })
-	}
 	if sp := obs.SpanFromContext(txn.Context()); sp != nil && sp.Recording() {
-		kind := "diff"
-		if sc.base == nil {
-			kind = "full"
-		}
-		sp.SetAttr("publish_scan", kind)
+		sp.SetAttr("publish_read_from", from)
 		sp.SetAttr("publish_links", strconv.Itoa(len(r.Links)))
-		sp.SetAttr("publish_read", strconv.Itoa(len(read)))
 		sp.SetAttr("publish_written", strconv.Itoa(len(written)))
 	}
 	return written, nil
-}
-
-// scan is what a publish took from the session's baseline: the
-// baseline (nil when unusable: every link is read) and its head as
-// read, the pairs mapping-cell events named since, and the event-log
-// head.
-type scan struct {
-	base           *baseline
-	baseHead, head uint64
-	named          map[pairKey]bool
-}
-
-// scanLocked reads the session's baseline for a publish of the mapping
-// on mgr's blackboard. The baseline is unusable before a committed
-// publish, on another manager or mapping, across an event-log gap, and
-// after an event that may change cells without naming them: a
-// mapping-matrix event for the mapping from another writer (its
-// creation or deletion) or a kind unknown here, such as a replicated
-// transaction or a bootstrap. Call it inside the publish transaction,
-// holding baseMu.
-func (s *Session) scanLocked(mgr *wbmgr.Manager, mapping string) scan {
-	base := s.base
-	if base == nil || base.mgr != mgr || base.mapping != mapping {
-		return scan{head: mgr.EventHead()}
-	}
-	evs, head, gap, _ := mgr.EventsSince(base.head)
-	if gap {
-		return scan{head: head}
-	}
-	sc := scan{base: base, baseHead: base.head, head: head}
-	prefix := mapping + "|"
-	for _, e := range evs {
-		switch e.Kind {
-		case wbmgr.EventSchemaGraph, wbmgr.EventMappingVector:
-			// Schema triples and transformations: no cell moves.
-		case wbmgr.EventMappingMatrix:
-			if e.Subject == mapping {
-				return scan{head: head}
-			}
-		case wbmgr.EventMappingCell:
-			rest, ok := strings.CutPrefix(e.Subject, prefix)
-			if !ok {
-				continue
-			}
-			if sc.named == nil {
-				sc.named = map[pairKey]bool{}
-			}
-			// "src|tgt": an ID holding "|" makes the split ambiguous, so
-			// every split is named.
-			for i := 0; i < len(rest); i++ {
-				if rest[i] == '|' {
-					sc.named[pairKey{rest[:i], rest[i+1:]}] = true
-				}
-			}
-		default:
-			return scan{head: head}
-		}
-	}
-	return sc
-}
-
-// advance folds a committed publish into the session's baseline: the
-// pairs named since the baseline's head leave it and the links the
-// publish read (links[i] for i in read) enter it with their bits; the
-// links it vouched for already hold theirs. A link the publish dropped
-// keeps its entry, since its cell keeps the score until an event names
-// it. A publish that read every link makes a new baseline. evs are the
-// events its transaction committed; they must fill the log right after
-// the head sc read: another event among them — published outside any
-// transaction, or by a transaction racing this commit — may have moved
-// a cell unseen. That, or another publish patching the baseline since
-// this one read it, leaves the session with no baseline.
-func (s *Session) advance(mgr *wbmgr.Manager, mapping string, sc scan, evs []wbmgr.Event, links []match.Correspondence, read []int) {
-	s.baseMu.Lock()
-	defer s.baseMu.Unlock()
-	n := uint64(len(evs))
-	base := sc.base
-	switch {
-	case n > 0 && evs[n-1].Seq != sc.head+n:
-		s.base = nil
-		return
-	case base == nil:
-		base = &baseline{mgr: mgr, mapping: mapping, conf: make(map[pairKey]uint64, len(read))}
-		s.base = base
-	case s.base != base || base.head != sc.baseHead:
-		s.base = nil
-		return
-	}
-	for k := range sc.named {
-		delete(base.conf, k)
-	}
-	for _, i := range read {
-		l := links[i]
-		base.conf[pairKey{l.Source.ID, l.Target.ID}] = math.Float64bits(l.Confidence)
-	}
-	base.head = sc.head + n
 }
 
 // Sessions is a table of match sessions keyed by mapping ID, all

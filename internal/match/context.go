@@ -606,9 +606,6 @@ func (sd *carried) unionChildren() {
 // with a running voter panel.
 func (c *Context) SetCandidates(p *Pattern) { c.candidates = p }
 
-// Candidates returns the installed blocking pattern (nil = unblocked).
-func (c *Context) Candidates() *Pattern { return c.candidates }
-
 // NewMatrix allocates the zero matrix a voter should fill, over the
 // context's own element order: over the blocking pattern when one is
 // installed, over every pair otherwise.

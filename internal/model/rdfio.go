@@ -27,7 +27,6 @@ const (
 // Schema-graph predicates.
 var (
 	PredName       = rdf.IRI(wbNS + "name")
-	PredType       = rdf.IRI(wbNS + "type")
 	PredDoc        = rdf.IRI(wbNS + "documentation")
 	PredKind       = rdf.IRI(wbNS + "kind")
 	PredDataType   = rdf.IRI(wbNS + "data-type")

@@ -95,9 +95,6 @@ func (t Term) Kind() Kind { return t.kind }
 // Value returns the IRI string, literal lexical form, or blank label.
 func (t Term) Value() string { return t.value }
 
-// Datatype returns the literal's datatype IRI, or "" if none.
-func (t Term) Datatype() string { return t.datatype }
-
 // IsZero reports whether t is the zero Term (no valid term).
 func (t Term) IsZero() bool { return t == Term{} }
 

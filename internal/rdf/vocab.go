@@ -9,16 +9,8 @@ package rdf
 var (
 	// RDFType is rdf:type.
 	RDFType = IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-	// RDFSLabel is rdfs:label.
-	RDFSLabel = IRI("http://www.w3.org/2000/01/rdf-schema#label")
-	// RDFSComment is rdfs:comment.
-	RDFSComment = IRI("http://www.w3.org/2000/01/rdf-schema#comment")
 	// RDFSSubClassOf is rdfs:subClassOf.
 	RDFSSubClassOf = IRI("http://www.w3.org/2000/01/rdf-schema#subClassOf")
-	// RDFSDomain is rdfs:domain.
-	RDFSDomain = IRI("http://www.w3.org/2000/01/rdf-schema#domain")
-	// RDFSRange is rdfs:range.
-	RDFSRange = IRI("http://www.w3.org/2000/01/rdf-schema#range")
 )
 
 // TypeOf returns the rdf:type of s, or the zero Term.

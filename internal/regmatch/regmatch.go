@@ -64,9 +64,6 @@ type Config struct {
 	// NoBlocking ablates the blocking index: every run is dense. The
 	// report still carries the same shape (scored_fraction 1).
 	NoBlocking bool
-	// Blocking overrides the candidate-generation knobs; Enabled is
-	// forced on unless NoBlocking is set.
-	Blocking match.BlockingOptions
 	// Parallelism is passed through to the engines (0 = GOMAXPROCS).
 	Parallelism int
 	// Threshold is the stable-matching acceptance cut for the
@@ -93,7 +90,6 @@ func (c Config) withDefaults() Config {
 	if c.DenseMax <= 0 {
 		c.DenseMax = 2000
 	}
-	c.Blocking.Enabled = !c.NoBlocking
 	return c
 }
 
@@ -159,7 +155,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		r.CrossProduct = int64(r.SourceElements) * int64(r.TargetElements)
 
-		m, elapsed := runPipeline(src, tgt, cfg, cfg.Blocking)
+		m, elapsed := runPipeline(src, tgt, cfg, match.BlockingOptions{Enabled: !cfg.NoBlocking})
 		r.BlockedMS = elapsed
 		r.ScoredCells = int64(m.NNZ())
 		r.ScoredFraction = float64(r.ScoredCells) / float64(r.CrossProduct)
@@ -326,7 +322,7 @@ func rankModels(cfg Config) RankingResult {
 // a pool sweep stays cheap even at registry scale.
 func affinity(query, candidate *model.Schema, cfg Config) float64 {
 	eng := harmony.NewEngine(query, candidate, harmony.Options{
-		Blocking:    cfg.Blocking,
+		Blocking:    match.BlockingOptions{Enabled: !cfg.NoBlocking},
 		Parallelism: cfg.Parallelism,
 		Metrics:     obs.NewRegistry(),
 	})

@@ -191,13 +191,13 @@ func TestSchemaLoadDuringMatchKeepsStaleMark(t *testing.T) {
 	c, _ := startServer(t, "", false)
 	id := loadPair(t, c)
 	defer chaos.Reset()
-	chaos.Enable(server.SiteMatchSchemas, chaos.Rule{Kind: chaos.FaultDelay, Every: 1, Limit: 1, Delay: 500 * time.Millisecond})
+	chaos.Enable(harmony.SiteSessionSchemas, chaos.Rule{Kind: chaos.FaultDelay, Every: 1, Limit: 1, Delay: 500 * time.Millisecond})
 	done := make(chan error, 1)
 	go func() {
 		_, err := c.Match(id, 0.2)
 		done <- err
 	}()
-	for deadline := time.Now().Add(10 * time.Second); chaos.Fired(server.SiteMatchSchemas) == 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); chaos.Fired(harmony.SiteSessionSchemas) == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("match never reached its schema read")
 		}

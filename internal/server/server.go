@@ -105,10 +105,6 @@ type session struct {
 	info SessionInfo
 }
 
-// SiteMatchSchemas is the chaos failpoint between a match session
-// reading its schemas and running its engine.
-const SiteMatchSchemas = harmony.SiteSessionSchemas
-
 // tenant is the server-side request state of one workspace: sessions,
 // match sessions and (on a replica) the partition's tail loop. Its event
 // feed is the workspace manager's event log. It hangs off

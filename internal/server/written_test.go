@@ -213,9 +213,10 @@ func TestCellsSinceCatchesUp(t *testing.T) {
 }
 
 // TestRematchSpanRecordsPublishScan reads the publish attributes of a
-// pins rematch's wbmgr.txn span back through /debug/traces: after a
-// match and two decides the rematch diffs against the match's publish,
-// reads at most the two decided pairs' links and writes nothing.
+// pins rematch's wbmgr.txn span back through /debug/traces: a match
+// reads its cells from the graph; after a view and two decides, which
+// carry the view's table, the rematch reads them from the table and
+// writes nothing.
 func TestRematchSpanRecordsPublishScan(t *testing.T) {
 	c, _ := startServer(t, "", false)
 	id := loadPair(t, c)
@@ -230,14 +231,17 @@ func TestRematchSpanRecordsPublishScan(t *testing.T) {
 	ix := indexTrace(t, tr)
 	txn := ix.find("wbmgr.txn")
 	for key, want := range map[string]string{
-		"publish_scan": "full", "publish_links": strconv.Itoa(match.Published),
-		"publish_read": strconv.Itoa(match.Published), "publish_written": strconv.Itoa(len(match.Cells)),
+		"publish_read_from": "graph", "publish_links": strconv.Itoa(match.Published),
+		"publish_written": strconv.Itoa(len(match.Cells)),
 	} {
 		if got := ix.attr(txn, key); got != want {
 			t.Errorf("match span %s = %q, want %q", key, got, want)
 		}
 	}
 
+	if _, err := c.Cells(id); err != nil {
+		t.Fatalf("Cells: %v", err)
+	}
 	for i, verdict := range []string{"accept", "reject"} {
 		if _, err := c.Decide(id, match.Cells[i].Source, match.Cells[i].Target, verdict); err != nil {
 			t.Fatalf("Decide: %v", err)
@@ -256,10 +260,9 @@ func TestRematchSpanRecordsPublishScan(t *testing.T) {
 	}
 	ix = indexTrace(t, tr)
 	txn = ix.find("wbmgr.txn")
-	read, err := strconv.Atoi(ix.attr(txn, "publish_read"))
-	if ix.attr(txn, "publish_scan") != "diff" || err != nil || read > 2 || ix.attr(txn, "publish_written") != "0" ||
+	if ix.attr(txn, "publish_read_from") != "table" || ix.attr(txn, "publish_written") != "0" ||
 		ix.attr(txn, "publish_links") != strconv.Itoa(re.Published) || len(re.Cells) != 0 {
-		t.Errorf("rematch span attrs %v, %d cells returned; want a diff scan reading at most 2 links and writing none", txn.Attrs, len(re.Cells))
+		t.Errorf("rematch span attrs %v, %d cells returned; want reads from the table and no cell written", txn.Attrs, len(re.Cells))
 	}
 	if re.Published != match.Published-1 {
 		t.Errorf("rematch published %d, match %d: the rejected link must drop and only it", re.Published, match.Published)

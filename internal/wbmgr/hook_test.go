@@ -3,11 +3,9 @@ package wbmgr
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/chaos"
 	"repro/internal/obs"
 	"repro/internal/rdf"
 )
@@ -169,64 +167,5 @@ func TestCommitHookEmptyTxn(t *testing.T) {
 	}
 	if calls != 1 || opCount != 0 {
 		t.Fatalf("calls=%d ops=%d, want 1 call with 0 ops", calls, opCount)
-	}
-}
-
-// TestOnCommitRunsOnlyAfterCommit: OnCommit callbacks run once the
-// transaction committed, with its published events in order and their
-// sequence numbers, and never for a transaction that rolls back — an
-// abort, a commit fault or a commit-hook refusal.
-func TestOnCommitRunsOnlyAfterCommit(t *testing.T) {
-	defer chaos.Reset()
-	m := New()
-	var veto bool
-	m.SetCommitHook(func(context.Context, string, []rdf.ChangeOp) error {
-		if veto {
-			return fmt.Errorf("disk full")
-		}
-		return nil
-	})
-	var got [][]Event
-	run := func(finish func(*Txn) error) error {
-		txn, err := m.Begin("tool")
-		if err != nil {
-			t.Fatal(err)
-		}
-		txn.Emit(EventSchemaGraph, "a")
-		txn.Emit(EventMappingMatrix, "m")
-		txn.OnCommit(func(evs []Event) { got = append(got, evs) })
-		return finish(txn)
-	}
-
-	if err := run((*Txn).Abort); err != nil {
-		t.Fatalf("Abort: %v", err)
-	}
-	chaos.Enable(SiteCommit, chaos.Rule{Kind: chaos.FaultError, Every: 1, Limit: 1})
-	if err := run((*Txn).Commit); err == nil {
-		t.Fatal("commit fault did not fail the commit")
-	}
-	chaos.Reset()
-	veto = true
-	if err := run((*Txn).Commit); err == nil {
-		t.Fatal("hook refusal did not fail the commit")
-	}
-	veto = false
-	if len(got) != 0 {
-		t.Fatalf("OnCommit ran for %d rolled-back transactions", len(got))
-	}
-
-	m.Publish(Event{Kind: EventSchemaGraph, Subject: "outside"})
-	if err := run((*Txn).Commit); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	want := []Event{
-		{Kind: EventSchemaGraph, Tool: "tool", Subject: "a", Seq: 2},
-		{Kind: EventMappingMatrix, Tool: "tool", Subject: "m", Seq: 3},
-	}
-	if len(got) != 1 || !reflect.DeepEqual(got[0], want) {
-		t.Fatalf("OnCommit saw %+v, want one call with %+v", got, want)
-	}
-	if head := m.EventHead(); head != 3 {
-		t.Fatalf("event head %d after the callback, want 3", head)
 	}
 }

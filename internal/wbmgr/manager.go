@@ -402,11 +402,10 @@ func (m *Manager) Unsubscribe(token int) {
 // "the manager propagates these events to allow any tool to respond to
 // the update"; the originator already knows). Each handler runs under
 // its own recover: one panicking subscriber is counted and skipped, and
-// every remaining subscriber still receives the event. It returns the
-// sequence number it assigned. Commit publishes a transaction's events;
-// call Publish only for an event no transaction carries, such as a
-// replica's applied-transaction notice.
-func (m *Manager) Publish(e Event) uint64 {
+// every remaining subscriber still receives the event. Commit publishes
+// a transaction's events; call Publish only for an event no transaction
+// carries, such as a replica's applied-transaction notice.
+func (m *Manager) Publish(e Event) {
 	m.mu.Lock()
 	m.seq++
 	e.Seq = m.seq
@@ -429,7 +428,6 @@ func (m *Manager) Publish(e Event) uint64 {
 		}
 		m.deliver(reg, s, e)
 	}
-	return e.Seq
 }
 
 // deliver runs one handler with the per-delivery failpoint and panic
@@ -541,18 +539,11 @@ type Txn struct {
 	// is that span, ended exactly once at commit or rollback.
 	ctx  context.Context
 	span *obs.Span
-
-	// onCommit holds the callbacks OnCommit registered (guarded by m.mu).
-	onCommit []func([]Event)
 }
 
 // Context returns the transaction's context: the caller's request
 // context with the transaction's trace span attached.
 func (t *Txn) Context() context.Context { return t.ctx }
-
-// Manager returns the manager the transaction runs on: the owner of
-// its blackboard and of the event log its events enter at commit.
-func (t *Txn) Manager() *Manager { return t.m }
 
 // ErrTxnActive is returned by Begin while another transaction is open.
 var ErrTxnActive = errors.New("wbmgr: transaction already active")
@@ -615,17 +606,6 @@ func (t *Txn) Emit(kind EventKind, subject string) {
 	t.m.queued = append(t.m.queued, Event{Kind: kind, Tool: t.tool, Subject: subject})
 }
 
-// OnCommit registers fn to run once the transaction has committed and
-// published its events; fn receives those events in order, their Seq
-// set. It never runs for a transaction that rolls back — an abort, a
-// commit fault or a commit-hook refusal. Callbacks run on the
-// committing goroutine, in registration order, before Commit returns.
-func (t *Txn) OnCommit(fn func(events []Event)) {
-	t.m.mu.Lock()
-	defer t.m.mu.Unlock()
-	t.onCommit = append(t.onCommit, fn)
-}
-
 // errTxnFinished is returned by Commit/Abort on an already-closed Txn.
 func errTxnFinished() error { return fmt.Errorf("wbmgr: transaction already finished") }
 
@@ -681,7 +661,6 @@ func (t *Txn) Commit() (err error) {
 	t.m.inTxn = false
 	queued := t.m.queued
 	t.m.queued = nil
-	onCommit := t.onCommit
 	// The savepoint closes in the same lock hold that frees the slot: a
 	// Begin waiting for it must not open its savepoint above this one.
 	func() {
@@ -693,11 +672,8 @@ func (t *Txn) Commit() (err error) {
 	logx.For("wbmgr").Debug(t.ctx, "txn committed", "tool", t.tool, "events", len(queued))
 	reg.Counter(MetricTxnCommit).Inc()
 	reg.Histogram(MetricCommitDuration, nil).ObserveDuration(time.Since(t.began))
-	for i := range queued {
-		queued[i].Seq = t.m.Publish(queued[i])
-	}
-	for _, fn := range onCommit {
-		fn(queued)
+	for _, e := range queued {
+		t.m.Publish(e)
 	}
 	return nil
 }

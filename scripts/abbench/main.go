@@ -19,7 +19,9 @@
 // and tied, and whether a gain would pass the paired-run rule: the
 // change wins at least nine pairs in ten, ties counting for neither, and
 // its median beats the parent's by more than the parent's quartile
-// spread. Each pair's line shows every run's ops.
+// spread. A metric whose parent quartile spread is wider than its bound,
+// relative to the parent's median, is unresolved, unless every change
+// run beats every parent run. Each pair's line shows every run's ops.
 //
 // It gates nothing: after a complete set of pairs it exits 0 whatever the
 // numbers say. A run that exits non-zero, reports an incorrect output or
@@ -117,6 +119,11 @@ type comparison struct {
 	// regressed reports it worse by more than the metric's bound.
 	delta     float64
 	regressed bool
+	// spread is the parent's quartile spread relative to its median;
+	// unresolved reports it wider than the metric's bound while some
+	// parent run is at least as good as some change run.
+	spread     float64
+	unresolved bool
 }
 
 // compare scores a metric's pairs: parent[k] and change[k] are pair k.
@@ -141,8 +148,23 @@ func compare(m metric, parent, change []float64) comparison {
 	if c.parent.median != 0 {
 		c.delta = (c.change.median - c.parent.median) / math.Abs(c.parent.median)
 		c.regressed = sign*c.delta > m.Bound
+		c.spread = (c.parent.q3 - c.parent.q1) / math.Abs(c.parent.median)
+		c.unresolved = c.spread > m.Bound && !allBetter(sign, parent, change)
 	}
 	return c
+}
+
+// allBetter reports whether every change run beats every parent run;
+// sign > 0 when lower is better.
+func allBetter(sign float64, parent, change []float64) bool {
+	for _, p := range parent {
+		for _, c := range change {
+			if sign*(p-c) <= 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // parseSeeds reads a seed range "A-B", both ends included.
@@ -269,6 +291,9 @@ func report(w io.Writer, workload string, pairs []pairRun, metrics []metric) {
 		}
 		if c.regressed {
 			verdict += fmt.Sprintf("; worse than the parent by more than the %.0f%% bound", 100*m.Bound)
+		}
+		if c.unresolved {
+			verdict += fmt.Sprintf("; unresolved: the parent's quartile spread is %.0f%% of its median, wider than the %.0f%% bound", 100*c.spread, 100*m.Bound)
 		}
 		fmt.Fprintf(w, "  %-26s %-6s %-32s %-32s %+7.1f%% %9s  %s\n", m.Name+" ("+m.Unit+")", m.Better,
 			fmt.Sprintf("%.6g [%.6g, %.6g]", c.parent.median, c.parent.q1, c.parent.q3),

@@ -58,7 +58,7 @@ func TestCompare(t *testing.T) {
 	parent := []float64{100, 102, 98, 101, 99, 100, 103, 97, 100, 101}
 	faster := []float64{88, 90, 86, 89, 87, 88, 91, 85, 88, 102} // one loss
 	c := compare(testMetrics[0], parent, faster)
-	if c.wins != 9 || c.losses != 1 || c.ties != 0 || !c.gain || c.regressed {
+	if c.wins != 9 || c.losses != 1 || c.ties != 0 || !c.gain || c.regressed || c.unresolved {
 		t.Errorf("nine wins in ten: %+v", c)
 	}
 	if math.Abs(c.delta-(-0.12)) > 1e-12 {
@@ -92,6 +92,18 @@ func TestCompare(t *testing.T) {
 	}
 	if c := compare(testMetrics[0], parent, []float64{130, 130, 130, 130, 130, 130, 130, 130, 130, 130}); !c.regressed {
 		t.Errorf("CPU up 30%% is past the 25%% bound: %+v", c)
+	}
+
+	// The parent's quartiles span 65–135, 70% of its median: wider than
+	// the 25% bound, so runs that overlap the parent's leave the metric
+	// unresolved, though the medians match.
+	wide := []float64{40, 60, 60, 80, 100, 100, 120, 140, 140, 160}
+	if c := compare(testMetrics[0], wide, []float64{50, 70, 70, 90, 100, 100, 110, 130, 130, 150}); !c.unresolved || c.regressed || math.Abs(c.spread-0.7) > 1e-12 {
+		t.Errorf("overlapping runs inside a wide spread: %+v", c)
+	}
+	// Every change run beats every parent run: resolved, however wide.
+	if c := compare(testMetrics[0], wide, []float64{30, 20, 35, 25, 38, 22, 30, 28, 33, 39}); c.unresolved {
+		t.Errorf("every change run better than every parent run: %+v", c)
 	}
 }
 
